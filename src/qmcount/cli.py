@@ -97,34 +97,34 @@ def _resolve_budget(flag_value: int | None) -> int | None:
     return None
 
 
+def _emit(fmt: str, spec: SequenceSpec, values, start: int) -> None:
+    """One run of values in the requested format, indexed from `start`."""
+    if fmt == "json":
+        print(emit_json(spec, values, offset=start))
+    elif fmt == "bfile":
+        sys.stdout.write(emit_bfile(start, values))
+    else:
+        print(emit_plain(values))
+
+
 def _print_triangle(args: argparse.Namespace) -> int:
     name, q = args.name, args.q
     lo = args.min_n
     if args.k is not None:
         # single-cell access: the fixed-k column over the requested rows
         base = make_spec(name, q, None, min_n=lo, max_n=args.max_n)
-        if args.k < (1 if name == "qstirling_row" else 0):
-            raise UnsupportedSequence(f"column index {args.k} out of range for {name}")
         values = triangle_column(name, q, args.k, base.min_n, base.max_n)
         spec = SequenceSpec(name, q, args.k, base.min_n, base.max_n, None, base.min_n)
-        if args.format == "json":
-            print(emit_json(spec, values))
-        elif args.format == "bfile":
-            sys.stdout.write(emit_bfile(spec.min_n, values))
-        else:
-            print(emit_plain(values))
+        _emit(args.format, spec, values, spec.min_n)
         return 0
     spec = make_spec(name, q, None, min_n=lo, max_n=args.max_n)
     rows = triangle_rows(name, q, spec.min_n, spec.max_n)
-    if args.format == "json":
-        flat = [v for row in rows for v in row]
-        print(emit_json(spec, flat, offset=triangle_flat_start(name, spec.min_n)))
-    elif args.format == "bfile":
-        flat = [v for row in rows for v in row]
-        sys.stdout.write(emit_bfile(triangle_flat_start(name, spec.min_n), flat))
-    else:
+    if args.format == "plain":
         for row in rows:
             print(emit_plain(row))
+    else:
+        flat = [v for row in rows for v in row]
+        _emit(args.format, spec, flat, triangle_flat_start(name, spec.min_n))
     return 0
 
 
@@ -142,12 +142,7 @@ def _run_seq(args: argparse.Namespace) -> int:
     )
     budgets = {} if budget is None else {"enum_budget": budget, "pair_budget": budget}
     values = sequence_values(spec, order=args.order, **budgets)
-    if args.format == "json":
-        print(emit_json(spec, values))
-    elif args.format == "bfile":
-        sys.stdout.write(emit_bfile(spec.min_n, values))
-    else:
-        print(emit_plain(values))
+    _emit(args.format, spec, values, spec.min_n)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .qcount import PrimePower
+from .qcount import PrimePower, is_prime
 
 
 class NotCoprime(ValueError):
@@ -167,7 +167,7 @@ class FieldSpec:
     """Arithmetic for F_{p^e}, realized through dense add/mul/neg/inv tables."""
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
-        if not is_prime_cached(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
@@ -251,21 +251,9 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def is_prime_cached(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@lru_cache(maxsize=None)
 def build_field(p: int, e: int) -> FieldSpec:
     """F_{p^e} with the lexicographically smallest monic irreducible modulus."""
-    if not is_prime_cached(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError("extension degree must be >= 1")

@@ -12,7 +12,9 @@ so it favours directness over cleverness.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
+from itertools import islice, product
 
 from .ffpoly import (
     FieldSpec,
@@ -431,6 +433,15 @@ def record_consistent(field: FieldSpec, n: int, rec: ClassifyRecord) -> bool:
     return True
 
 
+def _entry_tuples(q: int, nn: int, start: int = 0, stop: int | None = None):
+    """Entry tuples of the matrix codes start .. stop - 1, in code order.
+
+    product() varies its last slot fastest, so each tuple is reversed to
+    put entry 0, the least significant base-q digit, first.
+    """
+    return (t[::-1] for t in islice(product(range(q), repeat=nn), start, stop))
+
+
 def enumerate_matrices(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
     """Yield every n x n matrix over F_q in code order."""
     field = field_for(q)
@@ -438,21 +449,7 @@ def enumerate_matrices(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
     if size > budget:
         raise BudgetExceeded(size, budget)
 
-    def gen():
-        nn = n * n
-        digits = [0] * nn
-        for _ in range(size):
-            yield FqMatrix(field, n, digits)
-            i = 0
-            while i < nn:
-                digits[i] += 1
-                if digits[i] == q:
-                    digits[i] = 0
-                    i += 1
-                else:
-                    break
-
-    return gen()
+    return (FqMatrix(field, n, entries) for entries in _entry_tuples(q, n * n))
 
 
 def count_matching(
@@ -498,18 +495,12 @@ _FLAG_FIELDS = (
 
 def _sweep_range(q, n, ks, start, stop, check):
     field = field_for(q)
-    nn = n * n
     flags = {name: 0 for name in _FLAG_FIELDS}
     rank_hist = [0] * (n + 1)
     power_hits = {k: 0 for k in ks}
     violations = 0
-    digits = [0] * nn
-    code = start
-    for i in range(nn):
-        code, digits[i] = divmod(code, q)
-    for _ in range(start, stop):
-        A = FqMatrix(field, n, digits)
-        rec = classify(A, ks)
+    for entries in _entry_tuples(q, n * n, start, stop):
+        rec = classify(FqMatrix(field, n, entries), ks)
         for name in _FLAG_FIELDS:
             if getattr(rec, name):
                 flags[name] += 1
@@ -519,14 +510,6 @@ def _sweep_range(q, n, ks, start, stop, check):
                 power_hits[k] += 1
         if check and not record_consistent(field, n, rec):
             violations += 1
-        i = 0
-        while i < nn:
-            digits[i] += 1
-            if digits[i] == q:
-                digits[i] = 0
-                i += 1
-            else:
-                break
     return flags, rank_hist, power_hits, violations
 
 
@@ -541,14 +524,15 @@ def sweep_counts(
     """Classify every matrix in M_n(F_q) and tally all class memberships.
 
     With jobs > 1 the code range is split into contiguous chunks processed
-    by worker processes; tallies are summed, so the result does not depend
-    on the job count.
+    by worker processes, at most one per CPU; tallies are summed, so the
+    result does not depend on the job count.
     """
     size = q ** (n * n)
     if size > budget:
         raise BudgetExceeded(size, budget)
     ks = tuple(ks)
     field_for(q)  # validate q before forking
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or size < 4096:
         parts = [_sweep_range(q, n, ks, 0, size, check)]
     else:
@@ -618,10 +602,8 @@ def conjugacy_orbit_sizes(
     qpow = [q**i for i in range(nn)]
     visited = bytearray(size)
     sizes = []
-    digits = [0] * nn
-    for code in range(size):
+    for code, a in enumerate(_entry_tuples(q, nn)):
         if not visited[code]:
-            a = tuple(digits)
             if restrict_gl and _rank_det(field, n, a)[0] < n:
                 visited[code] = 1
             else:
@@ -636,14 +618,6 @@ def conjugacy_orbit_sizes(
                         visited[bc] = 1
                         orbit += 1
                 sizes.append(orbit)
-        i = 0
-        while i < nn:
-            digits[i] += 1
-            if digits[i] == q:
-                digits[i] = 0
-                i += 1
-            else:
-                break
     return sizes
 
 

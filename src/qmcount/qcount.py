@@ -25,15 +25,46 @@ def exact_div(a: int, b: int) -> int:
     return q
 
 
+# Miller-Rabin with the first 13 prime bases is a proof of primality below
+# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality test; ValueError where it would only be likely."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
+    if n >= _MR_PROVEN_BOUND:
+        raise ValueError(f"{n} is a probable prime beyond the proven range of the test")
     return True
+
+
+def _int_root(n: int, e: int) -> int:
+    """The largest r with r**e <= n, for n >= 1 (Newton's method from above)."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)
@@ -48,20 +79,12 @@ class PrimePower:
     def of(cls, q: int) -> PrimePower:
         if q < 2:
             raise ValueError(f"field size must be at least 2, got {q}")
-        p = 2
-        while q % p:
-            p += 1
-            if p * p > q:
-                p = q
-                break
-        e = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m != 1:
-            raise ValueError(f"field size must be a prime power, got {q}")
-        return cls(p, e, q)
+        # q is a prime power for at most one e: the one whose root is prime
+        for e in range(q.bit_length(), 0, -1):
+            p = _int_root(q, e)
+            if p > 1 and p**e == q and is_prime(p):
+                return cls(p, e, q)
+        raise ValueError(f"field size must be a prime power, got {q}")
 
 
 class GLOrderTable:
@@ -151,35 +174,46 @@ def rank_count(q: int, m: int, n: int, k: int) -> int:
     return exact_div(num, den)
 
 
+def _ordered_splittings(q: int, n: int, k: int) -> list[int]:
+    """Ordered splittings of F_q^n into j nonzero subspaces, for j = 0 .. k.
+
+    A splitting with dimensions (n_1, ..., n_j) is counted
+    gl_order(n) / prod gl_order(n_i) times.  Choosing the first part a
+    gives the convolution
+    S_j(m) = sum_{a >= 1} gl_order(m) / (gl_order(a) gl_order(m - a)) S_{j-1}(m - a).
+    """
+    if n < 0:
+        raise ValueError("matrix size must be >= 0")
+    gl = [gl_order(q, m) for m in range(n + 1)]
+    # first[m][a]: complementary pairs (U, W) in F_q^m with dim U = a
+    first = [
+        [exact_div(gl[m], gl[a] * gl[m - a]) for a in range(m + 1)]
+        for m in range(n + 1)
+    ]
+    row = [1] + [0] * n  # S_0(m): only the empty splitting of the zero space
+    out = [row[n]]
+    for _ in range(k):
+        row = [
+            sum(first[m][a] * row[m - a] for a in range(1, m + 1)) for m in range(n + 1)
+        ]
+        out.append(row[n])
+    return out
+
+
 def q_stirling(q: int, n: int, k: int) -> int:
     """Number of ways to split F_q^n as a direct sum of k nonzero subspaces.
 
-    Averages the ordered splitting count over the k! orderings: the ordered
-    count for dimensions (n_1, ..., n_k) is gl_order(n) divided by the
-    product of the gl_order(n_i).
+    The ordered splitting count divided by the k! orderings of the parts.
     """
     if n < 0 or k < 1 or k > n:
         return 0
-    gn = gl_order(q, n)
-    total = 0
-
-    def walk(remaining: int, parts_left: int, denom: int) -> None:
-        nonlocal total
-        if parts_left == 1:
-            total += exact_div(gn, denom * gl_order(q, remaining))
-            return
-        for first in range(1, remaining - parts_left + 2):
-            walk(remaining - first, parts_left - 1, denom * gl_order(q, first))
-
-    walk(n, k, 1)
-    return exact_div(total, factorial(k))
+    return exact_div(_ordered_splittings(q, n, k)[k], factorial(k))
 
 
 def q_bell(q: int, n: int) -> int:
     """Total number of direct sum decompositions of F_q^n into nonzero parts."""
-    if n == 0:
-        return 1
-    return sum(q_stirling(q, n, k) for k in range(1, n + 1))
+    splittings = _ordered_splittings(q, n, n)
+    return sum(exact_div(s, factorial(k)) for k, s in enumerate(splittings))
 
 
 def projection_count(q: int, n: int) -> int:
@@ -199,23 +233,12 @@ def projection_count(q: int, n: int) -> int:
 def diagonalizable_count(q: int, n: int) -> int:
     """Number of diagonalizable n x n matrices over F_q.
 
-    A diagonalizable matrix is an ordered splitting of F_q^n into q
-    eigenspaces (one per field element, possibly zero); each weak
-    composition of n into q parts contributes the ordered splitting count.
+    A diagonalizable matrix is an ordered splitting of F_q^n into its
+    eigenspaces, one per field element.  Choosing which j of the q
+    eigenvalues occur leaves an ordered splitting into j nonzero parts.
     """
-    gn = gl_order(q, n)
-    total = 0
-
-    def walk(remaining: int, parts_left: int, denom: int) -> None:
-        nonlocal total
-        if parts_left == 1:
-            total += exact_div(gn, denom * gl_order(q, remaining))
-            return
-        for first in range(remaining + 1):
-            walk(remaining - first, parts_left - 1, denom * gl_order(q, first))
-
-    walk(n, q, 1)
-    return total
+    splittings = _ordered_splittings(q, n, min(n, q))
+    return sum(comb(q, j) * s for j, s in enumerate(splittings))
 
 
 def involution_count_char2(q: int, n: int) -> int:

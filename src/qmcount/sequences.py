@@ -9,7 +9,11 @@ computed run of values as plain text, JSON, or an OEIS b-file.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from decimal import Decimal
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import oracle
 from .gfengine import gf_build, extract_count
@@ -35,67 +39,6 @@ from .exact_series import DEFAULT_ORDER
 class UnsupportedSequence(ValueError):
     """A sequence/parameter combination with no computing route."""
 
-
-SCALAR_NAMES = (
-    "all",
-    "invertible",
-    "subspaces_total",
-    "qbell",
-    "qfactorial",
-    "lin_derangement",
-    "proj_derangement",
-    "diagonalizable",
-    "projection",
-    "power_identity",
-    "nilpotent",
-    "cyclic",
-    "semisimple",
-    "separable",
-    "separable_classes",
-    "conjclasses_all",
-    "conjclasses_gl",
-    "min_centralizer",
-    "max_class",
-)
-
-TRIANGLE_NAMES = ("qbinom_row", "qstirling_row", "rank_row")
-
-SEQUENCE_NAMES = SCALAR_NAMES + TRIANGLE_NAMES
-
-NATURAL_START = {
-    "all": 0,
-    "invertible": 0,
-    "subspaces_total": 0,
-    "qbell": 1,
-    "qfactorial": 0,
-    "lin_derangement": 0,
-    "proj_derangement": 0,
-    "diagonalizable": 0,
-    "projection": 0,
-    "power_identity": 0,
-    "nilpotent": 0,
-    "cyclic": 0,
-    "semisimple": 0,
-    "separable": 0,
-    "separable_classes": 1,
-    "conjclasses_all": 0,
-    "conjclasses_gl": 0,
-    "min_centralizer": 1,
-    "max_class": 1,
-    "qbinom_row": 0,
-    "qstirling_row": 1,
-    "rank_row": 0,
-}
-
-# generating-function kind backing each gf-routed sequence
-_GF_ROUTE = {
-    "proj_derangement": "projective_derangement",
-    "cyclic": "cyclic",
-    "semisimple": "semisimple",
-    "separable": "separable",
-    "conjclasses_all": "conjclasses_all",
-    "conjclasses_gl": "conjclasses_gl",
-}
 
 _POWER_IDENTITY_OEIS = {
     (2, 2): "A053722",
@@ -141,40 +84,149 @@ _MIN_CENTRALIZER_GL2 = {
 }
 
 
+class _Run(NamedTuple):
+    """What a value route may read: one request and its run options."""
+
+    q: int
+    k: int | None
+    max_n: int
+    order: int | None
+    pair_budget: int
+
+
+def _oeis(ids: dict[int, str], offset: int = 0):
+    """OEIS rule: the entry catalogued for q, all starting at `offset`."""
+    return lambda q, k: (ids[q], offset) if q in ids else None
+
+
+def _power_identity_oeis(q: int, k: int | None):
+    ident = _POWER_IDENTITY_OEIS.get((q, k))
+    if ident is None:
+        return None
+    return ident, 0 if ident == "A053846" else 1
+
+
+def _gf_order(order: int | None, max_n: int) -> int:
+    if order is None:
+        return max(DEFAULT_ORDER, max_n)
+    if order < max_n:
+        raise UnsupportedSequence(
+            f"truncation order {order} is below the requested max n {max_n}"
+        )
+    return order
+
+
+def _gf(kind: str, normalized: bool = True):
+    """Route through one cycle-index series, built once per request."""
+
+    def route(r: _Run):
+        gf = gf_build(kind, r.q, _gf_order(r.order, r.max_n))
+        return lambda n: extract_count(gf, n, r.q, normalized=normalized)
+
+    return route
+
+
+def _power_identity(r: _Run):
+    pp = PrimePower.of(r.q)
+    if r.k % pp.p:
+        gf = gf_build("power_identity", r.q, _gf_order(r.order, r.max_n), k=r.k)
+        return lambda n: extract_count(gf, n, r.q)
+    if r.k == 2 and pp.p == 2:
+        return partial(involution_count_char2, r.q)
+    raise UnsupportedSequence(
+        f"no route for A^{r.k} = I over F_{r.q}: the characteristic divides k"
+    )
+
+
+def _min_centralizer(r: _Run):
+    def value(n: int) -> int:
+        if n < 1:
+            raise UnsupportedSequence("centralizer sequences start at n = 1")
+        if r.q == 2 and n in _MIN_CENTRALIZER_GL2:
+            return _MIN_CENTRALIZER_GL2[n]
+        return oracle.min_centralizer_order(r.q, n, r.pair_budget)
+
+    return value
+
+
+def _max_class(r: _Run):
+    smallest = _min_centralizer(r)
+    return lambda n: gl_order(r.q, n) // smallest(n)
+
+
+@dataclass(frozen=True)
+class _Seq:
+    """One catalogued sequence.
+
+    A scalar's route maps a request to its per-n value function; a
+    triangle's route is the cell function (q, n, k), with k running from
+    first_col to n in each row.  A triangle may be read by one column k; a
+    scalar takes k only when it needs one.  Routes call module functions by
+    name at call time, so a wrapper installed on a module attribute is the
+    one called.
+    """
+
+    start: int
+    route: Callable
+    oeis: Callable[[int, int | None], tuple[str, int] | None] = lambda q, k: None
+    first_col: int | None = None
+    needs_k: bool = False
+
+
+_REGISTRY = {
+    "all": _Seq(0, lambda r: lambda n: r.q ** (n * n), _oeis({2: "A002416"})),
+    "invertible": _Seq(0, lambda r: partial(gl_order, r.q), _oeis({2: "A002884"})),
+    "subspaces_total": _Seq(
+        0,
+        lambda r: partial(subspace_total, r.q),
+        _oeis({q: f"A{6116 + q - 2:06d}" for q in range(2, 9)}),
+    ),
+    "qbell": _Seq(1, lambda r: partial(q_bell, r.q)),
+    "qfactorial": _Seq(0, lambda r: partial(q_factorial, r.q), _oeis({2: "A005329"})),
+    "lin_derangement": _Seq(
+        0, lambda r: partial(linear_derangement_count, r.q), _oeis({2: "A002820"}, 2)
+    ),
+    "proj_derangement": _Seq(0, _gf("projective_derangement")),
+    "diagonalizable": _Seq(0, lambda r: partial(diagonalizable_count, r.q)),
+    "projection": _Seq(
+        0, lambda r: partial(projection_count, r.q), _oeis({3: "A053846"})
+    ),
+    "power_identity": _Seq(0, _power_identity, _power_identity_oeis, needs_k=True),
+    "nilpotent": _Seq(
+        0, lambda r: partial(nilpotent_count, r.q), _oeis({2: "A053763"})
+    ),
+    "cyclic": _Seq(0, _gf("cyclic")),
+    "semisimple": _Seq(0, _gf("semisimple")),
+    "separable": _Seq(0, _gf("separable")),
+    "separable_classes": _Seq(1, lambda r: partial(separable_class_count, r.q)),
+    "conjclasses_all": _Seq(0, _gf("conjclasses_all", False), _oeis({2: "A070933"})),
+    "conjclasses_gl": _Seq(
+        0,
+        _gf("conjclasses_gl", False),
+        _oeis({2: "A006951", 3: "A006952", 4: "A049314", 5: "A049315", 7: "A049316"}),
+    ),
+    "min_centralizer": _Seq(1, _min_centralizer, _oeis({2: "A082877"}, 1)),
+    "max_class": _Seq(1, _max_class, _oeis({2: "A070731"}, 1)),
+    "qbinom_row": _Seq(
+        0,
+        lambda q, n, k: gaussian_binomial(q, n, k),
+        _oeis({q: f"A{22166 + q - 2:06d}" for q in range(2, 25)}),
+        first_col=0,
+    ),
+    "qstirling_row": _Seq(1, lambda q, n, k: q_stirling(q, n, k), first_col=1),
+    "rank_row": _Seq(0, lambda q, n, k: rank_count(q, n, n, k), first_col=0),
+}
+
+SCALAR_NAMES = tuple(name for name, e in _REGISTRY.items() if e.first_col is None)
+
+TRIANGLE_NAMES = tuple(name for name, e in _REGISTRY.items() if e.first_col is not None)
+
+SEQUENCE_NAMES = SCALAR_NAMES + TRIANGLE_NAMES
+
+
 def oeis_info(name: str, q: int, k: int | None) -> tuple[str | None, int | None]:
     """OEIS id and that entry's starting index, when one is known."""
-    if name == "all" and q == 2:
-        return "A002416", 0
-    if name == "invertible" and q == 2:
-        return "A002884", 0
-    if name == "subspaces_total" and 2 <= q <= 8:
-        return f"A{6116 + q - 2:06d}", 0
-    if name == "qbinom_row" and 2 <= q <= 24:
-        return f"A{22166 + q - 2:06d}", 0
-    if name == "qfactorial" and q == 2:
-        return "A005329", 0
-    if name == "lin_derangement" and q == 2:
-        return "A002820", 2
-    if name == "projection" and q == 3:
-        return "A053846", 0
-    if name == "power_identity":
-        ident = _POWER_IDENTITY_OEIS.get((q, k))
-        if ident is None:
-            return None, None
-        return ident, 0 if ident == "A053846" else 1
-    if name == "nilpotent" and q == 2:
-        return "A053763", 0
-    if name == "conjclasses_all" and q == 2:
-        return "A070933", 0
-    if name == "conjclasses_gl":
-        ids = {2: "A006951", 3: "A006952", 4: "A049314", 5: "A049315", 7: "A049316"}
-        if q in ids:
-            return ids[q], 0
-    if name == "max_class" and q == 2:
-        return "A070731", 1
-    if name == "min_centralizer" and q == 2:
-        return "A082877", 1
-    return None, None
+    return _REGISTRY[name].oeis(q, k) or (None, None)
 
 
 @dataclass(frozen=True)
@@ -201,30 +253,24 @@ def make_spec(
     if name not in SEQUENCE_NAMES:
         raise UnsupportedSequence(f"unknown sequence name {name!r}")
     PrimePower.of(q)
-    if name == "power_identity":
+    entry = _REGISTRY[name]
+    if entry.needs_k:
         if k is None:
-            raise UnsupportedSequence("power_identity needs the exponent k")
+            raise UnsupportedSequence(f"{name} needs the exponent k")
         if k < 1:
             raise UnsupportedSequence("the exponent k must be >= 1")
-    elif k is not None and name not in TRIANGLE_NAMES:
+    elif k is not None and entry.first_col is None:
         raise UnsupportedSequence(f"sequence {name!r} does not take k")
+    start = entry.start
     ident, offset = oeis_info(name, q, k)
     if offset is None:
-        offset = NATURAL_START[name]
+        offset = start
     if min_n is None:
-        min_n = offset if align_to_oeis else NATURAL_START[name]
+        min_n = offset if align_to_oeis else start
     if min_n < 0:
         raise UnsupportedSequence("min_n must be >= 0")
     # max_n below min_n is allowed and yields an empty run of values
     return SequenceSpec(name, q, k, min_n, max_n, ident, offset)
-
-
-def _min_centralizer_value(q: int, n: int, pair_budget: int) -> int:
-    if n < 1:
-        raise UnsupportedSequence("centralizer sequences start at n = 1")
-    if q == 2 and n in _MIN_CENTRALIZER_GL2:
-        return _MIN_CENTRALIZER_GL2[n]
-    return oracle.min_centralizer_order(q, n, pair_budget)
 
 
 def sequence_values(
@@ -234,115 +280,63 @@ def sequence_values(
     pair_budget: int = oracle.DEFAULT_PAIR_BUDGET,
 ) -> list[int]:
     """Values of a scalar sequence for n = min_n .. max_n."""
-    name, q, k = spec.name, spec.q, spec.k
-    if name in TRIANGLE_NAMES:
+    if spec.name in TRIANGLE_NAMES:
         raise UnsupportedSequence(
-            f"{name!r} is a triangle; use triangle_rows or a k column"
+            f"{spec.name!r} is a triangle; use triangle_rows or a k column"
         )
-    ns = range(spec.min_n, spec.max_n + 1)
-
-    if name == "all":
-        return [q ** (n * n) for n in ns]
-    if name == "invertible":
-        return [gl_order(q, n) for n in ns]
-    if name == "subspaces_total":
-        return [subspace_total(q, n) for n in ns]
-    if name == "qbell":
-        return [q_bell(q, n) for n in ns]
-    if name == "qfactorial":
-        return [q_factorial(q, n) for n in ns]
-    if name == "lin_derangement":
-        return [linear_derangement_count(q, n) for n in ns]
-    if name == "diagonalizable":
-        return [diagonalizable_count(q, n) for n in ns]
-    if name == "projection":
-        return [projection_count(q, n) for n in ns]
-    if name == "nilpotent":
-        return [nilpotent_count(q, n) for n in ns]
-    if name == "separable_classes":
-        return [separable_class_count(q, n) for n in ns]
-    if name == "power_identity":
-        pp = PrimePower.of(q)
-        if k % pp.p:
-            gf = gf_build("power_identity", q, _gf_order(order, spec.max_n), k=k)
-            return [extract_count(gf, n, q) for n in ns]
-        if k == 2 and pp.p == 2:
-            return [involution_count_char2(q, n) for n in ns]
-        raise UnsupportedSequence(
-            f"no route for A^{k} = I over F_{q}: the characteristic divides k"
-        )
-    if name in _GF_ROUTE:
-        kind = _GF_ROUTE[name]
-        gf = gf_build(kind, q, _gf_order(order, spec.max_n))
-        normalized = kind not in ("conjclasses_all", "conjclasses_gl")
-        return [extract_count(gf, n, q, normalized=normalized) for n in ns]
-    if name == "min_centralizer":
-        return [_min_centralizer_value(q, n, pair_budget) for n in ns]
-    if name == "max_class":
-        out = []
-        for n in ns:
-            if n < 1:
-                raise UnsupportedSequence("centralizer sequences start at n = 1")
-            if q == 2 and n in _MIN_CENTRALIZER_GL2:
-                out.append(gl_order(2, n) // _MIN_CENTRALIZER_GL2[n])
-            else:
-                out.append(oracle.max_class_size(q, n, pair_budget))
-        return out
-    raise UnsupportedSequence(f"no route for {name!r}")  # unreachable
+    run = _Run(spec.q, spec.k, spec.max_n, order, pair_budget)
+    value = _REGISTRY[spec.name].route(run)
+    return [value(n) for n in range(spec.min_n, spec.max_n + 1)]
 
 
-def _gf_order(order: int | None, max_n: int) -> int:
-    if order is None:
-        return max(DEFAULT_ORDER, max_n)
-    if order < max_n:
-        raise UnsupportedSequence(
-            f"truncation order {order} is below the requested max n {max_n}"
-        )
-    return order
+def _triangle(name: str) -> _Seq:
+    if name not in TRIANGLE_NAMES:
+        raise UnsupportedSequence(f"{name!r} is not a triangle")
+    return _REGISTRY[name]
 
 
 def triangle_rows(name: str, q: int, lo: int, hi: int) -> list[list[int]]:
     """Rows lo..hi of a triangle sequence."""
-    if name not in TRIANGLE_NAMES:
-        raise UnsupportedSequence(f"{name!r} is not a triangle")
-    if lo < NATURAL_START[name]:
-        raise UnsupportedSequence(f"{name!r} rows start at {NATURAL_START[name]}")
-    rows = []
-    for n in range(lo, hi + 1):
-        if name == "qbinom_row":
-            rows.append([gaussian_binomial(q, n, kk) for kk in range(n + 1)])
-        elif name == "qstirling_row":
-            rows.append([q_stirling(q, n, kk) for kk in range(1, n + 1)])
-        else:
-            rows.append([rank_count(q, n, n, kk) for kk in range(n + 1)])
-    return rows
+    tri = _triangle(name)
+    if lo < tri.start:
+        raise UnsupportedSequence(f"{name!r} rows start at {tri.start}")
+    return [
+        [tri.route(q, n, k) for k in range(tri.first_col, n + 1)]
+        for n in range(lo, hi + 1)
+    ]
 
 
 def triangle_column(name: str, q: int, k: int, lo: int, hi: int) -> list[int]:
     """The fixed-k column of a triangle for n = lo .. hi."""
-    if name not in TRIANGLE_NAMES:
-        raise UnsupportedSequence(f"{name!r} is not a triangle")
-    if name == "qbinom_row":
-        return [gaussian_binomial(q, n, k) for n in range(lo, hi + 1)]
-    if name == "qstirling_row":
-        return [q_stirling(q, n, k) for n in range(lo, hi + 1)]
-    return [rank_count(q, n, n, k) for n in range(lo, hi + 1)]
+    tri = _triangle(name)
+    if k < tri.first_col:
+        raise UnsupportedSequence(f"column index {k} out of range for {name}")
+    return [tri.route(q, n, k) for n in range(lo, hi + 1)]
 
 
 def triangle_flat_start(name: str, first_row: int) -> int:
     """Index of the first entry of `first_row` when the triangle is read by rows."""
-    base_row = NATURAL_START[name]
-    idx = base_row  # first flattened index matches the first row number
-    for row in range(base_row, first_row):
-        if name == "qstirling_row":
-            idx += row
-        else:
-            idx += row + 1
-    return idx
+    tri = _REGISTRY[name]
+    # the first flattened index matches the first row number
+    rows = range(tri.start, first_row)
+    return tri.start + sum(row - tri.first_col + 1 for row in rows)
+
+
+def _decimal(v: int) -> str:
+    """str(v) for an int of any size: Decimal is not held to the interpreter's
+    limit on int-to-text digits."""
+    return str(Decimal(v))
+
+
+def _parse_int(text: str) -> int:
+    """int(text) for a decimal integer of any length."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not a decimal integer: {text[:40]!r}")
+    return int(Decimal(text))
 
 
 def emit_plain(values) -> str:
-    return " ".join(str(v) for v in values)
+    return " ".join(_decimal(v) for v in values)
 
 
 def emit_json(spec: SequenceSpec, values, offset: int | None = None) -> str:
@@ -352,13 +346,13 @@ def emit_json(spec: SequenceSpec, values, offset: int | None = None) -> str:
         "k": spec.k,
         "offset": spec.min_n if offset is None else offset,
         "oeis": spec.oeis_id,
-        "values": [str(v) for v in values],
+        "values": [_decimal(v) for v in values],
     }
     return json.dumps(obj)
 
 
 def emit_bfile(start: int, values) -> str:
-    return "".join(f"{start + i} {v}\n" for i, v in enumerate(values))
+    return "".join(f"{start + i} {_decimal(v)}\n" for i, v in enumerate(values))
 
 
 def parse_bfile(text: str) -> tuple[int, list[int]]:
@@ -377,7 +371,7 @@ def parse_bfile(text: str) -> tuple[int, list[int]]:
         elif idx != prev + 1:
             raise ValueError(f"non-contiguous b-file index {idx}")
         prev = idx
-        values.append(int(val_s))
+        values.append(_parse_int(val_s))
     if start is None:
         return 0, []
     return start, values

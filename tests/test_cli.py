@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 
 import pytest
 
-from qmcount import regression
+from qmcount import regression, sequences
 from qmcount.cli import BUDGET_ENV, main
 from qmcount.regression import RegressionEntry
+from qmcount.sequences import make_spec, parse_bfile, sequence_values
 
 
 def run_cli(capsys, *argv):
@@ -228,3 +230,49 @@ def test_verify_reports_failures(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--oracle-budget", "2", "--quiet")
     assert code == 1
     assert "[FAIL] regression: invertible q=2" in out
+
+
+def test_values_beyond_4300_digits_print_in_full(capsys, monkeypatch):
+    # 2^(120^2) has 4335 decimal digits, over the interpreter's int-to-text limit
+    big = 2 ** (120 * 120)
+    code, out, err = run_cli(capsys, "seq", "all", "--q", "2", "--max-n", "120")
+    assert (code, err) == (0, "")
+    assert int(Decimal(out.split()[-1])) == big
+    code, out, _ = run_cli(
+        capsys, "seq", "all", "--q", "2", "--min-n", "120", "--max-n", "120",
+        "--format", "json",
+    )
+    assert code == 0
+    assert int(Decimal(json.loads(out)["values"][0])) == big
+
+    # one series build serves the CLI and the library call: the test is
+    # about printing the values, not about computing them twice
+    built = {}
+    real_build = sequences.gf_build
+
+    def build_once(kind, q, order, **params):
+        key = (kind, q, order, tuple(sorted(params.items())))
+        if key not in built:
+            built[key] = real_build(kind, q, order, **params)
+        return built[key]
+
+    monkeypatch.setattr(sequences, "gf_build", build_once)
+    spec = make_spec("semisimple", 2, max_n=120, align_to_oeis=True)
+    expected = sequence_values(spec)
+    assert len(str(Decimal(expected[-1]))) > 4300
+    code, out, err = run_cli(
+        capsys, "seq", "semisimple", "--q", "2", "--max-n", "120", "--format", "bfile"
+    )
+    assert (code, err) == (0, "")
+    assert parse_bfile(out) == (spec.min_n, expected)
+
+
+def test_large_prime_field(capsys):
+    code, out, _ = run_cli(
+        capsys, "seq", "invertible", "--q", "2305843009213693951", "--max-n", "1"
+    )
+    assert (code, out) == (0, "1 2305843009213693950\n")
+    # prime, but beyond the range where the primality test is a proof
+    code, _, err = run_cli(capsys, "seq", "invertible", "--q", str(2**89 - 1))
+    assert code == 2
+    assert "proven range" in err

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from qmcount import oracle
 from qmcount.ffpoly import field_for, poly_divmod
 from qmcount.oracle import (
     BudgetExceeded,
@@ -246,6 +249,35 @@ def test_sweep_jobs_deterministic():
     assert single.invertible == gl_order(3, 3)
     assert single.nilpotent == 729
     assert sweep_counts(3, 3, ks=(2,), jobs=5) == single
+
+
+def test_sweep_pool_is_clamped_to_cpu_count(monkeypatch):
+    sizes = []
+
+    class StubPool:
+        """Records its size and runs the chunks in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return list(itertools.starmap(fn, args))
+
+    class StubContext:
+        Pool = StubPool
+
+    monkeypatch.setattr(oracle.multiprocessing, "get_context", lambda _: StubContext)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    # 8^4 = 4096 matrices: the smallest sweep that takes the pool path
+    pooled = sweep_counts(8, 2, ks=(2,), jobs=10**6)
+    assert sizes == [3]
+    assert pooled == sweep_counts(8, 2, ks=(2,), jobs=1)
 
 
 def test_conjugacy_orbits_all_matrices():

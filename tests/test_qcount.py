@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from qmcount.qcount import (
@@ -40,6 +42,31 @@ def test_prime_power_rejects_other_integers():
     for bad in (0, 1, 6, 12, -4, 10, 100):
         with pytest.raises(ValueError):
             PrimePower.of(bad)
+
+
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        (2305843009213693951, (2305843009213693951, 1)),  # the prime 2^61 - 1
+        (999999999989, (999999999989, 1)),
+        (2**100, (2, 100)),
+        (3**40, (3, 40)),
+        (561, None),  # a Carmichael number
+        (2305843009213693951 * 3, None),
+        (1, None),
+        (2**89 - 1, None),  # prime, but beyond the proven range of the test
+    ],
+    ids=["2^61-1", "999999999989", "2^100", "3^40", "561", "3(2^61-1)", "1", "2^89-1"],
+)
+def test_prime_power_large_inputs(q, expected):
+    t0 = time.perf_counter()
+    if expected is None:
+        with pytest.raises(ValueError):
+            PrimePower.of(q)
+    else:
+        pp = PrimePower.of(q)
+        assert (pp.p, pp.e, pp.q) == (*expected, q)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_exact_div():
