@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .ffpoly import NotCoprime
@@ -42,8 +41,6 @@ from .sequences import (
     triangle_rows,
 )
 from .verify import failures, run_all
-
-BUDGET_ENV = "QMC_ORACLE_BUDGET"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,20 +78,6 @@ def _range_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--max-n", type=int, default=10)
     cmd.add_argument("--format", choices=("plain", "json", "bfile"), default="plain")
     cmd.add_argument("--order", type=int, default=None)
-    cmd.add_argument("--oracle-budget", type=int, default=None)
-
-
-def _resolve_budget(flag_value: int | None) -> int | None:
-    """Budget from the flag, else the environment, else None (library defaults)."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UnsupportedSequence(f"{BUDGET_ENV} must be an integer, not {env!r}")
-    return None
 
 
 def _emit(fmt: str, spec: SequenceSpec, values, start: int) -> None:
@@ -131,7 +114,6 @@ def _print_triangle(args: argparse.Namespace) -> int:
 def _run_seq(args: argparse.Namespace) -> int:
     if args.name in TRIANGLE_NAMES:
         return _print_triangle(args)
-    budget = _resolve_budget(args.oracle_budget)
     spec = make_spec(
         args.name,
         args.q,
@@ -140,14 +122,13 @@ def _run_seq(args: argparse.Namespace) -> int:
         max_n=args.max_n,
         align_to_oeis=(args.format == "bfile"),
     )
-    budgets = {} if budget is None else {"enum_budget": budget, "pair_budget": budget}
-    values = sequence_values(spec, order=args.order, **budgets)
+    values = sequence_values(spec, order=args.order)
     _emit(args.format, spec, values, spec.min_n)
     return 0
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    budget = _resolve_budget(args.oracle_budget)
+    budget = args.oracle_budget
     results = run_all(
         enum_budget=DEFAULT_ENUM_BUDGET if budget is None else budget,
         pair_budget=DEFAULT_PAIR_BUDGET if budget is None else budget,

@@ -76,6 +76,41 @@ def centralizer_order(qd: int, partition) -> int:
     return result
 
 
+def min_centralizer_orders(q: int, max_n: int) -> list[int]:
+    """Smallest centralizer order in GL_n(F_q) for n = 0 .. max_n.
+
+    An invertible class picks a partition lam_phi for each monic
+    irreducible phi != z, and its centralizer order is the product of
+    centralizer_order(q^deg phi, lam_phi).  At one phi with Q = q^d and
+    |lam| = m, the single part (m) is the unique smallest choice, at
+    Q^(m-1) (Q-1): with ell parts and conjugate partition lam',
+
+        |Aut| = Q^(sum lam'^2) prod_i prod_(k=1..b_i) (1 - Q^-k)
+             >= Q^(sum lam'^2 - ell) (Q-1)^ell
+             >= Q^(m-1+(ell-1)^2) (Q-1)^ell,
+
+    since sum_i b_i = ell and sum lam'^2 >= ell^2 + (m - ell), lam'_1 being
+    ell.  The last bound exceeds Q^(m-1) (Q-1) unless ell = 1.  So the
+    minimum is a 0/1 knapsack over polynomials: each of the
+    min(nu_d - [d = 1], max_n // d) usable polynomials of degree d is left
+    out or takes some multiplicity m >= 1, at weight d m and that cost.
+    """
+    best: list[int | None] = [1] + [None] * max_n
+    for d in range(1, max_n + 1):
+        Q = q**d
+        usable = min(irreducible_poly_count(q, d) - (d == 1), max_n // d)
+        for _ in range(usable):
+            # descending weights read only entries this polynomial has not set
+            for w in range(max_n, d - 1, -1):
+                for m in range(1, w // d + 1):
+                    prev = best[w - d * m]
+                    if prev is not None:
+                        c = prev * Q ** (m - 1) * (Q - 1)
+                        if best[w] is None or c < best[w]:
+                            best[w] = c
+    return best
+
+
 def euler_inverse_factor(q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSeries:
     """The factor prod_{r >= 1} (1 - u^d / q^(rd))^(-1), truncated at `order`.
 

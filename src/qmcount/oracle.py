@@ -444,11 +444,10 @@ def _entry_tuples(q: int, nn: int, start: int = 0, stop: int | None = None):
 
 def enumerate_matrices(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
     """Yield every n x n matrix over F_q in code order."""
-    field = field_for(q)
     size = q ** (n * n)
     if size > budget:
         raise BudgetExceeded(size, budget)
-
+    field = field_for(q)
     return (FqMatrix(field, n, entries) for entries in _entry_tuples(q, n * n))
 
 
@@ -590,12 +589,12 @@ def conjugacy_orbit_sizes(
     the full invertible group and marked; the per-orbit mark count is the
     orbit size, so the sizes arrive in order of smallest representative.
     """
-    field = field_for(q)
     nn = n * n
     size = q**nn
     gamma = gl_order(q, n)
     if gamma * size > pair_budget:
         raise BudgetExceeded(gamma * size, pair_budget)
+    field = field_for(q)
     add = field.add_table
     mul = field.mul_table
     gl = _gl_with_inverses(field, n)
@@ -630,32 +629,12 @@ def conjugacy_class_count(
     return len(conjugacy_orbit_sizes(q, n, restrict_gl, pair_budget))
 
 
-def min_centralizer_order(q: int, n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    """Smallest conjugation centralizer order among invertible matrices.
-
-    Scans all pairs (A, g) in GL_n x GL_n counting the g that commute with
-    each A; the smallest count wins.
-    """
-    field = field_for(q)
-    gamma = gl_order(q, n)
-    if gamma * gamma > pair_budget:
-        raise BudgetExceeded(gamma * gamma, pair_budget)
-    add = field.add_table
-    mul = field.mul_table
-    gl = [g for g, _ in _gl_with_inverses(field, n)]
-    best = None
-    for a in gl:
-        count = 0
-        for g in gl:
-            if _mat_mul(n, g, a, add, mul) == _mat_mul(n, a, g, add, mul):
-                count += 1
-        if best is None or count < best:
-            best = count
-    if best is None:
-        raise ArithmeticError("empty invertible group")  # unreachable for q >= 2
-    return best
-
-
 def max_class_size(q: int, n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    """Largest conjugacy class size in GL_n, via the smallest centralizer."""
-    return gl_order(q, n) // min_centralizer_order(q, n, pair_budget)
+    """Largest conjugacy class size in GL_n, by the orbit sweep."""
+    return max(conjugacy_orbit_sizes(q, n, True, pair_budget))
+
+
+def min_centralizer_order(q: int, n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
+    """Smallest centralizer order in GL_n: by orbit-stabilizer, the group
+    order over the largest class."""
+    return gl_order(q, n) // max_class_size(q, n, pair_budget)

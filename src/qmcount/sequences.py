@@ -1,9 +1,9 @@
 """Named counting sequences: routing, metadata, and output formats.
 
 One table maps every public sequence name to its computing route (closed
-formula, generating function extraction, or exhaustive sweep), its natural
-first index, and its OEIS entry when one exists.  The emitters render a
-computed run of values as plain text, JSON, or an OEIS b-file.
+formula, generating function extraction, or a knapsack over class types),
+its natural first index, and its OEIS entry when one exists.  The emitters
+render a computed run of values as plain text, JSON, or an OEIS b-file.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from decimal import Decimal
 from functools import partial
 from typing import Callable, NamedTuple
 
-from . import oracle
-from .gfengine import gf_build, extract_count
+from .gfengine import gf_build, extract_count, min_centralizer_orders
 from .qcount import (
     PrimePower,
     gaussian_binomial,
@@ -70,19 +69,6 @@ _POWER_IDENTITY_OEIS = {
     (2, 12): "A053777",
 }
 
-_MIN_CENTRALIZER_GL2 = {
-    1: 1,
-    2: 2,
-    3: 3,
-    4: 6,
-    5: 12,
-    6: 21,
-    7: 42,
-    8: 84,
-    9: 147,
-    10: 294,
-}
-
 
 class _Run(NamedTuple):
     """What a value route may read: one request and its run options."""
@@ -91,7 +77,6 @@ class _Run(NamedTuple):
     k: int | None
     max_n: int
     order: int | None
-    pair_budget: int
 
 
 def _oeis(ids: dict[int, str], offset: int = 0):
@@ -139,12 +124,12 @@ def _power_identity(r: _Run):
 
 
 def _min_centralizer(r: _Run):
+    orders = min_centralizer_orders(r.q, r.max_n)
+
     def value(n: int) -> int:
         if n < 1:
             raise UnsupportedSequence("centralizer sequences start at n = 1")
-        if r.q == 2 and n in _MIN_CENTRALIZER_GL2:
-            return _MIN_CENTRALIZER_GL2[n]
-        return oracle.min_centralizer_order(r.q, n, r.pair_budget)
+        return orders[n]
 
     return value
 
@@ -273,18 +258,13 @@ def make_spec(
     return SequenceSpec(name, q, k, min_n, max_n, ident, offset)
 
 
-def sequence_values(
-    spec: SequenceSpec,
-    order: int | None = None,
-    enum_budget: int = oracle.DEFAULT_ENUM_BUDGET,
-    pair_budget: int = oracle.DEFAULT_PAIR_BUDGET,
-) -> list[int]:
+def sequence_values(spec: SequenceSpec, order: int | None = None) -> list[int]:
     """Values of a scalar sequence for n = min_n .. max_n."""
     if spec.name in TRIANGLE_NAMES:
         raise UnsupportedSequence(
             f"{spec.name!r} is a triangle; use triangle_rows or a k column"
         )
-    run = _Run(spec.q, spec.k, spec.max_n, order, pair_budget)
+    run = _Run(spec.q, spec.k, spec.max_n, order)
     value = _REGISTRY[spec.name].route(run)
     return [value(n) for n in range(spec.min_n, spec.max_n + 1)]
 

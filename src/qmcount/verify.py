@@ -31,6 +31,7 @@ from .gfengine import (
     extract_count,
     gf_build,
     limit_eval,
+    min_centralizer_orders,
     nu_weighted_product,
     partitions_of,
     q_stirling_via_gf,
@@ -51,7 +52,7 @@ from .qcount import (
     q_stirling,
     rank_count,
 )
-from .sequences import _MIN_CENTRALIZER_GL2, make_spec, sequence_values, triangle_rows
+from .sequences import make_spec, sequence_values, triangle_rows
 
 
 @dataclass(frozen=True)
@@ -635,20 +636,19 @@ def oracle_checks(
             all(gamma % s == 0 for s in sizes_all + sizes_gl),
             "orbit size does not divide the group order",
         )
-
-    for n in (1, 2, 3):
-        if (2, n) not in sweeps:
-            continue
-        if gl_order(2, n) ** 2 > pair_budget:
-            continue
-        got = oracle.min_centralizer_order(2, n, pair_budget)
-        _check(results, "oracle", f"smallest centralizer q=2 n={n}", got, _MIN_CENTRALIZER_GL2[n])
         _check(
             results,
             "oracle",
-            f"largest class q=2 n={n}",
-            oracle.max_class_size(2, n, pair_budget),
-            gl_order(2, n) // _MIN_CENTRALIZER_GL2[n],
+            f"smallest centralizer {tag}",
+            gamma // max(sizes_gl),
+            min_centralizer_orders(q, n)[n],
+        )
+        _check(
+            results,
+            "oracle",
+            f"largest class {tag}",
+            sequence_values(make_spec("max_class", q, min_n=n, max_n=n)),
+            [max(sizes_gl)],
         )
 
     return results

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from qmcount import regression, sequences
-from qmcount.cli import BUDGET_ENV, main
+from qmcount.cli import main
 from qmcount.regression import RegressionEntry
 from qmcount.sequences import make_spec, parse_bfile, sequence_values
 
@@ -178,35 +181,35 @@ def test_error_messages_go_to_stderr(capsys):
     assert err.startswith("error:")
 
 
-def test_env_budget_caps_oracle_work(capsys, monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "10")
-    code, _, err = run_cli(capsys, "seq", "min_centralizer", "--q", "3", "--max-n", "2")
-    assert code == 2
-    assert "budget" in err
+@pytest.mark.parametrize(
+    "name, q, max_n, out",
+    [("min_centralizer", 3, 3, "2 4 12\n"), ("max_class", 9, 2, "1 90\n")],
+)
+def test_centralizer_sequences_answer_at_once(capsys, name, q, max_n, out):
+    start = time.perf_counter()
+    code, got, err = run_cli(capsys, "seq", name, "--q", str(q), "--max-n", str(max_n))
+    assert time.perf_counter() - start < 1
+    assert (code, got, err) == (0, out, "")
 
 
-def test_flag_budget_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "10")
-    code, out, _ = run_cli(
-        capsys,
-        "seq",
-        "min_centralizer",
-        "--q",
-        "3",
-        "--max-n",
-        "2",
-        "--oracle-budget",
-        "100000",
-    )
-    assert code == 0
-    assert out == "2 4\n"
+def test_sequences_does_not_import_the_oracle():
+    tree = ast.parse(Path(sequences.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not any("oracle" in name for name in imported)
 
 
-def test_invalid_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "plenty")
-    code, _, err = run_cli(capsys, "seq", "min_centralizer", "--q", "3", "--max-n", "1")
-    assert code == 2
-    assert BUDGET_ENV in err
+def test_verify_budget_limits_oracle_checks(capsys):
+    oracle_checks = {}
+    for budget in (10, 16):
+        code, out, _ = run_cli(capsys, "verify", "--oracle-budget", str(budget))
+        assert code == 0
+        oracle_checks[budget] = sum("] oracle: " in line for line in out.splitlines())
+    assert oracle_checks[10] < oracle_checks[16]
 
 
 def test_verify_passes_with_small_budget(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmcount import oracle
 from qmcount.exact_series import TruncSeries
 from qmcount.gfengine import (
     BadKindParams,
@@ -21,6 +22,7 @@ from qmcount.gfengine import (
     extract_count,
     gf_build,
     limit_eval,
+    min_centralizer_orders,
     nu_weighted_product,
     partitions_of,
     q_stirling_via_gf,
@@ -59,6 +61,24 @@ def test_centralizer_order_known_values():
     assert centralizer_order(2, [3]) == 4
     with pytest.raises(ValueError):
         centralizer_order(2, [1, 0])
+
+
+def test_single_part_is_the_smallest_centralizer():
+    for Q in (2, 3, 4, 5, 7, 8, 9):
+        for m in range(1, 11):
+            smallest = min(centralizer_order(Q, lam) for lam in partitions_of(m))
+            assert smallest == Q ** (m - 1) * (Q - 1), (Q, m)
+
+
+def test_min_centralizer_orders_match_the_orbit_sweep():
+    # A082877
+    assert min_centralizer_orders(2, 10) == [1, 1, 2, 3, 6, 12, 21, 42, 84, 147, 294]
+    for q, n in [(q, n) for q in (2, 3, 4, 5) for n in (1, 2)] + [(2, 3)]:
+        assert min_centralizer_orders(q, n)[n] == oracle.min_centralizer_order(q, n)
+    # the orbit sweep also gives 12 here, but takes seconds
+    assert min_centralizer_orders(3, 3)[3] == 12
+    assert min_centralizer_orders(3, 5)[1:] == [2, 4, 12, 32, 96]
+    assert min_centralizer_orders(2, 0) == [1]
 
 
 def test_nilpotent_classes_sum_to_nilpotent_count():

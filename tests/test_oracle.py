@@ -307,3 +307,13 @@ def test_min_centralizer_and_max_class():
     assert max_class_size(2, 3) == 56
     with pytest.raises(BudgetExceeded):
         min_centralizer_order(2, 3, pair_budget=100)
+
+
+def test_budget_is_checked_before_the_field_tables():
+    # the arithmetic tables of F_q grow with q: a large prime must be
+    # refused by the budget before any table is built
+    big = 2**61 - 1
+    with pytest.raises(BudgetExceeded):
+        min_centralizer_order(big, 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_matrices(big, 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qmcount.oracle import BudgetExceeded
+from qmcount import oracle
 from qmcount.qcount import (
     diagonalizable_count,
     gl_order,
@@ -145,13 +145,18 @@ def test_power_identity_routes():
             values_of("power_identity", q, 3, k=k)
 
 
-def test_centralizer_sequences():
+def test_centralizer_sequences(monkeypatch):
     assert values_of("min_centralizer", 2, 6) == [1, 2, 3, 6, 12, 21]
     assert values_of("max_class", 2, 6) == [1, 3, 56, 3360, 833280, 959938560]
-    # off the precomputed table the oracle takes over
     assert values_of("min_centralizer", 3, 2) == [2, 4]
-    with pytest.raises(BudgetExceeded):
-        values_of("min_centralizer", 3, 2, pair_budget=10)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute-force oracle was consulted")
+
+    # the values come from class types, never from the oracle
+    monkeypatch.setattr(oracle, "min_centralizer_order", refuse)
+    assert values_of("min_centralizer", 2, 6) == [1, 2, 3, 6, 12, 21]
+    assert values_of("min_centralizer", 3, 2) == [2, 4]
 
 
 def test_sequence_values_rejects_triangles_and_low_order():
