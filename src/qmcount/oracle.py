@@ -7,10 +7,23 @@ from first principles (rank elimination, explicit powers, characteristic
 and minimal polynomials), and tallies the classes.  It exists to check the
 formula and generating function routes on spaces small enough to sweep,
 so it favours directness over cleverness.
+
+Three kernels carry the sweeps, all over the dense field tables:
+
+* the characteristic polynomial reduces a copy of A to upper Hessenberg
+  form H by similarity row and column operations, then reads det(zI - H)
+  off the three-term recurrence of its leading principal minors
+  (H. Cohen, A Course in Computational Algebraic Number Theory, 2.2.9);
+* every matrix product has its left operand resolved once into
+  (mul_table row, offset) pairs, so the powers A, A^2, ... share A's pairs;
+* conjugation orbits are closures under conjugation by the elementary
+  matrices, which generate GL_n; each step is one row operation and one
+  column operation on the entries.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -60,6 +73,15 @@ class FqMatrix:
         self.entries = entries
 
     @classmethod
+    def _trusted(cls, field: FieldSpec, n: int, entries: tuple[int, ...]) -> FqMatrix:
+        """Wrap an odometer entry tuple, which is valid by construction."""
+        self = object.__new__(cls)
+        self.field = field
+        self.n = n
+        self.entries = entries
+        return self
+
+    @classmethod
     def from_code(cls, field: FieldSpec, n: int, code: int) -> FqMatrix:
         q = field.q
         if not 0 <= code < q ** (n * n):
@@ -84,14 +106,10 @@ class FqMatrix:
     def mul(self, other: FqMatrix) -> FqMatrix:
         if self.field is not other.field or self.n != other.n:
             raise ValueError("matrix shapes or fields differ")
-        prod = _mat_mul(
-            self.n,
-            self.entries,
-            other.entries,
-            self.field.add_table,
-            self.field.mul_table,
-        )
-        return FqMatrix(self.field, self.n, prod)
+        n = self.n
+        field = self.field
+        terms = _left_terms(n, self.entries, field.mul_table)
+        return FqMatrix(field, n, _mul_left(n, terms, other.entries, field.add_table))
 
     def matpow(self, k: int) -> FqMatrix:
         if k < 0:
@@ -138,16 +156,27 @@ def _identity_entries(n: int) -> tuple[int, ...]:
     return tuple(ent)
 
 
-def _mat_mul(n, a, b, add, mul):
+def _left_terms(n, a, mul):
+    """The rows of a left operand as (mul_table row, offset) pairs.
+
+    Row i lists one pair per nonzero entry a[i][t]: the multiplication
+    table row of that entry and the offset t*n of row t of any right
+    operand.  Zero entries are dropped, so they cost nothing later.
+    """
+    return [
+        [(mul[x], t * n) for t, x in enumerate(a[i * n : (i + 1) * n]) if x]
+        for i in range(n)
+    ]
+
+
+def _mul_left(n, terms, b, add):
+    """The product a*b, with a given by its _left_terms pairs."""
     out = []
-    for i in range(n):
-        arow = a[i * n : (i + 1) * n]
+    for row in terms:
         for j in range(n):
             acc = 0
-            for t in range(n):
-                x = arow[t]
-                if x:
-                    acc = add[acc][mul[x][b[t * n + j]]]
+            for mrow, off in row:
+                acc = add[acc][mrow[b[off + j]]]
             out.append(acc)
     return tuple(out)
 
@@ -203,57 +232,15 @@ def _det_shifted(field: FieldSpec, n: int, entries, lam: int) -> int:
     return _rank_det(field, n, shifted)[1]
 
 
-def _invert(field: FieldSpec, n: int, entries):
-    """Inverse matrix entries, or None when singular."""
-    add = field.add_table
-    mul = field.mul_table
-    neg = field.neg_table
-    inv = field.inv_table
-    m = [
-        list(entries[i * n : (i + 1) * n]) + [1 if j == i else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    w = 2 * n
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        if piv != col:
-            m[piv], m[col] = m[col], m[piv]
-        ipv = inv[m[col][col]]
-        irow = mul[ipv]
-        prow = m[col]
-        for j in range(w):
-            if prow[j]:
-                prow[j] = irow[prow[j]]
-        for r in range(n):
-            if r == col:
-                continue
-            c = m[r][col]
-            if c:
-                frow = mul[c]
-                rrow = m[r]
-                for j in range(col, w):
-                    if prow[j]:
-                        rrow[j] = add[rrow[j]][neg[frow[prow[j]]]]
-    out = []
-    for i in range(n):
-        out.extend(m[i][n:])
-    return tuple(out)
-
-
 def matrix_powers(A: FqMatrix, top: int) -> list[tuple[int, ...]]:
     """[I, A, A^2, ..., A^top] as flat entry tuples."""
-    field = A.field
     n = A.n
+    add = A.field.add_table
+    terms = _left_terms(n, A.entries, A.field.mul_table)
     powers = [_identity_entries(n)]
     cur = powers[0]
     for _ in range(top):
-        cur = _mat_mul(n, cur, A.entries, field.add_table, field.mul_table)
+        cur = _mul_left(n, terms, cur, add)
         powers.append(cur)
     return powers
 
@@ -261,46 +248,74 @@ def matrix_powers(A: FqMatrix, top: int) -> list[tuple[int, ...]]:
 def char_poly(A: FqMatrix) -> tuple[int, ...]:
     """Characteristic polynomial det(zI - A), monic, constant term first.
 
-    Cofactor expansion over the polynomial ring, expanding along the top
-    remaining row; minors are memoized on their column set.
+    A working copy is brought to upper Hessenberg form H (h[i][j] = 0 for
+    i > j + 1) by similarity transforms: for each column c, a row swap and
+    the matching column swap move a nonzero subdiagonal pivot to row c+1,
+    then each row i > c+1 loses u times row c+1 while column c+1 gains u
+    times column i, which is conjugation by I - u*E_(i,c+1).  The leading
+    principal minors p_m = det(zI - H[:m, :m]) then satisfy
+
+        p_(m+1) = (z - h[m][m]) p_m
+                  - sum_(i<m) h[i][m] * h[i+1][i] ... h[m][m-1] * p_i,
+
+    expanding det along its last column, and p_n is the answer.
+    O(n^3) table operations in all.
     """
     field = A.field
     n = A.n
+    add = field.add_table
+    mul = field.mul_table
     neg = field.neg_table
-    from .ffpoly import poly_add, poly_mul, poly_neg
-
-    grid = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            a = A.entries[i * n + j]
-            if i == j:
-                row.append(poly_trim((neg[a], 1)))
-            else:
-                row.append((neg[a],) if a else ())
-        grid.append(row)
-
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def det(cols: tuple[int, ...]) -> tuple[int, ...]:
-        if not cols:
-            return (1,)
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        r = n - len(cols)
-        total: tuple[int, ...] = ()
-        for idx, c in enumerate(cols):
-            e = grid[r][c]
-            if e:
-                term = poly_mul(e, det(cols[:idx] + cols[idx + 1 :]), field)
-                if idx & 1:
-                    term = poly_neg(term, field)
-                total = poly_add(total, term, field)
-        memo[cols] = total
-        return total
-
-    return det(tuple(range(n)))
+    inv = field.inv_table
+    h = list(A.entries)
+    for c in range(n - 2):
+        r = c + 1
+        piv = r
+        while piv < n and not h[piv * n + c]:
+            piv += 1
+        if piv == n:
+            continue
+        if piv != r:
+            for j in range(c, n):
+                h[piv * n + j], h[r * n + j] = h[r * n + j], h[piv * n + j]
+            for k in range(n):
+                h[k * n + piv], h[k * n + r] = h[k * n + r], h[k * n + piv]
+        ipv = inv[h[r * n + c]]
+        for i in range(r + 1, n):
+            x = h[i * n + c]
+            if x:
+                u = mul[x][ipv]
+                sub = mul[neg[u]]
+                for j in range(c, n):
+                    y = h[r * n + j]
+                    if y:
+                        h[i * n + j] = add[h[i * n + j]][sub[y]]
+                gain = mul[u]
+                for k in range(n):
+                    y = h[k * n + i]
+                    if y:
+                        h[k * n + r] = add[h[k * n + r]][gain[y]]
+    minors = [[1]]
+    for m in range(n):
+        prev = minors[m]
+        cur = [0, *prev]
+        shift = mul[neg[h[m * n + m]]]
+        for k, y in enumerate(prev):
+            if y:
+                cur[k] = add[cur[k]][shift[y]]
+        chain = 1
+        for i in range(m - 1, -1, -1):
+            chain = mul[chain][h[(i + 1) * n + i]]
+            if not chain:
+                break
+            x = h[i * n + m]
+            if x:
+                sub = mul[neg[mul[x][chain]]]
+                for k, y in enumerate(minors[i]):
+                    if y:
+                        cur[k] = add[cur[k]][sub[y]]
+        minors.append(cur)
+    return tuple(minors[n])
 
 
 def min_poly(A: FqMatrix, powers=None) -> tuple[int, ...]:
@@ -379,8 +394,8 @@ def classify(A: FqMatrix, ks=DEFAULT_POWERS) -> ClassifyRecord:
     diagonalizable = powers[q] == A.entries
     power_identity = {k: powers[k] == ident for k in ks}
     linear_derangement = bool(det) and _det_shifted(field, n, A.entries, 1) != 0
-    projective_derangement = bool(det) and all(
-        _det_shifted(field, n, A.entries, lam) for lam in range(1, q)
+    projective_derangement = linear_derangement and all(
+        _det_shifted(field, n, A.entries, lam) for lam in range(2, q)
     )
     mp = min_poly(A, powers[: n + 1])
     cp = char_poly(A)
@@ -401,6 +416,7 @@ def classify(A: FqMatrix, ks=DEFAULT_POWERS) -> ClassifyRecord:
     )
 
 
+@functools.cache
 def _z_q_minus_z(field: FieldSpec) -> tuple[int, ...]:
     coeffs = [0] * (field.q + 1)
     coeffs[1] = field.neg_table[1]
@@ -448,7 +464,7 @@ def enumerate_matrices(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
     if size > budget:
         raise BudgetExceeded(size, budget)
     field = field_for(q)
-    return (FqMatrix(field, n, entries) for entries in _entry_tuples(q, n * n))
+    return (FqMatrix._trusted(field, n, e) for e in _entry_tuples(q, n * n))
 
 
 def count_matching(
@@ -499,7 +515,7 @@ def _sweep_range(q, n, ks, start, stop, check):
     power_hits = {k: 0 for k in ks}
     violations = 0
     for entries in _entry_tuples(q, n * n, start, stop):
-        rec = classify(FqMatrix(field, n, entries), ks)
+        rec = classify(FqMatrix._trusted(field, n, entries), ks)
         for name in _FLAG_FIELDS:
             if getattr(rec, name):
                 flags[name] += 1
@@ -567,14 +583,41 @@ def sweep_counts(
     )
 
 
-def _gl_with_inverses(field: FieldSpec, n: int):
+def _elementary_conjugations(field: FieldSpec, n: int):
+    """Conjugation by each elementary generator of GL_n, as edit steps.
+
+    The generators are the invertible g = I + c*E_ij, c != 0: for i != j
+    every c (inverse I - c*E_ij), and for i = j every c != -1, that is
+    diag(1, ..., lam, ..., 1) with lam = 1 + c not in {0, 1} (inverse
+    I + d*E_ii, 1 + d = 1/lam).  With g^-1 = I + d*E_ij, g B g^-1 is B
+    after row i gains c times row j and then column j gains d times
+    column i.  Each step (dst, src, weight, row) sets
+    e[dst] += row[e[src]] on the flat entries, where row is a
+    multiplication table row and weight = q^dst is the code place of dst.
+    """
     q = field.q
-    out = []
-    for A in enumerate_matrices(q, n, budget=q ** (n * n)):
-        inv = _invert(field, n, A.entries)
-        if inv is not None:
-            out.append((A.entries, inv))
-    return out
+    add = field.add_table
+    mul = field.mul_table
+    neg = field.neg_table
+    inv = field.inv_table
+    qpow = [q**k for k in range(n * n)]
+    gens = []
+    for i in range(n):
+        for j in range(n):
+            for c in range(1, q):
+                lam = add[c][1]
+                if i != j:
+                    d = neg[c]
+                elif lam:
+                    d = add[inv[lam]][neg[1]]
+                else:
+                    continue
+                rows = [(i * n + k, j * n + k, mul[c]) for k in range(n)]
+                cols = [(k * n + j, k * n + i, mul[d]) for k in range(n)]
+                gens.append(
+                    [(dst, src, qpow[dst], row) for dst, src, row in rows + cols]
+                )
+    return gens
 
 
 def conjugacy_orbit_sizes(
@@ -585,9 +628,24 @@ def conjugacy_orbit_sizes(
 ) -> list[int]:
     """Sizes of all conjugation orbits on M_n (or on GL_n), by direct sweep.
 
-    For each unvisited code the whole orbit {g A g^-1} is generated from
-    the full invertible group and marked; the per-orbit mark count is the
+    Each unvisited code's orbit {g A g^-1 : g in GL_n} is found as the
+    closure of A under conjugation by the elementary matrices I + c*E_ij
+    (i != j, c != 0) and diag(1, ..., lam, ..., 1) (lam not in {0, 1}),
+    one row operation and one column operation each.
+
+    They generate GL_n, by Gaussian elimination: for g invertible and each
+    column k in turn, if g[k][k] = 0 add to row k a row r > k with
+    g[r][k] != 0 (one exists, else column k would be a combination of the
+    already cleared columns 0..k-1), then clear the rest of column k with
+    row additions.  Every step is a left product with some I + c*E_ij, and
+    what remains is an invertible diagonal matrix, a product of the
+    diag(1, ..., lam, ..., 1).  So g is a word in the generators
+    (I + c*E_ij has inverse I - c*E_ij), and since GL_n is finite the
+    closure under the generators alone is the whole orbit.
+
+    The orbit members are marked as found; the per-orbit count is the
     orbit size, so the sizes arrive in order of smallest representative.
+    The pair budget bounds the |GL_n| * q^(n^2) pairs of a direct sweep.
     """
     nn = n * n
     size = q**nn
@@ -596,27 +654,34 @@ def conjugacy_orbit_sizes(
         raise BudgetExceeded(gamma * size, pair_budget)
     field = field_for(q)
     add = field.add_table
-    mul = field.mul_table
-    gl = _gl_with_inverses(field, n)
-    qpow = [q**i for i in range(nn)]
+    gens = _elementary_conjugations(field, n)
     visited = bytearray(size)
     sizes = []
     for code, a in enumerate(_entry_tuples(q, nn)):
-        if not visited[code]:
-            if restrict_gl and _rank_det(field, n, a)[0] < n:
-                visited[code] = 1
-            else:
-                orbit = 0
-                for g, ginv in gl:
-                    b = _mat_mul(n, _mat_mul(n, g, a, add, mul), ginv, add, mul)
-                    bc = 0
-                    for i in range(nn):
-                        if b[i]:
-                            bc += b[i] * qpow[i]
-                    if not visited[bc]:
-                        visited[bc] = 1
-                        orbit += 1
-                sizes.append(orbit)
+        if visited[code]:
+            continue
+        visited[code] = 1
+        if restrict_gl and _rank_det(field, n, a)[0] < n:
+            continue
+        orbit = 1
+        stack = [(a, code)]
+        while stack:
+            b, bcode = stack.pop()
+            for steps in gens:
+                e = list(b)
+                ecode = bcode
+                for dst, src, weight, row in steps:
+                    x = e[src]
+                    if x:
+                        old = e[dst]
+                        new = add[old][row[x]]
+                        e[dst] = new
+                        ecode += (new - old) * weight
+                if not visited[ecode]:
+                    visited[ecode] = 1
+                    orbit += 1
+                    stack.append((e, ecode))
+        sizes.append(orbit)
     return sizes
 
 

@@ -504,7 +504,7 @@ def limit_checks() -> list[CheckResult]:
 
 # -------------------------------------------------------------------- oracle
 
-SWEEP_CASES = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (2, 3), (2, 4))
+SWEEP_CASES = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4))
 
 SWEEP_POWERS = (2, 3, 4, 5, 6)
 
@@ -601,7 +601,7 @@ def oracle_checks(
                 projection_count(q, n),
             )
 
-    for q, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
+    for q, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
         if (q, n) not in sweeps:
             continue
         size = q ** (n * n)

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from qmcount import oracle
-from qmcount.ffpoly import field_for, poly_divmod
+from qmcount.ffpoly import field_for, poly_add, poly_divmod, poly_mul, poly_neg, poly_trim
 from qmcount.oracle import (
     BudgetExceeded,
     ClassifyRecord,
@@ -317,3 +317,76 @@ def test_budget_is_checked_before_the_field_tables():
         min_centralizer_order(big, 1)
     with pytest.raises(BudgetExceeded):
         enumerate_matrices(big, 1)
+
+
+def leibniz_char_poly(A):
+    """det(zI - A) as the Leibniz sum over permutations, in F_q[z]."""
+    field, n = A.field, A.n
+    neg = field.neg_table
+    total = ()
+    for perm in itertools.permutations(range(n)):
+        term = (1,)
+        for i, j in enumerate(perm):
+            a = neg[A.entries[i * n + j]]
+            term = poly_mul(term, poly_trim((a, 1) if i == j else (a,)), field)
+            if not term:
+                break
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = poly_add(total, poly_neg(term, field) if inversions % 2 else term, field)
+    return total
+
+
+@pytest.mark.parametrize(
+    "q, n, stride",
+    [(2, 3, 1), (3, 2, 1), (4, 2, 1), (5, 2, 1), (2, 4, 17), (3, 3, 7)],
+)
+def test_char_poly_matches_leibniz(q, n, stride):
+    field = field_for(q)
+    for code in range(0, q ** (n * n), stride):
+        A = FqMatrix.from_code(field, n, code)
+        assert char_poly(A) == leibniz_char_poly(A), A
+
+
+def direct_orbit_sizes(q, n, restrict_gl):
+    """Orbit sizes from {g A g^-1 : g in GL_n}, in order of smallest code.
+
+    Invertibility is read off the Leibniz determinant, and g^-1 is
+    g^(|GL_n| - 1).
+    """
+    field = field_for(q)
+    gamma = gl_order(q, n)
+    mats = [FqMatrix.from_code(field, n, c) for c in range(q ** (n * n))]
+    invertible = [leibniz_char_poly(A)[0] != 0 for A in mats]
+    gl = [(g, g.matpow(gamma - 1)) for g, ok in zip(mats, invertible) if ok]
+    assert len(gl) == gamma
+    seen = set()
+    sizes = []
+    for A, ok in zip(mats, invertible):
+        if A.code() in seen or (restrict_gl and not ok):
+            continue
+        orbit = {g.mul(A).mul(ginv).code() for g, ginv in gl}
+        seen |= orbit
+        sizes.append(len(orbit))
+    return sizes
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("restrict_gl", [False, True])
+def test_orbit_closure_matches_direct_conjugation(q, n, restrict_gl):
+    assert conjugacy_orbit_sizes(q, n, restrict_gl) == direct_orbit_sizes(q, n, restrict_gl)
+
+
+def test_classify_calls_each_traced_layer(monkeypatch):
+    # classify looks its sub-steps up as module globals, so a wrapper
+    # installed on the module sees every call
+    calls = []
+    for name in ("char_poly", "min_poly", "matrix_powers", "squarefree_test"):
+        orig = getattr(oracle, name)
+
+        def spy(*args, _name=name, _orig=orig, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, spy)
+    classify(FqMatrix(F3, 3, (0, 1, 0, 0, 0, 1, 2, 1, 0)))
+    assert set(calls) == {"char_poly", "min_poly", "matrix_powers", "squarefree_test"}
