@@ -6,6 +6,14 @@ coefficients of u^0 .. u^N, each an exact Fraction.  Arithmetic between
 series of different orders truncates to the smaller of the two orders,
 which is the behaviour wanted when an infinite product is multiplied out
 factor by factor.
+
+The kernels walk only the nonzero coefficients, so multiplying or
+dividing by a sparse factor such as 1 - q u^r costs O(N).  Division,
+recip and exp are one-pass recurrences, O(N * nnz).  Powers follow
+J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), O(N * nnz) too and
+independent of the exponent.  The cycle-index products whose coefficients
+are matrix counts run on integers instead (gfengine.count_product); the
+Fraction kernels here are the second engine they are checked against.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ class TruncSeries:
     """A power series in u truncated at order N, with Fraction coefficients.
 
     Instances are immutable; every operation returns a new series.  Scalars
-    (int or Fraction) mix freely with series in +, - and *.
+    (int or Fraction) mix freely with series in +, - and *, and divide them.
     """
 
     __slots__ = ("order", "coeffs")
@@ -124,67 +132,109 @@ class TruncSeries:
             return NotImplemented
         return other.__add__(-self)
 
+    def _terms(self) -> list[tuple[int, Fraction]]:
+        """The nonzero coefficients as (power, coefficient), by rising power."""
+        return [(i, c) for i, c in enumerate(self.coeffs) if c]
+
     def __mul__(self, other):
         other = self._promote(other)
         if other is None:
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
+        right = other._terms()
         out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n - i + 1):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+        for i, ai in self._terms():
+            if i > n:
+                break
+            for j, bj in right:
+                if i + j > n:
+                    break
+                out[i + j] += ai * bj
         return TruncSeries(out, n)
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """self / other, other with a nonzero constant term.
+
+        Solves other * out = self one coefficient at a time, walking only
+        the nonzero coefficients of other: O(order * nnz(other)).
+        """
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        n = min(self.order, other.order)
+        terms = other._terms()
+        if not terms or terms[0][0] != 0:
+            raise ZeroConstantTerm("cannot divide by a series with zero constant term")
+        d0, rest = terms[0][1], terms[1:]
+        out = list(self.coeffs[: n + 1])
+        for m in range(n + 1):
+            s = out[m]
+            for k, dk in rest:
+                if k > m:
+                    break
+                s -= dk * out[m - k]
+            out[m] = s if d0 == 1 else s / d0
+        return TruncSeries(out, n)
+
     def __pow__(self, k):
+        """self ** k by J.C.P. Miller's recurrence (Knuth, TAOCP 2, 4.7).
+
+        With self = u^v (a_0 + a_1 u + ...), a_0 != 0, the power is
+        u^(vk) (b_0 + b_1 u + ...) where b_0 = a_0^k and
+
+            m a_0 b_m = sum_{i=1..m} ((k + 1) i - m) a_i b_(m-i),
+
+        summed over the nonzero a_i only.  The cost does not depend on k.
+        """
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise ValueError("negative power: invert with recip() first")
-        result = TruncSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        n = self.order
+        if k == 0:
+            return TruncSeries.one(n)
+        terms = self._terms()
+        if not terms or terms[0][0] * k > n:
+            return TruncSeries.zero(n)
+        v, a0 = terms[0]
+        top = n - v * k
+        rest = [(i - v, c) for i, c in terms[1:]]
+        b = [a0**k]
+        for m in range(1, top + 1):
+            s = Fraction(0)
+            for i, c in rest:
+                if i > m:
+                    break
+                if b[m - i]:
+                    s += ((k + 1) * i - m) * c * b[m - i]
+            b.append(s / (m * a0))
+        return TruncSeries([0] * (v * k) + b, n)
 
     def recip(self) -> TruncSeries:
-        """Multiplicative inverse, by the standard convolution recurrence."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1) / a[0]
-        for m in range(1, n + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                if a[k]:
-                    s += a[k] * out[m - k]
-            out[m] = -out[0] * s
-        return TruncSeries(out, n)
+        """Multiplicative inverse: 1 / self, by the division recurrence."""
+        return TruncSeries.one(self.order) / self
 
     def exp(self) -> TruncSeries:
-        """exp of a series with zero constant term: sum of a^k / k!."""
+        """exp of a series with zero constant term.
+
+        b = exp(a) satisfies b' = a' b, that is b_0 = 1 and
+        m b_m = sum_{k=1..m} k a_k b_(m-k), summed over the nonzero a_k.
+        """
         if self.coeffs[0] != 0:
             raise NonzeroConstantTerm("exp needs a zero constant term")
         n = self.order
-        acc = TruncSeries.one(n)
-        term = TruncSeries.one(n)
-        for k in range(1, n + 1):
-            term = term * self * Fraction(1, k)
-            acc = acc + term
-        return acc
+        terms = [(k, k * a) for k, a in self._terms()]
+        b = [Fraction(1)]
+        for m in range(1, n + 1):
+            s = Fraction(0)
+            for k, ka in terms:
+                if k > m:
+                    break
+                s += ka * b[m - k]
+            b.append(s / m)
+        return TruncSeries(b, n)
 
     def dilate(self, d: int) -> TruncSeries:
         """Substitute u -> u^d, keeping the same truncation order."""

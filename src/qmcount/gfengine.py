@@ -32,6 +32,23 @@ class NonIntegralCount(ArithmeticError):
     """A coefficient that must be a count failed to be a non-negative integer."""
 
 
+class CostExceeded(ValueError):
+    """A request whose work model is above the fixed bound of its route."""
+
+
+# gf_build refuses orders N whose work model, N^2 log2(N) products of
+# N^2 log2(q)-bit integers, scores above this.  Semisimple at q = 2 and
+# N = 120 scores 1.45e9 and builds in about a second; the bound admits
+# N <= 149 at q = 2, N <= 128 at q = 3 and N <= 109 at q = 9.
+MAX_SERIES_WORK = 4 * 10**9
+
+# min_centralizer_orders refuses a max_n whose knapsack, usable
+# polynomials x max_n x max_n // d summed over the degrees d, scores above
+# this: max_n <= 107 at q = 1009 (about a second) and max_n <= 237 at
+# q = 2 (about half a second).
+MAX_KNAPSACK_WORK = 2 * 10**6
+
+
 def partitions_of(n: int) -> list[tuple[int, ...]]:
     """All partitions of n with parts descending, in reverse lexicographic order."""
     if n < 0:
@@ -95,11 +112,20 @@ def min_centralizer_orders(q: int, max_n: int) -> list[int]:
     min(nu_d - [d = 1], max_n // d) usable polynomials of degree d is left
     out or takes some multiplicity m >= 1, at weight d m and that cost.
     """
+    usable = [0]
+    work = 0
+    for d in range(1, max_n + 1):
+        usable.append(min(irreducible_poly_count(q, d) - (d == 1), max_n // d))
+        work += usable[d] * max_n * (max_n // d)
+        if work > MAX_KNAPSACK_WORK:
+            raise CostExceeded(
+                f"the centralizer knapsack to n = {max_n} is beyond the cost "
+                f"bound of {MAX_KNAPSACK_WORK} steps"
+            )
     best: list[int | None] = [1] + [None] * max_n
     for d in range(1, max_n + 1):
         Q = q**d
-        usable = min(irreducible_poly_count(q, d) - (d == 1), max_n // d)
-        for _ in range(usable):
+        for _ in range(usable[d]):
             # descending weights read only entries this polynomial has not set
             for w in range(max_n, d - 1, -1):
                 for m in range(1, w // d + 1):
@@ -132,20 +158,113 @@ def euler_inverse_factor(q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSer
     return TruncSeries(coeffs, order)
 
 
+def _in_powers_of(factor: TruncSeries, d: int, order: int) -> TruncSeries:
+    """A product factor, checked, as a series in v = u^d of order order // d."""
+    if factor.coeff(0) != 1:
+        raise ValueError("product factors must have constant term 1")
+    if any(c for i, c in enumerate(factor.coeffs) if i % d):
+        raise ValueError(f"the degree-{d} factor must be a series in u^{d}")
+    return TruncSeries(factor.coeffs[::d], order // d)
+
+
 def nu_weighted_product(q: int, factor_fn, order: int = DEFAULT_ORDER) -> TruncSeries:
     """prod_{d=1..order} factor_fn(d) ** nu_d, with nu_d the irreducible count.
 
-    factor_fn(d) must return a TruncSeries with constant term 1 whose
-    non-constant support starts at u^d, so degrees beyond `order`
-    contribute nothing and the product is exact to the truncation order.
+    factor_fn(d) must return a TruncSeries in u^d with constant term 1, so
+    degrees beyond `order` contribute nothing and the product is exact to
+    the truncation order.  Each power is taken in v = u^d, of order
+    order // d, and multiplied into the result over its nonzero terms.
     """
     result = TruncSeries.one(order)
     for d in range(1, order + 1):
-        factor = factor_fn(d)
-        if factor.coeff(0) != 1:
-            raise ValueError("product factors must have constant term 1")
-        result = result * factor ** irreducible_poly_count(q, d)
+        power = _in_powers_of(factor_fn(d), d, order) ** irreducible_poly_count(q, d)
+        spread = [Fraction(0)] * (order + 1)
+        spread[::d] = power.coeffs
+        result = result * TruncSeries(spread, order)
     return result
+
+
+def _weight_rows(q: int, d: int, order: int):
+    """Yield (n, [W(n, i d) for i = 0 .. n // d]) for n = 0 .. order.
+
+    W(n, k) = |GL_n| / (|GL_k| |GL_(n-k)|) = q^(k(n-k)) [n, k]_q multiplies
+    two integer-scaled coefficients into the scaled coefficient of their
+    product.  One row is held and updated in place between yields, by
+    W(n, k) = W(n-1, k) q^k (q^n - 1) / (q^(n-k) - 1).
+    """
+    pw = [q**m for m in range(order + 1)]
+    row: list[int] = []
+    for n in range(order + 1):
+        up = pw[n] - 1
+        for i in range(1, len(row)):
+            k = i * d
+            row[i] = row[i] * (pw[k] * up) // (pw[n - k] - 1)
+        if n % d == 0:
+            row.append(1)
+        yield n, row
+
+
+def _times_power(q: int, d: int, nu: int, factor: list[int], scaled: list[int]) -> list[int]:
+    """scaled * factor^nu on integer-scaled coefficients, factor in u^d.
+
+    factor[i] is the scaled coefficient of u^(i d), factor[0] = 1.  The
+    power B, also in u^d, follows Miller's recurrence
+        j B_j = sum_i ((nu + 1) i - j) W(j d, i d) factor[i] B_(j-i),
+    computed row by row alongside the product, which reads B_0 .. B_(n//d)
+    at row n.
+    """
+    terms = [(i, f) for i, f in enumerate(factor) if f and i]
+    power = [1]
+    out = []
+    for n, w in _weight_rows(q, d, len(scaled) - 1):
+        j = n // d
+        if n and n % d == 0:
+            total = 0
+            for i, f in terms:
+                if i > j:
+                    break
+                if power[j - i]:
+                    total += ((nu + 1) * i - j) * w[i] * f * power[j - i]
+            b, rem = divmod(total, j)
+            if rem:
+                raise NonIntegralCount(
+                    f"the power of the degree-{d} factor is not a count at u^{n}"
+                )
+            power.append(b)
+        total = scaled[n]
+        for i in range(1, j + 1):
+            if power[i]:
+                total += w[i] * power[i] * scaled[n - i * d]
+        out.append(total)
+    return out
+
+
+def count_product(q: int, factor_fn, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """nu_weighted_product for factors whose coefficients are counts.
+
+    When every coefficient of u^n in every factor is an integer after
+    scaling by |GL_n(q)| (the factor counts the n x n matrices supported
+    on one irreducible polynomial), so is every partial product, which
+    then counts the matrices supported on a set of irreducibles.  This
+    route carries A_n = a_n |GL_n(q)| as plain ints, multiplies with the
+    weights of _weight_rows and powers by Miller's recurrence with exact
+    division.  A factor coefficient that does not scale to an integer, or
+    an inexact division, raises NonIntegralCount.  The result is the same
+    series as nu_weighted_product's, a_n = A_n / |GL_n(q)|.
+    """
+    gl = [gl_order(q, n) for n in range(order + 1)]
+    scaled = [1] + [0] * order
+    for d in range(1, order + 1):
+        factor = []
+        for i, c in enumerate(_in_powers_of(factor_fn(d), d, order).coeffs):
+            count = c * gl[i * d]
+            if count.denominator != 1:
+                raise NonIntegralCount(
+                    f"the degree-{d} factor at u^{i * d} scales to non-integer {count}"
+                )
+            factor.append(count.numerator)
+        scaled = _times_power(q, d, irreducible_poly_count(q, d), factor, scaled)
+    return TruncSeries([Fraction(a, g) for a, g in zip(scaled, gl)], order)
 
 
 def unit_partition_sum(Q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -162,6 +281,38 @@ def unit_partition_sum(Q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSerie
         coeffs[m * d] = Fraction(1, gl_order(Q, m))
         m += 1
     return TruncSeries(coeffs, order)
+
+
+def cyclic_factor(q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """1 + sum_{m >= 1} u^(m d) / (Q^(m-1) (Q - 1)), Q = q^d, truncated at `order`.
+
+    One irreducible polynomial's factor in the cyclic product: its
+    partition is empty or the single part (m), whose centralizer is the
+    unit group of F_Q[z] / (z^m), of order Q^(m-1) (Q - 1).
+    """
+    Q = q**d
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[0] = Fraction(1)
+    m = 1
+    while m * d <= order:
+        coeffs[m * d] = Fraction(1, Q ** (m - 1) * (Q - 1))
+        m += 1
+    return TruncSeries(coeffs, order)
+
+
+def separable_factor(q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """1 + u^d / (q^d - 1): a separable matrix has each irreducible at most once."""
+    return TruncSeries.one(order) + TruncSeries.monomial(Fraction(1, q**d - 1), d, order)
+
+
+# kind -> its per-polynomial factor (q, d, order).  Each coefficient of u^n
+# scaled by |GL_n(q)| counts matrices, so gf_build multiplies these out on
+# the integer route, count_product.
+COUNT_FACTORS = {
+    "cyclic": cyclic_factor,
+    "semisimple": lambda q, d, order: unit_partition_sum(q**d, d, order),
+    "separable": separable_factor,
+}
 
 
 def _one_minus_u_recip(order: int) -> TruncSeries:
@@ -200,6 +351,13 @@ def gf_build(
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     pp = PrimePower.of(q)
+    # (x - 1).bit_length() is ceil(log2 x)
+    work = order**4 * (order - 1).bit_length() * (q - 1).bit_length()
+    if work > MAX_SERIES_WORK:
+        raise CostExceeded(
+            f"a series of order {order} over F_{q} is beyond the cost bound "
+            f"of {MAX_SERIES_WORK} work units"
+        )
     if kind != "power_identity" and k is not None:
         raise BadKindParams(f"kind {kind!r} does not take a power k")
 
@@ -237,19 +395,9 @@ def gf_build(
             result = result * unit_partition_sum(q**d, d, order)
         return result
 
-    if kind == "cyclic":
-
-        def cyclic_factor(d: int) -> TruncSeries:
-            Qd = q**d
-            coeffs = [Fraction(0)] * (order + 1)
-            coeffs[0] = Fraction(1)
-            m = 1
-            while m * d <= order:
-                coeffs[m * d] = Fraction(1, Qd ** (m - 1) * (Qd - 1))
-                m += 1
-            return TruncSeries(coeffs, order)
-
-        return nu_weighted_product(q, cyclic_factor, order)
+    if kind in COUNT_FACTORS:
+        factor = COUNT_FACTORS[kind]
+        return count_product(q, lambda d: factor(q, d, order), order)
 
     if kind == "cyclic_alt":
 
@@ -261,20 +409,6 @@ def gf_build(
         return _one_minus_u_recip(order) * nu_weighted_product(
             q, cyclic_alt_factor, order
         )
-
-    if kind == "semisimple":
-        return nu_weighted_product(
-            q, lambda d: unit_partition_sum(q**d, d, order), order
-        )
-
-    if kind == "separable":
-
-        def separable_factor(d: int) -> TruncSeries:
-            return TruncSeries.one(order) + TruncSeries.monomial(
-                Fraction(1, q**d - 1), d, order
-            )
-
-        return nu_weighted_product(q, separable_factor, order)
 
     if kind == "separable_alt":
 
@@ -296,19 +430,16 @@ def gf_build(
     if kind == "conjclasses_all":
         result = TruncSeries.one(order)
         for r in range(1, order + 1):
-            result = result * (
-                TruncSeries.one(order) - TruncSeries.monomial(q, r, order)
-            ).recip()
+            result = result / (TruncSeries.one(order) - TruncSeries.monomial(q, r, order))
         return result
 
     if kind == "conjclasses_gl":
         result = TruncSeries.one(order)
         for r in range(1, order + 1):
-            geom = (
-                TruncSeries.one(order) - TruncSeries.monomial(q, r, order)
-            ).recip()
-            result = result * geom * (
-                TruncSeries.one(order) - TruncSeries.monomial(1, r, order)
+            result = (
+                result
+                * (TruncSeries.one(order) - TruncSeries.monomial(1, r, order))
+                / (TruncSeries.one(order) - TruncSeries.monomial(q, r, order))
             )
         return result
 

@@ -10,7 +10,8 @@ Six suites, each returning plain CheckResult records:
 - oracle: exhaustive small-field matrix sweeps match every formula.
 
 The command-line `verify` subcommand runs all of them and fails on any
-mismatch; the test suite reuses the same functions.
+mismatch.  It and the test suite's full-suite gate both go through
+run_suites, which reads the one list SUITES.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from . import oracle, regression
 from .exact_series import TruncSeries
 from .ffpoly import cyclotomic_factor_degrees, divisors, irreducible_poly_count
 from .gfengine import (
+    COUNT_FACTORS,
     centralizer_order,
+    count_product,
     cyclic_limit_bracket,
     decimal_truncate,
     euler_inverse_factor,
@@ -338,6 +341,19 @@ def cross_route_checks() -> list[CheckResult]:
             gf_build("separable", q, 12),
             gf_build("separable_alt", q, 12),
         )
+
+    # the count kinds on both product engines: integer-scaled counts with
+    # exact division, and the Fraction kernels (semisimple has no _alt form)
+    for q in (2, 3, 4):
+        for kind in ("semisimple", "cyclic", "separable"):
+            factor = COUNT_FACTORS[kind]
+            _check(
+                results,
+                "cross_route",
+                f"{kind}: integer vs Fraction product q={q}",
+                count_product(q, lambda d: factor(q, d, 12), 12),
+                nu_weighted_product(q, lambda d: factor(q, d, 12), 12),
+            )
 
     # over odd q the solutions of A^2 = I biject with projections
     for q in (3, 5):
@@ -654,15 +670,22 @@ def oracle_checks(
     return results
 
 
+# Every suite but the oracle's, in the order run_all runs them.
+SUITES = (regression_checks, identity_checks, cross_route_checks, trend_checks, limit_checks)
+
+
+def run_suites(
+    sweeps: dict[tuple[int, int], oracle.SweepResult],
+    pair_budget: int = oracle.DEFAULT_PAIR_BUDGET,
+) -> list[CheckResult]:
+    """Every suite, the oracle's last on the given sweeps."""
+    results = [r for suite in SUITES for r in suite()]
+    return results + oracle_checks(sweeps, pair_budget)
+
+
 def run_all(
     enum_budget: int = oracle.DEFAULT_ENUM_BUDGET,
     pair_budget: int = oracle.DEFAULT_PAIR_BUDGET,
     jobs: int = 1,
 ) -> list[CheckResult]:
-    results = regression_checks()
-    results += identity_checks()
-    results += cross_route_checks()
-    results += trend_checks()
-    results += limit_checks()
-    results += oracle_checks(oracle_sweeps(enum_budget, jobs), pair_budget)
-    return results
+    return run_suites(oracle_sweeps(enum_budget, jobs), pair_budget)

@@ -109,15 +109,11 @@ def test_criterion_6_convergence_trends_within_tolerance():
 
 
 def test_full_suite_summary(sweeps):
-    # everything above, through the one entry point the CLI uses
-    results = (
-        regression_checks()
-        + identity_checks()
-        + cross_route_checks()
-        + trend_checks()
-        + limit_checks()
-        + oracle_checks(sweeps)
-    )
+    # everything above, through the suite list the CLI's run_all uses
+    results = verify.run_suites(sweeps)
+    assert {r.suite for r in results} == {
+        "regression", "identity", "cross_route", "trend", "limit", "oracle"
+    }
     bad = failures(results)
     print(f"full verification: {len(results) - len(bad)}/{len(results)} checks passed")
     assert not bad

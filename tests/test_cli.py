@@ -192,6 +192,23 @@ def test_centralizer_sequences_answer_at_once(capsys, name, q, max_n, out):
     assert (code, got, err) == (0, out, "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "semisimple", "--q", "2", "--max-n", "2000"),
+        ("seq", "cyclic", "--q", "3", "--max-n", "10", "--order", "400"),
+        ("seq", "min_centralizer", "--q", "1009", "--max-n", "200"),
+        ("seq", "max_class", "--q", "2", "--max-n", "10000"),
+    ],
+)
+def test_cost_guards_refuse_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "bound" in err
+
+
 def test_sequences_does_not_import_the_oracle():
     tree = ast.parse(Path(sequences.__file__).read_text())
     imported = set()

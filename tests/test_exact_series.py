@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -105,6 +108,53 @@ def test_pow():
         one_plus ** (-1)
 
 
+def random_series(rng: random.Random, order: int, density: float = 0.6) -> TruncSeries:
+    return TruncSeries(
+        [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < density else 0
+            for _ in range(order + 1)
+        ],
+        order,
+    )
+
+
+def repeated_product(a: TruncSeries, k: int) -> TruncSeries:
+    out = TruncSeries.one(a.order)
+    for _ in range(k):
+        out = out * a
+    return out
+
+
+def test_pow_matches_repeated_multiplication():
+    rng = random.Random(7)
+    for _ in range(20):
+        a = random_series(rng, rng.randint(0, 10))
+        for k in range(6):
+            assert a**k == repeated_product(a, k), (a, k)
+    # a zero constant term: the power starts at u^(v k), as in the
+    # splitting-count series (sum_{r>=1} u^r / |GL_r|)^k
+    s = TruncSeries([0, 0, Fraction(1, 3), 2, 0, Fraction(-1, 7)], 12)
+    for k in range(7):
+        assert s**k == repeated_product(s, k)
+    unit_sum = TruncSeries([0] + [Fraction(1, gl_order(2, r)) for r in range(1, 9)], 8)
+    assert unit_sum**3 == repeated_product(unit_sum, 3)
+    assert TruncSeries.zero(4) ** 3 == TruncSeries.zero(4)
+    assert TruncSeries.zero(4) ** 0 == TruncSeries.one(4)
+
+
+def test_pow_cost_does_not_depend_on_the_exponent():
+    k = 2**100 + 3
+    start = time.perf_counter()
+    p = TruncSeries([1, 1], 4) ** k
+    assert time.perf_counter() - start < 0.5
+    assert p.coeffs == tuple(comb(k, i) for i in range(5))
+    # (1 - u)^k times (1 + u + u^2 + ...)^k is one
+    g = TruncSeries([1] * 7, 6)
+    assert TruncSeries([1, -1], 6) ** k * g**k == TruncSeries.one(6)
+    # a leading u^v pushes a huge power past the order
+    assert TruncSeries([0, 1], 4) ** k == TruncSeries.zero(4)
+
+
 def test_recip():
     one_minus = TruncSeries([1, -1], 6)
     assert one_minus.recip() == geometric(6)
@@ -114,6 +164,23 @@ def test_recip():
     assert a.recip().recip() == a
     with pytest.raises(ZeroConstantTerm):
         TruncSeries([0, 1], 3).recip()
+
+
+def test_division():
+    rng = random.Random(11)
+    for _ in range(20):
+        order = rng.randint(0, 10)
+        a = random_series(rng, order)
+        b = random_series(rng, order, density=0.4)
+        if b.coeff(0) == 0:
+            b = b + 1
+        assert a / b == a * b.recip()
+        assert (a / b) * b == a
+    one_minus_qu3 = TruncSeries.one(9) - TruncSeries.monomial(2, 3, 9)
+    assert TruncSeries.one(9) / one_minus_qu3 == one_minus_qu3.recip()
+    assert (TruncSeries([1, 2, 3], 5) / 2).coeffs[:3] == (Fraction(1, 2), 1, Fraction(3, 2))
+    with pytest.raises(ZeroConstantTerm):
+        TruncSeries.one(3) / TruncSeries([0, 1], 3)
 
 
 def test_exp():
@@ -129,6 +196,18 @@ def test_exp_is_a_homomorphism():
     a = TruncSeries([0, 1, Fraction(1, 2), 0, -3], 12)
     b = TruncSeries([0, -2, 0, Fraction(2, 7), 1], 12)
     assert (a + b).exp() == a.exp() * b.exp()
+
+
+def test_exp_matches_the_power_sum():
+    rng = random.Random(5)
+    for _ in range(10):
+        order = rng.randint(0, 9)
+        a = random_series(rng, order)
+        a = a - a.coeff(0)
+        want = TruncSeries.zero(order)
+        for k in range(order + 1):
+            want = want + repeated_product(a, k) * Fraction(1, factorial(k))
+        assert a.exp() == want
 
 
 def test_dilate():

@@ -9,13 +9,17 @@ import pytest
 from qmcount import oracle
 from qmcount.exact_series import TruncSeries
 from qmcount.gfengine import (
+    COUNT_FACTORS,
+    MAX_SERIES_WORK,
     BadKindParams,
+    CostExceeded,
     GF_KINDS,
     LIMIT_KINDS,
     NonIntegralCount,
     UnresolvedDigits,
     _resolve_digits,
     centralizer_order,
+    count_product,
     cyclic_limit_bracket,
     decimal_truncate,
     euler_inverse_factor,
@@ -131,6 +135,51 @@ def test_nu_weighted_product_trivial_and_validation():
     assert nu_weighted_product(2, lambda d: TruncSeries.one(8), 8) == TruncSeries.one(8)
     with pytest.raises(ValueError):
         nu_weighted_product(2, lambda d: TruncSeries.zero(8), 8)
+
+
+def test_count_product_matches_the_fraction_product():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for kind, factor in COUNT_FACTORS.items():
+            for order in (0, 1, 7, 20):
+
+                def fn(d, q=q, factor=factor, order=order):
+                    return factor(q, d, order)
+
+                assert count_product(q, fn, order) == nu_weighted_product(q, fn, order), (
+                    kind, q, order,
+                )
+
+
+def test_count_product_rejects_factors_that_are_not_counts():
+    # cyclic_alt's factor 1 + u^d / (q^d (q^d - 1)) scales to 1/q at d = 1
+    def cyclic_alt_factor(d: int) -> TruncSeries:
+        return TruncSeries.one(8) + TruncSeries.monomial(Fraction(1, 2**d * (2**d - 1)), d, 8)
+
+    with pytest.raises(NonIntegralCount):
+        count_product(2, cyclic_alt_factor, 8)
+    with pytest.raises(ValueError):
+        count_product(2, lambda d: TruncSeries.zero(8), 8)
+
+
+def test_product_factors_must_be_series_in_u_to_the_degree():
+    with pytest.raises(ValueError):
+        nu_weighted_product(2, lambda d: TruncSeries([1, 0, 0, 1], 6), 6)
+    with pytest.raises(ValueError):
+        count_product(2, lambda d: TruncSeries([1, 0, 0, 1], 6), 6)
+
+
+def test_cost_guards():
+    with pytest.raises(CostExceeded):
+        gf_build("semisimple", 2, 2000)
+    with pytest.raises(CostExceeded):
+        gf_build("invertible_check", 9, 110)
+    assert gf_build("invertible_check", 9, 109).coeff(109) == 1
+    assert MAX_SERIES_WORK >= 120**4 * 7 * 1  # the largest order the tests build
+    with pytest.raises(CostExceeded):
+        min_centralizer_orders(1009, 200)
+    with pytest.raises(CostExceeded):
+        min_centralizer_orders(2, 10**12)
+    assert min_centralizer_orders(1009, 2)[1:] == [1008, 1008**2]
 
 
 def test_factored_one_minus_u_identity():
