@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run all validation suites")
     verify.add_argument("--oracle-budget", type=int, default=None)
-    verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--quiet", action="store_true", help="print failures only")
 
     return parser
@@ -132,7 +131,6 @@ def _run_verify(args: argparse.Namespace) -> int:
     results = run_all(
         enum_budget=DEFAULT_ENUM_BUDGET if budget is None else budget,
         pair_budget=DEFAULT_PAIR_BUDGET if budget is None else budget,
-        jobs=args.jobs,
     )
     for r in results:
         if r.ok and args.quiet:

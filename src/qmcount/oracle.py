@@ -2,11 +2,14 @@
 
 Every n x n matrix over F_q is identified with an integer code: the flat
 row-major entry list is read as a base-q number with entry (0,0) least
-significant.  The oracle walks the full code range, classifies each matrix
-from first principles (rank elimination, explicit powers, characteristic
-and minimal polynomials), and tallies the classes.  It exists to check the
-formula and generating function routes on spaces small enough to sweep,
-so it favours directness over cleverness.
+significant.  The oracle walks the full code range one conjugation orbit
+at a time, classifies a member of each orbit from first principles (rank
+elimination, explicit powers, characteristic and minimal polynomials), and
+tallies the classes weighted by orbit size; every class it tallies is a
+conjugation invariant.  It exists to check the formula and generating
+function routes on spaces small enough to sweep, so it favours directness
+over cleverness, and it keeps the one-matrix-at-a-time tally
+(per_matrix_counts) as the reference for the weighted one.
 
 Three kernels carry the sweeps, all over the dense field tables:
 
@@ -16,18 +19,16 @@ Three kernels carry the sweeps, all over the dense field tables:
   (H. Cohen, A Course in Computational Algebraic Number Theory, 2.2.9);
 * every matrix product has its left operand resolved once into
   (mul_table row, offset) pairs, so the powers A, A^2, ... share A's pairs;
-* conjugation orbits are closures under conjugation by the elementary
-  matrices, which generate GL_n; each step is one row operation and one
-  column operation on the entries.
+* conjugation orbits are closures under conjugation by 2(n - 1) + [q > 2]
+  generators of GL_n; each step is one row operation and one column
+  operation on the entries.
 """
 
 from __future__ import annotations
 
 import functools
-import multiprocessing
-import os
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 
 from .ffpoly import (
     FieldSpec,
@@ -449,13 +450,13 @@ def record_consistent(field: FieldSpec, n: int, rec: ClassifyRecord) -> bool:
     return True
 
 
-def _entry_tuples(q: int, nn: int, start: int = 0, stop: int | None = None):
-    """Entry tuples of the matrix codes start .. stop - 1, in code order.
+def _entry_tuples(q: int, nn: int):
+    """Entry tuples of every matrix code, in code order.
 
     product() varies its last slot fastest, so each tuple is reversed to
     put entry 0, the least significant base-q digit, first.
     """
-    return (t[::-1] for t in islice(product(range(q), repeat=nn), start, stop))
+    return (t[::-1] for t in product(range(q), repeat=nn))
 
 
 def enumerate_matrices(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
@@ -508,74 +509,31 @@ _FLAG_FIELDS = (
 )
 
 
-def _sweep_range(q, n, ks, start, stop, check):
-    field = field_for(q)
-    flags = {name: 0 for name in _FLAG_FIELDS}
+def _tally(q, n, ks, weighted) -> SweepResult:
+    """Sum (weight, record, consistent) triples into a SweepResult.
+
+    Each triple stands for `weight` matrices that share the record; an
+    inconsistent triple adds its weight to the consistency violations.
+    """
+    flags = dict.fromkeys(_FLAG_FIELDS, 0)
     rank_hist = [0] * (n + 1)
-    power_hits = {k: 0 for k in ks}
-    violations = 0
-    for entries in _entry_tuples(q, n * n, start, stop):
-        rec = classify(FqMatrix._trusted(field, n, entries), ks)
+    power_hits = dict.fromkeys(ks, 0)
+    total = violations = 0
+    for weight, rec, consistent in weighted:
+        total += weight
         for name in _FLAG_FIELDS:
             if getattr(rec, name):
-                flags[name] += 1
-        rank_hist[rec.rank] += 1
+                flags[name] += weight
+        rank_hist[rec.rank] += weight
         for k in ks:
             if rec.power_identity[k]:
-                power_hits[k] += 1
-        if check and not record_consistent(field, n, rec):
-            violations += 1
-    return flags, rank_hist, power_hits, violations
-
-
-def sweep_counts(
-    q: int,
-    n: int,
-    ks=DEFAULT_POWERS,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    jobs: int = 1,
-    check: bool = True,
-) -> SweepResult:
-    """Classify every matrix in M_n(F_q) and tally all class memberships.
-
-    With jobs > 1 the code range is split into contiguous chunks processed
-    by worker processes, at most one per CPU; tallies are summed, so the
-    result does not depend on the job count.
-    """
-    size = q ** (n * n)
-    if size > budget:
-        raise BudgetExceeded(size, budget)
-    ks = tuple(ks)
-    field_for(q)  # validate q before forking
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or size < 4096:
-        parts = [_sweep_range(q, n, ks, 0, size, check)]
-    else:
-        bounds = [size * i // jobs for i in range(jobs + 1)]
-        args = [
-            (q, n, ks, bounds[i], bounds[i + 1], check)
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(args)) as pool:
-            parts = pool.starmap(_sweep_range, args)
-    flags = {name: 0 for name in _FLAG_FIELDS}
-    rank_hist = [0] * (n + 1)
-    power_hits = {k: 0 for k in ks}
-    violations = 0
-    for pflags, prank, ppower, pviol in parts:
-        for name in _FLAG_FIELDS:
-            flags[name] += pflags[name]
-        for i, v in enumerate(prank):
-            rank_hist[i] += v
-        for k in ks:
-            power_hits[k] += ppower[k]
-        violations += pviol
+                power_hits[k] += weight
+        if not consistent:
+            violations += weight
     return SweepResult(
         q=q,
         n=n,
-        total=size,
+        total=total,
         rank=tuple(rank_hist),
         power_identity=power_hits,
         consistency_violations=violations,
@@ -583,87 +541,166 @@ def sweep_counts(
     )
 
 
-def _elementary_conjugations(field: FieldSpec, n: int):
-    """Conjugation by each elementary generator of GL_n, as edit steps.
+def per_matrix_counts(
+    q: int, n: int, ks=DEFAULT_POWERS, budget: int = DEFAULT_ENUM_BUDGET
+) -> SweepResult:
+    """sweep_counts by classifying every matrix, one at a time.
 
-    The generators are the invertible g = I + c*E_ij, c != 0: for i != j
-    every c (inverse I - c*E_ij), and for i = j every c != -1, that is
-    diag(1, ..., lam, ..., 1) with lam = 1 + c not in {0, 1} (inverse
-    I + d*E_ii, 1 + d = 1/lam).  With g^-1 = I + d*E_ij, g B g^-1 is B
-    after row i gains c times row j and then column j gains d times
-    column i.  Each step (dst, src, weight, row) sets
-    e[dst] += row[e[src]] on the flat entries, where row is a
-    multiplication table row and weight = q^dst is the code place of dst.
+    The reference that the orbit-weighted tallies are checked against on
+    small spaces: it uses no orbit walk and no conjugation invariance.
+    """
+    size = q ** (n * n)
+    if size > budget:
+        raise BudgetExceeded(size, budget)
+    ks = tuple(ks)
+    field = field_for(q)
+
+    def classified():
+        for entries in _entry_tuples(q, n * n):
+            rec = classify(FqMatrix._trusted(field, n, entries), ks)
+            yield 1, rec, record_consistent(field, n, rec)
+
+    return _tally(q, n, ks, classified())
+
+
+def orbit_census(
+    q: int, n: int, ks=DEFAULT_POWERS, budget: int = DEFAULT_ENUM_BUDGET
+) -> tuple[SweepResult, list[tuple[int, bool]]]:
+    """One orbit walk over M_n(F_q): the sweep tallies and every orbit.
+
+    Every field of a ClassifyRecord is a conjugation invariant, so each
+    orbit is classified once, at its representative, and weighted by its
+    size.  The last member the walk found is classified too: a record
+    that differs from the representative's, or one that fails
+    record_consistent, adds the orbit's size to consistency_violations.
+    The orbits come back as (size, invertible) in order of smallest code.
+    The budget bounds the q^(n^2) matrices of the space.
+    """
+    size = q ** (n * n)
+    if size > budget:
+        raise BudgetExceeded(size, budget)
+    ks = tuple(ks)
+    field = field_for(q)
+    classified = []
+    for orbit, rep, last in _orbit_walk(field, n):
+        rec = classify(FqMatrix._trusted(field, n, rep), ks)
+        consistent = record_consistent(field, n, rec) and (
+            orbit == 1 or classify(FqMatrix._trusted(field, n, last), ks) == rec
+        )
+        classified.append((orbit, rec, consistent))
+    orbits = [(orbit, rec.invertible) for orbit, rec, _ in classified]
+    return _tally(q, n, ks, classified), orbits
+
+
+def sweep_counts(
+    q: int, n: int, ks=DEFAULT_POWERS, budget: int = DEFAULT_ENUM_BUDGET
+) -> SweepResult:
+    """Tally every class membership over M_n(F_q), one orbit at a time.
+
+    The tallies of orbit_census: the same numbers as classifying each of
+    the q^(n^2) matrices (per_matrix_counts), from one classification per
+    conjugacy class.
+    """
+    return orbit_census(q, n, ks, budget)[0]
+
+
+def orbit_walk_cost(q: int, n: int) -> int:
+    """Conjugation steps of one orbit walk: q^(n^2) times the 2(n - 1) +
+    [q > 2] generators.  Needs no field tables, so a budget can refuse a
+    walk before any are built."""
+    return q ** (n * n) * (2 * (n - 1) + (q > 2))
+
+
+def _primitive_element(field: FieldSpec) -> int:
+    """The smallest element code of multiplicative order q - 1."""
+    mul = field.mul_table
+    for w in range(2, field.q):
+        x, order = w, 1
+        while x != 1:
+            x = mul[x][w]
+            order += 1
+        if order == field.q - 1:
+            return w
+    raise ArithmeticError(f"F_{field.q} has no primitive element")  # unreachable
+
+
+def _generators(field: FieldSpec, n: int):
+    """Conjugation by a generating set of GL_n(F_q), as edit steps.
+
+    The generators are I + E_(i,i+1) and I + E_(i+1,i) for i < n - 1 and,
+    for q > 2, d = diag(w, 1, ..., 1) with w primitive in F_q^*: that is
+    2(n - 1) + [q > 2] matrices.  They generate GL_n.  Write
+    t_ij(c) = I + c*E_ij for i != j.
+
+    * For distinct i, k, j the commutator t_ik(a) t_kj(b) t_ik(-a) t_kj(-b)
+      is t_ij(a*b).  Chaining neighbours, t_ij(1) for i < j is the
+      commutator of t_(i,j-1)(1) and t_(j-1,j)(1), and likewise below the
+      diagonal, so every t_ij(1) is reached.
+    * d^k t_0j(1) d^-k = t_0j(w^k) and d^k t_i0(1) d^-k = t_i0(w^-k).  The
+      powers of w are all of F_q^*, so every t_0j(c) and t_i0(c) is
+      reached, and for distinct nonzero i, j the commutator of t_i0(c) and
+      t_0j(1) is t_ij(c).  At q = 2 the only c is 1.
+    * The transvections t_ij(c) generate SL_n (row additions reduce a
+      matrix of determinant 1 to I).  For g in GL_n pick k with
+      det g = w^k; then g d^-k lies in SL_n, so g is a word in the
+      generators.  At q = 2, GL_n = SL_n.
+
+    GL_n is finite, so each inverse is a positive power and the closure of
+    A under conjugation by the generators alone is its whole orbit.
+
+    With g = I + c*E_ij and g^-1 = I + d*E_ij (d = -c for i != j, and
+    1 + d = 1/(1 + c) for the diagonal), g B g^-1 is B after row i gains c
+    times row j and then column j gains d times column i.  Each step
+    (dst, src, weight, row) sets e[dst] += row[e[src]] on the flat
+    entries, where row is a multiplication table row and weight = q^dst is
+    the code place of dst.
     """
     q = field.q
     add = field.add_table
-    mul = field.mul_table
     neg = field.neg_table
-    inv = field.inv_table
+    mul = field.mul_table
     qpow = [q**k for k in range(n * n)]
+
+    def conjugation(i, j, c, d):
+        rows = [(i * n + k, j * n + k, mul[c]) for k in range(n)]
+        cols = [(k * n + j, k * n + i, mul[d]) for k in range(n)]
+        return [(dst, src, qpow[dst], row) for dst, src, row in rows + cols]
+
+    minus_one = neg[1]
     gens = []
-    for i in range(n):
-        for j in range(n):
-            for c in range(1, q):
-                lam = add[c][1]
-                if i != j:
-                    d = neg[c]
-                elif lam:
-                    d = add[inv[lam]][neg[1]]
-                else:
-                    continue
-                rows = [(i * n + k, j * n + k, mul[c]) for k in range(n)]
-                cols = [(k * n + j, k * n + i, mul[d]) for k in range(n)]
-                gens.append(
-                    [(dst, src, qpow[dst], row) for dst, src, row in rows + cols]
-                )
+    for i in range(n - 1):
+        gens.append(conjugation(i, i + 1, 1, minus_one))
+        gens.append(conjugation(i + 1, i, 1, minus_one))
+    if q > 2:
+        w = _primitive_element(field)
+        gens.append(
+            conjugation(0, 0, add[w][minus_one], add[field.inv_table[w]][minus_one])
+        )
     return gens
 
 
-def conjugacy_orbit_sizes(
-    q: int,
-    n: int,
-    restrict_gl: bool = False,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> list[int]:
-    """Sizes of all conjugation orbits on M_n (or on GL_n), by direct sweep.
+def _orbit_walk(field: FieldSpec, n: int, gl_only: bool = False):
+    """Yield (size, representative, last member found) for each orbit.
 
-    Each unvisited code's orbit {g A g^-1 : g in GL_n} is found as the
-    closure of A under conjugation by the elementary matrices I + c*E_ij
-    (i != j, c != 0) and diag(1, ..., lam, ..., 1) (lam not in {0, 1}),
-    one row operation and one column operation each.
-
-    They generate GL_n, by Gaussian elimination: for g invertible and each
-    column k in turn, if g[k][k] = 0 add to row k a row r > k with
-    g[r][k] != 0 (one exists, else column k would be a combination of the
-    already cleared columns 0..k-1), then clear the rest of column k with
-    row additions.  Every step is a left product with some I + c*E_ij, and
-    what remains is an invertible diagonal matrix, a product of the
-    diag(1, ..., lam, ..., 1).  So g is a word in the generators
-    (I + c*E_ij has inverse I - c*E_ij), and since GL_n is finite the
-    closure under the generators alone is the whole orbit.
-
-    The orbit members are marked as found; the per-orbit count is the
-    orbit size, so the sizes arrive in order of smallest representative.
-    The pair budget bounds the |GL_n| * q^(n^2) pairs of a direct sweep.
+    Each unvisited code's orbit {g A g^-1 : g in GL_n} is its closure
+    under conjugation by _generators, one row operation and one column
+    operation each.  Members are marked as found, so the orbits arrive in
+    order of their smallest code, which is the representative.  With
+    gl_only the orbits of singular matrices are skipped.
     """
+    q = field.q
     nn = n * n
-    size = q**nn
-    gamma = gl_order(q, n)
-    if gamma * size > pair_budget:
-        raise BudgetExceeded(gamma * size, pair_budget)
-    field = field_for(q)
     add = field.add_table
-    gens = _elementary_conjugations(field, n)
-    visited = bytearray(size)
-    sizes = []
+    gens = _generators(field, n)
+    visited = bytearray(q**nn)
     for code, a in enumerate(_entry_tuples(q, nn)):
         if visited[code]:
             continue
         visited[code] = 1
-        if restrict_gl and _rank_det(field, n, a)[0] < n:
+        if gl_only and _rank_det(field, n, a)[0] < n:
             continue
         orbit = 1
+        last = a
         stack = [(a, code)]
         while stack:
             b, bcode = stack.pop()
@@ -680,9 +717,26 @@ def conjugacy_orbit_sizes(
                 if not visited[ecode]:
                     visited[ecode] = 1
                     orbit += 1
+                    last = e
                     stack.append((e, ecode))
-        sizes.append(orbit)
-    return sizes
+        yield orbit, a, tuple(last)
+
+
+def conjugacy_orbit_sizes(
+    q: int,
+    n: int,
+    restrict_gl: bool = False,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
+) -> list[int]:
+    """Sizes of all conjugation orbits on M_n (or on GL_n), by one orbit walk.
+
+    The sizes are in order of each orbit's smallest code.  The pair budget
+    bounds the walk's conjugation steps, orbit_walk_cost(q, n).
+    """
+    cost = orbit_walk_cost(q, n)
+    if cost > pair_budget:
+        raise BudgetExceeded(cost, pair_budget)
+    return [orbit for orbit, _, _ in _orbit_walk(field_for(q), n, restrict_gl)]
 
 
 def conjugacy_class_count(
@@ -695,7 +749,7 @@ def conjugacy_class_count(
 
 
 def max_class_size(q: int, n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    """Largest conjugacy class size in GL_n, by the orbit sweep."""
+    """Largest conjugacy class size in GL_n, by the orbit walk."""
     return max(conjugacy_orbit_sizes(q, n, True, pair_budget))
 
 

@@ -15,7 +15,7 @@ from decimal import Decimal
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .gfengine import gf_build, extract_count, min_centralizer_orders
+from .gfengine import CostExceeded, gf_build, extract_count, min_centralizer_orders
 from .qcount import (
     PrimePower,
     gaussian_binomial,
@@ -37,6 +37,27 @@ from .exact_series import DEFAULT_ORDER
 
 class UnsupportedSequence(ValueError):
     """A sequence/parameter combination with no computing route."""
+
+
+# A closed-form request to max n = N over F_q scores N^e ceil(log2 q)^2.
+# The values have about n^2 log2 q bits and their text conversion is
+# quadratic in that length, so printing N of them scores N^5 log2(q)^2;
+# a route that takes more products per value, or a triangle with N^2 / 2
+# cells, has a larger exponent e, fitted to timings.  The bound admits
+# `seq invertible --q 2 --max-n 288`, `table rank_row --q 2 --max-n 112`,
+# `seq qbell --q 2 --max-n 57` and `table qstirling_row --q 2 --max-n 34`;
+# each route ran in at most about two seconds at its largest admitted n,
+# at q = 2 and at q = 1000003 (2-core Xeon host, single runs).
+MAX_FORMULA_WORK = 2 * 10**12
+
+
+def _check_formula_work(q: int, max_n: int, exponent: int) -> None:
+    work = max(max_n, 0) ** exponent * (q - 1).bit_length() ** 2
+    if work > MAX_FORMULA_WORK:
+        raise CostExceeded(
+            f"a closed-form run to n = {max_n} over F_{q} is beyond the cost "
+            f"bound of {MAX_FORMULA_WORK} work units"
+        )
 
 
 _POWER_IDENTITY_OEIS = {
@@ -117,6 +138,7 @@ def _power_identity(r: _Run):
         gf = gf_build("power_identity", r.q, _gf_order(r.order, r.max_n), k=r.k)
         return lambda n: extract_count(gf, n, r.q)
     if r.k == 2 and pp.p == 2:
+        _check_formula_work(r.q, r.max_n, 6)
         return partial(involution_count_char2, r.q)
     raise UnsupportedSequence(
         f"no route for A^{r.k} = I over F_{r.q}: the characteristic divides k"
@@ -148,7 +170,9 @@ class _Seq:
     first_col to n in each row.  A triangle may be read by one column k; a
     scalar takes k only when it needs one.  Routes call module functions by
     name at call time, so a wrapper installed on a module attribute is the
-    one called.
+    one called.  A closed-form route names its work exponent for
+    _check_formula_work; the series and knapsack routes (None) guard
+    themselves.
     """
 
     start: int
@@ -156,34 +180,44 @@ class _Seq:
     oeis: Callable[[int, int | None], tuple[str, int] | None] = lambda q, k: None
     first_col: int | None = None
     needs_k: bool = False
+    work: int | None = None
 
 
 _REGISTRY = {
-    "all": _Seq(0, lambda r: lambda n: r.q ** (n * n), _oeis({2: "A002416"})),
-    "invertible": _Seq(0, lambda r: partial(gl_order, r.q), _oeis({2: "A002884"})),
+    "all": _Seq(0, lambda r: lambda n: r.q ** (n * n), _oeis({2: "A002416"}), work=5),
+    "invertible": _Seq(
+        0, lambda r: partial(gl_order, r.q), _oeis({2: "A002884"}), work=5
+    ),
     "subspaces_total": _Seq(
         0,
         lambda r: partial(subspace_total, r.q),
         _oeis({q: f"A{6116 + q - 2:06d}" for q in range(2, 9)}),
+        work=6,
     ),
-    "qbell": _Seq(1, lambda r: partial(q_bell, r.q)),
-    "qfactorial": _Seq(0, lambda r: partial(q_factorial, r.q), _oeis({2: "A005329"})),
+    "qbell": _Seq(1, lambda r: partial(q_bell, r.q), work=7),
+    "qfactorial": _Seq(
+        0, lambda r: partial(q_factorial, r.q), _oeis({2: "A005329"}), work=5
+    ),
     "lin_derangement": _Seq(
-        0, lambda r: partial(linear_derangement_count, r.q), _oeis({2: "A002820"}, 2)
+        0,
+        lambda r: partial(linear_derangement_count, r.q),
+        _oeis({2: "A002820"}, 2),
+        work=5,
     ),
     "proj_derangement": _Seq(0, _gf("projective_derangement")),
-    "diagonalizable": _Seq(0, lambda r: partial(diagonalizable_count, r.q)),
+    "diagonalizable": _Seq(0, lambda r: partial(diagonalizable_count, r.q), work=7),
     "projection": _Seq(
-        0, lambda r: partial(projection_count, r.q), _oeis({3: "A053846"})
+        0, lambda r: partial(projection_count, r.q), _oeis({3: "A053846"}), work=6
     ),
+    # guarded inside the route: only its k = 2, q = 2^e branch is closed-form
     "power_identity": _Seq(0, _power_identity, _power_identity_oeis, needs_k=True),
     "nilpotent": _Seq(
-        0, lambda r: partial(nilpotent_count, r.q), _oeis({2: "A053763"})
+        0, lambda r: partial(nilpotent_count, r.q), _oeis({2: "A053763"}), work=5
     ),
     "cyclic": _Seq(0, _gf("cyclic")),
     "semisimple": _Seq(0, _gf("semisimple")),
     "separable": _Seq(0, _gf("separable")),
-    "separable_classes": _Seq(1, lambda r: partial(separable_class_count, r.q)),
+    "separable_classes": _Seq(1, lambda r: partial(separable_class_count, r.q), work=3),
     "conjclasses_all": _Seq(0, _gf("conjclasses_all", False), _oeis({2: "A070933"})),
     "conjclasses_gl": _Seq(
         0,
@@ -197,9 +231,10 @@ _REGISTRY = {
         lambda q, n, k: gaussian_binomial(q, n, k),
         _oeis({q: f"A{22166 + q - 2:06d}" for q in range(2, 25)}),
         first_col=0,
+        work=6,
     ),
-    "qstirling_row": _Seq(1, lambda q, n, k: q_stirling(q, n, k), first_col=1),
-    "rank_row": _Seq(0, lambda q, n, k: rank_count(q, n, n, k), first_col=0),
+    "qstirling_row": _Seq(1, lambda q, n, k: q_stirling(q, n, k), first_col=1, work=8),
+    "rank_row": _Seq(0, lambda q, n, k: rank_count(q, n, n, k), first_col=0, work=6),
 }
 
 SCALAR_NAMES = tuple(name for name, e in _REGISTRY.items() if e.first_col is None)
@@ -264,20 +299,25 @@ def sequence_values(spec: SequenceSpec, order: int | None = None) -> list[int]:
         raise UnsupportedSequence(
             f"{spec.name!r} is a triangle; use triangle_rows or a k column"
         )
-    run = _Run(spec.q, spec.k, spec.max_n, order)
-    value = _REGISTRY[spec.name].route(run)
+    entry = _REGISTRY[spec.name]
+    if entry.work is not None:
+        _check_formula_work(spec.q, spec.max_n, entry.work)
+    value = entry.route(_Run(spec.q, spec.k, spec.max_n, order))
     return [value(n) for n in range(spec.min_n, spec.max_n + 1)]
 
 
-def _triangle(name: str) -> _Seq:
+def _triangle(name: str, q: int, hi: int) -> _Seq:
+    """The triangle's registry entry, once its rows up to hi pass the guard."""
     if name not in TRIANGLE_NAMES:
         raise UnsupportedSequence(f"{name!r} is not a triangle")
-    return _REGISTRY[name]
+    tri = _REGISTRY[name]
+    _check_formula_work(q, hi, tri.work)
+    return tri
 
 
 def triangle_rows(name: str, q: int, lo: int, hi: int) -> list[list[int]]:
     """Rows lo..hi of a triangle sequence."""
-    tri = _triangle(name)
+    tri = _triangle(name, q, hi)
     if lo < tri.start:
         raise UnsupportedSequence(f"{name!r} rows start at {tri.start}")
     return [
@@ -288,7 +328,7 @@ def triangle_rows(name: str, q: int, lo: int, hi: int) -> list[list[int]]:
 
 def triangle_column(name: str, q: int, k: int, lo: int, hi: int) -> list[int]:
     """The fixed-k column of a triangle for n = lo .. hi."""
-    tri = _triangle(name)
+    tri = _triangle(name, q, hi)
     if k < tri.first_col:
         raise UnsupportedSequence(f"column index {k} out of range for {name}")
     return [tri.route(q, n, k) for n in range(lo, hi + 1)]

@@ -520,20 +520,37 @@ def limit_checks() -> list[CheckResult]:
 
 # -------------------------------------------------------------------- oracle
 
-SWEEP_CASES = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4))
+SWEEP_CASES = (
+    (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (4, 3)
+)
 
 SWEEP_POWERS = (2, 3, 4, 5, 6)
 
+# Spaces small enough to classify every matrix one at a time, as the
+# reference for the orbit-weighted tallies.
+PER_MATRIX_CASES = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2))
 
-def oracle_sweeps(
-    enum_budget: int = oracle.DEFAULT_ENUM_BUDGET, jobs: int = 1
-) -> dict[tuple[int, int], oracle.SweepResult]:
+
+class Sweeps(dict):
+    """Sweep tallies by (q, n), plus the orbits of the walk behind each.
+
+    orbits[(q, n)] lists every conjugation orbit of M_n(F_q) as
+    (size, invertible), so the orbit checks reuse the walk that made the
+    tallies.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.orbits: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+
+
+def oracle_sweeps(enum_budget: int = oracle.DEFAULT_ENUM_BUDGET) -> Sweeps:
     """Exhaustive sweeps for every standard case within the budget."""
-    sweeps = {}
+    sweeps = Sweeps()
     for q, n in SWEEP_CASES:
         if q ** (n * n) <= enum_budget:
-            sweeps[(q, n)] = oracle.sweep_counts(
-                q, n, ks=SWEEP_POWERS, budget=enum_budget, jobs=jobs
+            sweeps[(q, n)], sweeps.orbits[(q, n)] = oracle.orbit_census(
+                q, n, ks=SWEEP_POWERS, budget=enum_budget
             )
     return sweeps
 
@@ -548,7 +565,7 @@ def _char_power_at_least(k: int, p: int, n: int) -> bool:
 
 
 def oracle_checks(
-    sweeps: dict[tuple[int, int], oracle.SweepResult],
+    sweeps: Sweeps,
     pair_budget: int = oracle.DEFAULT_PAIR_BUDGET,
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
@@ -606,6 +623,14 @@ def oracle_checks(
                 continue
             _check(results, "oracle", f"power identity k={k} {tag}", got, want)
         _check(results, "oracle", f"flag consistency {tag}", sw.consistency_violations, 0)
+        if (q, n) in PER_MATRIX_CASES:
+            _check(
+                results,
+                "oracle",
+                f"orbit-weighted tallies = per-matrix tallies {tag}",
+                sw,
+                oracle.per_matrix_counts(q, n, tuple(sw.power_identity)),
+            )
 
     for (q, n) in ((3, 1), (3, 2)):
         if (q, n) in sweeps:
@@ -617,15 +642,12 @@ def oracle_checks(
                 projection_count(q, n),
             )
 
-    for q, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
-        if (q, n) not in sweeps:
-            continue
-        size = q ** (n * n)
-        if gl_order(q, n) * size > pair_budget:
+    for (q, n), orbits in sorted(sweeps.orbits.items()):
+        if oracle.orbit_walk_cost(q, n) > pair_budget:
             continue
         tag = f"q={q} n={n}"
-        sizes_all = oracle.conjugacy_orbit_sizes(q, n, False, pair_budget)
-        sizes_gl = oracle.conjugacy_orbit_sizes(q, n, True, pair_budget)
+        sizes_all = [size for size, _ in orbits]
+        sizes_gl = [size for size, invertible in orbits if invertible]
         gamma = gl_order(q, n)
         gf_all = gf_build("conjclasses_all", q, max(n, 1))
         gf_gl = gf_build("conjclasses_gl", q, max(n, 1))
@@ -643,13 +665,13 @@ def oracle_checks(
             len(sizes_gl),
             extract_count(gf_gl, n, q, normalized=False),
         )
-        _check(results, "oracle", f"orbit sizes cover all matrices {tag}", sum(sizes_all), size)
+        _check(results, "oracle", f"orbit sizes cover all matrices {tag}", sum(sizes_all), q ** (n * n))
         _check(results, "oracle", f"orbit sizes cover invertibles {tag}", sum(sizes_gl), gamma)
         _prop(
             results,
             "oracle",
             f"orbit sizes divide group order {tag}",
-            all(gamma % s == 0 for s in sizes_all + sizes_gl),
+            all(gamma % s == 0 for s in sizes_all),
             "orbit size does not divide the group order",
         )
         _check(
@@ -675,7 +697,7 @@ SUITES = (regression_checks, identity_checks, cross_route_checks, trend_checks, 
 
 
 def run_suites(
-    sweeps: dict[tuple[int, int], oracle.SweepResult],
+    sweeps: Sweeps,
     pair_budget: int = oracle.DEFAULT_PAIR_BUDGET,
 ) -> list[CheckResult]:
     """Every suite, the oracle's last on the given sweeps."""
@@ -686,6 +708,5 @@ def run_suites(
 def run_all(
     enum_budget: int = oracle.DEFAULT_ENUM_BUDGET,
     pair_budget: int = oracle.DEFAULT_PAIR_BUDGET,
-    jobs: int = 1,
 ) -> list[CheckResult]:
-    return run_suites(oracle_sweeps(enum_budget, jobs), pair_budget)
+    return run_suites(oracle_sweeps(enum_budget), pair_budget)

@@ -59,7 +59,7 @@ def test_criterion_2_independent_routes_agree(sweeps):
 
 
 def test_criterion_3_oracle_matches_formulas_and_series(sweeps):
-    required = {(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)}
+    required = {(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
     assert required <= set(sweeps), "an exhaustive sweep case is missing"
     results = oracle_checks(sweeps)
     names = {r.name for r in results}

@@ -199,6 +199,9 @@ def test_centralizer_sequences_answer_at_once(capsys, name, q, max_n, out):
         ("seq", "cyclic", "--q", "3", "--max-n", "10", "--order", "400"),
         ("seq", "min_centralizer", "--q", "1009", "--max-n", "200"),
         ("seq", "max_class", "--q", "2", "--max-n", "10000"),
+        ("seq", "invertible", "--q", "2", "--max-n", "3000"),
+        ("seq", "nilpotent", "--q", "3", "--max-n", "20000"),
+        ("table", "rank_row", "--q", "2", "--max-n", "3000"),
     ],
 )
 def test_cost_guards_refuse_at_once(capsys, argv):

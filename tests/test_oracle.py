@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -22,6 +23,9 @@ from qmcount.oracle import (
     max_class_size,
     min_centralizer_order,
     min_poly,
+    orbit_census,
+    orbit_walk_cost,
+    per_matrix_counts,
     record_consistent,
     sweep_counts,
 )
@@ -235,49 +239,50 @@ def test_sweep_budget():
 
 
 def test_sweep_small_case_ignores_jobs():
-    single = sweep_counts(3, 2, jobs=1)
+    single = sweep_counts(3, 2)
     assert single.total == 81
     assert single.invertible == 48
     assert single.projective_derangement == 18
-    assert sweep_counts(3, 2, jobs=4) == single
+    assert sweep_counts(3, 2) == single
 
 
 def test_sweep_jobs_deterministic():
-    # 3^9 = 19683 matrices crosses the forking threshold
-    single = sweep_counts(3, 3, ks=(2,), jobs=1)
+    single = sweep_counts(3, 3, ks=(2,))
     assert single.total == 19683
     assert single.invertible == gl_order(3, 3)
     assert single.nilpotent == 729
-    assert sweep_counts(3, 3, ks=(2,), jobs=5) == single
+    assert sweep_counts(3, 3, ks=(2,)) == single
 
 
-def test_sweep_pool_is_clamped_to_cpu_count(monkeypatch):
-    sizes = []
+@pytest.mark.parametrize(
+    "q, n",
+    [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (2, 3)],
+)
+def test_orbit_weighted_sweep_matches_per_matrix_tally(q, n):
+    # every case with q^(n^2) <= 4096 and n >= 2, plus n = 1 up to q = 5
+    assert sweep_counts(q, n) == per_matrix_counts(q, n)
 
-    class StubPool:
-        """Records its size and runs the chunks in this process."""
 
-        def __init__(self, processes):
-            sizes.append(processes)
+def test_second_orbit_member_guards_the_weighted_tally(monkeypatch):
+    # a record that depends on which member of the orbit is classified
+    # passes record_consistent, so only the second member can expose it
+    real = oracle.classify
 
-        def __enter__(self):
-            return self
+    def by_code(A, ks=oracle.DEFAULT_POWERS):
+        rec = real(A, ks)
+        return dataclasses.replace(rec, linear_derangement=A.code() % 2 == 1)
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(oracle, "classify", by_code)
+    assert per_matrix_counts(2, 2).consistency_violations == 0
+    assert sweep_counts(2, 2).consistency_violations > 0
 
-        def starmap(self, fn, args):
-            return list(itertools.starmap(fn, args))
 
-    class StubContext:
-        Pool = StubPool
-
-    monkeypatch.setattr(oracle.multiprocessing, "get_context", lambda _: StubContext)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
-    # 8^4 = 4096 matrices: the smallest sweep that takes the pool path
-    pooled = sweep_counts(8, 2, ks=(2,), jobs=10**6)
-    assert sizes == [3]
-    assert pooled == sweep_counts(8, 2, ks=(2,), jobs=1)
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generator_count(q, n):
+    count = 2 * (n - 1) + (q > 2)
+    assert len(oracle._generators(field_for(q), n)) == count
+    assert orbit_walk_cost(q, n) == q ** (n * n) * count
 
 
 def test_conjugacy_orbits_all_matrices():
@@ -370,10 +375,69 @@ def direct_orbit_sizes(q, n, restrict_gl):
     return sizes
 
 
-@pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
 @pytest.mark.parametrize("restrict_gl", [False, True])
 def test_orbit_closure_matches_direct_conjugation(q, n, restrict_gl):
     assert conjugacy_orbit_sizes(q, n, restrict_gl) == direct_orbit_sizes(q, n, restrict_gl)
+
+
+def full_family_orbit_sizes(q, n):
+    """Orbit sizes under conjugation by every invertible I + c*E_ij.
+
+    With g = I + c*E_ij and g^-1 = I + d*E_ij, g A g^-1 is A after row i
+    gains c times row j and then column j gains d times column i.  The
+    family holds every elementary row operation, so it plainly generates
+    GL_n; sizes come in order of smallest code.
+    """
+    field = field_for(q)
+    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
+    family = []
+    for i, j in itertools.product(range(n), repeat=2):
+        for c in range(1, q):
+            lam = add[c][1]
+            if i != j:
+                family.append((i, j, mul[c], mul[neg[c]]))
+            elif lam:
+                family.append((i, j, mul[c], mul[add[inv[lam]][neg[1]]]))
+
+    def conjugate(a, i, j, crow, drow):
+        e = list(a)
+        for k in range(n):
+            e[i * n + k] = add[e[i * n + k]][crow[e[j * n + k]]]
+        for k in range(n):
+            e[k * n + j] = add[e[k * n + j]][drow[e[k * n + i]]]
+        return tuple(e)
+
+    seen = set()
+    sizes = []
+    for A in enumerate_matrices(q, n):
+        if A.entries in seen:
+            continue
+        orbit = {A.entries}
+        stack = [A.entries]
+        while stack:
+            a = stack.pop()
+            for gen in family:
+                b = conjugate(a, *gen)
+                if b not in orbit:
+                    orbit.add(b)
+                    stack.append(b)
+        seen |= orbit
+        sizes.append(len(orbit))
+    return sizes
+
+
+@pytest.mark.parametrize("q, n", [(3, 2), (2, 3), (4, 2)])
+def test_census_orbits_match_the_orbit_sizes(q, n):
+    sweep, orbits = orbit_census(q, n)
+    assert sweep == sweep_counts(q, n)
+    assert [size for size, _ in orbits] == conjugacy_orbit_sizes(q, n)
+    assert [size for size, inv in orbits if inv] == conjugacy_orbit_sizes(q, n, True)
+
+
+@pytest.mark.parametrize("q, n", [(8, 2), (9, 2), (2, 4)])
+def test_small_generator_set_matches_the_full_elementary_family(q, n):
+    assert conjugacy_orbit_sizes(q, n) == full_family_orbit_sizes(q, n)
 
 
 def test_classify_calls_each_traced_layer(monkeypatch):
