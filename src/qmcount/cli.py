@@ -24,7 +24,7 @@ from .gfengine import (
     UnresolvedDigits,
     limit_eval,
 )
-from .oracle import BudgetExceeded, DEFAULT_ENUM_BUDGET, DEFAULT_PAIR_BUDGET
+from .oracle import BudgetExceeded, DEFAULT_ENUM_BUDGET
 from .qcount import CharNotTwo
 from .sequences import (
     SEQUENCE_NAMES,
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     limit.add_argument("--digits", type=int, default=5)
 
     verify = sub.add_parser("verify", help="run all validation suites")
-    verify.add_argument("--oracle-budget", type=int, default=None)
+    verify.add_argument("--oracle-budget", type=int, default=DEFAULT_ENUM_BUDGET)
     verify.add_argument("--quiet", action="store_true", help="print failures only")
 
     return parser
@@ -76,7 +76,6 @@ def _range_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--min-n", type=int, default=None)
     cmd.add_argument("--max-n", type=int, default=10)
     cmd.add_argument("--format", choices=("plain", "json", "bfile"), default="plain")
-    cmd.add_argument("--order", type=int, default=None)
 
 
 def _emit(fmt: str, spec: SequenceSpec, values, start: int) -> None:
@@ -121,17 +120,13 @@ def _run_seq(args: argparse.Namespace) -> int:
         max_n=args.max_n,
         align_to_oeis=(args.format == "bfile"),
     )
-    values = sequence_values(spec, order=args.order)
+    values = sequence_values(spec)
     _emit(args.format, spec, values, spec.min_n)
     return 0
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    budget = args.oracle_budget
-    results = run_all(
-        enum_budget=DEFAULT_ENUM_BUDGET if budget is None else budget,
-        pair_budget=DEFAULT_PAIR_BUDGET if budget is None else budget,
-    )
+    results = run_all(args.oracle_budget)
     for r in results:
         if r.ok and args.quiet:
             continue

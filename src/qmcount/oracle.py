@@ -40,8 +40,8 @@ from .ffpoly import (
 from .qcount import gl_order
 
 DEFAULT_ENUM_BUDGET = 1 << 24
-DEFAULT_PAIR_BUDGET = 1 << 28
 
+# the k of every A^k = I flag that classify records
 DEFAULT_POWERS = (2, 3, 4, 5, 6)
 
 
@@ -50,7 +50,7 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, required: int, budget: int):
         super().__init__(
-            f"sweep needs {required} steps, above the budget of {budget}"
+            f"sweep covers {required} matrices, above the budget of {budget}"
         )
         self.required = required
         self.budget = budget
@@ -380,20 +380,18 @@ class ClassifyRecord:
     char_poly: tuple[int, ...]
 
 
-def classify(A: FqMatrix, ks=DEFAULT_POWERS) -> ClassifyRecord:
+def classify(A: FqMatrix) -> ClassifyRecord:
     field = A.field
     n = A.n
     q = field.q
-    ks = tuple(ks)
     rank, det = _rank_det(field, n, A.entries)
     invertible = rank == n
-    top = max((*ks, n, q)) if ks else max(n, q)
-    powers = matrix_powers(A, top)
+    powers = matrix_powers(A, max(*DEFAULT_POWERS, n, q))
     ident = powers[0]
     nilpotent = not any(powers[n])
     projection = powers[2] == A.entries
     diagonalizable = powers[q] == A.entries
-    power_identity = {k: powers[k] == ident for k in ks}
+    power_identity = {k: powers[k] == ident for k in DEFAULT_POWERS}
     linear_derangement = bool(det) and _det_shifted(field, n, A.entries, 1) != 0
     projective_derangement = linear_derangement and all(
         _det_shifted(field, n, A.entries, lam) for lam in range(2, q)
@@ -459,12 +457,20 @@ def _entry_tuples(q: int, nn: int):
     return (t[::-1] for t in product(range(q), repeat=nn))
 
 
-def enumerate_matrices(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
-    """Yield every n x n matrix over F_q in code order."""
+def _space_field(q: int, n: int, budget: int) -> FieldSpec:
+    """The tables of F_q, once the q^(n^2) matrices of M_n fit the budget.
+
+    The budget is checked first: the tables grow with q.
+    """
     size = q ** (n * n)
     if size > budget:
         raise BudgetExceeded(size, budget)
-    field = field_for(q)
+    return field_for(q)
+
+
+def enumerate_matrices(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
+    """Yield every n x n matrix over F_q in code order."""
+    field = _space_field(q, n, budget)
     return (FqMatrix._trusted(field, n, e) for e in _entry_tuples(q, n * n))
 
 
@@ -509,7 +515,7 @@ _FLAG_FIELDS = (
 )
 
 
-def _tally(q, n, ks, weighted) -> SweepResult:
+def _tally(q, n, weighted) -> SweepResult:
     """Sum (weight, record, consistent) triples into a SweepResult.
 
     Each triple stands for `weight` matrices that share the record; an
@@ -517,7 +523,7 @@ def _tally(q, n, ks, weighted) -> SweepResult:
     """
     flags = dict.fromkeys(_FLAG_FIELDS, 0)
     rank_hist = [0] * (n + 1)
-    power_hits = dict.fromkeys(ks, 0)
+    power_hits = dict.fromkeys(DEFAULT_POWERS, 0)
     total = violations = 0
     for weight, rec, consistent in weighted:
         total += weight
@@ -525,7 +531,7 @@ def _tally(q, n, ks, weighted) -> SweepResult:
             if getattr(rec, name):
                 flags[name] += weight
         rank_hist[rec.rank] += weight
-        for k in ks:
+        for k in DEFAULT_POWERS:
             if rec.power_identity[k]:
                 power_hits[k] += weight
         if not consistent:
@@ -541,30 +547,24 @@ def _tally(q, n, ks, weighted) -> SweepResult:
     )
 
 
-def per_matrix_counts(
-    q: int, n: int, ks=DEFAULT_POWERS, budget: int = DEFAULT_ENUM_BUDGET
-) -> SweepResult:
+def per_matrix_counts(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> SweepResult:
     """sweep_counts by classifying every matrix, one at a time.
 
     The reference that the orbit-weighted tallies are checked against on
     small spaces: it uses no orbit walk and no conjugation invariance.
     """
-    size = q ** (n * n)
-    if size > budget:
-        raise BudgetExceeded(size, budget)
-    ks = tuple(ks)
-    field = field_for(q)
+    field = _space_field(q, n, budget)
 
     def classified():
         for entries in _entry_tuples(q, n * n):
-            rec = classify(FqMatrix._trusted(field, n, entries), ks)
+            rec = classify(FqMatrix._trusted(field, n, entries))
             yield 1, rec, record_consistent(field, n, rec)
 
-    return _tally(q, n, ks, classified())
+    return _tally(q, n, classified())
 
 
 def orbit_census(
-    q: int, n: int, ks=DEFAULT_POWERS, budget: int = DEFAULT_ENUM_BUDGET
+    q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[SweepResult, list[tuple[int, bool]]]:
     """One orbit walk over M_n(F_q): the sweep tallies and every orbit.
 
@@ -576,39 +576,26 @@ def orbit_census(
     The orbits come back as (size, invertible) in order of smallest code.
     The budget bounds the q^(n^2) matrices of the space.
     """
-    size = q ** (n * n)
-    if size > budget:
-        raise BudgetExceeded(size, budget)
-    ks = tuple(ks)
-    field = field_for(q)
+    field = _space_field(q, n, budget)
     classified = []
     for orbit, rep, last in _orbit_walk(field, n):
-        rec = classify(FqMatrix._trusted(field, n, rep), ks)
+        rec = classify(FqMatrix._trusted(field, n, rep))
         consistent = record_consistent(field, n, rec) and (
-            orbit == 1 or classify(FqMatrix._trusted(field, n, last), ks) == rec
+            orbit == 1 or classify(FqMatrix._trusted(field, n, last)) == rec
         )
         classified.append((orbit, rec, consistent))
     orbits = [(orbit, rec.invertible) for orbit, rec, _ in classified]
-    return _tally(q, n, ks, classified), orbits
+    return _tally(q, n, classified), orbits
 
 
-def sweep_counts(
-    q: int, n: int, ks=DEFAULT_POWERS, budget: int = DEFAULT_ENUM_BUDGET
-) -> SweepResult:
+def sweep_counts(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> SweepResult:
     """Tally every class membership over M_n(F_q), one orbit at a time.
 
     The tallies of orbit_census: the same numbers as classifying each of
     the q^(n^2) matrices (per_matrix_counts), from one classification per
     conjugacy class.
     """
-    return orbit_census(q, n, ks, budget)[0]
-
-
-def orbit_walk_cost(q: int, n: int) -> int:
-    """Conjugation steps of one orbit walk: q^(n^2) times the 2(n - 1) +
-    [q > 2] generators.  Needs no field tables, so a budget can refuse a
-    walk before any are built."""
-    return q ** (n * n) * (2 * (n - 1) + (q > 2))
+    return orbit_census(q, n, budget)[0]
 
 
 def _primitive_element(field: FieldSpec) -> int:
@@ -726,34 +713,32 @@ def conjugacy_orbit_sizes(
     q: int,
     n: int,
     restrict_gl: bool = False,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> list[int]:
     """Sizes of all conjugation orbits on M_n (or on GL_n), by one orbit walk.
 
-    The sizes are in order of each orbit's smallest code.  The pair budget
-    bounds the walk's conjugation steps, orbit_walk_cost(q, n).
+    The sizes are in order of each orbit's smallest code.  The budget
+    bounds the q^(n^2) matrices of the walked space.
     """
-    cost = orbit_walk_cost(q, n)
-    if cost > pair_budget:
-        raise BudgetExceeded(cost, pair_budget)
-    return [orbit for orbit, _, _ in _orbit_walk(field_for(q), n, restrict_gl)]
+    field = _space_field(q, n, budget)
+    return [orbit for orbit, _, _ in _orbit_walk(field, n, restrict_gl)]
 
 
 def conjugacy_class_count(
     q: int,
     n: int,
     restrict_gl: bool = False,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> int:
-    return len(conjugacy_orbit_sizes(q, n, restrict_gl, pair_budget))
+    return len(conjugacy_orbit_sizes(q, n, restrict_gl, budget))
 
 
-def max_class_size(q: int, n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
+def max_class_size(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Largest conjugacy class size in GL_n, by the orbit walk."""
-    return max(conjugacy_orbit_sizes(q, n, True, pair_budget))
+    return max(conjugacy_orbit_sizes(q, n, True, budget))
 
 
-def min_centralizer_order(q: int, n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
+def min_centralizer_order(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Smallest centralizer order in GL_n: by orbit-stabilizer, the group
     order over the largest class."""
-    return gl_order(q, n) // max_class_size(q, n, pair_budget)
+    return gl_order(q, n) // max_class_size(q, n, budget)

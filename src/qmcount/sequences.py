@@ -15,7 +15,13 @@ from decimal import Decimal
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .gfengine import CostExceeded, gf_build, extract_count, min_centralizer_orders
+from .gfengine import (
+    GF_KINDS,
+    CostExceeded,
+    extract_count,
+    gf_build,
+    min_centralizer_orders,
+)
 from .qcount import (
     PrimePower,
     gaussian_binomial,
@@ -32,7 +38,6 @@ from .qcount import (
     separable_class_count,
     subspace_total,
 )
-from .exact_series import DEFAULT_ORDER
 
 
 class UnsupportedSequence(ValueError):
@@ -92,12 +97,11 @@ _POWER_IDENTITY_OEIS = {
 
 
 class _Run(NamedTuple):
-    """What a value route may read: one request and its run options."""
+    """What a value route may read: one request."""
 
     q: int
     k: int | None
     max_n: int
-    order: int | None
 
 
 def _oeis(ids: dict[int, str], offset: int = 0):
@@ -112,22 +116,16 @@ def _power_identity_oeis(q: int, k: int | None):
     return ident, 0 if ident == "A053846" else 1
 
 
-def _gf_order(order: int | None, max_n: int) -> int:
-    if order is None:
-        return max(DEFAULT_ORDER, max_n)
-    if order < max_n:
-        raise UnsupportedSequence(
-            f"truncation order {order} is below the requested max n {max_n}"
-        )
-    return order
+def _gf(kind: str):
+    """Route through one cycle-index series, built once per request.
 
-
-def _gf(kind: str, normalized: bool = True):
-    """Route through one cycle-index series, built once per request."""
+    Coefficient n of a truncated product never reads a factor beyond
+    degree n, so the series is built to the largest n requested.
+    """
 
     def route(r: _Run):
-        gf = gf_build(kind, r.q, _gf_order(r.order, r.max_n))
-        return lambda n: extract_count(gf, n, r.q, normalized=normalized)
+        gf = gf_build(kind, r.q, max(r.max_n, 0))
+        return lambda n: extract_count(gf, n, r.q, normalized=GF_KINDS[kind])
 
     return route
 
@@ -135,7 +133,7 @@ def _gf(kind: str, normalized: bool = True):
 def _power_identity(r: _Run):
     pp = PrimePower.of(r.q)
     if r.k % pp.p:
-        gf = gf_build("power_identity", r.q, _gf_order(r.order, r.max_n), k=r.k)
+        gf = gf_build("power_identity", r.q, max(r.max_n, 0), k=r.k)
         return lambda n: extract_count(gf, n, r.q)
     if r.k == 2 and pp.p == 2:
         _check_formula_work(r.q, r.max_n, 6)
@@ -218,10 +216,10 @@ _REGISTRY = {
     "semisimple": _Seq(0, _gf("semisimple")),
     "separable": _Seq(0, _gf("separable")),
     "separable_classes": _Seq(1, lambda r: partial(separable_class_count, r.q), work=3),
-    "conjclasses_all": _Seq(0, _gf("conjclasses_all", False), _oeis({2: "A070933"})),
+    "conjclasses_all": _Seq(0, _gf("conjclasses_all"), _oeis({2: "A070933"})),
     "conjclasses_gl": _Seq(
         0,
-        _gf("conjclasses_gl", False),
+        _gf("conjclasses_gl"),
         _oeis({2: "A006951", 3: "A006952", 4: "A049314", 5: "A049315", 7: "A049316"}),
     ),
     "min_centralizer": _Seq(1, _min_centralizer, _oeis({2: "A082877"}, 1)),
@@ -293,7 +291,7 @@ def make_spec(
     return SequenceSpec(name, q, k, min_n, max_n, ident, offset)
 
 
-def sequence_values(spec: SequenceSpec, order: int | None = None) -> list[int]:
+def sequence_values(spec: SequenceSpec) -> list[int]:
     """Values of a scalar sequence for n = min_n .. max_n."""
     if spec.name in TRIANGLE_NAMES:
         raise UnsupportedSequence(
@@ -302,7 +300,7 @@ def sequence_values(spec: SequenceSpec, order: int | None = None) -> list[int]:
     entry = _REGISTRY[spec.name]
     if entry.work is not None:
         _check_formula_work(spec.q, spec.max_n, entry.work)
-    value = entry.route(_Run(spec.q, spec.k, spec.max_n, order))
+    value = entry.route(_Run(spec.q, spec.k, spec.max_n))
     return [value(n) for n in range(spec.min_n, spec.max_n + 1)]
 
 

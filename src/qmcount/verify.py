@@ -25,6 +25,7 @@ from .exact_series import TruncSeries
 from .ffpoly import cyclotomic_factor_degrees, divisors, irreducible_poly_count
 from .gfengine import (
     COUNT_FACTORS,
+    GF_KINDS,
     centralizer_order,
     count_product,
     cyclic_limit_bracket,
@@ -459,7 +460,7 @@ def trend_checks() -> list[CheckResult]:
         }
         gf = gf_build("conjclasses_all", q, 10)
         series["class count growth"] = [
-            extract_count(gf, n, q, normalized=False) / Fraction(q**n)
+            extract_count(gf, n, q, GF_KINDS["conjclasses_all"]) / Fraction(q**n)
             for n in range(1, 11)
         ]
         targets = {
@@ -524,8 +525,6 @@ SWEEP_CASES = (
     (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (4, 3)
 )
 
-SWEEP_POWERS = (2, 3, 4, 5, 6)
-
 # Spaces small enough to classify every matrix one at a time, as the
 # reference for the orbit-weighted tallies.
 PER_MATRIX_CASES = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2))
@@ -544,14 +543,12 @@ class Sweeps(dict):
         self.orbits: dict[tuple[int, int], list[tuple[int, bool]]] = {}
 
 
-def oracle_sweeps(enum_budget: int = oracle.DEFAULT_ENUM_BUDGET) -> Sweeps:
-    """Exhaustive sweeps for every standard case within the budget."""
+def oracle_sweeps(budget: int = oracle.DEFAULT_ENUM_BUDGET) -> Sweeps:
+    """Exhaustive sweeps for every standard case of at most `budget` matrices."""
     sweeps = Sweeps()
     for q, n in SWEEP_CASES:
-        if q ** (n * n) <= enum_budget:
-            sweeps[(q, n)], sweeps.orbits[(q, n)] = oracle.orbit_census(
-                q, n, ks=SWEEP_POWERS, budget=enum_budget
-            )
+        if q ** (n * n) <= budget:
+            sweeps[(q, n)], sweeps.orbits[(q, n)] = oracle.orbit_census(q, n, budget)
     return sweeps
 
 
@@ -564,10 +561,7 @@ def _char_power_at_least(k: int, p: int, n: int) -> bool:
     return k == 1
 
 
-def oracle_checks(
-    sweeps: Sweeps,
-    pair_budget: int = oracle.DEFAULT_PAIR_BUDGET,
-) -> list[CheckResult]:
+def oracle_checks(sweeps: Sweeps) -> list[CheckResult]:
     results: list[CheckResult] = []
     for (q, n), sw in sorted(sweeps.items()):
         tag = f"q={q} n={n}"
@@ -629,7 +623,7 @@ def oracle_checks(
                 "oracle",
                 f"orbit-weighted tallies = per-matrix tallies {tag}",
                 sw,
-                oracle.per_matrix_counts(q, n, tuple(sw.power_identity)),
+                oracle.per_matrix_counts(q, n),
             )
 
     for (q, n) in ((3, 1), (3, 2)):
@@ -643,8 +637,6 @@ def oracle_checks(
             )
 
     for (q, n), orbits in sorted(sweeps.orbits.items()):
-        if oracle.orbit_walk_cost(q, n) > pair_budget:
-            continue
         tag = f"q={q} n={n}"
         sizes_all = [size for size, _ in orbits]
         sizes_gl = [size for size, invertible in orbits if invertible]
@@ -656,14 +648,14 @@ def oracle_checks(
             "oracle",
             f"class count, all matrices {tag}",
             len(sizes_all),
-            extract_count(gf_all, n, q, normalized=False),
+            extract_count(gf_all, n, q, GF_KINDS["conjclasses_all"]),
         )
         _check(
             results,
             "oracle",
             f"class count, invertible {tag}",
             len(sizes_gl),
-            extract_count(gf_gl, n, q, normalized=False),
+            extract_count(gf_gl, n, q, GF_KINDS["conjclasses_gl"]),
         )
         _check(results, "oracle", f"orbit sizes cover all matrices {tag}", sum(sizes_all), q ** (n * n))
         _check(results, "oracle", f"orbit sizes cover invertibles {tag}", sum(sizes_gl), gamma)
@@ -696,17 +688,13 @@ def oracle_checks(
 SUITES = (regression_checks, identity_checks, cross_route_checks, trend_checks, limit_checks)
 
 
-def run_suites(
-    sweeps: Sweeps,
-    pair_budget: int = oracle.DEFAULT_PAIR_BUDGET,
-) -> list[CheckResult]:
+def run_suites(sweeps: Sweeps) -> list[CheckResult]:
     """Every suite, the oracle's last on the given sweeps."""
     results = [r for suite in SUITES for r in suite()]
-    return results + oracle_checks(sweeps, pair_budget)
+    return results + oracle_checks(sweeps)
 
 
-def run_all(
-    enum_budget: int = oracle.DEFAULT_ENUM_BUDGET,
-    pair_budget: int = oracle.DEFAULT_PAIR_BUDGET,
-) -> list[CheckResult]:
-    return run_suites(oracle_sweeps(enum_budget), pair_budget)
+def run_all(budget: int = oracle.DEFAULT_ENUM_BUDGET) -> list[CheckResult]:
+    """Every suite, the oracle's on the standard cases of at most `budget`
+    matrices."""
+    return run_suites(oracle_sweeps(budget))

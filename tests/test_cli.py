@@ -163,7 +163,6 @@ def test_usage_errors_exit_two(capsys):
         ("seq", "power_identity", "--q", "2", "--k", "6"),
         ("seq", "no_such_name", "--q", "2"),
         ("seq", "invertible"),
-        ("seq", "cyclic", "--q", "2", "--max-n", "9", "--order", "4"),
         ("table", "qstirling_row", "--q", "2", "--k", "0"),
         ("limit", "invertible", "--q", "6"),
         ("limit", "invertible", "--q", "2", "--digits", "0"),
@@ -196,7 +195,7 @@ def test_centralizer_sequences_answer_at_once(capsys, name, q, max_n, out):
     "argv",
     [
         ("seq", "semisimple", "--q", "2", "--max-n", "2000"),
-        ("seq", "cyclic", "--q", "3", "--max-n", "10", "--order", "400"),
+        ("seq", "cyclic", "--q", "3", "--max-n", "400"),
         ("seq", "min_centralizer", "--q", "1009", "--max-n", "200"),
         ("seq", "max_class", "--q", "2", "--max-n", "10000"),
         ("seq", "invertible", "--q", "2", "--max-n", "3000"),
@@ -230,6 +229,9 @@ def test_verify_budget_limits_oracle_checks(capsys):
         assert code == 0
         oracle_checks[budget] = sum("] oracle: " in line for line in out.splitlines())
     assert oracle_checks[10] < oracle_checks[16]
+    # the (2,2) space has 16 matrices, so its walk's orbit checks fit the budget
+    assert "[PASS] oracle: class count, all matrices q=2 n=2" in out
+    assert "[PASS] oracle: class count, invertible q=2 n=2" in out
 
 
 def test_verify_passes_with_small_budget(capsys):

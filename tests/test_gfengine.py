@@ -33,6 +33,7 @@ from qmcount.gfengine import (
     unit_partition_sum,
 )
 from qmcount.qcount import (
+    PrimePower,
     diagonalizable_count,
     gl_order,
     linear_derangement_count,
@@ -321,6 +322,17 @@ def test_gf_build_rejects_bad_parameters():
     with pytest.raises(ValueError):
         gf_build("cyclic", 2, -1)
     assert "cyclic" in GF_KINDS and GF_KINDS["conjclasses_all"] is False
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_coefficients_do_not_depend_on_the_truncation_order(q):
+    # sequences builds each series only to the largest n requested
+    cases = [(kind, None) for kind in GF_KINDS if kind != "power_identity"]
+    cases += [("power_identity", k) for k in (1, 2, 3) if k % PrimePower.of(q).p]
+    for kind, k in cases:
+        full = gf_build(kind, q, 12, k=k)
+        for n in range(13):
+            assert full.truncate(n) == gf_build(kind, q, n, k=k), (kind, k, n)
 
 
 def test_extract_count_validation():

@@ -24,7 +24,6 @@ from qmcount.oracle import (
     min_centralizer_order,
     min_poly,
     orbit_census,
-    orbit_walk_cost,
     per_matrix_counts,
     record_consistent,
     sweep_counts,
@@ -238,7 +237,7 @@ def test_sweep_budget():
     assert "512" in str(info.value) and "100" in str(info.value)
 
 
-def test_sweep_small_case_ignores_jobs():
+def test_sweep_repeats_small_case():
     single = sweep_counts(3, 2)
     assert single.total == 81
     assert single.invertible == 48
@@ -246,12 +245,12 @@ def test_sweep_small_case_ignores_jobs():
     assert sweep_counts(3, 2) == single
 
 
-def test_sweep_jobs_deterministic():
-    single = sweep_counts(3, 3, ks=(2,))
+def test_sweep_repeats_three_by_three():
+    single = sweep_counts(3, 3)
     assert single.total == 19683
     assert single.invertible == gl_order(3, 3)
     assert single.nilpotent == 729
-    assert sweep_counts(3, 3, ks=(2,)) == single
+    assert sweep_counts(3, 3) == single
 
 
 @pytest.mark.parametrize(
@@ -268,8 +267,8 @@ def test_second_orbit_member_guards_the_weighted_tally(monkeypatch):
     # passes record_consistent, so only the second member can expose it
     real = oracle.classify
 
-    def by_code(A, ks=oracle.DEFAULT_POWERS):
-        rec = real(A, ks)
+    def by_code(A):
+        rec = real(A)
         return dataclasses.replace(rec, linear_derangement=A.code() % 2 == 1)
 
     monkeypatch.setattr(oracle, "classify", by_code)
@@ -282,7 +281,6 @@ def test_second_orbit_member_guards_the_weighted_tally(monkeypatch):
 def test_generator_count(q, n):
     count = 2 * (n - 1) + (q > 2)
     assert len(oracle._generators(field_for(q), n)) == count
-    assert orbit_walk_cost(q, n) == q ** (n * n) * count
 
 
 def test_conjugacy_orbits_all_matrices():
@@ -301,7 +299,7 @@ def test_conjugacy_orbits_invertible_only():
     assert conjugacy_orbit_sizes(3, 1) == [1, 1, 1]
     assert conjugacy_orbit_sizes(3, 1, restrict_gl=True) == [1, 1]
     with pytest.raises(BudgetExceeded):
-        conjugacy_orbit_sizes(2, 2, pair_budget=10)
+        conjugacy_orbit_sizes(2, 2, budget=10)
 
 
 def test_min_centralizer_and_max_class():
@@ -311,7 +309,7 @@ def test_min_centralizer_and_max_class():
     assert max_class_size(2, 2) == 3
     assert max_class_size(2, 3) == 56
     with pytest.raises(BudgetExceeded):
-        min_centralizer_order(2, 3, pair_budget=100)
+        min_centralizer_order(2, 3, budget=100)
 
 
 def test_budget_is_checked_before_the_field_tables():

@@ -159,11 +159,9 @@ def test_centralizer_sequences(monkeypatch):
     assert values_of("min_centralizer", 3, 2) == [2, 4]
 
 
-def test_sequence_values_rejects_triangles_and_low_order():
+def test_sequence_values_rejects_triangles():
     with pytest.raises(UnsupportedSequence):
         sequence_values(make_spec("qbinom_row", 2))
-    with pytest.raises(UnsupportedSequence):
-        sequence_values(make_spec("cyclic", 2, max_n=8), order=5)
     long_run = sequence_values(make_spec("cyclic", 2, max_n=18))
     assert len(long_run) == 19
 
