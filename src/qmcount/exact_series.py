@@ -11,9 +11,11 @@ The kernels walk only the nonzero coefficients, so multiplying or
 dividing by a sparse factor such as 1 - q u^r costs O(N).  Division,
 recip and exp are one-pass recurrences, O(N * nnz).  Powers follow
 J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), O(N * nnz) too and
-independent of the exponent.  The cycle-index products whose coefficients
-are matrix counts run on integers instead (gfengine.count_product); the
-Fraction kernels here are the second engine they are checked against.
+independent of the exponent.  The semisimple cycle-index product runs on
+integers instead (gfengine.count_product), because its reduced Fractions
+carry large denominators; the cyclic and separable products, whose
+reduced Fractions stay small, run here.  verify checks all three count
+products on both engines.
 """
 
 from __future__ import annotations

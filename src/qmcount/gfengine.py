@@ -6,7 +6,10 @@ generalized Jordan blocks at phi.  Summing u^n / gl_order(n) over all
 matrices therefore factors into a product over the irreducibles, one
 factor per polynomial, each a series in u^deg(phi).  Restricting the
 allowed partitions per polynomial restricts the matrices counted, which
-yields the generating functions built here.
+yields the generating functions built here.  A factor depends on its
+polynomial only through Q = q^deg(phi), so each is declared once, as a
+rule(Q, m) giving its coefficient of u^(m deg(phi)); factor_series and
+the two product engines read only that declaration.
 
 A "normalized" series is one whose u^n coefficient must be multiplied by
 gl_order(q, n) to give the matrix count; the conjugacy class series are
@@ -137,50 +140,97 @@ def min_centralizer_orders(q: int, max_n: int) -> list[int]:
     return best
 
 
-def euler_inverse_factor(q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """The factor prod_{r >= 1} (1 - u^d / q^(rd))^(-1), truncated at `order`.
+def _in_v(rule, Q: int, top: int) -> list:
+    """rule(Q, m) for m = 0 .. top: one factor's coefficients in v = u^d."""
+    coeffs = [rule(Q, m) for m in range(top + 1)]
+    if coeffs[0] != 1:
+        raise ValueError("product factors must have constant term 1")
+    return coeffs
 
-    Although the product runs over infinitely many r, the coefficient of
-    u^(m d) has the exact closed form Q^(m(m-1)) / gl_order(Q, m) with
-    Q = q^d: by a classical identity of Euler the coefficient equals
-    1 / (Q^m (1 - 1/Q) ... (1 - 1/Q^m)), which rearranges to that ratio.
-    The tests cross-check this against the partition sum over centralizer
-    orders term by term.
+
+def factor_series(rule, q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """sum_m rule(q^d, m) u^(m d) truncated at `order`: one polynomial's factor.
+
+    A rule(Q, m) declares the coefficient of u^(m d) in the factor of one
+    monic irreducible of degree d, which depends on the polynomial only
+    through Q = q^d; rule(Q, 0) is 1.
     """
     if d < 1:
         raise ValueError("polynomial degree must be >= 1")
-    Q = q**d
-    coeffs = [Fraction(0)] * (order + 1)
-    m = 0
-    while m * d <= order:
-        coeffs[m * d] = Fraction(Q ** (m * (m - 1)), gl_order(Q, m))
-        m += 1
-    return TruncSeries(coeffs, order)
+    return TruncSeries(_in_v(rule, q**d, order // d), order).dilate(d)
 
 
-def _in_powers_of(factor: TruncSeries, d: int, order: int) -> TruncSeries:
-    """A product factor, checked, as a series in v = u^d of order order // d."""
-    if factor.coeff(0) != 1:
-        raise ValueError("product factors must have constant term 1")
-    if any(c for i, c in enumerate(factor.coeffs) if i % d):
-        raise ValueError(f"the degree-{d} factor must be a series in u^{d}")
-    return TruncSeries(factor.coeffs[::d], order // d)
+def euler_rule(Q: int, m: int) -> Fraction:
+    """Q^(m(m-1)) / gl_order(Q, m): every partition of m is allowed.
+
+    The factor is prod_{r >= 1} (1 - u^d / Q^r)^(-1).  Although the
+    product runs over infinitely many r, the coefficient of u^(m d) has
+    this exact closed form: by a classical identity of Euler it equals
+    1 / (Q^m (1 - 1/Q) ... (1 - 1/Q^m)), which rearranges to the ratio.
+    The tests cross-check it against the partition sum over centralizer
+    orders term by term.
+    """
+    return Fraction(Q ** (m * (m - 1)), gl_order(Q, m))
 
 
-def nu_weighted_product(q: int, factor_fn, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """prod_{d=1..order} factor_fn(d) ** nu_d, with nu_d the irreducible count.
+def unit_rule(Q: int, m: int) -> Fraction:
+    """1 / gl_order(Q, m): the partition 1^m (all parts equal to 1).
 
-    factor_fn(d) must return a TruncSeries in u^d with constant term 1, so
-    degrees beyond `order` contribute nothing and the product is exact to
-    the truncation order.  Each power is taken in v = u^d, of order
+    The centralizer of m repeated blocks at one polynomial of degree d is
+    the invertible group over the degree-d extension field, of order
+    gl_order(Q, m) with Q = q^d.
+    """
+    return Fraction(1, gl_order(Q, m))
+
+
+def cyclic_rule(Q: int, m: int) -> Fraction:
+    """1 / (Q^(m-1) (Q - 1)) for m >= 1: the partition is empty or one part.
+
+    A cyclic matrix's partition at each polynomial is empty or the single
+    part (m), whose centralizer is the unit group of F_Q[z] / (z^m), of
+    order Q^(m-1) (Q - 1).
+    """
+    return Fraction(1) if m == 0 else Fraction(1, Q ** (m - 1) * (Q - 1))
+
+
+def separable_rule(Q: int, m: int) -> Fraction:
+    """1 + u^d / (Q - 1): a separable matrix has each irreducible at most once.
+
+    The one allowed nonempty partition is (1), whose centralizer is the
+    unit group of F_Q, of order Q - 1.
+    """
+    return (Fraction(1), Fraction(1, Q - 1))[m] if m < 2 else Fraction(0)
+
+
+def cyclic_alt_rule(Q: int, m: int) -> Fraction:
+    """1 + u^d / (Q (Q - 1)): cyclic_rule's factor times 1 - u^d / Q.
+
+    The product of 1 - u^d / q^d over every monic irreducible telescopes
+    to 1 - u, so the cyclic series is 1 / (1 - u) times the product of
+    these factors; the terms in u^(m d), m >= 2, cancel.
+    """
+    return (Fraction(1), Fraction(1, Q * (Q - 1)))[m] if m < 2 else Fraction(0)
+
+
+def separable_alt_rule(Q: int, m: int) -> Fraction:
+    """1 + (u^d - u^(2d)) / (Q (Q - 1)): separable_rule's factor times 1 - u^d / Q."""
+    c = cyclic_alt_rule(Q, 1)
+    return (Fraction(1), c, -c)[m] if m < 3 else Fraction(0)
+
+
+def nu_weighted_product(q: int, rule, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """prod_{d=1..order} factor_d ** nu_d, with nu_d the irreducible count.
+
+    factor_d is rule's factor for one polynomial of degree d, so degrees
+    beyond `order` contribute nothing and the product is exact to the
+    truncation order.  Each power is taken in v = u^d, of order
     order // d, and multiplied into the result over its nonzero terms.
     """
     result = TruncSeries.one(order)
     for d in range(1, order + 1):
-        power = _in_powers_of(factor_fn(d), d, order) ** irreducible_poly_count(q, d)
-        spread = [Fraction(0)] * (order + 1)
-        spread[::d] = power.coeffs
-        result = result * TruncSeries(spread, order)
+        factor = TruncSeries(_in_v(rule, q**d, order // d))
+        power = factor ** irreducible_poly_count(q, d)
+        result = result * TruncSeries(power.coeffs, order).dilate(d)
     return result
 
 
@@ -239,7 +289,7 @@ def _times_power(q: int, d: int, nu: int, factor: list[int], scaled: list[int]) 
     return out
 
 
-def count_product(q: int, factor_fn, order: int = DEFAULT_ORDER) -> TruncSeries:
+def count_product(q: int, rule, order: int = DEFAULT_ORDER) -> TruncSeries:
     """nu_weighted_product for factors whose coefficients are counts.
 
     When every coefficient of u^n in every factor is an integer after
@@ -256,7 +306,7 @@ def count_product(q: int, factor_fn, order: int = DEFAULT_ORDER) -> TruncSeries:
     scaled = [1] + [0] * order
     for d in range(1, order + 1):
         factor = []
-        for i, c in enumerate(_in_powers_of(factor_fn(d), d, order).coeffs):
+        for i, c in enumerate(_in_v(rule, q**d, order // d)):
             count = c * gl[i * d]
             if count.denominator != 1:
                 raise NonIntegralCount(
@@ -267,51 +317,15 @@ def count_product(q: int, factor_fn, order: int = DEFAULT_ORDER) -> TruncSeries:
     return TruncSeries([Fraction(a, g) for a, g in zip(scaled, gl)], order)
 
 
-def unit_partition_sum(Q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """sum_{m >= 0} u^(m d) / gl_order(Q, m), truncated at `order`.
-
-    This is the factor contributed by one irreducible polynomial of degree
-    d when its allowed partitions are 1^m (all parts equal to 1): the
-    centralizer of m repeated blocks is the invertible group over the
-    degree-d extension field, of order gl_order(Q, m) with Q = q^d.
-    """
-    coeffs = [Fraction(0)] * (order + 1)
-    m = 0
-    while m * d <= order:
-        coeffs[m * d] = Fraction(1, gl_order(Q, m))
-        m += 1
-    return TruncSeries(coeffs, order)
-
-
-def cyclic_factor(q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """1 + sum_{m >= 1} u^(m d) / (Q^(m-1) (Q - 1)), Q = q^d, truncated at `order`.
-
-    One irreducible polynomial's factor in the cyclic product: its
-    partition is empty or the single part (m), whose centralizer is the
-    unit group of F_Q[z] / (z^m), of order Q^(m-1) (Q - 1).
-    """
-    Q = q**d
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    m = 1
-    while m * d <= order:
-        coeffs[m * d] = Fraction(1, Q ** (m - 1) * (Q - 1))
-        m += 1
-    return TruncSeries(coeffs, order)
-
-
-def separable_factor(q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """1 + u^d / (q^d - 1): a separable matrix has each irreducible at most once."""
-    return TruncSeries.one(order) + TruncSeries.monomial(Fraction(1, q**d - 1), d, order)
-
-
-# kind -> its per-polynomial factor (q, d, order).  Each coefficient of u^n
-# scaled by |GL_n(q)| counts matrices, so gf_build multiplies these out on
-# the integer route, count_product.
+# kind -> its per-polynomial rule.  Each coefficient of u^n scaled by
+# |GL_n(q)| counts matrices, so count_product can multiply these out on
+# integers.  gf_build uses it for semisimple only: the reduced Fractions of
+# the cyclic and separable products stay small, and there the Fraction
+# kernels are faster.
 COUNT_FACTORS = {
-    "cyclic": cyclic_factor,
-    "semisimple": lambda q, d, order: unit_partition_sum(q**d, d, order),
-    "separable": separable_factor,
+    "cyclic": cyclic_rule,
+    "semisimple": unit_rule,
+    "separable": separable_rule,
 }
 
 
@@ -365,17 +379,17 @@ def gf_build(
         return _one_minus_u_recip(order)
 
     if kind == "linear_derangement":
-        return _one_minus_u_recip(order) * euler_inverse_factor(q, 1, order).recip()
+        return _one_minus_u_recip(order) * factor_series(euler_rule, q, 1, order).recip()
 
     if kind == "projective_derangement":
-        removed = euler_inverse_factor(q, 1, order).recip() ** (q - 1)
+        removed = factor_series(euler_rule, q, 1, order).recip() ** (q - 1)
         return _one_minus_u_recip(order) * removed
 
     if kind == "diagonalizable":
-        return unit_partition_sum(q, 1, order) ** q
+        return factor_series(unit_rule, q, 1, order) ** q
 
     if kind == "projection":
-        return unit_partition_sum(q, 1, order) ** 2
+        return factor_series(unit_rule, q, 1, order) ** 2
 
     if kind == "power_identity":
         if k is None:
@@ -392,40 +406,18 @@ def gf_build(
             raise BadKindParams(str(exc)) from exc
         result = TruncSeries.one(order)
         for d in degrees:
-            result = result * unit_partition_sum(q**d, d, order)
+            result = result * factor_series(unit_rule, q, d, order)
         return result
 
+    if kind == "semisimple":
+        return count_product(q, unit_rule, order)
+
     if kind in COUNT_FACTORS:
-        factor = COUNT_FACTORS[kind]
-        return count_product(q, lambda d: factor(q, d, order), order)
+        return nu_weighted_product(q, COUNT_FACTORS[kind], order)
 
-    if kind == "cyclic_alt":
-
-        def cyclic_alt_factor(d: int) -> TruncSeries:
-            return TruncSeries.one(order) + TruncSeries.monomial(
-                Fraction(1, q**d * (q**d - 1)), d, order
-            )
-
-        return _one_minus_u_recip(order) * nu_weighted_product(
-            q, cyclic_alt_factor, order
-        )
-
-    if kind == "separable_alt":
-
-        def separable_alt_factor(d: int) -> TruncSeries:
-            # factor numerator is u^d (1 - u^d): multiplying the plain
-            # separable factor 1 + u^d/(q^d - 1) by 1 - u^d/q^d gives
-            # exactly 1 + (u^d - u^(2d)) / (q^d (q^d - 1))
-            c = Fraction(1, q**d * (q**d - 1))
-            return (
-                TruncSeries.one(order)
-                + TruncSeries.monomial(c, d, order)
-                - TruncSeries.monomial(c, 2 * d, order)
-            )
-
-        return _one_minus_u_recip(order) * nu_weighted_product(
-            q, separable_alt_factor, order
-        )
+    if kind in ("cyclic_alt", "separable_alt"):
+        rule = cyclic_alt_rule if kind == "cyclic_alt" else separable_alt_rule
+        return _one_minus_u_recip(order) * nu_weighted_product(q, rule, order)
 
     if kind == "conjclasses_all":
         result = TruncSeries.one(order)
@@ -444,7 +436,7 @@ def gf_build(
         return result
 
     if kind == "bell":
-        return (unit_partition_sum(q, 1, order) - 1).exp()
+        return (factor_series(unit_rule, q, 1, order) - 1).exp()
 
     raise BadKindParams(f"unhandled kind {kind!r}")  # unreachable
 
@@ -473,7 +465,7 @@ def q_stirling_via_gf(q: int, n: int, k: int) -> int:
     """
     if n < 1 or k < 1 or k > n:
         return 0
-    s = unit_partition_sum(q, 1, n) - 1
+    s = factor_series(unit_rule, q, 1, n) - 1
     value = (s**k).coeff(n) * gl_order(q, n) * Fraction(1, factorial(k))
     if value.denominator != 1:
         raise NonIntegralCount(f"splitting count came out as {value}")
@@ -568,12 +560,12 @@ def cyclic_limit_bracket(q: int, digits: int) -> tuple[Fraction, Fraction]:
     """Proven [lo, hi] around the cyclic limit, from the cycle index alone.
 
     The cyclic generating function is 1/(1-u) times the product over all
-    monic irreducibles phi (z included) of 1 + u^d / (q^d (q^d - 1)),
-    d = deg phi (the `cyclic_alt` kind).  Letting n grow, the fraction of
-    cyclic matrices tends to
+    monic irreducibles phi (z included) of 1 + x_d u^d, d = deg phi, with
+    x_d = cyclic_alt_rule(q^d, 1) (the `cyclic_alt` kind).  Letting n
+    grow, the fraction of cyclic matrices tends to
 
         prod_{r>=1}(1 - q^-r) * prod_{d>=1} (1 + x_d)^nu_d,
-        x_d = 1 / (q^d (q^d - 1)),  nu_d = irreducible_poly_count(q, d).
+        nu_d = irreducible_poly_count(q, d).
 
     This does not use the closed form behind limit_eval.  At depth D:
     the Euler product keeps r <= D as in limit_eval; each (1 + x_d)^nu_d
@@ -592,7 +584,7 @@ def cyclic_limit_bracket(q: int, digits: int) -> tuple[Fraction, Fraction]:
         lo = hi * (1 - Fraction(1, (q - 1) * q**depth))
         for d in range(1, depth + 1):
             nu = irreducible_poly_count(q, d)
-            x = Fraction(1, q**d * (q**d - 1))
+            x = cyclic_alt_rule(q**d, 1)
             y = nu * x
             top = min(nu, -(-depth // d))
             if y >= 1:

@@ -267,16 +267,22 @@ def nilpotent_count(q: int, n: int) -> int:
     return q ** (n * n - n)
 
 
-def linear_derangement_count(q: int, n: int) -> int:
-    """Number of invertible n x n matrices over F_q with no eigenvalue 1.
+def linear_derangement_counts(q: int, N: int) -> list[int]:
+    """[e_0, ..., e_N], e_n the number of invertible n x n matrices over
+    F_q with no eigenvalue 1.
 
     Satisfies e_n = e_{n-1} (q^n - 1) q^(n-1) + (-1)^n q^(n(n-1)/2)
     with e_0 = 1.
     """
-    e = 1
-    for m in range(1, n + 1):
-        e = e * (q**m - 1) * q ** (m - 1) + (-1) ** m * q ** (m * (m - 1) // 2)
+    e = [1]
+    for m in range(1, N + 1):
+        e.append(e[-1] * (q**m - 1) * q ** (m - 1) + (-1) ** m * q ** (m * (m - 1) // 2))
     return e
+
+
+def linear_derangement_count(q: int, n: int) -> int:
+    """Number of invertible n x n matrices over F_q with no eigenvalue 1."""
+    return linear_derangement_counts(q, n)[-1]
 
 
 def linear_derangement_reduced(q: int, n: int) -> int:

@@ -27,7 +27,7 @@ from .qcount import (
     gaussian_binomial,
     gl_order,
     involution_count_char2,
-    linear_derangement_count,
+    linear_derangement_counts,
     nilpotent_count,
     projection_count,
     diagonalizable_count,
@@ -198,7 +198,7 @@ _REGISTRY = {
     ),
     "lin_derangement": _Seq(
         0,
-        lambda r: partial(linear_derangement_count, r.q),
+        lambda r: linear_derangement_counts(r.q, max(r.max_n, 0)).__getitem__,
         _oeis({2: "A002820"}, 2),
         work=5,
     ),

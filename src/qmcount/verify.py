@@ -30,9 +30,10 @@ from .gfengine import (
     count_product,
     cyclic_limit_bracket,
     decimal_truncate,
-    euler_inverse_factor,
     euler_partial_product,
+    euler_rule,
     extract_count,
+    factor_series,
     gf_build,
     limit_eval,
     min_centralizer_orders,
@@ -132,15 +133,20 @@ def _all_ones(order: int) -> TruncSeries:
     return TruncSeries([1] * (order + 1), order)
 
 
+def _one_minus_v_over_Q(Q: int, m: int) -> Fraction:
+    """The factor 1 - u^d / Q, whose product over all irreducibles is 1 - u."""
+    return (Fraction(1), -Fraction(1, Q))[m] if m < 2 else Fraction(0)
+
+
 def identity_checks() -> list[CheckResult]:
     results: list[CheckResult] = []
 
     # product of euler factors over every irreducible except z equals 1/(1-u)
     order = 12
     for q in (2, 3, 4):
-        prod = euler_inverse_factor(q, 1, order) ** (q - 1)
+        prod = factor_series(euler_rule, q, 1, order) ** (q - 1)
         for d in range(2, order + 1):
-            prod = prod * euler_inverse_factor(q, d, order) ** irreducible_poly_count(q, d)
+            prod = prod * factor_series(euler_rule, q, d, order) ** irreducible_poly_count(q, d)
         _check(results, "identity", f"euler product = 1/(1-u) q={q}", prod, _all_ones(order))
         _check(
             results,
@@ -152,18 +158,13 @@ def identity_checks() -> list[CheckResult]:
 
     # the complementary product over all irreducibles equals 1 - u
     for q in (2, 3, 4, 5):
-        got = nu_weighted_product(
-            q,
-            lambda d, q=q: TruncSeries.one(16) - TruncSeries.monomial(Fraction(1, q**d), d, 16),
-            16,
-        )
+        got = nu_weighted_product(q, _one_minus_v_over_Q, 16)
         want = TruncSeries.one(16) - TruncSeries.monomial(1, 1, 16)
         _check(results, "identity", f"factored form of 1-u q={q}", got, want)
 
     # euler factor coefficients equal partition sums over centralizer orders
     for q in (2, 3):
         for d in (1, 2, 3):
-            factor = euler_inverse_factor(q, d, 10)
             ok = True
             detail = ""
             for m in range(0, 10 // d + 1):
@@ -171,7 +172,7 @@ def identity_checks() -> list[CheckResult]:
                     (Fraction(1, centralizer_order(q**d, lam)) for lam in partitions_of(m)),
                     Fraction(0),
                 )
-                if factor.coeff(m * d) != want:
+                if euler_rule(q**d, m) != want:
                     ok = False
                     detail = f"mismatch at q={q} d={d} m={m}"
                     break
@@ -347,13 +348,13 @@ def cross_route_checks() -> list[CheckResult]:
     # exact division, and the Fraction kernels (semisimple has no _alt form)
     for q in (2, 3, 4):
         for kind in ("semisimple", "cyclic", "separable"):
-            factor = COUNT_FACTORS[kind]
+            rule = COUNT_FACTORS[kind]
             _check(
                 results,
                 "cross_route",
                 f"{kind}: integer vs Fraction product q={q}",
-                count_product(q, lambda d: factor(q, d, 12), 12),
-                nu_weighted_product(q, lambda d: factor(q, d, 12), 12),
+                count_product(q, rule, 12),
+                nu_weighted_product(q, rule, 12),
             )
 
     # over odd q the solutions of A^2 = I biject with projections

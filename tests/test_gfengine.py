@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import qmcount
 from qmcount import oracle
 from qmcount.exact_series import TruncSeries
 from qmcount.gfengine import (
@@ -20,17 +21,22 @@ from qmcount.gfengine import (
     _resolve_digits,
     centralizer_order,
     count_product,
+    cyclic_alt_rule,
     cyclic_limit_bracket,
+    cyclic_rule,
     decimal_truncate,
-    euler_inverse_factor,
+    euler_rule,
     extract_count,
+    factor_series,
     gf_build,
     limit_eval,
     min_centralizer_orders,
     nu_weighted_product,
     partitions_of,
     q_stirling_via_gf,
-    unit_partition_sum,
+    separable_alt_rule,
+    separable_rule,
+    unit_rule,
 )
 from qmcount.qcount import (
     PrimePower,
@@ -99,10 +105,10 @@ def test_nilpotent_classes_sum_to_nilpotent_count():
             assert total == q ** (n * (n - 1))
 
 
-def test_euler_inverse_factor_matches_partition_sums():
+def test_euler_factor_series_matches_partition_sums():
     for q in (2, 3):
         for d in (1, 2, 3):
-            series = euler_inverse_factor(q, d, 9)
+            series = factor_series(euler_rule, q, d, 9)
             Q = q**d
             m = 0
             while m * d <= 9:
@@ -116,57 +122,78 @@ def test_euler_inverse_factor_matches_partition_sums():
                     assert series.coeff(i) == 0
 
 
-def test_euler_inverse_factor_edges():
-    assert euler_inverse_factor(2, 7, 5) == TruncSeries.one(5)
-    assert euler_inverse_factor(2, 1, 6).coeff(1) == 1
-    assert euler_inverse_factor(3, 1, 6).coeff(1) == Fraction(1, 2)
+def test_euler_factor_series_edges():
+    assert factor_series(euler_rule, 2, 7, 5) == TruncSeries.one(5)
+    assert factor_series(euler_rule, 2, 1, 6).coeff(1) == 1
+    assert factor_series(euler_rule, 3, 1, 6).coeff(1) == Fraction(1, 2)
     with pytest.raises(ValueError):
-        euler_inverse_factor(2, 0, 5)
+        factor_series(euler_rule, 2, 0, 5)
 
 
-def test_unit_partition_sum():
-    s = unit_partition_sum(4, 2, 8)
+def test_unit_factor_series():
+    s = factor_series(unit_rule, 2, 2, 8)
     assert s.coeff(0) == 1
     assert s.coeff(2) == Fraction(1, 3)
     assert s.coeff(4) == Fraction(1, gl_order(4, 2))
     assert s.coeff(3) == 0
 
 
+# rule -> the partitions it allows at one polynomial
+ALLOWED = {
+    euler_rule: lambda lam: True,
+    unit_rule: lambda lam: set(lam) <= {1},
+    cyclic_rule: lambda lam: len(lam) <= 1,
+    separable_rule: lambda lam: lam in ((), (1,)),
+}
+
+
+def test_rules_match_centralizer_sums():
+    # a factor's u^(m d) coefficient sums 1 / |centralizer| over its classes
+    for rule, allowed in ALLOWED.items():
+        for Q in (2, 3, 4, 5, 7, 8, 9):
+            for m in range(9):
+                want = sum(
+                    (Fraction(1, centralizer_order(Q, lam))
+                     for lam in partitions_of(m) if allowed(lam)),
+                    Fraction(0),
+                )
+                assert rule(Q, m) == want, (rule.__name__, Q, m)
+
+
+def test_alt_rules_are_the_plain_rules_times_one_minus_u_d_over_Q():
+    for plain, alt in ((cyclic_rule, cyclic_alt_rule), (separable_rule, separable_alt_rule)):
+        for q in (2, 3, 4, 5):
+            for d in (1, 2, 3):
+                order = 12
+                drop = TruncSeries.one(order) - TruncSeries.monomial(
+                    Fraction(1, q**d), d, order
+                )
+                assert factor_series(alt, q, d, order) == factor_series(
+                    plain, q, d, order
+                ) * drop, (alt.__name__, q, d)
+
+
 def test_nu_weighted_product_trivial_and_validation():
-    assert nu_weighted_product(2, lambda d: TruncSeries.one(8), 8) == TruncSeries.one(8)
+    assert nu_weighted_product(2, lambda Q, m: int(m == 0), 8) == TruncSeries.one(8)
     with pytest.raises(ValueError):
-        nu_weighted_product(2, lambda d: TruncSeries.zero(8), 8)
+        nu_weighted_product(2, lambda Q, m: 0, 8)
 
 
 def test_count_product_matches_the_fraction_product():
     for q in (2, 3, 4, 5, 7, 8, 9):
-        for kind, factor in COUNT_FACTORS.items():
+        for kind, rule in COUNT_FACTORS.items():
             for order in (0, 1, 7, 20):
-
-                def fn(d, q=q, factor=factor, order=order):
-                    return factor(q, d, order)
-
-                assert count_product(q, fn, order) == nu_weighted_product(q, fn, order), (
+                assert count_product(q, rule, order) == nu_weighted_product(q, rule, order), (
                     kind, q, order,
                 )
 
 
 def test_count_product_rejects_factors_that_are_not_counts():
     # cyclic_alt's factor 1 + u^d / (q^d (q^d - 1)) scales to 1/q at d = 1
-    def cyclic_alt_factor(d: int) -> TruncSeries:
-        return TruncSeries.one(8) + TruncSeries.monomial(Fraction(1, 2**d * (2**d - 1)), d, 8)
-
     with pytest.raises(NonIntegralCount):
-        count_product(2, cyclic_alt_factor, 8)
+        count_product(2, cyclic_alt_rule, 8)
     with pytest.raises(ValueError):
-        count_product(2, lambda d: TruncSeries.zero(8), 8)
-
-
-def test_product_factors_must_be_series_in_u_to_the_degree():
-    with pytest.raises(ValueError):
-        nu_weighted_product(2, lambda d: TruncSeries([1, 0, 0, 1], 6), 6)
-    with pytest.raises(ValueError):
-        count_product(2, lambda d: TruncSeries([1, 0, 0, 1], 6), 6)
+        count_product(2, lambda Q, m: 0, 8)
 
 
 def test_cost_guards():
@@ -187,17 +214,17 @@ def test_factored_one_minus_u_identity():
     # prod_d (1 - u^d / q^d)^(nu_d) telescopes to 1 - u
     for q in (2, 3, 4):
 
-        def factor(d: int, q: int = q) -> TruncSeries:
-            return TruncSeries.one(12) - TruncSeries.monomial(Fraction(1, q**d), d, 12)
+        def rule(Q: int, m: int) -> Fraction:
+            return (Fraction(1), -Fraction(1, Q))[m] if m < 2 else Fraction(0)
 
-        product = nu_weighted_product(q, factor, 12)
+        product = nu_weighted_product(q, rule, 12)
         assert product == TruncSeries.one(12) - TruncSeries.monomial(1, 1, 12)
 
 
 def test_euler_product_counts_all_matrices():
     # the unrestricted cycle index sums q^(n^2) u^n / gl_order(n)
     for q in (2, 3):
-        product = nu_weighted_product(q, lambda d: euler_inverse_factor(q, d, 8), 8)
+        product = nu_weighted_product(q, euler_rule, 8)
         for n in range(9):
             assert product.coeff(n) == Fraction(q ** (n * n), gl_order(q, n))
 
@@ -206,8 +233,8 @@ def test_euler_product_invertible_restriction():
     # dropping one factor at the degree-one polynomial z leaves 1/(1-u)
     for q in (2, 3):
         order = 8
-        full = nu_weighted_product(q, lambda d: euler_inverse_factor(q, d, order), order)
-        restricted = full * euler_inverse_factor(q, 1, order).recip()
+        full = nu_weighted_product(q, euler_rule, order)
+        restricted = full * factor_series(euler_rule, q, 1, order).recip()
         assert restricted == gf_build("invertible_check", q, order)
         for n in range(order + 1):
             assert restricted.coeff(n) == 1
@@ -450,3 +477,9 @@ def test_limit_eval_validation():
         cyclic_limit_bracket(6, 4)
     with pytest.raises(ValueError):
         cyclic_limit_bracket(2, 0)
+
+
+def test_every_export_resolves():
+    assert len(set(qmcount.__all__)) == len(qmcount.__all__)
+    for name in qmcount.__all__:
+        assert hasattr(qmcount, name), name
