@@ -4,7 +4,8 @@ Subcommands:
 
 - seq: compute a named sequence and print it as plain text, JSON, or an
   OEIS b-file (b-file indices start at the catalogued offset).
-- table: print triangle rows (same names as seq, row-per-line plain form).
+- table: print a triangle (triangle names only) as seq does: rows, one per
+  line in plain form and flattened in JSON and b-files, or the column k.
 - limit: evaluate a limiting probability to a digit count.
 - verify: run the full validation suites and exit nonzero on mismatch.
 
@@ -27,9 +28,7 @@ from .sequences import (
     emit_plain,
     make_spec,
     sequence_values,
-    triangle_column,
     triangle_flat_start,
-    triangle_rows,
 )
 from .verify import failures, run_all
 
@@ -79,30 +78,7 @@ def _emit(fmt: str, spec: SequenceSpec, values, start: int) -> None:
         print(emit_plain(values))
 
 
-def _print_triangle(args: argparse.Namespace) -> int:
-    name, q = args.name, args.q
-    lo = args.min_n
-    if args.k is not None:
-        # single-cell access: the fixed-k column over the requested rows
-        base = make_spec(name, q, None, min_n=lo, max_n=args.max_n)
-        values = triangle_column(name, q, args.k, base.min_n, base.max_n)
-        spec = SequenceSpec(name, q, args.k, base.min_n, base.max_n, None, base.min_n)
-        _emit(args.format, spec, values, spec.min_n)
-        return 0
-    spec = make_spec(name, q, None, min_n=lo, max_n=args.max_n)
-    rows = triangle_rows(name, q, spec.min_n, spec.max_n)
-    if args.format == "plain":
-        for row in rows:
-            print(emit_plain(row))
-    else:
-        flat = [v for row in rows for v in row]
-        _emit(args.format, spec, flat, triangle_flat_start(name, spec.min_n))
-    return 0
-
-
 def _run_seq(args: argparse.Namespace) -> int:
-    if args.name in TRIANGLE_NAMES:
-        return _print_triangle(args)
     spec = make_spec(
         args.name,
         args.q,
@@ -112,7 +88,15 @@ def _run_seq(args: argparse.Namespace) -> int:
         align_to_oeis=(args.format == "bfile"),
     )
     values = sequence_values(spec)
-    _emit(args.format, spec, values, spec.min_n)
+    start = spec.min_n
+    if spec.name in TRIANGLE_NAMES and spec.k is None:
+        if args.format == "plain":
+            for row in values:
+                print(emit_plain(row))
+            return 0
+        values = [v for row in values for v in row]
+        start = triangle_flat_start(spec.name, spec.min_n)
+    _emit(args.format, spec, values, start)
     return 0
 
 
@@ -136,10 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "seq":
+        if args.command in ("seq", "table"):
             return _run_seq(args)
-        if args.command == "table":
-            return _print_triangle(args)
         if args.command == "limit":
             print(limit_eval(args.kind, args.q, args.digits))
             return 0

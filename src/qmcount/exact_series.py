@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-DEFAULT_ORDER = 16
-
 
 class ZeroConstantTerm(ZeroDivisionError):
     """Reciprocal of a series whose constant term is zero."""

@@ -24,7 +24,7 @@ from math import factorial
 
 from .ffpoly import NotCoprime, cyclotomic_factor_degrees, irreducible_poly_count
 from .qcount import PrimePower, gl_order
-from .exact_series import DEFAULT_ORDER, TruncSeries
+from .exact_series import TruncSeries
 
 
 class BadKindParams(ValueError):
@@ -148,7 +148,7 @@ def _in_v(rule, Q: int, top: int) -> list:
     return coeffs
 
 
-def factor_series(rule, q: int, d: int, order: int = DEFAULT_ORDER) -> TruncSeries:
+def factor_series(rule, q: int, d: int, order: int) -> TruncSeries:
     """sum_m rule(q^d, m) u^(m d) truncated at `order`: one polynomial's factor.
 
     A rule(Q, m) declares the coefficient of u^(m d) in the factor of one
@@ -218,7 +218,7 @@ def separable_alt_rule(Q: int, m: int) -> Fraction:
     return (Fraction(1), c, -c)[m] if m < 3 else Fraction(0)
 
 
-def nu_weighted_product(q: int, rule, order: int = DEFAULT_ORDER) -> TruncSeries:
+def nu_weighted_product(q: int, rule, order: int) -> TruncSeries:
     """prod_{d=1..order} factor_d ** nu_d, with nu_d the irreducible count.
 
     factor_d is rule's factor for one polynomial of degree d, so degrees
@@ -289,7 +289,7 @@ def _times_power(q: int, d: int, nu: int, factor: list[int], scaled: list[int]) 
     return out
 
 
-def count_product(q: int, rule, order: int = DEFAULT_ORDER) -> TruncSeries:
+def count_product(q: int, rule, order: int) -> TruncSeries:
     """nu_weighted_product for factors whose coefficients are counts.
 
     When every coefficient of u^n in every factor is an integer after
@@ -352,9 +352,7 @@ GF_KINDS: dict[str, bool] = {
 }
 
 
-def gf_build(
-    kind: str, q: int, order: int = DEFAULT_ORDER, k: int | None = None
-) -> TruncSeries:
+def gf_build(kind: str, q: int, order: int, k: int | None = None) -> TruncSeries:
     """Build the truncated generating function for one matrix class.
 
     Normalized kinds (see GF_KINDS) carry count_n / gl_order(q, n) as the
@@ -455,6 +453,13 @@ def extract_count(gf: TruncSeries, n: int, q: int, normalized: bool = True) -> i
     if num < 0:
         raise NonIntegralCount(f"coefficient of u^{n} scales to negative {num}")
     return num
+
+
+def gf_counts(kind: str, q: int, order: int, k: int | None = None) -> list[int]:
+    """The counts for n = 0 .. order read off gf_build(kind, q, order, k),
+    each scaled by gl_order(q, n) when the kind is normalized."""
+    gf = gf_build(kind, q, order, k)
+    return [extract_count(gf, n, q, GF_KINDS[kind]) for n in range(order + 1)]
 
 
 def q_stirling_via_gf(q: int, n: int, k: int) -> int:

@@ -174,11 +174,12 @@ def rank_count(q: int, m: int, n: int, k: int) -> int:
     return exact_div(num, den)
 
 
-def _ordered_splittings(q: int, n: int, k: int) -> list[int]:
-    """Ordered splittings of F_q^n into j nonzero subspaces, for j = 0 .. k.
+def _ordered_splittings(q: int, n: int, k: int) -> list[list[int]]:
+    """Ordered splittings of F_q^m into j nonzero subspaces, as rows
+    [S_j(0), ..., S_j(n)] for j = 0 .. k.
 
     A splitting with dimensions (n_1, ..., n_j) is counted
-    gl_order(n) / prod gl_order(n_i) times.  Choosing the first part a
+    gl_order(m) / prod gl_order(n_i) times.  Choosing the first part a
     gives the convolution
     S_j(m) = sum_{a >= 1} gl_order(m) / (gl_order(a) gl_order(m - a)) S_{j-1}(m - a).
     """
@@ -190,14 +191,13 @@ def _ordered_splittings(q: int, n: int, k: int) -> list[int]:
         [exact_div(gl[m], gl[a] * gl[m - a]) for a in range(m + 1)]
         for m in range(n + 1)
     ]
-    row = [1] + [0] * n  # S_0(m): only the empty splitting of the zero space
-    out = [row[n]]
+    rows = [[1] + [0] * n]  # S_0(m): only the empty splitting of the zero space
     for _ in range(k):
-        row = [
-            sum(first[m][a] * row[m - a] for a in range(1, m + 1)) for m in range(n + 1)
-        ]
-        out.append(row[n])
-    return out
+        row = rows[-1]
+        rows.append(
+            [sum(first[m][a] * row[m - a] for a in range(1, m + 1)) for m in range(n + 1)]
+        )
+    return rows
 
 
 def q_stirling(q: int, n: int, k: int) -> int:
@@ -207,13 +207,25 @@ def q_stirling(q: int, n: int, k: int) -> int:
     """
     if n < 0 or k < 1 or k > n:
         return 0
-    return exact_div(_ordered_splittings(q, n, k)[k], factorial(k))
+    return exact_div(_ordered_splittings(q, n, k)[k][n], factorial(k))
+
+
+def q_stirling_rows(q: int, N: int) -> list[list[int]]:
+    """Rows n = 0 .. N of the splitting triangle, row n = [S(n, 0), ..., S(n, n)].
+
+    S(n, k) = q_stirling(q, n, k), except that S(0, 0) = 1 counts the empty
+    splitting of the zero space; all rows come from one splitting table.
+    """
+    table = _ordered_splittings(q, N, N)
+    return [
+        [exact_div(table[k][n], factorial(k)) for k in range(n + 1)]
+        for n in range(N + 1)
+    ]
 
 
 def q_bell(q: int, n: int) -> int:
     """Total number of direct sum decompositions of F_q^n into nonzero parts."""
-    splittings = _ordered_splittings(q, n, n)
-    return sum(exact_div(s, factorial(k)) for k, s in enumerate(splittings))
+    return sum(q_stirling_rows(q, n)[n])
 
 
 def projection_count(q: int, n: int) -> int:
@@ -230,15 +242,22 @@ def projection_count(q: int, n: int) -> int:
     return total
 
 
-def diagonalizable_count(q: int, n: int) -> int:
-    """Number of diagonalizable n x n matrices over F_q.
+def diagonalizable_counts(q: int, N: int) -> list[int]:
+    """Numbers of diagonalizable n x n matrices over F_q, for n = 0 .. N.
 
     A diagonalizable matrix is an ordered splitting of F_q^n into its
     eigenspaces, one per field element.  Choosing which j of the q
     eigenvalues occur leaves an ordered splitting into j nonzero parts.
     """
-    splittings = _ordered_splittings(q, n, min(n, q))
-    return sum(comb(q, j) * s for j, s in enumerate(splittings))
+    table = _ordered_splittings(q, N, min(N, q))
+    return [
+        sum(comb(q, j) * row[n] for j, row in enumerate(table)) for n in range(N + 1)
+    ]
+
+
+def diagonalizable_count(q: int, n: int) -> int:
+    """Number of diagonalizable n x n matrices over F_q."""
+    return diagonalizable_counts(q, n)[n]
 
 
 def involution_count_char2(q: int, n: int) -> int:

@@ -15,25 +15,18 @@ from decimal import Decimal
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .gfengine import (
-    GF_KINDS,
-    CostExceeded,
-    extract_count,
-    gf_build,
-    min_centralizer_orders,
-)
+from .gfengine import CostExceeded, gf_counts, min_centralizer_orders
 from .qcount import (
     PrimePower,
+    diagonalizable_counts,
     gaussian_binomial,
     gl_order,
     involution_count_char2,
     linear_derangement_counts,
     nilpotent_count,
     projection_count,
-    diagonalizable_count,
-    q_bell,
     q_factorial,
-    q_stirling,
+    q_stirling_rows,
     rank_count,
     separable_class_count,
     subspace_total,
@@ -52,7 +45,10 @@ class UnsupportedSequence(ValueError):
 # `seq invertible --q 2 --max-n 288`, `table rank_row --q 2 --max-n 112`,
 # `seq qbell --q 2 --max-n 57` and `table qstirling_row --q 2 --max-n 34`;
 # each route ran in at most about two seconds at its largest admitted n,
-# at q = 2 and at q = 1000003 (2-core Xeon host, single runs).
+# at q = 2 and at q = 1000003 (2-core Xeon host, single runs).  The routes
+# that read one table per request (qbell, diagonalizable, qstirling_row,
+# lin_derangement) run far below their exponents; the exponents are kept
+# so that the admitted requests stay the same.
 MAX_FORMULA_WORK = 2 * 10**12
 
 
@@ -97,7 +93,7 @@ _POWER_IDENTITY_OEIS = {
 
 
 class _Run(NamedTuple):
-    """What a value route may read: one request."""
+    """What a value route may read: one request, with max_n at least 0."""
 
     q: int
     k: int | None
@@ -105,8 +101,11 @@ class _Run(NamedTuple):
 
 
 def _oeis(ids: dict[int, str], offset: int = 0):
-    """OEIS rule: the entry catalogued for q, all starting at `offset`."""
-    return lambda q, k: (ids[q], offset) if q in ids else None
+    """OEIS rule: the entry catalogued for q, all starting at `offset`.
+
+    A triangle's column k is not the catalogued entry, so it has none.
+    """
+    return lambda q, k: (ids[q], offset) if q in ids and k is None else None
 
 
 def _power_identity_oeis(q: int, k: int | None):
@@ -122,19 +121,13 @@ def _gf(kind: str):
     Coefficient n of a truncated product never reads a factor beyond
     degree n, so the series is built to the largest n requested.
     """
-
-    def route(r: _Run):
-        gf = gf_build(kind, r.q, max(r.max_n, 0))
-        return lambda n: extract_count(gf, n, r.q, normalized=GF_KINDS[kind])
-
-    return route
+    return lambda r: gf_counts(kind, r.q, r.max_n).__getitem__
 
 
 def _power_identity(r: _Run):
     pp = PrimePower.of(r.q)
     if r.k % pp.p:
-        gf = gf_build("power_identity", r.q, max(r.max_n, 0), k=r.k)
-        return lambda n: extract_count(gf, n, r.q)
+        return gf_counts("power_identity", r.q, r.max_n, r.k).__getitem__
     if r.k == 2 and pp.p == 2:
         _check_formula_work(r.q, r.max_n, 6)
         return partial(involution_count_char2, r.q)
@@ -159,18 +152,23 @@ def _max_class(r: _Run):
     return lambda n: gl_order(r.q, n) // smallest(n)
 
 
+def _q_stirling(r: _Run):
+    rows = q_stirling_rows(r.q, r.max_n)
+    return lambda n, k: rows[n][k] if k <= n else 0
+
+
 @dataclass(frozen=True)
 class _Seq:
     """One catalogued sequence.
 
-    A scalar's route maps a request to its per-n value function; a
-    triangle's route is the cell function (q, n, k), with k running from
-    first_col to n in each row.  A triangle may be read by one column k; a
-    scalar takes k only when it needs one.  Routes call module functions by
-    name at call time, so a wrapper installed on a module attribute is the
-    one called.  A closed-form route names its work exponent for
-    _check_formula_work; the series and knapsack routes (None) guard
-    themselves.
+    Every route maps a request (_Run) to its value function: a function
+    of n for a scalar, of (n, k) for a triangle, whose row n runs over k
+    from first_col to n and is zero beyond.  A triangle is read by rows,
+    or by one column k; a scalar takes k only when it needs one.  Routes
+    call module functions by name at call time, so a wrapper installed on
+    a module attribute is the one called.  A closed-form route names its
+    work exponent for _check_formula_work; the series and knapsack routes
+    (None) guard themselves.
     """
 
     start: int
@@ -192,18 +190,20 @@ _REGISTRY = {
         _oeis({q: f"A{6116 + q - 2:06d}" for q in range(2, 9)}),
         work=6,
     ),
-    "qbell": _Seq(1, lambda r: partial(q_bell, r.q), work=7),
+    "qbell": _Seq(
+        1, lambda r: [sum(row) for row in q_stirling_rows(r.q, r.max_n)].__getitem__, work=7
+    ),
     "qfactorial": _Seq(
         0, lambda r: partial(q_factorial, r.q), _oeis({2: "A005329"}), work=5
     ),
     "lin_derangement": _Seq(
         0,
-        lambda r: linear_derangement_counts(r.q, max(r.max_n, 0)).__getitem__,
+        lambda r: linear_derangement_counts(r.q, r.max_n).__getitem__,
         _oeis({2: "A002820"}, 2),
         work=5,
     ),
     "proj_derangement": _Seq(0, _gf("projective_derangement")),
-    "diagonalizable": _Seq(0, lambda r: partial(diagonalizable_count, r.q), work=7),
+    "diagonalizable": _Seq(0, lambda r: diagonalizable_counts(r.q, r.max_n).__getitem__, work=7),
     "projection": _Seq(
         0, lambda r: partial(projection_count, r.q), _oeis({3: "A053846"}), work=6
     ),
@@ -226,13 +226,15 @@ _REGISTRY = {
     "max_class": _Seq(1, _max_class, _oeis({2: "A070731"}, 1)),
     "qbinom_row": _Seq(
         0,
-        lambda q, n, k: gaussian_binomial(q, n, k),
+        lambda r: partial(gaussian_binomial, r.q),
         _oeis({q: f"A{22166 + q - 2:06d}" for q in range(2, 25)}),
         first_col=0,
         work=6,
     ),
-    "qstirling_row": _Seq(1, lambda q, n, k: q_stirling(q, n, k), first_col=1, work=8),
-    "rank_row": _Seq(0, lambda q, n, k: rank_count(q, n, n, k), first_col=0, work=6),
+    "qstirling_row": _Seq(1, _q_stirling, first_col=1, work=8),
+    "rank_row": _Seq(
+        0, lambda r: lambda n, k: rank_count(r.q, n, n, k), first_col=0, work=6
+    ),
 }
 
 SCALAR_NAMES = tuple(name for name, e in _REGISTRY.items() if e.first_col is None)
@@ -291,45 +293,24 @@ def make_spec(
     return SequenceSpec(name, q, k, min_n, max_n, ident, offset)
 
 
-def sequence_values(spec: SequenceSpec) -> list[int]:
-    """Values of a scalar sequence for n = min_n .. max_n."""
-    if spec.name in TRIANGLE_NAMES:
-        raise UnsupportedSequence(
-            f"{spec.name!r} is a triangle; use triangle_rows or a k column"
-        )
+def sequence_values(spec: SequenceSpec) -> list:
+    """Values for n = min_n .. max_n: a scalar's, a triangle's column k,
+    or, when k is None, a triangle's rows as lists."""
     entry = _REGISTRY[spec.name]
     if entry.work is not None:
         _check_formula_work(spec.q, spec.max_n, entry.work)
-    value = entry.route(_Run(spec.q, spec.k, spec.max_n))
-    return [value(n) for n in range(spec.min_n, spec.max_n + 1)]
-
-
-def _triangle(name: str, q: int, hi: int) -> _Seq:
-    """The triangle's registry entry, once its rows up to hi pass the guard."""
-    if name not in TRIANGLE_NAMES:
-        raise UnsupportedSequence(f"{name!r} is not a triangle")
-    tri = _REGISTRY[name]
-    _check_formula_work(q, hi, tri.work)
-    return tri
-
-
-def triangle_rows(name: str, q: int, lo: int, hi: int) -> list[list[int]]:
-    """Rows lo..hi of a triangle sequence."""
-    tri = _triangle(name, q, hi)
-    if lo < tri.start:
-        raise UnsupportedSequence(f"{name!r} rows start at {tri.start}")
-    return [
-        [tri.route(q, n, k) for k in range(tri.first_col, n + 1)]
-        for n in range(lo, hi + 1)
-    ]
-
-
-def triangle_column(name: str, q: int, k: int, lo: int, hi: int) -> list[int]:
-    """The fixed-k column of a triangle for n = lo .. hi."""
-    tri = _triangle(name, q, hi)
-    if k < tri.first_col:
-        raise UnsupportedSequence(f"column index {k} out of range for {name}")
-    return [tri.route(q, n, k) for n in range(lo, hi + 1)]
+    triangle = entry.first_col is not None
+    if triangle and spec.k is not None and spec.k < entry.first_col:
+        raise UnsupportedSequence(f"column index {spec.k} out of range for {spec.name}")
+    if triangle and spec.k is None and spec.min_n < entry.start:
+        raise UnsupportedSequence(f"{spec.name!r} rows start at {entry.start}")
+    value = entry.route(_Run(spec.q, spec.k, max(spec.max_n, 0)))
+    ns = range(spec.min_n, spec.max_n + 1)
+    if not triangle:
+        return [value(n) for n in ns]
+    if spec.k is not None:
+        return [value(n, spec.k) for n in ns]
+    return [[value(n, k) for k in range(entry.first_col, n + 1)] for n in ns]
 
 
 def triangle_flat_start(name: str, first_row: int) -> int:

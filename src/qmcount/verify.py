@@ -25,16 +25,15 @@ from .exact_series import TruncSeries
 from .ffpoly import cyclotomic_factor_degrees, divisors, irreducible_poly_count
 from .gfengine import (
     COUNT_FACTORS,
-    GF_KINDS,
     centralizer_order,
     count_product,
     cyclic_limit_bracket,
     decimal_truncate,
     euler_partial_product,
     euler_rule,
-    extract_count,
     factor_series,
     gf_build,
+    gf_counts,
     limit_eval,
     min_centralizer_orders,
     nu_weighted_product,
@@ -57,7 +56,7 @@ from .qcount import (
     q_stirling,
     rank_count,
 )
-from .sequences import make_spec, sequence_values, triangle_rows
+from .sequences import make_spec, sequence_values
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,10 @@ def regression_checks() -> list[CheckResult]:
         label = f"{entry.name} q={entry.q}" + (f" k={entry.k}" if entry.k else "")
         _check(results, "regression", label, tuple(sequence_values(spec)), entry.values)
     for tri in regression.TRIANGLES:
-        rows = triangle_rows(
-            tri.name, tri.q, tri.start_row, tri.start_row + len(tri.rows) - 1
+        spec = make_spec(
+            tri.name, tri.q, min_n=tri.start_row, max_n=tri.start_row + len(tri.rows) - 1
         )
+        rows = sequence_values(spec)
         _check(
             results,
             "regression",
@@ -120,7 +120,7 @@ def regression_checks() -> list[CheckResult]:
             results,
             "regression",
             f"diagonalizable q={q} n=2 gf",
-            extract_count(gf_build("diagonalizable", q, 4), 2, q),
+            gf_counts("diagonalizable", q, 4)[2],
             want,
         )
     return results
@@ -265,11 +265,6 @@ def identity_checks() -> list[CheckResult]:
 # --------------------------------------------------------------- cross_route
 
 
-def _gf_counts(kind: str, q: int, max_n: int, k: int | None = None) -> list[int]:
-    gf = gf_build(kind, q, max_n, k=k)
-    return [extract_count(gf, n, q) for n in range(max_n + 1)]
-
-
 def cross_route_checks() -> list[CheckResult]:
     results: list[CheckResult] = []
 
@@ -279,21 +274,21 @@ def cross_route_checks() -> list[CheckResult]:
             "cross_route",
             f"projections: sum formula vs gf q={q}",
             [projection_count(q, n) for n in range(11)],
-            _gf_counts("projection", q, 10),
+            gf_counts("projection", q, 10),
         )
         _check(
             results,
             "cross_route",
             f"diagonalizable: sum formula vs gf q={q}",
             [diagonalizable_count(q, n) for n in range(11)],
-            _gf_counts("diagonalizable", q, 10),
+            gf_counts("diagonalizable", q, 10),
         )
         _check(
             results,
             "cross_route",
             f"derangements: recursion vs gf q={q}",
             [linear_derangement_count(q, n) for n in range(11)],
-            _gf_counts("linear_derangement", q, 10),
+            gf_counts("linear_derangement", q, 10),
         )
         _check(
             results,
@@ -313,7 +308,7 @@ def cross_route_checks() -> list[CheckResult]:
             "cross_route",
             f"splitting totals vs exp gf q={q}",
             [q_bell(q, n) for n in range(1, 7)],
-            _gf_counts("bell", q, 6)[1:],
+            gf_counts("bell", q, 6)[1:],
         )
 
     for q in (2, 3, 5):
@@ -363,7 +358,7 @@ def cross_route_checks() -> list[CheckResult]:
             results,
             "cross_route",
             f"square roots of identity vs projections q={q}",
-            _gf_counts("power_identity", q, 8, k=2),
+            gf_counts("power_identity", q, 8, k=2),
             [projection_count(q, n) for n in range(9)],
         )
 
@@ -436,7 +431,7 @@ def cross_route_checks() -> list[CheckResult]:
             "cross_route",
             f"invertible counts via gf q={q}",
             [gl_order(q, n) for n in range(13)],
-            _gf_counts("invertible_check", q, 12),
+            gf_counts("invertible_check", q, 12),
         )
 
     return results
@@ -459,10 +454,9 @@ def trend_checks() -> list[CheckResult]:
                 for n in range(1, 11)
             ],
         }
-        gf = gf_build("conjclasses_all", q, 10)
+        classes = gf_counts("conjclasses_all", q, 10)
         series["class count growth"] = [
-            extract_count(gf, n, q, GF_KINDS["conjclasses_all"]) / Fraction(q**n)
-            for n in range(1, 11)
+            Fraction(classes[n], q**n) for n in range(1, 11)
         ]
         targets = {
             "invertible fraction": limit,
@@ -585,7 +579,6 @@ def oracle_checks(sweeps: Sweeps) -> list[CheckResult]:
             sw.linear_derangement,
             linear_derangement_count(q, n),
         )
-        order = max(n, 1)
         for kind, got in (
             ("cyclic", sw.cyclic),
             ("semisimple", sw.semisimple),
@@ -597,7 +590,7 @@ def oracle_checks(sweeps: Sweeps) -> list[CheckResult]:
                 "oracle",
                 f"{kind} {tag}",
                 got,
-                extract_count(gf_build(kind, q, order), n, q),
+                gf_counts(kind, q, n)[n],
             )
         _check(
             results,
@@ -608,7 +601,7 @@ def oracle_checks(sweeps: Sweeps) -> list[CheckResult]:
         )
         for k, got in sorted(sw.power_identity.items()):
             if k % p:
-                want = extract_count(gf_build("power_identity", q, order, k=k), n, q)
+                want = gf_counts("power_identity", q, n, k)[n]
             elif k == 2 and p == 2:
                 want = involution_count_char2(q, n)
             elif _char_power_at_least(k, p, n):
@@ -642,21 +635,19 @@ def oracle_checks(sweeps: Sweeps) -> list[CheckResult]:
         sizes_all = [size for size, _ in orbits]
         sizes_gl = [size for size, invertible in orbits if invertible]
         gamma = gl_order(q, n)
-        gf_all = gf_build("conjclasses_all", q, max(n, 1))
-        gf_gl = gf_build("conjclasses_gl", q, max(n, 1))
         _check(
             results,
             "oracle",
             f"class count, all matrices {tag}",
             len(sizes_all),
-            extract_count(gf_all, n, q, GF_KINDS["conjclasses_all"]),
+            gf_counts("conjclasses_all", q, n)[n],
         )
         _check(
             results,
             "oracle",
             f"class count, invertible {tag}",
             len(sizes_gl),
-            extract_count(gf_gl, n, q, GF_KINDS["conjclasses_gl"]),
+            gf_counts("conjclasses_gl", q, n)[n],
         )
         _check(results, "oracle", f"orbit sizes cover all matrices {tag}", sum(sizes_all), q ** (n * n))
         _check(results, "oracle", f"orbit sizes cover invertibles {tag}", sum(sizes_gl), gamma)

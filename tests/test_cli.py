@@ -273,15 +273,14 @@ def test_values_beyond_4300_digits_print_in_full(capsys, monkeypatch):
     # one series build serves the CLI and the library call: the test is
     # about printing the values, not about computing them twice
     built = {}
-    real_build = sequences.gf_build
+    real_counts = sequences.gf_counts
 
-    def build_once(kind, q, order, **params):
-        key = (kind, q, order, tuple(sorted(params.items())))
-        if key not in built:
-            built[key] = real_build(kind, q, order, **params)
-        return built[key]
+    def count_once(*args):
+        if args not in built:
+            built[args] = real_counts(*args)
+        return built[args]
 
-    monkeypatch.setattr(sequences, "gf_build", build_once)
+    monkeypatch.setattr(sequences, "gf_counts", count_once)
     spec = make_spec("semisimple", 2, max_n=120, align_to_oeis=True)
     expected = sequence_values(spec)
     assert len(str(Decimal(expected[-1]))) > 4300

@@ -9,12 +9,7 @@ from math import comb, factorial
 
 import pytest
 
-from qmcount.exact_series import (
-    DEFAULT_ORDER,
-    NonzeroConstantTerm,
-    TruncSeries,
-    ZeroConstantTerm,
-)
+from qmcount.exact_series import NonzeroConstantTerm, TruncSeries, ZeroConstantTerm
 from qmcount.qcount import gl_order
 
 
@@ -56,10 +51,6 @@ def test_coeff_bounds():
         s.coeff(3)
     with pytest.raises(IndexError):
         s.coeff(-1)
-
-
-def test_default_order():
-    assert DEFAULT_ORDER == 16
 
 
 def test_add_and_sub():

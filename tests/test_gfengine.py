@@ -29,6 +29,7 @@ from qmcount.gfengine import (
     extract_count,
     factor_series,
     gf_build,
+    gf_counts,
     limit_eval,
     min_centralizer_orders,
     nu_weighted_product,
@@ -333,7 +334,7 @@ def test_gf_bell():
 
 def test_gf_build_rejects_bad_parameters():
     with pytest.raises(BadKindParams):
-        gf_build("no_such_kind", 2)
+        gf_build("no_such_kind", 2, 6)
     with pytest.raises(BadKindParams):
         gf_build("cyclic", 2, 6, k=2)
     with pytest.raises(BadKindParams):
@@ -360,6 +361,16 @@ def test_coefficients_do_not_depend_on_the_truncation_order(q):
         full = gf_build(kind, q, 12, k=k)
         for n in range(13):
             assert full.truncate(n) == gf_build(kind, q, n, k=k), (kind, k, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_gf_counts_read_every_kind(q):
+    cases = [(kind, None) for kind in GF_KINDS if kind != "power_identity"]
+    cases += [("power_identity", k) for k in (1, 2, 3) if k % PrimePower.of(q).p]
+    for kind, k in cases:
+        gf = gf_build(kind, q, 8, k=k)
+        want = [extract_count(gf, n, q, normalized=GF_KINDS[kind]) for n in range(9)]
+        assert gf_counts(kind, q, 8, k) == want, (kind, k)
 
 
 def test_extract_count_validation():

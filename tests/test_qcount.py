@@ -6,10 +6,12 @@ import time
 
 import pytest
 
+from qmcount.gfengine import q_stirling_via_gf
 from qmcount.qcount import (
     CharNotTwo,
     PrimePower,
     diagonalizable_count,
+    diagonalizable_counts,
     exact_div,
     gaussian_binomial,
     gl_order,
@@ -24,6 +26,7 @@ from qmcount.qcount import (
     q_int,
     q_multinomial,
     q_stirling,
+    q_stirling_rows,
     rank_count,
     separable_class_count,
     subspace_total,
@@ -195,6 +198,20 @@ def test_q_bell():
     for q in (2, 3):
         for n in range(1, 7):
             assert q_bell(q, n) == sum(q_stirling(q, n, k) for k in range(1, n + 1))
+
+
+def test_one_splitting_table_serves_every_n():
+    for q in (2, 3, 4, 5):
+        rows = q_stirling_rows(q, 9)
+        assert rows[0] == [1]
+        for n in range(1, 10):
+            assert rows[n] == [q_stirling(q, n, k) for k in range(n + 1)]
+            assert rows[n][1:] == [q_stirling_via_gf(q, n, k) for k in range(1, n + 1)]
+            assert sum(rows[n]) == q_bell(q, n)
+        assert diagonalizable_counts(q, 9) == [diagonalizable_count(q, n) for n in range(10)]
+    assert diagonalizable_counts(3, 0) == [1]
+    with pytest.raises(ValueError):
+        q_stirling_rows(2, -1)
 
 
 def test_projection_count():

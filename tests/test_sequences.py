@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from qmcount import oracle
+from qmcount import oracle, sequences
+from qmcount.gfengine import CostExceeded
 from qmcount.qcount import (
     diagonalizable_count,
+    gaussian_binomial,
     gl_order,
     involution_count_char2,
     linear_derangement_count,
@@ -14,6 +16,8 @@ from qmcount.qcount import (
     projection_count,
     q_bell,
     q_factorial,
+    q_stirling,
+    rank_count,
     subspace_total,
 )
 from qmcount.sequences import (
@@ -29,9 +33,7 @@ from qmcount.sequences import (
     oeis_info,
     parse_bfile,
     sequence_values,
-    triangle_column,
     triangle_flat_start,
-    triangle_rows,
 )
 
 
@@ -103,6 +105,8 @@ def test_oeis_info():
     assert oeis_info("max_class", 2, None) == ("A070731", 1)
     assert oeis_info("min_centralizer", 2, None) == ("A082877", 1)
     assert oeis_info("cyclic", 2, None) == (None, None)
+    # a column of a catalogued triangle is not the catalogued entry
+    assert oeis_info("qbinom_row", 2, 1) == (None, None)
 
 
 def test_formula_backed_sequences():
@@ -129,6 +133,7 @@ def test_gf_backed_sequences():
     assert values_of("separable", 2, 3) == [1, 2, 8, 160]
     assert values_of("conjclasses_all", 3, 4) == [1, 3, 12, 39, 129]
     assert values_of("conjclasses_gl", 2, 5) == [1, 1, 3, 6, 14, 27]
+    assert len(values_of("cyclic", 2, 18)) == 19
 
 
 def test_power_identity_routes():
@@ -159,34 +164,71 @@ def test_centralizer_sequences(monkeypatch):
     assert values_of("min_centralizer", 3, 2) == [2, 4]
 
 
-def test_sequence_values_rejects_triangles():
-    with pytest.raises(UnsupportedSequence):
-        sequence_values(make_spec("qbinom_row", 2))
-    long_run = sequence_values(make_spec("cyclic", 2, max_n=18))
-    assert len(long_run) == 19
+def rows_of(name: str, q: int, lo: int, hi: int) -> list[list[int]]:
+    return sequence_values(make_spec(name, q, min_n=lo, max_n=hi))
+
+
+def column_of(name: str, q: int, k: int, lo: int, hi: int) -> list[int]:
+    return sequence_values(make_spec(name, q, k, min_n=lo, max_n=hi))
 
 
 def test_triangle_rows():
-    assert triangle_rows("qbinom_row", 2, 0, 3) == [
+    assert rows_of("qbinom_row", 2, 0, 3) == [
         [1],
         [1, 1],
         [1, 3, 1],
         [1, 7, 7, 1],
     ]
-    assert triangle_rows("qstirling_row", 2, 1, 3) == [[1], [1, 3], [1, 28, 28]]
-    assert triangle_rows("rank_row", 2, 0, 2) == [[1], [1, 1], [1, 9, 6]]
-    with pytest.raises(UnsupportedSequence):
-        triangle_rows("qstirling_row", 2, 0, 3)
-    with pytest.raises(UnsupportedSequence):
-        triangle_rows("cyclic", 2, 0, 3)
+    assert rows_of("qstirling_row", 2, 1, 3) == [[1], [1, 3], [1, 28, 28]]
+    assert rows_of("rank_row", 2, 0, 2) == [[1], [1, 1], [1, 9, 6]]
+    with pytest.raises(UnsupportedSequence, match="rows start at 1"):
+        rows_of("qstirling_row", 2, 0, 3)
 
 
 def test_triangle_column():
-    assert triangle_column("qbinom_row", 2, 2, 0, 5) == [0, 0, 1, 7, 35, 155]
-    assert triangle_column("qstirling_row", 2, 2, 1, 4) == [0, 3, 28, 400]
-    assert triangle_column("rank_row", 2, 1, 0, 3) == [0, 1, 9, 49]
+    assert column_of("qbinom_row", 2, 2, 0, 5) == [0, 0, 1, 7, 35, 155]
+    assert column_of("qstirling_row", 2, 2, 1, 4) == [0, 3, 28, 400]
+    assert column_of("rank_row", 2, 1, 0, 3) == [0, 1, 9, 49]
     with pytest.raises(UnsupportedSequence):
-        triangle_column("invertible", 2, 1, 0, 3)
+        column_of("invertible", 2, 1, 0, 3)
+
+
+CELLS = {
+    "qbinom_row": gaussian_binomial,
+    "qstirling_row": q_stirling,
+    "rank_row": lambda q, n, k: rank_count(q, n, n, k),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("name", TRIANGLE_NAMES)
+def test_triangle_rows_and_columns_match_the_cells(name, q):
+    cell = CELLS[name]
+    first = make_spec(name, q).min_n
+    rows = rows_of(name, q, first, 12)
+    assert rows == [[cell(q, n, k) for k in range(first, n + 1)] for n in range(first, 13)]
+    for k in range(first, 15):
+        want = [cell(q, n, k) for n in range(13)]
+        assert not any(want[:k])  # the cells beyond row n are zeros
+        assert column_of(name, q, k, first, 12) == want[first:]
+        # a column may start above the first row
+        assert column_of(name, q, k, 0, 12) == want
+
+
+def test_triangle_errors_come_in_order(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the route was built")
+
+    monkeypatch.setattr(sequences, "q_stirling_rows", refuse)
+    # the cost guard comes first, then the column index, then the first row
+    with pytest.raises(CostExceeded):
+        column_of("qstirling_row", 2, 0, 0, 400)
+    with pytest.raises(CostExceeded):
+        rows_of("qstirling_row", 2, 0, 400)
+    with pytest.raises(UnsupportedSequence, match="column index 0"):
+        column_of("qstirling_row", 2, 0, 0, 3)
+    with pytest.raises(UnsupportedSequence, match="rows start at 1"):
+        rows_of("qstirling_row", 2, 0, 3)
 
 
 def test_triangle_flat_start():
