@@ -4,7 +4,8 @@ Field elements are plain ints 0 .. q-1: the base-p digits of an element are
 the coefficients of its polynomial representative modulo the field modulus,
 least significant digit first.  Polynomials over a field are tuples of
 element codes, constant term first, with no trailing zeros (the zero
-polynomial is the empty tuple).
+polynomial is the empty tuple).  One polynomial arithmetic, the poly_*
+functions, serves every field: over F_p it builds the tables of F_{p^e}.
 """
 
 from __future__ import annotations
@@ -126,92 +127,50 @@ def cyclotomic_factor_degrees(q: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# prime-field polynomial helpers used for the modulus search
-# (coefficients are ints mod p, constant term first)
-
-
-def _pf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pf_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b) and a:
-        factor = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        _pf_trim(a)
-    return a
-
-
-def _pf_is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of lower positive degree."""
-    deg = len(poly) - 1
-    for d in range(1, deg):
-        for code in range(p**d):
-            trial = [(code // p**i) % p for i in range(d)] + [1]
-            if not _pf_mod(poly, trial, p):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # concrete fields
 
 
 class FieldSpec:
-    """Arithmetic for F_{p^e}, realized through dense add/mul/neg/inv tables."""
+    """Arithmetic for F_{p^e}, realized through dense add/mul/neg/inv tables.
+
+    F_p's tables come straight from arithmetic mod p.  For e > 1 the
+    tables are filled by the polynomial arithmetic of this module over
+    F_p, reducing each product modulo the monic irreducible `modulus`.
+    """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
-        if e > 1 and not _pf_is_irreducible(list(modulus), p):
-            raise ValueError("modulus is reducible")
+        if len(modulus) != e + 1 or modulus[-1] != 1 or not all(0 <= c < p for c in modulus):
+            raise ValueError(f"modulus must be monic of degree {e} over F_{p}")
         self.p = p
         self.e = e
-        self.q = p**e
+        self.q = q = p**e
         self.modulus = modulus
-        q = self.q
-        decode = [self._decode(x) for x in range(q)]
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for x in range(q):
-            dx = decode[x]
-            for y in range(x, q):
-                dy = decode[y]
-                s = self._encode([(a + b) % p for a, b in zip(dx, dy)])
-                add[x][y] = add[y][x] = s
-                prod = [0] * (2 * e - 1)
-                for i, a in enumerate(dx):
-                    if a:
-                        for j, b in enumerate(dy):
-                            prod[i + j] = (prod[i + j] + a * b) % p
-                rem = _pf_mod(prod, list(modulus), p)
-                rem += [0] * (e - len(rem))
-                m = self._encode(rem)
-                mul[x][y] = mul[y][x] = m
+        if e == 1:
+            add = [[(x + y) % p for y in range(p)] for x in range(p)]
+            mul = [[x * y % p for y in range(p)] for x in range(p)]
+            neg = [-x % p for x in range(p)]
+        else:
+            base = build_field(p, 1)
+            if not _is_irreducible(modulus, base):
+                raise ValueError("modulus is reducible")
+            polys = [poly_trim((x // p**i) % p for i in range(e)) for x in range(q)]
+            code = {f: x for x, f in enumerate(polys)}
+            add = [[0] * q for _ in range(q)]
+            mul = [[0] * q for _ in range(q)]
+            for x, fx in enumerate(polys):
+                for y, fy in enumerate(polys[x:], x):
+                    add[x][y] = add[y][x] = code[poly_add(fx, fy, base)]
+                    prod = poly_divmod(poly_mul(fx, fy, base), modulus, base)[1]
+                    mul[x][y] = mul[y][x] = code[prod]
+            neg = [code[poly_neg(f, base)] for f in polys]
         self.add_table = add
         self.mul_table = mul
-        self.neg_table = [self._encode([(-a) % p for a in decode[x]]) for x in range(q)]
-        inv = [0] * q
-        for x in range(1, q):
-            row = mul[x]
-            inv[x] = row.index(1)
-        self.inv_table = inv
-
-    def _decode(self, x: int) -> list[int]:
-        return [(x // self.p**i) % self.p for i in range(self.e)]
-
-    def _encode(self, coeffs: list[int]) -> int:
-        return sum(c * self.p**i for i, c in enumerate(coeffs))
+        self.neg_table = neg
+        self.inv_table = [0] + [mul[x].index(1) for x in range(1, q)]
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -253,18 +212,23 @@ class FieldSpec:
 @lru_cache(maxsize=None)
 def build_field(p: int, e: int) -> FieldSpec:
     """F_{p^e} with the lexicographically smallest monic irreducible modulus."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if e < 1:
-        raise ValueError("extension degree must be >= 1")
-    if e == 1:
-        return FieldSpec(p, 1, (0, 1))
-    for code in range(p**e):
-        low = [(code // p**i) % p for i in range(e)]
-        modulus = tuple(low) + (1,)
-        if _pf_is_irreducible(list(modulus), p):
-            return FieldSpec(p, e, modulus)
-    raise ArithmeticError("no irreducible modulus found")  # unreachable
+    if e <= 1:
+        return FieldSpec(p, e, (0, 1))  # FieldSpec refuses a bad p or e
+    base = build_field(p, 1)
+    return FieldSpec(p, e, next(f for f in _monic(p, e) if _is_irreducible(f, base)))
+
+
+def _monic(p: int, d: int):
+    """Every monic polynomial of degree d over F_p, in order of its low digits."""
+    for code in range(p**d):
+        yield tuple((code // p**i) % p for i in range(d)) + (1,)
+
+
+def _is_irreducible(f: tuple[int, ...], base: FieldSpec) -> bool:
+    """Trial division of a monic f over F_p by the monic polynomials of
+    degree 1 .. deg(f) // 2, the degrees a factor of a reducible f can take."""
+    degrees = range(1, poly_degree(f) // 2 + 1)
+    return all(poly_divmod(f, g, base)[1] for d in degrees for g in _monic(base.p, d))
 
 
 def field_for(q: int) -> FieldSpec:
@@ -301,10 +265,6 @@ def poly_add(a, b, field: FieldSpec) -> tuple[int, ...]:
 def poly_neg(a, field: FieldSpec) -> tuple[int, ...]:
     neg = field.neg_table
     return tuple(neg[c] for c in a)
-
-
-def poly_sub(a, b, field: FieldSpec) -> tuple[int, ...]:
-    return poly_add(a, poly_neg(b, field), field)
 
 
 def poly_mul(a, b, field: FieldSpec) -> tuple[int, ...]:
@@ -391,11 +351,3 @@ def squarefree_test(a, field: FieldSpec) -> bool:
     g = poly_gcd(a, poly_derivative(a, field), field) if len(a) > 1 else (1,)
     return poly_degree(g) == 0
 
-
-def poly_eval(a, x: int, field: FieldSpec) -> int:
-    add = field.add_table
-    mul = field.mul_table
-    acc = 0
-    for c in reversed(a):
-        acc = add[mul[acc][x]][c]
-    return acc

@@ -724,15 +724,6 @@ def conjugacy_orbit_sizes(
     return [orbit for orbit, _, _ in _orbit_walk(field, n, restrict_gl)]
 
 
-def conjugacy_class_count(
-    q: int,
-    n: int,
-    restrict_gl: bool = False,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> int:
-    return len(conjugacy_orbit_sizes(q, n, restrict_gl, budget))
-
-
 def max_class_size(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Largest conjugacy class size in GL_n, by the orbit walk."""
     return max(conjugacy_orbit_sizes(q, n, True, budget))

@@ -4,7 +4,8 @@ Everything here is plain integer arithmetic: group orders, q-analogues
 of factorials and binomial coefficients, and the matrix counts that have
 a closed formula or a simple recursion (projections, diagonalizable
 matrices, involutions in characteristic two, nilpotents, eigenvalue-free
-matrices, and the rank triangle).
+matrices, and the rank triangle).  Their Gaussian binomials come from one
+q-Pascal table, gaussian_rows; gaussian_binomial is the per-cell check.
 """
 
 from __future__ import annotations
@@ -157,21 +158,38 @@ def q_multinomial(q: int, parts: tuple[int, ...] | list[int]) -> int:
     return exact_div(num, den)
 
 
+def gaussian_rows(q: int, N: int) -> list[list[int]]:
+    """Rows n = 0 .. N of the Gaussian binomials, row n = [[n, 0]_q, ..., [n, n]_q].
+
+    Built by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]
+    (G. E. Andrews, The Theory of Partitions, ch. 3): n additions a row.
+    """
+    if N < 0:
+        raise ValueError("dimension must be >= 0")
+    rows = [[1]]
+    for n in range(1, N + 1):
+        prev = rows[-1]
+        rows.append([1] + [prev[k - 1] + q**k * prev[k] for k in range(1, n)] + [1])
+    return rows
+
+
+def complement_rows(q: int, N: int) -> list[list[int]]:
+    """Rows m = 0 .. N of q^(a(m-a)) [m, a]_q = |GL_m| / (|GL_a| |GL_(m-a)|),
+    the ordered pairs (U, W) of complementary subspaces of F_q^m with dim U = a."""
+    rows = gaussian_rows(q, N)
+    return [[q ** (a * (m - a)) * g for a, g in enumerate(row)] for m, row in enumerate(rows)]
+
+
 def subspace_total(q: int, n: int) -> int:
     """Total number of subspaces of F_q^n (sum of the Gaussian binomials)."""
-    return sum(gaussian_binomial(q, n, k) for k in range(n + 1))
+    return sum(gaussian_rows(q, n)[n])
 
 
 def rank_count(q: int, m: int, n: int, k: int) -> int:
-    """Number of m x n matrices over F_q of rank exactly k."""
+    """Number of m x n matrices over F_q of rank exactly k: [m, k]_q [n, k]_q |GL_k|."""
     if k < 0 or k > min(m, n):
         return 0
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= (q**m - q**i) * (q**n - q**i)
-        den *= q**k - q**i
-    return exact_div(num, den)
+    return gaussian_binomial(q, m, k) * gaussian_binomial(q, n, k) * gl_order(q, k)
 
 
 def _ordered_splittings(q: int, n: int, k: int) -> list[list[int]]:
@@ -180,17 +198,12 @@ def _ordered_splittings(q: int, n: int, k: int) -> list[list[int]]:
 
     A splitting with dimensions (n_1, ..., n_j) is counted
     gl_order(m) / prod gl_order(n_i) times.  Choosing the first part a
-    gives the convolution
-    S_j(m) = sum_{a >= 1} gl_order(m) / (gl_order(a) gl_order(m - a)) S_{j-1}(m - a).
+    gives the convolution S_j(m) = sum_{a >= 1} C(m, a) S_{j-1}(m - a)
+    over the complement counts C(m, a) of complement_rows.
     """
     if n < 0:
         raise ValueError("matrix size must be >= 0")
-    gl = [gl_order(q, m) for m in range(n + 1)]
-    # first[m][a]: complementary pairs (U, W) in F_q^m with dim U = a
-    first = [
-        [exact_div(gl[m], gl[a] * gl[m - a]) for a in range(m + 1)]
-        for m in range(n + 1)
-    ]
+    first = complement_rows(q, n)
     rows = [[1] + [0] * n]  # S_0(m): only the empty splitting of the zero space
     for _ in range(k):
         row = rows[-1]
@@ -232,14 +245,10 @@ def projection_count(q: int, n: int) -> int:
     """Number of n x n matrices P over F_q with P*P = P.
 
     A projection is determined by the ordered pair (image, kernel), which
-    form a direct sum; summing the ordered splitting counts over the image
+    form a direct sum; summing the complement counts over the image
     dimension gives the total.
     """
-    gn = gl_order(q, n)
-    total = 0
-    for k in range(n + 1):
-        total += exact_div(gn, gl_order(q, k) * gl_order(q, n - k))
-    return total
+    return sum(complement_rows(q, n)[n])
 
 
 def diagonalizable_counts(q: int, N: int) -> list[int]:

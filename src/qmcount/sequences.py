@@ -18,18 +18,16 @@ from typing import Callable, NamedTuple
 from .gfengine import CostExceeded, gf_counts, min_centralizer_orders
 from .qcount import (
     PrimePower,
+    complement_rows,
     diagonalizable_counts,
-    gaussian_binomial,
+    gaussian_rows,
     gl_order,
     involution_count_char2,
     linear_derangement_counts,
     nilpotent_count,
-    projection_count,
     q_factorial,
     q_stirling_rows,
-    rank_count,
     separable_class_count,
-    subspace_total,
 )
 
 
@@ -47,8 +45,9 @@ class UnsupportedSequence(ValueError):
 # each route ran in at most about two seconds at its largest admitted n,
 # at q = 2 and at q = 1000003 (2-core Xeon host, single runs).  The routes
 # that read one table per request (qbell, diagonalizable, qstirling_row,
-# lin_derangement) run far below their exponents; the exponents are kept
-# so that the admitted requests stay the same.
+# lin_derangement, qbinom_row, rank_row, subspaces_total, projection) run
+# far below their exponents; the exponents are kept so that the admitted
+# requests stay the same.
 MAX_FORMULA_WORK = 2 * 10**12
 
 
@@ -152,9 +151,16 @@ def _max_class(r: _Run):
     return lambda n: gl_order(r.q, n) // smallest(n)
 
 
-def _q_stirling(r: _Run):
-    rows = q_stirling_rows(r.q, r.max_n)
+def _cells(rows: list[list[int]]):
+    """A triangle's value function over its rows n = 0 .. N; zero beyond a row."""
     return lambda n, k: rows[n][k] if k <= n else 0
+
+
+def _rank_cells(r: _Run):
+    """The n x n matrices of rank k number [n, k]_q^2 |GL_k|."""
+    gl = [gl_order(r.q, k) for k in range(r.max_n + 1)]
+    rows = gaussian_rows(r.q, r.max_n)
+    return _cells([[g * g * gl[k] for k, g in enumerate(row)] for row in rows])
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,7 @@ _REGISTRY = {
     ),
     "subspaces_total": _Seq(
         0,
-        lambda r: partial(subspace_total, r.q),
+        lambda r: [sum(row) for row in gaussian_rows(r.q, r.max_n)].__getitem__,
         _oeis({q: f"A{6116 + q - 2:06d}" for q in range(2, 9)}),
         work=6,
     ),
@@ -205,7 +211,10 @@ _REGISTRY = {
     "proj_derangement": _Seq(0, _gf("projective_derangement")),
     "diagonalizable": _Seq(0, lambda r: diagonalizable_counts(r.q, r.max_n).__getitem__, work=7),
     "projection": _Seq(
-        0, lambda r: partial(projection_count, r.q), _oeis({3: "A053846"}), work=6
+        0,
+        lambda r: [sum(row) for row in complement_rows(r.q, r.max_n)].__getitem__,
+        _oeis({3: "A053846"}),
+        work=6,
     ),
     # guarded inside the route: only its k = 2, q = 2^e branch is closed-form
     "power_identity": _Seq(0, _power_identity, _power_identity_oeis, needs_k=True),
@@ -226,15 +235,15 @@ _REGISTRY = {
     "max_class": _Seq(1, _max_class, _oeis({2: "A070731"}, 1)),
     "qbinom_row": _Seq(
         0,
-        lambda r: partial(gaussian_binomial, r.q),
+        lambda r: _cells(gaussian_rows(r.q, r.max_n)),
         _oeis({q: f"A{22166 + q - 2:06d}" for q in range(2, 25)}),
         first_col=0,
         work=6,
     ),
-    "qstirling_row": _Seq(1, _q_stirling, first_col=1, work=8),
-    "rank_row": _Seq(
-        0, lambda r: lambda n, k: rank_count(r.q, n, n, k), first_col=0, work=6
+    "qstirling_row": _Seq(
+        1, lambda r: _cells(q_stirling_rows(r.q, r.max_n)), first_col=1, work=8
     ),
+    "rank_row": _Seq(0, _rank_cells, first_col=0, work=6),
 }
 
 SCALAR_NAMES = tuple(name for name, e in _REGISTRY.items() if e.first_col is None)

@@ -42,6 +42,7 @@ from .gfengine import (
 )
 from .qcount import (
     PrimePower,
+    complement_rows,
     diagonalizable_count,
     gaussian_binomial,
     gl_order,
@@ -417,6 +418,23 @@ def cross_route_checks() -> list[CheckResult]:
             for n in range(6)
         )
         _prop(results, "cross_route", f"rank counts sum to all matrices q={q}", ok, "rank total mismatch")
+
+    # the q-Pascal table routes against the product cells and group orders
+    for q in (2, 3, 4, 5):
+        ns = range(17)
+        cells = [[gaussian_binomial(q, n, k) for k in range(n + 1)] for n in ns]
+        ranks = [[rank_count(q, n, n, k) for k in range(n + 1)] for n in ns]
+        for label, name, want in (
+            ("q-Pascal rows vs product cells", "qbinom_row", cells),
+            ("rank rows vs rank_count", "rank_row", ranks),
+            ("subspace totals vs summed cells", "subspaces_total", [sum(r) for r in cells]),
+        ):
+            got = sequence_values(make_spec(name, q, min_n=0, max_n=16))
+            _check(results, "cross_route", f"{label} q={q}", got, want)
+        gl = [gl_order(q, n) for n in ns]
+        want = [[gl[m] // (gl[a] * gl[m - a]) for a in range(m + 1)] for m in ns]
+        got = complement_rows(q, 16)
+        _check(results, "cross_route", f"complement rows vs group orders q={q}", got, want)
 
     for q in (2, 3, 4, 5):
         _check(

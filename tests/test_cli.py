@@ -222,6 +222,25 @@ def test_sequences_does_not_import_the_oracle():
     assert not any("oracle" in name for name in imported)
 
 
+def test_every_top_level_import_is_used():
+    """Each name bound by a module-level import in src/qmcount is read in its
+    module; __init__ only re-exports, and __future__ binds nothing."""
+    unused = []
+    for path in sorted(Path(sequences.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert unused == []
+
+
 def test_verify_budget_limits_oracle_checks(capsys):
     oracle_checks = {}
     for budget in (10, 16):

@@ -10,10 +10,12 @@ from qmcount.gfengine import q_stirling_via_gf
 from qmcount.qcount import (
     CharNotTwo,
     PrimePower,
+    complement_rows,
     diagonalizable_count,
     diagonalizable_counts,
     exact_div,
     gaussian_binomial,
+    gaussian_rows,
     gl_order,
     gl_order_factored,
     involution_count_char2,
@@ -172,6 +174,40 @@ def test_rank_count():
                     assert rank_count(q, m, n, r) == rank_count(q, n, m, r)
     assert rank_count(2, 3, 3, 3) == gl_order(2, 3)
     assert rank_count(2, 2, 3, 3) == 0
+
+
+def _rank_count_by_products(q: int, m: int, n: int, k: int) -> int:
+    """The rank count as one quotient of products:
+    prod_{i<k} (q^m - q^i)(q^n - q^i) / prod_{i<k} (q^k - q^i)."""
+    num = den = 1
+    for i in range(k):
+        num *= (q**m - q**i) * (q**n - q**i)
+        den *= q**k - q**i
+    return exact_div(num, den)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_rank_count_matches_the_product_quotient(q):
+    for m in range(7):
+        for n in range(7):
+            for k in range(-1, 8):
+                want = _rank_count_by_products(q, m, n, k) if 0 <= k <= min(m, n) else 0
+                assert rank_count(q, m, n, k) == want, (m, n, k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_q_pascal_rows_match_the_cells_and_group_orders(q):
+    N = 14
+    gl = [gl_order(q, n) for n in range(N + 1)]
+    assert gaussian_rows(q, N) == [
+        [gaussian_binomial(q, n, k) for k in range(n + 1)] for n in range(N + 1)
+    ]
+    assert complement_rows(q, N) == [
+        [exact_div(gl[m], gl[a] * gl[m - a]) for a in range(m + 1)] for m in range(N + 1)
+    ]
+    assert gaussian_rows(q, 0) == complement_rows(q, 0) == [[1]]
+    with pytest.raises(ValueError):
+        gaussian_rows(q, -1)
 
 
 def test_q_stirling():

@@ -215,6 +215,37 @@ def test_triangle_rows_and_columns_match_the_cells(name, q):
         assert column_of(name, q, k, 0, 12) == want
 
 
+# each table route and the table function it reads in sequences
+TABLE_ROUTES = {
+    "qbinom_row": "gaussian_rows",
+    "rank_row": "gaussian_rows",
+    "qstirling_row": "q_stirling_rows",
+    "subspaces_total": "gaussian_rows",
+    "projection": "complement_rows",
+}
+
+
+@pytest.mark.parametrize("name", TABLE_ROUTES)
+def test_table_routes_build_one_table_per_request(monkeypatch, name):
+    """A route looks its table function up at call time and builds it once,
+    whether it serves rows, a column or a scalar run."""
+    ks = (None, 2) if name in TRIANGLE_NAMES else (None,)
+    specs = [make_spec(name, 3, k=k, max_n=9) for k in ks]
+    wants = [sequence_values(spec) for spec in specs]
+    table = getattr(sequences, TABLE_ROUTES[name])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(sequences, TABLE_ROUTES[name], counted)
+    for spec, want in zip(specs, wants):
+        calls.clear()
+        assert sequence_values(spec) == want
+        assert calls == [(3, 9)]
+
+
 def test_triangle_errors_come_in_order(monkeypatch):
     def refuse(*args):
         raise AssertionError("the route was built")
