@@ -12,10 +12,12 @@ dividing by a sparse factor such as 1 - q u^r costs O(N).  Division,
 recip and exp are one-pass recurrences, O(N * nnz).  Powers follow
 J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), O(N * nnz) too and
 independent of the exponent.  The semisimple cycle-index product runs on
-integers instead (gfengine.count_product), because its reduced Fractions
-carry large denominators; the cyclic and separable products, whose
-reduced Fractions stay small, run here.  verify checks all three count
-products on both engines.
+integers instead, as one exp of the summed per-degree logs
+(gfengine.count_product), because its reduced Fractions carry large
+denominators.  The cyclic and separable products, whose reduced Fractions
+stay small, run here: on the integer exp-log they take 1.2 to 1.9 times
+as long at q = 3 and q = 9.  verify checks all three count products on
+both engines.
 """
 
 from __future__ import annotations

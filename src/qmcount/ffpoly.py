@@ -172,34 +172,10 @@ class FieldSpec:
         self.neg_table = neg
         self.inv_table = [0] + [mul[x].index(1) for x in range(1, q)]
 
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         return self.inv_table[a]
-
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        result = 1
-        while k:
-            if k & 1:
-                result = self.mul_table[result][a]
-            k >>= 1
-            if k:
-                a = self.mul_table[a][a]
-        return result
 
     def embed_int(self, n: int) -> int:
         """The image of the integer n in the prime subfield."""

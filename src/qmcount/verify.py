@@ -340,8 +340,9 @@ def cross_route_checks() -> list[CheckResult]:
             gf_build("separable_alt", q, 12),
         )
 
-    # the count kinds on both product engines: integer-scaled counts with
-    # exact division, and the Fraction kernels (semisimple has no _alt form)
+    # the count kinds on both product engines: the integer exp of summed
+    # logs with exact division, and the Fraction power-and-multiply kernels
+    # (semisimple has no _alt form)
     for q in (2, 3, 4):
         for kind in ("semisimple", "cyclic", "separable"):
             rule = COUNT_FACTORS[kind]
@@ -349,8 +350,8 @@ def cross_route_checks() -> list[CheckResult]:
                 results,
                 "cross_route",
                 f"{kind}: integer vs Fraction product q={q}",
-                count_product(q, rule, 12),
-                nu_weighted_product(q, rule, 12),
+                count_product(q, rule, 24),
+                nu_weighted_product(q, rule, 24),
             )
 
     # over odd q the solutions of A^2 = I biject with projections

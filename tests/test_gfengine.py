@@ -181,12 +181,28 @@ def test_nu_weighted_product_trivial_and_validation():
 
 
 def test_count_product_matches_the_fraction_product():
-    for q in (2, 3, 4, 5, 7, 8, 9):
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
         for kind, rule in COUNT_FACTORS.items():
             for order in (0, 1, 7, 20):
                 assert count_product(q, rule, order) == nu_weighted_product(q, rule, order), (
                     kind, q, order,
                 )
+
+
+def test_division_by_one_minus_u_matches_the_reciprocal_product():
+    # gf_build divides by 1 - u; the reference multiplies by its reciprocal
+    for q in (2, 3, 4, 5):
+        for order in (0, 1, 7, 20):
+            recip = (TruncSeries.one(order) - TruncSeries.monomial(1, 1, order)).recip()
+            euler_inverse = factor_series(euler_rule, q, 1, order).recip()
+            expected = {
+                "cyclic_alt": recip * nu_weighted_product(q, cyclic_alt_rule, order),
+                "separable_alt": recip * nu_weighted_product(q, separable_alt_rule, order),
+                "linear_derangement": recip * euler_inverse,
+                "projective_derangement": recip * euler_inverse ** (q - 1),
+            }
+            for kind, series in expected.items():
+                assert gf_build(kind, q, order) == series, (kind, q, order)
 
 
 def test_count_product_rejects_factors_that_are_not_counts():
