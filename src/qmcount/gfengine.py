@@ -234,88 +234,101 @@ def nu_weighted_product(q: int, rule, order: int) -> TruncSeries:
     return result
 
 
-def _weight_rows(q: int, order: int):
+def _scales(q: int, order: int, gl: bool) -> list[int]:
+    """S_n for n = 0 .. order: |GL_n(q)| = q^(n(n-1)/2) prod_(i<=n) (q^i - 1)
+    when gl, else D_n = q^n prod_(i<=n) (q^i - 1)."""
+    scales = [1]
+    for n in range(1, order + 1):
+        scales.append(scales[-1] * q ** (n - 1 if gl else 1) * (q**n - 1))
+    return scales
+
+
+def _weight_rows(q: int, order: int, gl: bool):
     """Yield (n, [W(n, k) for k = 0 .. n]) for n = 0 .. order.
 
-    W(n, k) = |GL_n| / (|GL_k| |GL_(n-k)|) = q^(k(n-k)) [n, k]_q multiplies
-    two integer-scaled coefficients into the scaled coefficient of their
-    product.  One row is held and updated in place between yields, by
-    W(n, k) = W(n-1, k) q^k (q^n - 1) / (q^(n-k) - 1).
+    W(n, k) = S_n / (S_k S_(n-k)) multiplies two scaled coefficients into
+    the scaled coefficient of their product (S_n as in _scales).  It is
+    the Gaussian binomial [n, k]_q for D_n and q^(k(n-k)) [n, k]_q for
+    |GL_n|.  One row is held and updated in place between yields, by the
+    q-Pascal rule W(n, k) = q^(s(n-k)) W(n-1, k-1) + q^((1+s)k) W(n-1, k),
+    s = 1 for |GL_n| and 0 for D_n.
     """
-    pw = [q**m for m in range(order + 1)]
+    s = int(gl)
+    pw = [q**m for m in range((1 + s) * order + 1)]
     row: list[int] = []
     for n in range(order + 1):
-        up = pw[n] - 1
-        for k in range(1, n):
-            row[k] = row[k] * (pw[k] * up) // (pw[n - k] - 1)
+        for k in range(n - 1, 0, -1):
+            row[k] = pw[s * (n - k)] * row[k - 1] + pw[(1 + s) * k] * row[k]
         row.append(1)
         yield n, row
 
 
-def count_product(q: int, rule, order: int) -> TruncSeries:
-    """nu_weighted_product for factors whose coefficients are counts.
+def count_product(q: int, rule, order: int, gl: bool) -> TruncSeries:
+    """nu_weighted_product for factors whose scaled coefficients are integers.
 
+    A series a is carried as A_n = a_n S_n, with S_n = |GL_n| when gl and
+    D_n = q^n prod_(i<=n) (q^i - 1) otherwise, and its log l as
+    L_n = n l_n S_n, so b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k).
     When every factor, read in v = u^d with Q = q^d, has integer scaled
-    coefficients F_m = rule(Q, m) |GL_m(Q)| (the m x m nilpotent matrices
-    over F_Q of the Jordan types the kind allows), the product is the exp
-    of the summed logs of the factors, and both run on integers.  A series
-    a is carried as A_n = a_n |GL_n|, and its log l as L_n = n l_n |GL_n|,
-    so b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k).
+    coefficients F_m = rule(Q, m) S_m(Q), the product is the exp of the
+    summed logs of the factors, and both run on integers.
 
     Per degree d the factor's log is G_m = m F_m - sum_(j<m) W_Q(m, j)
     G_j F_(m-j), with no division.  Its nu_d copies in u^d add
-    nu_d d G_m |GL_(md)(q)| / |GL_m(Q)| to L_(md).  One exp then gives A_n
+    nu_d d G_m S_(md)(q) / S_m(Q) to L_(md).  One exp then gives A_n
     with exact division by n.  A factor coefficient that does not scale
     to an integer, or an inexact division, raises NonIntegralCount.  The
-    result is the same series as nu_weighted_product's,
-    a_n = A_n / |GL_n(q)|.
+    result is the same series as nu_weighted_product's, a_n = A_n / S_n(q).
     """
-    gl = [gl_order(q, n) for n in range(order + 1)]
+    scales = _scales(q, order, gl)
     log = [0] * (order + 1)
     for d in range(1, order + 1):
-        Q, nu = q**d, irreducible_poly_count(q, d)
-        coeffs = _in_v(rule, Q, order // d)
-        factor, glog, gl_Q = [1], [0], 1
-        for m, w in _weight_rows(Q, order // d):
+        Q, nu, top = q**d, irreducible_poly_count(q, d), order // d
+        coeffs, scales_Q = _in_v(rule, Q, top), _scales(Q, top, gl)
+        factor, glog = [1], [0]
+        for m, w in _weight_rows(Q, top, gl):
             if not m:
                 continue
-            gl_Q *= Q ** (m - 1) * (Q**m - 1)
-            count = coeffs[m] * gl_Q
-            if count.denominator != 1:
+            scaled = coeffs[m] * scales_Q[m]
+            if scaled.denominator != 1:
                 raise NonIntegralCount(
-                    f"the degree-{d} factor at u^{m * d} scales to non-integer {count}"
+                    f"the degree-{d} factor at u^{m * d} scales to non-integer {scaled}"
                 )
-            factor.append(count.numerator)
+            factor.append(scaled.numerator)
             g = m * factor[m]
             for j in range(1, m):
                 if glog[j] and factor[m - j]:
                     g -= w[j] * glog[j] * factor[m - j]
             glog.append(g)
-            total, rem = divmod(nu * d * g * gl[m * d], gl_Q)
+            total, rem = divmod(nu * d * g * scales[m * d], scales_Q[m])
             if rem:
                 raise NonIntegralCount(
-                    f"the log of the degree-{d} factors is not a count at u^{m * d}"
+                    f"the log of the degree-{d} factors is not an integer at u^{m * d}"
                 )
             log[m * d] += total
-    scaled = []
-    for n, w in _weight_rows(q, order):
-        total = sum(w[k] * log[k] * scaled[n - k] for k in range(1, n + 1) if log[k])
+    product = []
+    for n, w in _weight_rows(q, order, gl):
+        total = sum(w[k] * log[k] * product[n - k] for k in range(1, n + 1) if log[k])
         b, rem = divmod(total, n) if n else (1, 0)
         if rem:
-            raise NonIntegralCount(f"the product is not a count at u^{n}")
-        scaled.append(b)
-    return TruncSeries([Fraction(a, g) for a, g in zip(scaled, gl)], order)
+            raise NonIntegralCount(f"the product is not an integer at u^{n}")
+        product.append(b)
+    return TruncSeries([Fraction(a, s) for a, s in zip(product, scales)], order)
 
 
-# kind -> its per-polynomial rule.  Each rule(Q, m) scaled by |GL_m(Q)|
-# counts matrices, so count_product can multiply these out as an integer
-# exp-log.  gf_build uses it for semisimple only: the reduced Fractions of
-# the cyclic and separable products stay small, and at q = 3 and q = 9 the
-# Fraction kernels build them in 0.54 to 0.82 of the exp-log's time.
+# kind -> (its per-polynomial rule, whether count_product scales it by
+# |GL_n| rather than by D_n = q^n (q - 1)(q^2 - 1)...(q^n - 1)).  Every
+# cyclic, separable and _alt coefficient has a denominator dividing
+# Q^m (Q - 1)...(Q^m - 1), so D_n scaling keeps them integers at about
+# half the bits of |GL_n|; unit_rule's 1 / |GL_m(Q)| needs the power
+# Q^(m(m-1)/2) of |GL_m(Q)|.  gf_build multiplies out all five on the
+# integer exp-log and divides the _alt products by 1 - u.
 COUNT_FACTORS = {
-    "cyclic": cyclic_rule,
-    "semisimple": unit_rule,
-    "separable": separable_rule,
+    "semisimple": (unit_rule, True),
+    "cyclic": (cyclic_rule, False),
+    "separable": (separable_rule, False),
+    "cyclic_alt": (cyclic_alt_rule, False),
+    "separable_alt": (separable_alt_rule, False),
 }
 
 
@@ -397,15 +410,11 @@ def gf_build(kind: str, q: int, order: int, k: int | None = None) -> TruncSeries
             result = result * factor_series(unit_rule, q, d, order)
         return result
 
-    if kind == "semisimple":
-        return count_product(q, unit_rule, order)
-
     if kind in COUNT_FACTORS:
-        return nu_weighted_product(q, COUNT_FACTORS[kind], order)
-
-    if kind in ("cyclic_alt", "separable_alt"):
-        rule = cyclic_alt_rule if kind == "cyclic_alt" else separable_alt_rule
-        return nu_weighted_product(q, rule, order) / _one_minus_u(order)
+        rule, gl = COUNT_FACTORS[kind]
+        product = count_product(q, rule, order, gl)
+        # the _alt factors carry 1 - u^d / q^d, whose product is 1 - u
+        return product / _one_minus_u(order) if kind.endswith("_alt") else product
 
     if kind == "conjclasses_all":
         result = TruncSeries.one(order)

@@ -340,17 +340,16 @@ def cross_route_checks() -> list[CheckResult]:
             gf_build("separable_alt", q, 12),
         )
 
-    # the count kinds on both product engines: the integer exp of summed
-    # logs with exact division, and the Fraction power-and-multiply kernels
-    # (semisimple has no _alt form)
+    # every product gf_build runs on integers, on both product engines: the
+    # integer exp of summed logs with exact division, and the Fraction
+    # power-and-multiply kernels
     for q in (2, 3, 4):
-        for kind in ("semisimple", "cyclic", "separable"):
-            rule = COUNT_FACTORS[kind]
+        for kind, (rule, gl) in COUNT_FACTORS.items():
             _check(
                 results,
                 "cross_route",
                 f"{kind}: integer vs Fraction product q={q}",
-                count_product(q, rule, 24),
+                count_product(q, rule, 24, gl),
                 nu_weighted_product(q, rule, 24),
             )
 

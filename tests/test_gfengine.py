@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -181,12 +182,15 @@ def test_nu_weighted_product_trivial_and_validation():
 
 
 def test_count_product_matches_the_fraction_product():
+    assert set(COUNT_FACTORS) == {
+        "semisimple", "cyclic", "separable", "cyclic_alt", "separable_alt",
+    }
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
-        for kind, rule in COUNT_FACTORS.items():
+        for kind, (rule, gl) in COUNT_FACTORS.items():
             for order in (0, 1, 7, 20):
-                assert count_product(q, rule, order) == nu_weighted_product(q, rule, order), (
-                    kind, q, order,
-                )
+                assert count_product(q, rule, order, gl) == nu_weighted_product(
+                    q, rule, order
+                ), (kind, q, order)
 
 
 def test_division_by_one_minus_u_matches_the_reciprocal_product():
@@ -206,11 +210,33 @@ def test_division_by_one_minus_u_matches_the_reciprocal_product():
 
 
 def test_count_product_rejects_factors_that_are_not_counts():
-    # cyclic_alt's factor 1 + u^d / (q^d (q^d - 1)) scales to 1/q at d = 1
-    with pytest.raises(NonIntegralCount):
-        count_product(2, cyclic_alt_rule, 8)
-    with pytest.raises(ValueError):
-        count_product(2, lambda Q, m: 0, 8)
+    # 1 + u^d / (Q + 1): Q + 1 divides neither Q - 1 nor Q (Q - 1)
+    def rule(Q: int, m: int) -> Fraction:
+        return (Fraction(1), Fraction(1, Q + 1))[m] if m < 2 else Fraction(0)
+
+    for gl in (False, True):
+        with pytest.raises(NonIntegralCount, match="scales to non-integer"):
+            count_product(2, rule, 8, gl)
+        with pytest.raises(ValueError):
+            count_product(2, lambda Q, m: 0, 8, gl)
+    # 1 / |GL_4(Q)| times D_4(Q) leaves Q^4 / Q^6
+    with pytest.raises(NonIntegralCount, match=r"at u\^4 scales"):
+        count_product(2, unit_rule, 8, False)
+
+
+# SHA-256 of repr((kind, q, gf_counts(kind, q, order))) for the five
+# cycle-index product kinds at (q, order) = (2, 119), (3, 60) and (9, 40),
+# recorded from the counts as built when only semisimple ran on the integer
+# exp-log and the other four kinds on the Fraction kernels.
+PRODUCT_COUNTS_SHA256 = "d61c0b74b5701f4c3483a7efd467e7ad82c471ec708776b8fdff83b0351ef487"
+
+
+def test_product_counts_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for q, order in ((2, 119), (3, 60), (9, 40)):
+        for kind in ("cyclic", "separable", "cyclic_alt", "separable_alt", "semisimple"):
+            digest.update(repr((kind, q, gf_counts(kind, q, order))).encode())
+    assert digest.hexdigest() == PRODUCT_COUNTS_SHA256
 
 
 def test_cost_guards():
