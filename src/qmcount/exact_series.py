@@ -11,14 +11,13 @@ The kernels walk only the nonzero coefficients, so multiplying or
 dividing by a sparse factor such as 1 - q u^r costs O(N).  Division,
 recip and exp are one-pass recurrences, O(N * nnz).  Powers follow
 J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), O(N * nnz) too and
-independent of the exponent.  The cycle-index products over all monic
-irreducibles (semisimple, cyclic, separable and the two _alt forms) run
-on integers instead, as one exp of the summed per-degree logs
-(gfengine.count_product): near the largest admitted orders at q = 2, 3
-and 9, the cyclic, separable and _alt products build there 1.7 to 4.8
-times as fast as by a Fraction power per degree multiplied into the full
-product.  That Fraction product, gfengine.nu_weighted_product, stays as
-the independent engine that verify compares every integer product with.
+independent of the exponent.
+
+These kernels are the reference engine only.  Every generating function
+gfengine serves is built on scaled integers and only handed back as a
+TruncSeries (gfengine.gf_build); verify and the tests multiply each one
+out here a second time, from gfengine.factor_series and
+gfengine.nu_weighted_product, and compare.
 """
 
 from __future__ import annotations

@@ -11,6 +11,14 @@ polynomial only through Q = q^deg(phi), so each is declared once, as a
 rule(Q, m) giving its coefficient of u^(m deg(phi)); factor_series and
 the two product engines read only that declaration.
 
+Every kind gf_build serves is built on integers, with exact division
+throughout: a normalized series (below) is carried as a_n S_n, with
+S_n = |GL_n(q)| or D_n = q^n (q - 1)...(q^n - 1), a product of factors
+as one exp of their summed logs (count_product), and the conjugacy class
+series by integer loops over one list.  The Fraction kernels of
+exact_series, with factor_series and nu_weighted_product on top, are
+only the reference engine that verify and the tests compare them with.
+
 A "normalized" series is one whose u^n coefficient must be multiplied by
 gl_order(q, n) to give the matrix count; the conjugacy class series are
 plain ordinary generating functions.
@@ -219,7 +227,8 @@ def separable_alt_rule(Q: int, m: int) -> Fraction:
 
 
 def nu_weighted_product(q: int, rule, order: int) -> TruncSeries:
-    """prod_{d=1..order} factor_d ** nu_d, with nu_d the irreducible count.
+    """prod_{d=1..order} factor_d ** nu_d, with nu_d the irreducible count,
+    on the Fraction kernels: the reference for count_product.
 
     factor_d is rule's factor for one polynomial of degree d, so degrees
     beyond `order` contribute nothing and the product is exact to the
@@ -263,27 +272,34 @@ def _weight_rows(q: int, order: int, gl: bool):
         yield n, row
 
 
-def count_product(q: int, rule, order: int, gl: bool) -> TruncSeries:
-    """nu_weighted_product for factors whose scaled coefficients are integers.
+def _scaled_exp(q: int, log: list[int], gl: bool) -> list[int]:
+    """A_n = a_n S_n of a = exp(l), from L_n = n l_n S_n with L_0 = 0.
 
-    A series a is carried as A_n = a_n S_n, with S_n = |GL_n| when gl and
-    D_n = q^n prod_(i<=n) (q^i - 1) otherwise, and its log l as
-    L_n = n l_n S_n, so b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k).
-    When every factor, read in v = u^d with Q = q^d, has integer scaled
-    coefficients F_m = rule(Q, m) S_m(Q), the product is the exp of the
-    summed logs of the factors, and both run on integers.
-
-    Per degree d the factor's log is G_m = m F_m - sum_(j<m) W_Q(m, j)
-    G_j F_(m-j), with no division.  Its nu_d copies in u^d add
-    nu_d d G_m S_(md)(q) / S_m(Q) to L_(md).  One exp then gives A_n
-    with exact division by n.  A factor coefficient that does not scale
-    to an integer, or an inexact division, raises NonIntegralCount.  The
-    result is the same series as nu_weighted_product's, a_n = A_n / S_n(q).
+    b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k); the division by n
+    must be exact, or NonIntegralCount is raised.
     """
+    product: list[int] = []
+    for n, w in _weight_rows(q, len(log) - 1, gl):
+        total = sum(w[k] * log[k] * product[n - k] for k in range(1, n + 1) if log[k])
+        b, rem = divmod(total, n) if n else (1, 0)
+        if rem:
+            raise NonIntegralCount(f"the product is not an integer at u^{n}")
+        product.append(b)
+    return product
+
+
+def _scaled_product(q: int, rule, order: int, gl: bool, copies) -> list[int]:
+    """The scaled coefficients A_n = a_n S_n of count_product's product."""
     scales = _scales(q, order, gl)
+    if copies is None:
+        copies = {d: irreducible_poly_count(q, d) for d in range(1, order + 1)}
     log = [0] * (order + 1)
-    for d in range(1, order + 1):
-        Q, nu, top = q**d, irreducible_poly_count(q, d), order // d
+    for d, nu in copies.items():
+        if d < 1:
+            raise ValueError("polynomial degree must be >= 1")
+        if d > order or not nu:
+            continue
+        Q, top = q**d, order // d
         coeffs, scales_Q = _in_v(rule, Q, top), _scales(Q, top, gl)
         factor, glog = [1], [0]
         for m, w in _weight_rows(Q, top, gl):
@@ -306,14 +322,67 @@ def count_product(q: int, rule, order: int, gl: bool) -> TruncSeries:
                     f"the log of the degree-{d} factors is not an integer at u^{m * d}"
                 )
             log[m * d] += total
-    product = []
-    for n, w in _weight_rows(q, order, gl):
-        total = sum(w[k] * log[k] * product[n - k] for k in range(1, n + 1) if log[k])
-        b, rem = divmod(total, n) if n else (1, 0)
-        if rem:
-            raise NonIntegralCount(f"the product is not an integer at u^{n}")
-        product.append(b)
-    return TruncSeries([Fraction(a, s) for a, s in zip(product, scales)], order)
+    return _scaled_exp(q, log, gl)
+
+
+def count_product(q: int, rule, order: int, gl: bool, copies=None) -> TruncSeries:
+    """prod_d factor_d ** copies[d] on integers; copies defaults to nu_d.
+
+    factor_d is rule's factor for one polynomial of degree d, and a copy
+    count may be negative: with copies = nu_d, the irreducible count, this
+    is nu_weighted_product's product.  A series a is carried as
+    A_n = a_n S_n, with S_n = |GL_n| when gl and
+    D_n = q^n prod_(i<=n) (q^i - 1) otherwise, and its log l as
+    L_n = n l_n S_n, so b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k).
+    When every factor, read in v = u^d with Q = q^d, has integer scaled
+    coefficients F_m = rule(Q, m) S_m(Q), the product is the exp of the
+    summed logs of the factors, and both run on integers.
+
+    Per degree d the factor's log is G_m = m F_m - sum_(j<m) W_Q(m, j)
+    G_j F_(m-j), with no division.  Its copies in u^d add
+    copies[d] d G_m S_(md)(q) / S_m(Q) to L_(md).  One exp then gives A_n
+    with exact division by n.  A factor coefficient that does not scale
+    to an integer, or an inexact division, raises NonIntegralCount.
+    gf_build and gf_counts read the integers A_n; this returns the series
+    a_n = A_n / S_n(q) for verify and the tests, which compare it with
+    nu_weighted_product and the other Fraction kernels, now only the
+    reference engine.
+    """
+    return _unscaled(_scaled_product(q, rule, order, gl, copies), q, gl)
+
+
+def _unscaled(values: list[int], q: int, gl: bool | None) -> TruncSeries:
+    """The series a_n = values[n] / S_n, S_n as _scaled_build reads gl."""
+    order = len(values) - 1
+    if gl is None:
+        return TruncSeries(values, order)
+    return TruncSeries([Fraction(a, s) for a, s in zip(values, _scales(q, order, gl))], order)
+
+
+def _divide_by_one_minus_u(values: list[int], q: int, gl: bool) -> None:
+    """Divide a scaled series by 1 - u in place: b_n = a_n + b_(n-1), so
+    B_n = A_n + (S_n / S_(n-1)) B_(n-1)."""
+    for n in range(1, len(values)):
+        values[n] += q ** (n - 1 if gl else 1) * (q**n - 1) * values[n - 1]
+
+
+def _class_counts(q: int, order: int, gl: bool) -> list[int]:
+    """prod_(r>=1) 1 / (1 - q u^r), times prod_(r>=1) (1 - u^r) when gl.
+
+    Every monic irreducible of degree d carries a partition, counted by
+    prod_r 1 / (1 - u^(r d)), and the product over all of them is
+    prod_r 1 / (1 - q u^r); an invertible class gives z no partition,
+    which takes out z's factors 1 / (1 - u^r).  Both run in place on one
+    list of integers.
+    """
+    c = [1] + [0] * order
+    for r in range(1, order + 1):
+        if gl:
+            for n in range(order, r - 1, -1):
+                c[n] -= c[n - r]
+        for n in range(r, order + 1):
+            c[n] += q * c[n - r]
+    return c
 
 
 # kind -> (its per-polynomial rule, whether count_product scales it by
@@ -330,10 +399,6 @@ COUNT_FACTORS = {
     "cyclic_alt": (cyclic_alt_rule, False),
     "separable_alt": (separable_alt_rule, False),
 }
-
-
-def _one_minus_u(order: int) -> TruncSeries:
-    return TruncSeries.one(order) - TruncSeries.monomial(1, 1, order)
 
 
 # tag -> True when the u^n coefficient must be scaled by gl_order(q, n)
@@ -354,12 +419,44 @@ GF_KINDS: dict[str, bool] = {
     "bell": True,
 }
 
+# the kinds gf_build divides by 1 - u: the invertible series is 1 / (1 - u),
+# the derangement kinds are it without some factors, and the _alt factors
+# carry 1 - u^d / q^d, whose product over every monic irreducible is 1 - u
+_OVER_ONE_MINUS_U = frozenset(
+    ("invertible_check", "linear_derangement", "projective_derangement", "cyclic_alt", "separable_alt")
+)
 
-def gf_build(kind: str, q: int, order: int, k: int | None = None) -> TruncSeries:
-    """Build the truncated generating function for one matrix class.
 
-    Normalized kinds (see GF_KINDS) carry count_n / gl_order(q, n) as the
-    u^n coefficient; the conjugacy class kinds carry the count itself.
+def _product_factors(kind: str, pp: PrimePower, k: int | None):
+    """(rule, gl, copies) of a product kind, as count_product takes them."""
+    if kind in COUNT_FACTORS:
+        return (*COUNT_FACTORS[kind], None)
+    if kind in ("linear_derangement", "projective_derangement"):
+        # the invertible series without the factor of z - 1, or of every
+        # z - c with c != 0; euler_rule scales to integers by D_n too
+        return euler_rule, False, {1: -1 if kind == "linear_derangement" else 1 - pp.q}
+    if kind == "diagonalizable":
+        return unit_rule, True, {1: pp.q}
+    if kind == "projection":
+        return unit_rule, True, {1: 2}  # the eigenvalues 0 and 1
+    if k is None:
+        raise BadKindParams("power_identity needs the exponent k")
+    if k < 1:
+        raise BadKindParams("the exponent k must be >= 1")
+    if k % pp.p == 0:
+        raise BadKindParams(f"z^{k} - 1 is not square-free in characteristic {pp.p}")
+    try:
+        return unit_rule, True, Counter(cyclotomic_factor_degrees(pp.q, k))
+    except NotCoprime as exc:
+        raise BadKindParams(str(exc)) from exc
+
+
+def _scaled_build(kind: str, q: int, order: int, k: int | None) -> tuple[list[int], bool | None]:
+    """Check a request and build its series on integers, as (values, gl).
+
+    values[n] is a_n S_n, with S_n = |GL_n| when gl is True and
+    D_n = q^n prod_(i<=n) (q^i - 1) when gl is False; the conjugacy class
+    series (gl None) carry a_n itself.
     """
     if kind not in GF_KINDS:
         raise BadKindParams(f"unknown generating function kind {kind!r}")
@@ -376,66 +473,31 @@ def gf_build(kind: str, q: int, order: int, k: int | None = None) -> TruncSeries
     if kind != "power_identity" and k is not None:
         raise BadKindParams(f"kind {kind!r} does not take a power k")
 
-    if kind == "invertible_check":
-        return _one_minus_u(order).recip()
-
-    if kind == "linear_derangement":
-        return factor_series(euler_rule, q, 1, order).recip() / _one_minus_u(order)
-
-    if kind == "projective_derangement":
-        removed = factor_series(euler_rule, q, 1, order).recip() ** (q - 1)
-        return removed / _one_minus_u(order)
-
-    if kind == "diagonalizable":
-        return factor_series(unit_rule, q, 1, order) ** q
-
-    if kind == "projection":
-        return factor_series(unit_rule, q, 1, order) ** 2
-
-    if kind == "power_identity":
-        if k is None:
-            raise BadKindParams("power_identity needs the exponent k")
-        if k < 1:
-            raise BadKindParams("the exponent k must be >= 1")
-        if k % pp.p == 0:
-            raise BadKindParams(
-                f"z^{k} - 1 is not square-free in characteristic {pp.p}"
-            )
-        try:
-            degrees = cyclotomic_factor_degrees(q, k)
-        except NotCoprime as exc:
-            raise BadKindParams(str(exc)) from exc
-        result = TruncSeries.one(order)
-        for d in degrees:
-            result = result * factor_series(unit_rule, q, d, order)
-        return result
-
-    if kind in COUNT_FACTORS:
-        rule, gl = COUNT_FACTORS[kind]
-        product = count_product(q, rule, order, gl)
-        # the _alt factors carry 1 - u^d / q^d, whose product is 1 - u
-        return product / _one_minus_u(order) if kind.endswith("_alt") else product
-
-    if kind == "conjclasses_all":
-        result = TruncSeries.one(order)
-        for r in range(1, order + 1):
-            result = result / (TruncSeries.one(order) - TruncSeries.monomial(q, r, order))
-        return result
-
-    if kind == "conjclasses_gl":
-        result = TruncSeries.one(order)
-        for r in range(1, order + 1):
-            result = (
-                result
-                * (TruncSeries.one(order) - TruncSeries.monomial(1, r, order))
-                / (TruncSeries.one(order) - TruncSeries.monomial(q, r, order))
-            )
-        return result
-
+    if kind in ("conjclasses_all", "conjclasses_gl"):
+        return _class_counts(q, order, kind == "conjclasses_gl"), None
     if kind == "bell":
-        return (factor_series(unit_rule, q, 1, order) - 1).exp()
+        # exp of the unit sum sum_(r>=1) u^r / |GL_r|, whose L_r is r
+        return _scaled_exp(q, list(range(order + 1)), True), True
 
-    raise BadKindParams(f"unhandled kind {kind!r}")  # unreachable
+    if kind == "invertible_check":
+        values, gl = [1] + [0] * order, True  # the empty product
+    else:
+        rule, gl, copies = _product_factors(kind, pp, k)
+        values = _scaled_product(q, rule, order, gl, copies)
+    if kind in _OVER_ONE_MINUS_U:
+        _divide_by_one_minus_u(values, q, gl)
+    return values, gl
+
+
+def gf_build(kind: str, q: int, order: int, k: int | None = None) -> TruncSeries:
+    """Build the truncated generating function for one matrix class.
+
+    Normalized kinds (see GF_KINDS) carry count_n / gl_order(q, n) as the
+    u^n coefficient; the conjugacy class kinds carry the count itself.
+    The series is built on integers and divided by its scales once.
+    """
+    values, gl = _scaled_build(kind, q, order, k)
+    return _unscaled(values, q, gl)
 
 
 def extract_count(gf: TruncSeries, n: int, q: int, normalized: bool = True) -> int:
@@ -455,10 +517,26 @@ def extract_count(gf: TruncSeries, n: int, q: int, normalized: bool = True) -> i
 
 
 def gf_counts(kind: str, q: int, order: int, k: int | None = None) -> list[int]:
-    """The counts for n = 0 .. order read off gf_build(kind, q, order, k),
-    each scaled by gl_order(q, n) when the kind is normalized."""
-    gf = gf_build(kind, q, order, k)
-    return [extract_count(gf, n, q, GF_KINDS[kind]) for n in range(order + 1)]
+    """The counts for n = 0 .. order of gf_build(kind, q, order, k), read
+    off its integers: a |GL_n|-scaled coefficient is the count itself, and
+    a D_n-scaled one is multiplied by |GL_n| / D_n = q^(n(n-3)/2) exactly.
+    Each count must come out a non-negative integer, as in extract_count."""
+    counts, gl = _scaled_build(kind, q, order, k)
+    if gl is False:
+        for n, c in enumerate(counts):
+            e = n * (n - 3) // 2
+            if e >= 0:
+                counts[n] = c * q**e
+            elif c % q**-e:
+                raise NonIntegralCount(
+                    f"coefficient of u^{n} scales to non-integer {Fraction(c, q**-e)}"
+                )
+            else:
+                counts[n] = c // q**-e
+    for n, c in enumerate(counts):
+        if c < 0:
+            raise NonIntegralCount(f"coefficient of u^{n} scales to negative {c}")
+    return counts
 
 
 def q_stirling_via_gf(q: int, n: int, k: int) -> int:

@@ -39,6 +39,7 @@ from .gfengine import (
     nu_weighted_product,
     partitions_of,
     q_stirling_via_gf,
+    unit_rule,
 )
 from .qcount import (
     PrimePower,
@@ -266,6 +267,41 @@ def identity_checks() -> list[CheckResult]:
 # --------------------------------------------------------------- cross_route
 
 
+# exponents k of the power_identity checks, prime to every characteristic
+_POWER_KS = (1, 5, 7)
+
+
+def _fraction_builds(q: int, order: int) -> dict:
+    """Every gf_build kind outside COUNT_FACTORS, multiplied out on the
+    TruncSeries kernels (power_identity as a tuple over _POWER_KS)."""
+    one = TruncSeries.one(order)
+    one_minus_u = one - TruncSeries.monomial(1, 1, order)
+    euler_inverse = factor_series(euler_rule, q, 1, order).recip()
+    unit = factor_series(unit_rule, q, 1, order)
+    roots_of_one = []
+    for k in _POWER_KS:
+        product = one
+        for d in cyclotomic_factor_degrees(q, k):
+            product = product * factor_series(unit_rule, q, d, order)
+        roots_of_one.append(product)
+    classes_all = classes_gl = one
+    for r in range(1, order + 1):
+        one_minus_qu = one - TruncSeries.monomial(q, r, order)
+        classes_all = classes_all / one_minus_qu
+        classes_gl = classes_gl * (one - TruncSeries.monomial(1, r, order)) / one_minus_qu
+    return {
+        "invertible_check": one_minus_u.recip(),
+        "linear_derangement": euler_inverse / one_minus_u,
+        "projective_derangement": euler_inverse ** (q - 1) / one_minus_u,
+        "diagonalizable": unit**q,
+        "projection": unit**2,
+        "power_identity": tuple(roots_of_one),
+        "conjclasses_all": classes_all,
+        "conjclasses_gl": classes_gl,
+        "bell": (unit - 1).exp(),
+    }
+
+
 def cross_route_checks() -> list[CheckResult]:
     results: list[CheckResult] = []
 
@@ -352,6 +388,16 @@ def cross_route_checks() -> list[CheckResult]:
                 count_product(q, rule, 24, gl),
                 nu_weighted_product(q, rule, 24),
             )
+
+    # every other kind gf_build serves, built on integers, against the
+    # formula that multiplies it out on the TruncSeries kernels
+    for q in (2, 3, 4):
+        for kind, want in _fraction_builds(q, 24).items():
+            if kind == "power_identity":
+                got = tuple(gf_build(kind, q, 24, k) for k in _POWER_KS)
+            else:
+                got = gf_build(kind, q, 24)
+            _check(results, "cross_route", f"{kind}: integer vs Fraction build q={q}", got, want)
 
     # over odd q the solutions of A^2 = I biject with projections
     for q in (3, 5):

@@ -239,6 +239,105 @@ def test_product_counts_match_the_pinned_digest():
     assert digest.hexdigest() == PRODUCT_COUNTS_SHA256
 
 
+# (kind, q, order, k) for the kinds that were multiplied out on the
+# Fraction kernels before they moved to integers: the benchmark's sizes,
+# three kinds at every q <= 9, and the largest orders MAX_SERIES_WORK
+# admits at q = 2, 3 and 9.
+MOVED_COUNT_CASES = (
+    [
+        ("conjclasses_gl", 2, 120, None),
+        ("conjclasses_all", 3, 60, None),
+        ("projective_derangement", 4, 60, None),
+        ("bell", 2, 60, None),
+        ("linear_derangement", 3, 60, None),
+        ("power_identity", 2, 60, 3),
+        ("power_identity", 3, 40, 8),
+    ]
+    + [
+        (kind, q, 30, None)
+        for q in (2, 3, 4, 5, 7, 8, 9)
+        for kind in ("invertible_check", "diagonalizable", "projection")
+    ]
+    + [
+        (kind, q, order, None)
+        for q, order in ((2, 149), (3, 128), (9, 109))
+        for kind in ("invertible_check", "conjclasses_all", "conjclasses_gl")
+    ]
+    + [
+        ("bell", 2, 149, None),
+        ("projective_derangement", 2, 149, None),
+        ("linear_derangement", 9, 109, None),
+    ]
+)
+
+# SHA-256 of repr((case, [hex(c) for c in gf_counts(*case)])) over
+# MOVED_COUNT_CASES, recorded from the Fraction-kernel builds.
+MOVED_COUNTS_SHA256 = "53379e318cf77f085615cce39289bcd61d84b1351b0a95272002183baf8af76e"
+
+
+def test_moved_kind_counts_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for case in MOVED_COUNT_CASES:
+        digest.update(repr((case, [hex(c) for c in gf_counts(*case)])).encode())
+    assert digest.hexdigest() == MOVED_COUNTS_SHA256
+    # one order past each edge is still refused before any work
+    for q, order in ((2, 150), (3, 129), (9, 110)):
+        for kind in ("bell", "conjclasses_gl", "linear_derangement"):
+            with pytest.raises(CostExceeded):
+                gf_counts(kind, q, order)
+
+
+def test_gf_counts_never_touch_the_fraction_kernels(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gf_counts reached a TruncSeries kernel")
+
+    for name in ("__mul__", "__truediv__", "__pow__", "__add__", "__sub__", "recip", "exp"):
+        monkeypatch.setattr(TruncSeries, name, refuse)
+    for q in (2, 3, 4):
+        cases = [(kind, None) for kind in GF_KINDS if kind != "power_identity"]
+        cases += [("power_identity", k) for k in (1, 3, 5, 7) if k % PrimePower.of(q).p]
+        for kind, k in cases:
+            assert len(gf_counts(kind, q, 20, k)) == 21, (kind, k)
+
+
+def test_count_product_with_explicit_copies_matches_the_fraction_kernels():
+    def reference(q, rule, order, copies):
+        out = TruncSeries.one(order)
+        for d, c in copies.items():
+            factor = factor_series(rule, q, d, order)
+            out = out * (factor ** c if c >= 0 else factor.recip() ** -c)
+        return out
+
+    for q in (2, 3, 4, 5, 9):
+        cases = [
+            (euler_rule, False, {1: -1}),
+            (euler_rule, True, {1: 1 - q, 2: 3}),
+            (euler_rule, False, {1: 2, 3: -2}),
+            (unit_rule, True, {1: q}),
+            (unit_rule, True, {1: -2, 2: 1, 4: 5}),
+            (cyclic_rule, False, {1: -3, 2: 2}),
+            (unit_rule, True, {}),
+        ]
+        for rule, gl, copies in cases:
+            for order in (0, 1, 7, 20):
+                assert count_product(q, rule, order, gl, copies) == reference(
+                    q, rule, order, copies
+                ), (q, rule.__name__, copies, order)
+
+
+def test_count_product_with_explicit_copies_still_refuses_non_counts():
+    def rule(Q: int, m: int) -> Fraction:
+        return (Fraction(1), Fraction(1, Q + 1))[m] if m < 2 else Fraction(0)
+
+    for gl in (False, True):
+        with pytest.raises(NonIntegralCount, match="scales to non-integer"):
+            count_product(3, rule, 8, gl, {1: -1})
+    with pytest.raises(NonIntegralCount, match=r"at u\^4 scales"):
+        count_product(3, unit_rule, 8, False, {1: 2})
+    with pytest.raises(ValueError):
+        count_product(3, unit_rule, 8, True, {0: 1})
+
+
 def test_cost_guards():
     with pytest.raises(CostExceeded):
         gf_build("semisimple", 2, 2000)
