@@ -11,11 +11,15 @@ polynomial only through Q = q^deg(phi), so each is declared once, as a
 rule(Q, m) giving its coefficient of u^(m deg(phi)); factor_series and
 the two product engines read only that declaration.
 
-Every kind gf_build serves is built on integers, with exact division
-throughout: a normalized series (below) is carried as a_n S_n, with
-S_n = |GL_n(q)| or D_n = q^n (q - 1)...(q^n - 1), a product of factors
-as one exp of their summed logs (count_product), and the conjugacy class
-series by integer loops over one list.  The Fraction kernels of
+Each kind gf_build serves is one entry of _KINDS: a rule with a number
+of factors per degree, nu_d unless declared, and whether the product is
+divided by 1 - u; or, for the q-Bell and conjugacy class series, a
+builder of its own.  Every kind is built on integers, with exact division
+throughout: a normalized series (below) is carried as a_n S_n, a product
+of factors as one exp of their summed logs (count_product), and the
+conjugacy class series by integer loops over one list.  S_n is
+D_n = q^n (q - 1)...(q^n - 1) when every factor coefficient scales to an
+integer by it, and |GL_n(q)| otherwise.  The Fraction kernels of
 exact_series, with factor_series and nu_weighted_product on top, are
 only the reference engine that verify and the tests compare them with.
 
@@ -27,8 +31,11 @@ plain ordinary generating functions.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 from math import factorial
+from typing import NamedTuple
 
 from .ffpoly import NotCoprime, cyclotomic_factor_degrees, irreducible_poly_count
 from .qcount import PrimePower, gl_order
@@ -288,29 +295,41 @@ def _scaled_exp(q: int, log: list[int], gl: bool) -> list[int]:
     return product
 
 
-def _scaled_product(q: int, rule, order: int, gl: bool, copies) -> list[int]:
-    """The scaled coefficients A_n = a_n S_n of count_product's product."""
-    scales = _scales(q, order, gl)
+def _scaled_factor(coeffs: list, Q: int, d: int, gl: bool) -> tuple[list[int], list[int]]:
+    """(F, S) of one degree-d factor in v = u^d: F_m = coeffs[m] S_m(Q), S as
+    in _scales, or NonIntegralCount at the first F_m that is not an integer."""
+    scales = _scales(Q, len(coeffs) - 1, gl)
+    factor = []
+    for m, s in enumerate(scales):
+        scaled = coeffs[m] * s
+        if scaled.denominator != 1:
+            raise NonIntegralCount(
+                f"the degree-{d} factor at u^{m * d} scales to non-integer {scaled}"
+            )
+        factor.append(scaled.numerator)
+    return factor, scales
+
+
+def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
+    """(A, gl): the scaled coefficients A_n = a_n S_n of count_product's
+    product, with S_n = D_n when every factor scales to integers by D_m(Q)
+    and |GL_n| (gl) otherwise."""
     if copies is None:
         copies = {d: irreducible_poly_count(q, d) for d in range(1, order + 1)}
+    if any(d < 1 for d in copies):
+        raise ValueError("polynomial degree must be >= 1")
+    factors = [(d, nu, _in_v(rule, q**d, order // d)) for d, nu in copies.items() if d <= order and nu]
+    try:
+        gl, scaled = False, [_scaled_factor(coeffs, q**d, d, False) for d, _, coeffs in factors]
+    except NonIntegralCount:
+        gl, scaled = True, [_scaled_factor(coeffs, q**d, d, True) for d, _, coeffs in factors]
+    scales = _scales(q, order, gl)
     log = [0] * (order + 1)
-    for d, nu in copies.items():
-        if d < 1:
-            raise ValueError("polynomial degree must be >= 1")
-        if d > order or not nu:
-            continue
-        Q, top = q**d, order // d
-        coeffs, scales_Q = _in_v(rule, Q, top), _scales(Q, top, gl)
-        factor, glog = [1], [0]
-        for m, w in _weight_rows(Q, top, gl):
+    for (d, nu, _), (factor, scales_Q) in zip(factors, scaled):
+        glog = [0]
+        for m, w in _weight_rows(q**d, len(factor) - 1, gl):
             if not m:
                 continue
-            scaled = coeffs[m] * scales_Q[m]
-            if scaled.denominator != 1:
-                raise NonIntegralCount(
-                    f"the degree-{d} factor at u^{m * d} scales to non-integer {scaled}"
-                )
-            factor.append(scaled.numerator)
             g = m * factor[m]
             for j in range(1, m):
                 if glog[j] and factor[m - j]:
@@ -322,36 +341,34 @@ def _scaled_product(q: int, rule, order: int, gl: bool, copies) -> list[int]:
                     f"the log of the degree-{d} factors is not an integer at u^{m * d}"
                 )
             log[m * d] += total
-    return _scaled_exp(q, log, gl)
+    return (_scaled_exp(q, log, gl) if factors else [1] + [0] * order), gl
 
 
-def count_product(q: int, rule, order: int, gl: bool, copies=None) -> TruncSeries:
+def count_product(q: int, rule, order: int, copies=None) -> TruncSeries:
     """prod_d factor_d ** copies[d] on integers; copies defaults to nu_d.
 
     factor_d is rule's factor for one polynomial of degree d, and a copy
     count may be negative: with copies = nu_d, the irreducible count, this
     is nu_weighted_product's product.  A series a is carried as
-    A_n = a_n S_n, with S_n = |GL_n| when gl and
-    D_n = q^n prod_(i<=n) (q^i - 1) otherwise, and its log l as
-    L_n = n l_n S_n, so b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k).
-    When every factor, read in v = u^d with Q = q^d, has integer scaled
-    coefficients F_m = rule(Q, m) S_m(Q), the product is the exp of the
-    summed logs of the factors, and both run on integers.
+    A_n = a_n S_n and its log l as L_n = n l_n S_n, so b' = l' b reads
+    n B_n = sum_k W(n, k) L_k B_(n-k).  S_n is D_n = q^n prod_(i<=n)
+    (q^i - 1) when every factor coefficient read, F_m = rule(Q, m) D_m(Q)
+    with Q = q^d, is an integer, and |GL_n| otherwise: unit_rule's
+    1 / |GL_m(Q)| needs |GL_m(Q)|'s power Q^(m(m-1)/2) from m = 4.  A
+    rejected D_n costs only the factor coefficients scaled so far.
 
     Per degree d the factor's log is G_m = m F_m - sum_(j<m) W_Q(m, j)
     G_j F_(m-j), with no division.  Its copies in u^d add
-    copies[d] d G_m S_(md)(q) / S_m(Q) to L_(md).  One exp then gives A_n
-    with exact division by n.  A factor coefficient that does not scale
-    to an integer, or an inexact division, raises NonIntegralCount.
-    gf_build and gf_counts read the integers A_n; this returns the series
-    a_n = A_n / S_n(q) for verify and the tests, which compare it with
-    nu_weighted_product and the other Fraction kernels, now only the
-    reference engine.
+    copies[d] d G_m S_(md)(q) / S_m(Q) to L_(md), and one exp gives A_n
+    with exact division by n; a factor that fits neither scale, or an
+    inexact division, raises NonIntegralCount.  gf_build and gf_counts
+    read the integers A_n; this returns a_n = A_n / S_n(q), which verify
+    and the tests compare with the Fraction kernels.
     """
-    return _unscaled(_scaled_product(q, rule, order, gl, copies), q, gl)
+    return _unscaled(*_scaled_product(q, rule, order, copies), q)
 
 
-def _unscaled(values: list[int], q: int, gl: bool | None) -> TruncSeries:
+def _unscaled(values: list[int], gl: bool | None, q: int) -> TruncSeries:
     """The series a_n = values[n] / S_n, S_n as _scaled_build reads gl."""
     order = len(values) - 1
     if gl is None:
@@ -366,8 +383,8 @@ def _divide_by_one_minus_u(values: list[int], q: int, gl: bool) -> None:
         values[n] += q ** (n - 1 if gl else 1) * (q**n - 1) * values[n - 1]
 
 
-def _class_counts(q: int, order: int, gl: bool) -> list[int]:
-    """prod_(r>=1) 1 / (1 - q u^r), times prod_(r>=1) (1 - u^r) when gl.
+def _class_counts(q: int, order: int, invertible: bool) -> list[int]:
+    """prod_(r>=1) 1 / (1 - q u^r), times prod_(r>=1) (1 - u^r) when invertible.
 
     Every monic irreducible of degree d carries a partition, counted by
     prod_r 1 / (1 - u^(r d)), and the product over all of them is
@@ -377,7 +394,7 @@ def _class_counts(q: int, order: int, gl: bool) -> list[int]:
     """
     c = [1] + [0] * order
     for r in range(1, order + 1):
-        if gl:
+        if invertible:
             for n in range(order, r - 1, -1):
                 c[n] -= c[n - r]
         for n in range(r, order + 1):
@@ -385,60 +402,9 @@ def _class_counts(q: int, order: int, gl: bool) -> list[int]:
     return c
 
 
-# kind -> (its per-polynomial rule, whether count_product scales it by
-# |GL_n| rather than by D_n = q^n (q - 1)(q^2 - 1)...(q^n - 1)).  Every
-# cyclic, separable and _alt coefficient has a denominator dividing
-# Q^m (Q - 1)...(Q^m - 1), so D_n scaling keeps them integers at about
-# half the bits of |GL_n|; unit_rule's 1 / |GL_m(Q)| needs the power
-# Q^(m(m-1)/2) of |GL_m(Q)|.  gf_build multiplies out all five on the
-# integer exp-log and divides the _alt products by 1 - u.
-COUNT_FACTORS = {
-    "semisimple": (unit_rule, True),
-    "cyclic": (cyclic_rule, False),
-    "separable": (separable_rule, False),
-    "cyclic_alt": (cyclic_alt_rule, False),
-    "separable_alt": (separable_alt_rule, False),
-}
-
-
-# tag -> True when the u^n coefficient must be scaled by gl_order(q, n)
-GF_KINDS: dict[str, bool] = {
-    "invertible_check": True,
-    "linear_derangement": True,
-    "projective_derangement": True,
-    "diagonalizable": True,
-    "projection": True,
-    "power_identity": True,
-    "cyclic": True,
-    "cyclic_alt": True,
-    "semisimple": True,
-    "separable": True,
-    "separable_alt": True,
-    "conjclasses_all": False,
-    "conjclasses_gl": False,
-    "bell": True,
-}
-
-# the kinds gf_build divides by 1 - u: the invertible series is 1 / (1 - u),
-# the derangement kinds are it without some factors, and the _alt factors
-# carry 1 - u^d / q^d, whose product over every monic irreducible is 1 - u
-_OVER_ONE_MINUS_U = frozenset(
-    ("invertible_check", "linear_derangement", "projective_derangement", "cyclic_alt", "separable_alt")
-)
-
-
-def _product_factors(kind: str, pp: PrimePower, k: int | None):
-    """(rule, gl, copies) of a product kind, as count_product takes them."""
-    if kind in COUNT_FACTORS:
-        return (*COUNT_FACTORS[kind], None)
-    if kind in ("linear_derangement", "projective_derangement"):
-        # the invertible series without the factor of z - 1, or of every
-        # z - c with c != 0; euler_rule scales to integers by D_n too
-        return euler_rule, False, {1: -1 if kind == "linear_derangement" else 1 - pp.q}
-    if kind == "diagonalizable":
-        return unit_rule, True, {1: pp.q}
-    if kind == "projection":
-        return unit_rule, True, {1: 2}  # the eigenvalues 0 and 1
+def _root_of_one_copies(pp: PrimePower, k: int | None) -> Counter:
+    """How many irreducible factors of each degree z^k - 1 has; it must be
+    square-free, so that A^k = I leaves each a partition 1^m."""
     if k is None:
         raise BadKindParams("power_identity needs the exponent k")
     if k < 1:
@@ -446,9 +412,50 @@ def _product_factors(kind: str, pp: PrimePower, k: int | None):
     if k % pp.p == 0:
         raise BadKindParams(f"z^{k} - 1 is not square-free in characteristic {pp.p}")
     try:
-        return unit_rule, True, Counter(cyclotomic_factor_degrees(pp.q, k))
+        return Counter(cyclotomic_factor_degrees(pp.q, k))
     except NotCoprime as exc:
         raise BadKindParams(str(exc)) from exc
+
+
+class _Kind(NamedTuple):
+    """How gf_build makes one kind: the product of rule's factor over the
+    monic irreducibles, copies(pp, k)[d] of them at degree d (all nu_d when
+    copies is None), divided by 1 - u when over_one_minus_u; or its own
+    build(q, order), scaled by |GL_n| when normalized.  normalized is its
+    GF_KINDS flag, and only a kind that takes_k accepts a power k."""
+
+    rule: Callable | None = None
+    copies: Callable | None = None
+    over_one_minus_u: bool = False
+    build: Callable | None = None
+    normalized: bool = True
+    takes_k: bool = False
+
+
+# The invertible series is 1 / (1 - u), the empty product over 1 - u; the
+# derangement kinds are it without the factor of z - 1, or of every z - c
+# with c != 0.  The _alt factors carry 1 - u^d / q^d, whose product over
+# every monic irreducible is 1 - u.
+_KINDS: dict[str, _Kind] = {
+    "invertible_check": _Kind(euler_rule, lambda pp, k: {}, True),
+    "linear_derangement": _Kind(euler_rule, lambda pp, k: {1: -1}, True),
+    "projective_derangement": _Kind(euler_rule, lambda pp, k: {1: 1 - pp.q}, True),
+    "diagonalizable": _Kind(unit_rule, lambda pp, k: {1: pp.q}),
+    "projection": _Kind(unit_rule, lambda pp, k: {1: 2}),  # the eigenvalues 0 and 1
+    "power_identity": _Kind(unit_rule, _root_of_one_copies, takes_k=True),
+    "cyclic": _Kind(cyclic_rule),
+    "cyclic_alt": _Kind(cyclic_alt_rule, over_one_minus_u=True),
+    "semisimple": _Kind(unit_rule),
+    "separable": _Kind(separable_rule),
+    "separable_alt": _Kind(separable_alt_rule, over_one_minus_u=True),
+    "conjclasses_all": _Kind(build=partial(_class_counts, invertible=False), normalized=False),
+    "conjclasses_gl": _Kind(build=partial(_class_counts, invertible=True), normalized=False),
+    # the exp of the unit sum sum_(r>=1) u^r / |GL_r|, whose L_r is r
+    "bell": _Kind(build=lambda q, order: _scaled_exp(q, list(range(order + 1)), True)),
+}
+
+# tag -> True when the u^n coefficient must be scaled by gl_order(q, n)
+GF_KINDS: dict[str, bool] = {kind: entry.normalized for kind, entry in _KINDS.items()}
 
 
 def _scaled_build(kind: str, q: int, order: int, k: int | None) -> tuple[list[int], bool | None]:
@@ -458,7 +465,7 @@ def _scaled_build(kind: str, q: int, order: int, k: int | None) -> tuple[list[in
     D_n = q^n prod_(i<=n) (q^i - 1) when gl is False; the conjugacy class
     series (gl None) carry a_n itself.
     """
-    if kind not in GF_KINDS:
+    if kind not in _KINDS:
         raise BadKindParams(f"unknown generating function kind {kind!r}")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
@@ -470,21 +477,14 @@ def _scaled_build(kind: str, q: int, order: int, k: int | None) -> tuple[list[in
             f"a series of order {order} over F_{q} is beyond the cost bound "
             f"of {MAX_SERIES_WORK} work units"
         )
-    if kind != "power_identity" and k is not None:
+    entry = _KINDS[kind]
+    if k is not None and not entry.takes_k:
         raise BadKindParams(f"kind {kind!r} does not take a power k")
-
-    if kind in ("conjclasses_all", "conjclasses_gl"):
-        return _class_counts(q, order, kind == "conjclasses_gl"), None
-    if kind == "bell":
-        # exp of the unit sum sum_(r>=1) u^r / |GL_r|, whose L_r is r
-        return _scaled_exp(q, list(range(order + 1)), True), True
-
-    if kind == "invertible_check":
-        values, gl = [1] + [0] * order, True  # the empty product
-    else:
-        rule, gl, copies = _product_factors(kind, pp, k)
-        values = _scaled_product(q, rule, order, gl, copies)
-    if kind in _OVER_ONE_MINUS_U:
+    if entry.build is not None:
+        return entry.build(q, order), (True if entry.normalized else None)
+    copies = None if entry.copies is None else entry.copies(pp, k)
+    values, gl = _scaled_product(q, entry.rule, order, copies)
+    if entry.over_one_minus_u:
         _divide_by_one_minus_u(values, q, gl)
     return values, gl
 
@@ -496,8 +496,16 @@ def gf_build(kind: str, q: int, order: int, k: int | None = None) -> TruncSeries
     u^n coefficient; the conjugacy class kinds carry the count itself.
     The series is built on integers and divided by its scales once.
     """
-    values, gl = _scaled_build(kind, q, order, k)
-    return _unscaled(values, q, gl)
+    return _unscaled(*_scaled_build(kind, q, order, k), q)
+
+
+def _count(n: int, value) -> int:
+    """value, the count of size n, which must be a non-negative integer."""
+    if value.denominator != 1:
+        raise NonIntegralCount(f"coefficient of u^{n} scales to non-integer {value}")
+    if value.numerator < 0:
+        raise NonIntegralCount(f"coefficient of u^{n} scales to negative {value.numerator}")
+    return value.numerator
 
 
 def extract_count(gf: TruncSeries, n: int, q: int, normalized: bool = True) -> int:
@@ -507,13 +515,7 @@ def extract_count(gf: TruncSeries, n: int, q: int, normalized: bool = True) -> i
     result must come out a non-negative integer or the series was wrong.
     """
     c = gf.coeff(n)
-    value = c * gl_order(q, n) if normalized else c
-    if value.denominator != 1:
-        raise NonIntegralCount(f"coefficient of u^{n} scales to non-integer {value}")
-    num = value.numerator
-    if num < 0:
-        raise NonIntegralCount(f"coefficient of u^{n} scales to negative {num}")
-    return num
+    return _count(n, c * gl_order(q, n) if normalized else c)
 
 
 def gf_counts(kind: str, q: int, order: int, k: int | None = None) -> list[int]:
@@ -523,20 +525,11 @@ def gf_counts(kind: str, q: int, order: int, k: int | None = None) -> list[int]:
     Each count must come out a non-negative integer, as in extract_count."""
     counts, gl = _scaled_build(kind, q, order, k)
     if gl is False:
-        for n, c in enumerate(counts):
-            e = n * (n - 3) // 2
-            if e >= 0:
-                counts[n] = c * q**e
-            elif c % q**-e:
-                raise NonIntegralCount(
-                    f"coefficient of u^{n} scales to non-integer {Fraction(c, q**-e)}"
-                )
-            else:
-                counts[n] = c // q**-e
-    for n, c in enumerate(counts):
-        if c < 0:
-            raise NonIntegralCount(f"coefficient of u^{n} scales to negative {c}")
-    return counts
+        counts = [
+            c * q ** (n * (n - 3) // 2) if n >= 3 else Fraction(c, q ** (n * (3 - n) // 2))
+            for n, c in enumerate(counts)
+        ]
+    return [_count(n, c) for n, c in enumerate(counts)]
 
 
 def q_stirling_via_gf(q: int, n: int, k: int) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import product
+from typing import get_type_hints
 
 from .ffpoly import (
     FieldSpec,
@@ -502,17 +503,8 @@ class SweepResult:
     consistency_violations: int
 
 
-_FLAG_FIELDS = (
-    "invertible",
-    "nilpotent",
-    "projection",
-    "diagonalizable",
-    "cyclic",
-    "semisimple",
-    "separable",
-    "linear_derangement",
-    "projective_derangement",
-)
+# the class memberships that SweepResult tallies, in ClassifyRecord's order
+_FLAG_FIELDS = tuple(name for name, t in get_type_hints(ClassifyRecord).items() if t is bool)
 
 
 def _tally(q, n, weighted) -> SweepResult:

@@ -24,10 +24,10 @@ from . import oracle, regression
 from .exact_series import TruncSeries
 from .ffpoly import cyclotomic_factor_degrees, divisors, irreducible_poly_count
 from .gfengine import (
-    COUNT_FACTORS,
     centralizer_order,
-    count_product,
+    cyclic_alt_rule,
     cyclic_limit_bracket,
+    cyclic_rule,
     decimal_truncate,
     euler_partial_product,
     euler_rule,
@@ -39,6 +39,8 @@ from .gfengine import (
     nu_weighted_product,
     partitions_of,
     q_stirling_via_gf,
+    separable_alt_rule,
+    separable_rule,
     unit_rule,
 )
 from .qcount import (
@@ -270,9 +272,19 @@ def identity_checks() -> list[CheckResult]:
 # exponents k of the power_identity checks, prime to every characteristic
 _POWER_KS = (1, 5, 7)
 
+# the cycle-index product kinds, each one rule's factor over every monic
+# irreducible, with whether gf_build divides the product by 1 - u
+_NU_PRODUCTS = {
+    "semisimple": (unit_rule, False),
+    "cyclic": (cyclic_rule, False),
+    "separable": (separable_rule, False),
+    "cyclic_alt": (cyclic_alt_rule, True),
+    "separable_alt": (separable_alt_rule, True),
+}
+
 
 def _fraction_builds(q: int, order: int) -> dict:
-    """Every gf_build kind outside COUNT_FACTORS, multiplied out on the
+    """Every gf_build kind outside _NU_PRODUCTS, multiplied out on the
     TruncSeries kernels (power_identity as a tuple over _POWER_KS)."""
     one = TruncSeries.one(order)
     one_minus_u = one - TruncSeries.monomial(1, 1, order)
@@ -376,18 +388,16 @@ def cross_route_checks() -> list[CheckResult]:
             gf_build("separable_alt", q, 12),
         )
 
-    # every product gf_build runs on integers, on both product engines: the
-    # integer exp of summed logs with exact division, and the Fraction
+    # every cycle-index product on both product engines: gf_build's integer
+    # exp of summed logs with exact division, and the Fraction
     # power-and-multiply kernels
+    recip = (TruncSeries.one(24) - TruncSeries.monomial(1, 1, 24)).recip()
     for q in (2, 3, 4):
-        for kind, (rule, gl) in COUNT_FACTORS.items():
-            _check(
-                results,
-                "cross_route",
-                f"{kind}: integer vs Fraction product q={q}",
-                count_product(q, rule, 24, gl),
-                nu_weighted_product(q, rule, 24),
-            )
+        for kind, (rule, over_one_minus_u) in _NU_PRODUCTS.items():
+            got, want = gf_build(kind, q, 24), nu_weighted_product(q, rule, 24)
+            if over_one_minus_u:
+                want = want * recip
+            _check(results, "cross_route", f"{kind}: integer vs Fraction product q={q}", got, want)
 
     # every other kind gf_build serves, built on integers, against the
     # formula that multiplies it out on the TruncSeries kernels

@@ -8,10 +8,9 @@ from fractions import Fraction
 import pytest
 
 import qmcount
-from qmcount import oracle
+from qmcount import oracle, verify
 from qmcount.exact_series import TruncSeries
 from qmcount.gfengine import (
-    COUNT_FACTORS,
     MAX_SERIES_WORK,
     BadKindParams,
     CostExceeded,
@@ -20,6 +19,7 @@ from qmcount.gfengine import (
     NonIntegralCount,
     UnresolvedDigits,
     _resolve_digits,
+    _scaled_product,
     centralizer_order,
     count_product,
     cyclic_alt_rule,
@@ -182,15 +182,40 @@ def test_nu_weighted_product_trivial_and_validation():
 
 
 def test_count_product_matches_the_fraction_product():
-    assert set(COUNT_FACTORS) == {
-        "semisimple", "cyclic", "separable", "cyclic_alt", "separable_alt",
-    }
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
-        for kind, (rule, gl) in COUNT_FACTORS.items():
+        for kind, (rule, _) in verify._NU_PRODUCTS.items():
             for order in (0, 1, 7, 20):
-                assert count_product(q, rule, order, gl) == nu_weighted_product(
+                assert count_product(q, rule, order) == nu_weighted_product(
                     q, rule, order
                 ), (kind, q, order)
+
+
+def test_every_kind_has_an_independent_reference():
+    # a kind added to gfengine without a Fraction-kernel formula in verify fails here
+    products, builds = set(verify._NU_PRODUCTS), set(verify._fraction_builds(2, 4))
+    assert not products & builds
+    assert products | builds == set(GF_KINDS)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_count_product_picks_the_scale_that_keeps_the_factors_integers(q):
+    def d_scale(Q, m):  # D_m(Q) = Q^m (Q - 1)...(Q^m - 1)
+        return Q**m * gl_order(Q, m) // Q ** (m * (m - 1) // 2)
+
+    # cyclic_alt_rule fits only D_n: |GL_1(Q)| leaves 1 / Q at m = 1
+    assert cyclic_alt_rule(q, 1) * gl_order(q, 1) == Fraction(1, q)
+    assert all((cyclic_alt_rule(q, m) * d_scale(q, m)).denominator == 1 for m in range(9))
+    # unit_rule fits only |GL_n| from m = 4: D_4(Q) leaves Q^4 / Q^6
+    assert unit_rule(q, 4) * d_scale(q, 4) == Fraction(1, q**2)
+    assert all((unit_rule(q, m) * d_scale(q, m)).denominator == 1 for m in range(4))
+    cases = [(cyclic_alt_rule, order, False) for order in (0, 1, 3, 4, 20)]
+    cases += [(unit_rule, order, True) for order in (4, 5, 20)]
+    cases += [(unit_rule, order, False) for order in (0, 1, 2, 3)]
+    for rule, order, gl in cases:
+        assert _scaled_product(q, rule, order, None)[1] is gl, (rule.__name__, order)
+        assert count_product(q, rule, order) == nu_weighted_product(q, rule, order), (
+            rule.__name__, order,
+        )
 
 
 def test_division_by_one_minus_u_matches_the_reciprocal_product():
@@ -214,14 +239,11 @@ def test_count_product_rejects_factors_that_are_not_counts():
     def rule(Q: int, m: int) -> Fraction:
         return (Fraction(1), Fraction(1, Q + 1))[m] if m < 2 else Fraction(0)
 
-    for gl in (False, True):
-        with pytest.raises(NonIntegralCount, match="scales to non-integer"):
-            count_product(2, rule, 8, gl)
-        with pytest.raises(ValueError):
-            count_product(2, lambda Q, m: 0, 8, gl)
-    # 1 / |GL_4(Q)| times D_4(Q) leaves Q^4 / Q^6
-    with pytest.raises(NonIntegralCount, match=r"at u\^4 scales"):
-        count_product(2, unit_rule, 8, False)
+    # so the factor fits neither scale, D_1(Q) = Q (Q - 1) nor |GL_1(Q)| = Q - 1
+    with pytest.raises(NonIntegralCount, match="scales to non-integer"):
+        count_product(2, rule, 8)
+    with pytest.raises(ValueError):
+        count_product(2, lambda Q, m: 0, 8)
 
 
 # SHA-256 of repr((kind, q, gf_counts(kind, q, order))) for the five
@@ -310,17 +332,17 @@ def test_count_product_with_explicit_copies_matches_the_fraction_kernels():
 
     for q in (2, 3, 4, 5, 9):
         cases = [
-            (euler_rule, False, {1: -1}),
-            (euler_rule, True, {1: 1 - q, 2: 3}),
-            (euler_rule, False, {1: 2, 3: -2}),
-            (unit_rule, True, {1: q}),
-            (unit_rule, True, {1: -2, 2: 1, 4: 5}),
-            (cyclic_rule, False, {1: -3, 2: 2}),
-            (unit_rule, True, {}),
+            (euler_rule, {1: -1}),
+            (euler_rule, {1: 1 - q, 2: 3}),
+            (euler_rule, {1: 2, 3: -2}),
+            (unit_rule, {1: q}),
+            (unit_rule, {1: -2, 2: 1, 4: 5}),
+            (cyclic_rule, {1: -3, 2: 2}),
+            (unit_rule, {}),
         ]
-        for rule, gl, copies in cases:
+        for rule, copies in cases:
             for order in (0, 1, 7, 20):
-                assert count_product(q, rule, order, gl, copies) == reference(
+                assert count_product(q, rule, order, copies) == reference(
                     q, rule, order, copies
                 ), (q, rule.__name__, copies, order)
 
@@ -329,13 +351,10 @@ def test_count_product_with_explicit_copies_still_refuses_non_counts():
     def rule(Q: int, m: int) -> Fraction:
         return (Fraction(1), Fraction(1, Q + 1))[m] if m < 2 else Fraction(0)
 
-    for gl in (False, True):
-        with pytest.raises(NonIntegralCount, match="scales to non-integer"):
-            count_product(3, rule, 8, gl, {1: -1})
-    with pytest.raises(NonIntegralCount, match=r"at u\^4 scales"):
-        count_product(3, unit_rule, 8, False, {1: 2})
+    with pytest.raises(NonIntegralCount, match="scales to non-integer"):
+        count_product(3, rule, 8, {1: -1})
     with pytest.raises(ValueError):
-        count_product(3, unit_rule, 8, True, {0: 1})
+        count_product(3, unit_rule, 8, {0: 1})
 
 
 def test_cost_guards():
