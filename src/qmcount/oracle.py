@@ -6,7 +6,10 @@ significant.  The oracle walks the full code range one conjugation orbit
 at a time, classifies a member of each orbit from first principles (rank
 elimination, explicit powers, characteristic and minimal polynomials), and
 tallies the classes weighted by orbit size; every class it tallies is a
-conjugation invariant.  It exists to check the formula and generating
+conjugation invariant.  The eigenvalues in F_q are the roots of the
+characteristic polynomial, read off by evaluating it at every field
+element, and they give the two derangement flags; the elimination gives
+the rank only.  It exists to check the formula and generating
 function routes on spaces small enough to sweep, so it favours directness
 over cleverness, and it keeps the one-matrix-at-a-time tally
 (per_matrix_counts) as the reference for the weighted one.
@@ -183,55 +186,41 @@ def _mul_left(n, terms, b, add):
     return tuple(out)
 
 
-def _rank_det(field: FieldSpec, n: int, entries):
-    """Rank and determinant by Gaussian elimination on a working copy."""
+def _rank(field: FieldSpec, n: int, entries) -> int:
+    """Rank by Gaussian elimination on a working copy."""
     m = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
     add = field.add_table
     mul = field.mul_table
     neg = field.neg_table
     inv = field.inv_table
-    det = 1
     rank = 0
     for col in range(n):
-        piv = None
-        for r in range(rank, n):
-            if m[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, n) if m[r][col]), None)
         if piv is None:
-            det = 0
             continue
-        if piv != rank:
-            m[piv], m[rank] = m[rank], m[piv]
-            det = neg[det]
-        pval = m[rank][col]
-        det = mul[det][pval]
-        ipv = inv[pval]
+        m[piv], m[rank] = m[rank], m[piv]
         prow = m[rank]
+        ipv = inv[prow[col]]
         for r in range(rank + 1, n):
             c = m[r][col]
             if c:
-                f = mul[c][ipv]
-                frow = mul[f]
+                frow = mul[mul[c][ipv]]
                 rrow = m[r]
                 for j in range(col, n):
                     if prow[j]:
                         rrow[j] = add[rrow[j]][neg[frow[prow[j]]]]
         rank += 1
-    return rank, (det if rank == n else 0)
+    return rank
 
 
-def _det_shifted(field: FieldSpec, n: int, entries, lam: int) -> int:
-    """Determinant of A - lam*I."""
-    if lam == 0:
-        return _rank_det(field, n, entries)[1]
-    shifted = list(entries)
-    neg_lam = field.neg_table[lam]
+def _poly_at(f: tuple[int, ...], x: int, field: FieldSpec) -> int:
+    """f(x) by Horner's rule, f constant term first."""
     add = field.add_table
-    for i in range(n):
-        k = i * n + i
-        shifted[k] = add[shifted[k]][neg_lam]
-    return _rank_det(field, n, shifted)[1]
+    row = field.mul_table[x]
+    acc = 0
+    for c in reversed(f):
+        acc = add[row[acc]][c]
+    return acc
 
 
 def matrix_powers(A: FqMatrix, top: int) -> list[tuple[int, ...]]:
@@ -385,31 +374,27 @@ def classify(A: FqMatrix) -> ClassifyRecord:
     field = A.field
     n = A.n
     q = field.q
-    rank, det = _rank_det(field, n, A.entries)
-    invertible = rank == n
+    rank = _rank(field, n, A.entries)
     powers = matrix_powers(A, max(*DEFAULT_POWERS, n, q))
     ident = powers[0]
     nilpotent = not any(powers[n])
     projection = powers[2] == A.entries
     diagonalizable = powers[q] == A.entries
     power_identity = {k: powers[k] == ident for k in DEFAULT_POWERS}
-    linear_derangement = bool(det) and _det_shifted(field, n, A.entries, 1) != 0
-    projective_derangement = linear_derangement and all(
-        _det_shifted(field, n, A.entries, lam) for lam in range(2, q)
-    )
     mp = min_poly(A, powers[: n + 1])
     cp = char_poly(A)
+    eigenvalues = {c for c in range(q) if not _poly_at(cp, c, field)}
     return ClassifyRecord(
         rank=rank,
-        invertible=invertible,
+        invertible=rank == n,
         nilpotent=nilpotent,
         projection=projection,
         diagonalizable=diagonalizable,
         cyclic=len(mp) - 1 == n,
         semisimple=squarefree_test(mp, field),
         separable=squarefree_test(cp, field),
-        linear_derangement=linear_derangement,
-        projective_derangement=projective_derangement,
+        linear_derangement=not eigenvalues & {0, 1},
+        projective_derangement=not eigenvalues,
         power_identity=power_identity,
         min_poly=mp,
         char_poly=cp,
@@ -430,8 +415,10 @@ def record_consistent(field: FieldSpec, n: int, rec: ClassifyRecord) -> bool:
     Checks the implications that hold for every matrix: projections are
     diagonalizable, diagonalizable matrices are semi-simple, separable
     means cyclic and semi-simple, nothing nilpotent is invertible, the
-    minimal polynomial divides the characteristic one, and satisfying
-    A^q = A is the same as the minimal polynomial dividing z^q - z.
+    elimination finds A invertible exactly when det(A), the characteristic
+    polynomial's constant term up to sign, is nonzero, the minimal
+    polynomial divides the characteristic one, and satisfying A^q = A is
+    the same as the minimal polynomial dividing z^q - z.
     """
     if rec.projection and not rec.diagonalizable:
         return False
@@ -440,6 +427,8 @@ def record_consistent(field: FieldSpec, n: int, rec: ClassifyRecord) -> bool:
     if rec.separable != (rec.cyclic and rec.semisimple):
         return False
     if rec.nilpotent and rec.invertible:
+        return False
+    if rec.invertible != (rec.char_poly[0] != 0):
         return False
     if poly_divmod(rec.char_poly, rec.min_poly, field)[1]:
         return False
@@ -545,14 +534,13 @@ def per_matrix_counts(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> Swee
     The reference that the orbit-weighted tallies are checked against on
     small spaces: it uses no orbit walk and no conjugation invariance.
     """
-    field = _space_field(q, n, budget)
 
-    def classified():
-        for entries in _entry_tuples(q, n * n):
-            rec = classify(FqMatrix._trusted(field, n, entries))
-            yield 1, rec, record_consistent(field, n, rec)
+    def classified(matrices):
+        for A in matrices:
+            rec = classify(A)
+            yield 1, rec, record_consistent(A.field, n, rec)
 
-    return _tally(q, n, classified())
+    return _tally(q, n, classified(enumerate_matrices(q, n, budget)))
 
 
 def orbit_census(
@@ -658,14 +646,15 @@ def _generators(field: FieldSpec, n: int):
     return gens
 
 
-def _orbit_walk(field: FieldSpec, n: int, gl_only: bool = False):
-    """Yield (size, representative, last member found) for each orbit.
+def _orbit_walk(field: FieldSpec, n: int):
+    """Yield (size, representative, last member found) for every orbit of M_n.
 
     Each unvisited code's orbit {g A g^-1 : g in GL_n} is its closure
     under conjugation by _generators, one row operation and one column
     operation each.  Members are marked as found, so the orbits arrive in
-    order of their smallest code, which is the representative.  With
-    gl_only the orbits of singular matrices are skipped.
+    order of their smallest code, which is the representative.  The walk
+    always covers all q^(n^2) matrices; callers that want GL_n keep the
+    orbits whose representative has full rank, a conjugation invariant.
     """
     q = field.q
     nn = n * n
@@ -676,8 +665,6 @@ def _orbit_walk(field: FieldSpec, n: int, gl_only: bool = False):
         if visited[code]:
             continue
         visited[code] = 1
-        if gl_only and _rank_det(field, n, a)[0] < n:
-            continue
         orbit = 1
         last = a
         stack = [(a, code)]
@@ -713,7 +700,11 @@ def conjugacy_orbit_sizes(
     bounds the q^(n^2) matrices of the walked space.
     """
     field = _space_field(q, n, budget)
-    return [orbit for orbit, _, _ in _orbit_walk(field, n, restrict_gl)]
+    return [
+        orbit
+        for orbit, rep, _ in _orbit_walk(field, n)
+        if not restrict_gl or _rank(field, n, rep) == n
+    ]
 
 
 def max_class_size(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:

@@ -591,7 +591,8 @@ def limit_checks() -> list[CheckResult]:
 # -------------------------------------------------------------------- oracle
 
 SWEEP_CASES = (
-    (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (4, 3)
+    (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (4, 3),
+    (7, 2), (8, 2), (9, 2), (11, 2), (13, 2), (16, 2),
 )
 
 # Spaces small enough to classify every matrix one at a time, as the
@@ -599,26 +600,18 @@ SWEEP_CASES = (
 PER_MATRIX_CASES = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2))
 
 
-class Sweeps(dict):
-    """Sweep tallies by (q, n), plus the orbits of the walk behind each.
+def oracle_sweeps(budget: int = oracle.DEFAULT_ENUM_BUDGET) -> dict:
+    """orbit_census of every standard case of at most `budget` matrices.
 
-    orbits[(q, n)] lists every conjugation orbit of M_n(F_q) as
+    Each (q, n) maps to the sweep tallies and the walk's orbits as
     (size, invertible), so the orbit checks reuse the walk that made the
     tallies.
     """
-
-    def __init__(self):
-        super().__init__()
-        self.orbits: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-
-
-def oracle_sweeps(budget: int = oracle.DEFAULT_ENUM_BUDGET) -> Sweeps:
-    """Exhaustive sweeps for every standard case of at most `budget` matrices."""
-    sweeps = Sweeps()
-    for q, n in SWEEP_CASES:
-        if q ** (n * n) <= budget:
-            sweeps[(q, n)], sweeps.orbits[(q, n)] = oracle.orbit_census(q, n, budget)
-    return sweeps
+    return {
+        (q, n): oracle.orbit_census(q, n, budget)
+        for q, n in SWEEP_CASES
+        if q ** (n * n) <= budget
+    }
 
 
 def _char_power_at_least(k: int, p: int, n: int) -> bool:
@@ -630,9 +623,9 @@ def _char_power_at_least(k: int, p: int, n: int) -> bool:
     return k == 1
 
 
-def oracle_checks(sweeps: Sweeps) -> list[CheckResult]:
+def oracle_checks(sweeps: dict) -> list[CheckResult]:
     results: list[CheckResult] = []
-    for (q, n), sw in sorted(sweeps.items()):
+    for (q, n), (sw, _) in sorted(sweeps.items()):
         tag = f"q={q} n={n}"
         p = PrimePower.of(q).p
         _check(results, "oracle", f"matrix total {tag}", sw.total, q ** (n * n))
@@ -694,17 +687,18 @@ def oracle_checks(sweeps: Sweeps) -> list[CheckResult]:
                 oracle.per_matrix_counts(q, n),
             )
 
-    for (q, n) in ((3, 1), (3, 2)):
-        if (q, n) in sweeps:
+    # over odd q, A^2 = I exactly when (A + I)/2 is a projection
+    for (q, n), (sw, _) in sorted(sweeps.items()):
+        if q % 2:
             _check(
                 results,
                 "oracle",
                 f"square roots of identity vs projections q={q} n={n}",
-                sweeps[(q, n)].power_identity[2],
+                sw.power_identity[2],
                 projection_count(q, n),
             )
 
-    for (q, n), orbits in sorted(sweeps.orbits.items()):
+    for (q, n), (_, orbits) in sorted(sweeps.items()):
         tag = f"q={q} n={n}"
         sizes_all = [size for size, _ in orbits]
         sizes_gl = [size for size, invertible in orbits if invertible]
@@ -754,7 +748,7 @@ def oracle_checks(sweeps: Sweeps) -> list[CheckResult]:
 SUITES = (regression_checks, identity_checks, cross_route_checks, trend_checks, limit_checks)
 
 
-def run_suites(sweeps: Sweeps) -> list[CheckResult]:
+def run_suites(sweeps: dict) -> list[CheckResult]:
     """Every suite, the oracle's last on the given sweeps."""
     results = [r for suite in SUITES for r in suite()]
     return results + oracle_checks(sweeps)

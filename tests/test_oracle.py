@@ -197,6 +197,12 @@ def test_record_consistent():
         char_poly=rec.char_poly,
     )
     assert not record_consistent(F2, 2, broken)
+    # diag(1, 0) is singular and not nilpotent: only the char poly's
+    # constant term can catch a flipped invertible flag
+    rec = classify(FqMatrix(F2, 2, (1, 0, 0, 0)))
+    assert record_consistent(F2, 2, rec)
+    assert not rec.nilpotent
+    assert not record_consistent(F2, 2, dataclasses.replace(rec, invertible=True))
 
 
 def test_enumerate_matrices():
@@ -347,6 +353,25 @@ def test_char_poly_matches_leibniz(q, n, stride):
     for code in range(0, q ** (n * n), stride):
         A = FqMatrix.from_code(field, n, code)
         assert char_poly(A) == leibniz_char_poly(A), A
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2), (5, 2)])
+def test_eigenvalue_flags_match_shifted_determinants(q, n):
+    # c is an eigenvalue when det(A - cI) = 0; the constant term of the
+    # Leibniz char poly of A - cI is that determinant up to sign
+    field = field_for(q)
+    add, neg = field.add_table, field.neg_table
+    for A in enumerate_matrices(q, n):
+        eigenvalues = set()
+        for c in range(q):
+            shifted = list(A.entries)
+            for k in range(0, n * n, n + 1):
+                shifted[k] = add[shifted[k]][neg[c]]
+            if not leibniz_char_poly(FqMatrix(field, n, shifted))[0]:
+                eigenvalues.add(c)
+        rec = classify(A)
+        assert rec.linear_derangement == (not eigenvalues & {0, 1}), A
+        assert rec.projective_derangement == (not eigenvalues), A
 
 
 def direct_orbit_sizes(q, n, restrict_gl):
