@@ -22,16 +22,19 @@ Three kernels carry the sweeps, all over the dense field tables:
   (H. Cohen, A Course in Computational Algebraic Number Theory, 2.2.9);
 * every matrix product has its left operand resolved once into
   (mul_table row, offset) pairs, so the powers A, A^2, ... share A's pairs;
-* conjugation orbits are closures under conjugation by 2(n - 1) + [q > 2]
-  generators of GL_n; each step is one row operation and one column
-  operation on the entries.
+* conjugation orbits are closures under conjugation by 2 + [q > 2]
+  generators of GL_n (n >= 2), each a permutation of the codes stored
+  once per walk as an array, so a step of the walk is one table lookup
+  on an integer code.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import get_type_hints
 
 from .ffpoly import (
@@ -91,11 +94,7 @@ class FqMatrix:
         q = field.q
         if not 0 <= code < q ** (n * n):
             raise ValueError(f"matrix code {code} out of range")
-        entries = []
-        for _ in range(n * n):
-            code, digit = divmod(code, q)
-            entries.append(digit)
-        return cls(field, n, entries)
+        return cls(field, n, _code_entries(q, n * n, code))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> FqMatrix:
@@ -152,6 +151,15 @@ class FqMatrix:
             list(self.entries[i * self.n : (i + 1) * self.n]) for i in range(self.n)
         ]
         return f"FqMatrix(q={self.field.q}, {rows})"
+
+
+def _code_entries(q: int, nn: int, code: int) -> tuple[int, ...]:
+    """The nn base-q digits of a matrix code, entry 0 first."""
+    entries = []
+    for _ in range(nn):
+        code, digit = divmod(code, q)
+        entries.append(digit)
+    return tuple(entries)
 
 
 def _identity_entries(n: int) -> tuple[int, ...]:
@@ -591,23 +599,105 @@ def _primitive_element(field: FieldSpec) -> int:
     raise ArithmeticError(f"F_{field.q} has no primitive element")  # unreachable
 
 
+def _sums(parts) -> list[int]:
+    """Every sum t_0[v_0] + t_1[v_1] + ... of one term per part, v_0 fastest.
+
+    The sum at position v_0 + len(t_0) * (v_1 + len(t_1) * (...)) is the
+    one that takes term v_k of part k.
+    """
+    total = [0]
+    for part in parts:
+        total = [hi + lo for hi in part for lo in total]
+    return total
+
+
+def _fill(parts, typecode: str) -> array:
+    """_sums(parts) as an array, built one chunk at a time.
+
+    The lowest parts are summed into a list at least as long as the square
+    root of the array, and each sum of the remaining parts adds that list,
+    shifted, as one chunk, so no list as long as the array is made.
+    """
+    size = prod(map(len, parts))
+    low, k = parts[0], 1
+    while len(low) ** 2 < size:
+        low = [hi + lo for hi in parts[k] for lo in low]
+        k += 1
+    if k == len(parts):
+        return array(typecode, low)
+    table = array(typecode)
+    for h in _sums(parts[k:]):
+        table.extend([h + lo for lo in low])
+    return table
+
+
+def _transvection_table(field: FieldSpec, n: int, typecode: str) -> array:
+    """Conjugation by t = I + E_01 (n >= 2) as a table on codes.
+
+    t B t^-1 is B after row 0 gains row 1 and then column 1 loses column 0.
+    A row r >= 2 only has digit 1 lose digit 0, a map `row` on the q^n row
+    codes, so it adds the term row[v_r] * q^(rn).  Rows 0 and 1, with codes
+    v_0 and v_1, become row[v_0 + v_1] and row[v_1], the sum taken entry by
+    entry in F_q; they fill one table over the low 2n digits, one chunk of
+    q^n codes per v_1.
+    """
+    q = field.q
+    add = field.add_table
+    neg = field.neg_table
+    pair = [x0 + q * add[x1][neg[x0]] for x1 in range(q) for x0 in range(q)]
+    row = _sums([pair] + [[x * q**j for x in range(q)] for j in range(2, n)])
+    low = array(typecode)
+    for v1, digits in enumerate(_entry_tuples(q, n)):
+        shifted = _sums([[add[c][x] * q**j for x in range(q)] for j, c in enumerate(digits)])
+        high = row[v1] * q**n
+        low.extend([row[s] + high for s in shifted])
+    return _fill([low] + [[v * q ** (r * n) for v in row] for r in range(2, n)], typecode)
+
+
+def _monomial_table(field: FieldSpec, g: FqMatrix, typecode: str) -> array:
+    """Conjugation by a monomial matrix g as a table on codes.
+
+    With g e_j = s_j e_sigma(j), g B g^-1 has s_i B[i][j] / s_j at
+    (sigma(i), sigma(j)): each entry moves and is scaled on its own, so row i
+    of B adds a term of its own, a sum of one term per entry.
+    """
+    q = field.q
+    n = g.n
+    mul = field.mul_table
+    inv = field.inv_table
+    ent = g.entries
+    sigma = [next(i for i in range(n) if ent[i * n + j]) for j in range(n)]
+    scale = [ent[sigma[j] * n + j] for j in range(n)]
+    rows = []
+    for i in range(n):
+        terms = []
+        for j in range(n):
+            factor = mul[mul[scale[i]][inv[scale[j]]]]
+            place = q ** (sigma[i] * n + sigma[j])
+            terms.append([factor[x] * place for x in range(q)])
+        rows.append(_sums(terms))
+    return _fill(rows, typecode)
+
+
 def _generators(field: FieldSpec, n: int):
-    """Conjugation by a generating set of GL_n(F_q), as edit steps.
+    """A generating set of GL_n(F_q), as (g, build) pairs.
 
-    The generators are I + E_(i,i+1) and I + E_(i+1,i) for i < n - 1 and,
-    for q > 2, d = diag(w, 1, ..., 1) with w primitive in F_q^*: that is
-    2(n - 1) + [q > 2] matrices.  They generate GL_n.  Write
-    t_ij(c) = I + c*E_ij for i != j.
+    build() makes the conjugation table of g; see the end of this note.
 
-    * For distinct i, k, j the commutator t_ik(a) t_kj(b) t_ik(-a) t_kj(-b)
-      is t_ij(a*b).  Chaining neighbours, t_ij(1) for i < j is the
-      commutator of t_(i,j-1)(1) and t_(j-1,j)(1), and likewise below the
-      diagonal, so every t_ij(1) is reached.
-    * d^k t_0j(1) d^-k = t_0j(w^k) and d^k t_i0(1) d^-k = t_i0(w^-k).  The
-      powers of w are all of F_q^*, so every t_0j(c) and t_i0(c) is
-      reached, and for distinct nonzero i, j the commutator of t_i0(c) and
-      t_0j(1) is t_ij(c).  At q = 2 the only c is 1.
-    * The transvections t_ij(c) generate SL_n (row additions reduce a
+    For n >= 2 the generators are t = I + E_01, the n-cycle c with
+    c e_j = e_(j+1 mod n) and, for q > 2, d = diag(w, 1, ..., 1) with w
+    primitive in F_q^*: 2 + [q > 2] matrices.  At n = 1 conjugation is
+    trivial and d alone generates GL_1.  They generate GL_n.  Write
+    t_ij(a) = I + a*E_ij for i != j, indices mod n.
+
+    * c^k t_01(a) c^-k = t_(k,k+1)(a), since c E_ij c^-1 = E_(i+1,j+1).
+    * d^k t_01(1) d^-k = t_01(w^k).  The powers of w are all of F_q^*, so
+      every t_01(a) with a != 0, and by the cycle every t_(k,k+1)(a), is
+      reached.  At q = 2 the only a is 1.
+    * For distinct i, k, j the commutator t_ik(a) t_kj(1) t_ik(-a) t_kj(-1)
+      is t_ij(a).  Taking k = j - 1 reaches t_ij(a) from pairs one step
+      closer around the cycle, so every t_ij(a) is reached.
+    * The transvections t_ij(a) generate SL_n (row additions reduce a
       matrix of determinant 1 to I).  For g in GL_n pick k with
       det g = w^k; then g d^-k lies in SL_n, so g is a word in the
       generators.  At q = 2, GL_n = SL_n.
@@ -615,77 +705,71 @@ def _generators(field: FieldSpec, n: int):
     GL_n is finite, so each inverse is a positive power and the closure of
     A under conjugation by the generators alone is its whole orbit.
 
-    With g = I + c*E_ij and g^-1 = I + d*E_ij (d = -c for i != j, and
-    1 + d = 1/(1 + c) for the diagonal), g B g^-1 is B after row i gains c
-    times row j and then column j gains d times column i.  Each step
-    (dst, src, weight, row) sets e[dst] += row[e[src]] on the flat
-    entries, where row is a multiplication table row and weight = q^dst is
-    the code place of dst.
+    Conjugation by g permutes the q^(n^2) matrix codes; its table holds
+    the code of g B g^-1 at the code of B, in an array of four-byte codes
+    (eight past 2^32 codes).  The tables cost 4 * (2 + [q > 2]) bytes per
+    matrix: about 200 MB for (64, 2) at the default budget of 2^24.
     """
     q = field.q
-    add = field.add_table
-    neg = field.neg_table
-    mul = field.mul_table
-    qpow = [q**k for k in range(n * n)]
-
-    def conjugation(i, j, c, d):
-        rows = [(i * n + k, j * n + k, mul[c]) for k in range(n)]
-        cols = [(k * n + j, k * n + i, mul[d]) for k in range(n)]
-        return [(dst, src, qpow[dst], row) for dst, src, row in rows + cols]
-
-    minus_one = neg[1]
+    nn = n * n
+    typecode = "I" if q**nn <= 1 << 32 else "Q"
     gens = []
-    for i in range(n - 1):
-        gens.append(conjugation(i, i + 1, 1, minus_one))
-        gens.append(conjugation(i + 1, i, 1, minus_one))
-    if q > 2:
-        w = _primitive_element(field)
+    monomials = []
+    if n > 1:
+        t = list(_identity_entries(n))
+        t[1] = 1
         gens.append(
-            conjugation(0, 0, add[w][minus_one], add[field.inv_table[w]][minus_one])
+            (FqMatrix(field, n, t), functools.partial(_transvection_table, field, n, typecode))
         )
+        cycle = [0] * nn
+        for j in range(n):
+            cycle[(j + 1) % n * n + j] = 1
+        monomials.append(cycle)
+    if q > 2:
+        d = list(_identity_entries(n))
+        d[0] = _primitive_element(field)
+        monomials.append(d)
+    for entries in monomials:
+        g = FqMatrix(field, n, entries)
+        gens.append((g, functools.partial(_monomial_table, field, g, typecode)))
     return gens
 
 
 def _orbit_walk(field: FieldSpec, n: int):
     """Yield (size, representative, last member found) for every orbit of M_n.
 
-    Each unvisited code's orbit {g A g^-1 : g in GL_n} is its closure
-    under conjugation by _generators, one row operation and one column
-    operation each.  Members are marked as found, so the orbits arrive in
-    order of their smallest code, which is the representative.  The walk
-    always covers all q^(n^2) matrices; callers that want GL_n keep the
-    orbits whose representative has full rank, a conjugation invariant.
+    Each unvisited code's orbit {g A g^-1 : g in GL_n} is its closure under
+    the conjugation tables of _generators, walked on integer codes with a
+    visited mark per code.  The next representative is the smallest
+    unvisited code, so the orbits arrive in order of their smallest code;
+    only the representative and the last member are decoded to entry
+    tuples.  The walk always covers all q^(n^2) matrices, at
+    4 * (2 + [q > 2]) + 1 bytes per matrix for the tables and the marks
+    (about 220 MB for (64, 2) at the default budget); callers that want
+    GL_n keep the orbits whose representative has full rank, a
+    conjugation invariant.
     """
     q = field.q
     nn = n * n
-    add = field.add_table
-    gens = _generators(field, n)
+    tables = [build() for _, build in _generators(field, n)]
     visited = bytearray(q**nn)
-    for code, a in enumerate(_entry_tuples(q, nn)):
-        if visited[code]:
-            continue
+    code = 0
+    while code >= 0:
         visited[code] = 1
         orbit = 1
-        last = a
-        stack = [(a, code)]
+        last = code
+        stack = [code]
         while stack:
-            b, bcode = stack.pop()
-            for steps in gens:
-                e = list(b)
-                ecode = bcode
-                for dst, src, weight, row in steps:
-                    x = e[src]
-                    if x:
-                        old = e[dst]
-                        new = add[old][row[x]]
-                        e[dst] = new
-                        ecode += (new - old) * weight
-                if not visited[ecode]:
-                    visited[ecode] = 1
+            b = stack.pop()
+            for table in tables:
+                e = table[b]
+                if not visited[e]:
+                    visited[e] = 1
                     orbit += 1
                     last = e
-                    stack.append((e, ecode))
-        yield orbit, a, tuple(last)
+                    stack.append(e)
+        yield orbit, _code_entries(q, nn, code), _code_entries(q, nn, last)
+        code = visited.find(0, code + 1)
 
 
 def conjugacy_orbit_sizes(

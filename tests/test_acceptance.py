@@ -10,6 +10,10 @@ is "0.7460" and the test also asserts that the proof excludes "0.7403".
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from qmcount import verify
@@ -71,6 +75,39 @@ def test_criterion_3_oracle_matches_formulas_and_series(sweeps):
         assert f"class count, all matrices q={q} n={n}" in names
         assert f"class count, invertible q={q} n={n}" in names
     report("criterion 3 (exhaustive enumeration agreement)", results)
+
+
+# SHA-256 of json.dumps([asdict(tallies), orbits], sort_keys=True) for the
+# orbit_census of every SWEEP_CASES entry, recorded from a walk that
+# conjugated entry lists by 2(n - 1) + [q > 2] elementary generators, not
+# through code tables.  Any change to the walk must reproduce every tally
+# and every (size, invertible) orbit, in order.
+ORBIT_CENSUS_SHA256 = {
+    (2, 1): "d777d3de8b9f0c318ef810f6cfe12ad4f7cc805419793799eae1e497723e2ba1",
+    (2, 2): "4811fa3af46fc19a1a1e53ba140d712496c87d6a220d8bea84040a55362eec55",
+    (3, 1): "440b56c2c3de53817355a2be39044744a9bc3f4209a41f1c2c1540aedfef8662",
+    (3, 2): "06dbaba90b800149c70c3c532ba750db04894a79b207f6fe3437fa2977465d21",
+    (4, 1): "2b36044e7a38485c694844abd1d4ff9bc64d61f2f49f548e96606c1347779d3e",
+    (4, 2): "310f466a43aff83f4409a060e569ed06cce6417e378553bfa00324b857e90275",
+    (5, 2): "a596979222a556da61f5e847d2195125d723ff96304af03e5d8d29a173b04b96",
+    (2, 3): "6dc9ca3c533cb6f3a00eacae09c2ac91c5b07a2d94154ffa35a696138ed4ed3f",
+    (3, 3): "f202bb3d17449579ea3d95e8234eaa57cc4f1c433a23c359c5db8b6107e1c5e6",
+    (2, 4): "5465317ce56b7d1aa8f815050432b8f852649a1b8d26357335a7ad263383a328",
+    (4, 3): "4c32b2f69dee9f9d02b6880bf09bc71d1e8879ede59ea1c91920e33be08212be",
+    (7, 2): "7671c09c0cb888155e2c4e24b8f60a28cf7970602d691c842c1530120082a680",
+    (8, 2): "7b4fda6c6c17d79e3f45c78282a46d08030690a0b231b70006f14206fd2d6c0b",
+    (9, 2): "6dc55085762ddf702d9cc7a6a7dca1dcffb6706418ba67935bc59c46eabe0355",
+    (11, 2): "910efaa4e9b50f94adb23195a7825e2a4206c021cbeffcfecffab1a94788c1dd",
+    (13, 2): "5c12deb5106918e26a4696c193a169097207cd5b438ed125b737a349915f4fa9",
+    (16, 2): "0d69bcfd2b4c94d5cd7c7ac4f8f05b0a05bc8d03ff1d84226bd7f124d17aa41f",
+}
+
+
+def test_orbit_census_reproduces_its_pinned_digests(sweeps):
+    assert set(ORBIT_CENSUS_SHA256) == set(verify.SWEEP_CASES) == set(sweeps)
+    for case, (tallies, orbits) in sweeps.items():
+        payload = json.dumps([dataclasses.asdict(tallies), orbits], sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == ORBIT_CENSUS_SHA256[case], case
 
 
 def test_criterion_4_series_identities_hold():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -284,8 +285,40 @@ def test_second_orbit_member_guards_the_weighted_tally(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generator_count(q, n):
-    count = 2 * (n - 1) + (q > 2)
+    count = 2 * (n > 1) + (q > 2)
     assert len(oracle._generators(field_for(q), n)) == count
+
+
+def explicit_inverse(g):
+    """g^-1 as g^(k-1), with k the first power where g^k = I."""
+    power, k = g, 1
+    while not power.is_identity():
+        power = power.mul(g)
+        k += 1
+    return g.matpow(k - 1)
+
+
+@pytest.mark.parametrize(
+    "q, n, samples",
+    [(2, 3, None), (3, 2, None), (4, 2, None), (9, 2, None), (2, 4, 500), (3, 3, 500), (4, 3, 500)],
+)
+def test_conjugation_tables_match_the_group_action(q, n, samples):
+    field = field_for(q)
+    size = q ** (n * n)
+    if samples is None:
+        codes = range(size)
+    else:
+        rng = random.Random(f"tables {q} {n}")
+        codes = [rng.randrange(size) for _ in range(samples)]
+    for g, build in oracle._generators(field, n):
+        table = build()
+        assert len(table) == size
+        assert sorted(table) == list(range(size)), "not a permutation of the codes"
+        g_inv = explicit_inverse(g)
+        assert g.mul(g_inv).is_identity()
+        for code in codes:
+            A = FqMatrix.from_code(field, n, code)
+            assert table[code] == g.mul(A).mul(g_inv).code(), (g, code)
 
 
 def test_conjugacy_orbits_all_matrices():
@@ -457,7 +490,7 @@ def test_census_orbits_match_the_orbit_sizes(q, n):
     assert [size for size, inv in orbits if inv] == conjugacy_orbit_sizes(q, n, True)
 
 
-@pytest.mark.parametrize("q, n", [(8, 2), (9, 2), (2, 4)])
+@pytest.mark.parametrize("q, n", [(8, 2), (9, 2), (2, 4), (3, 3)])
 def test_small_generator_set_matches_the_full_elementary_family(q, n):
     assert conjugacy_orbit_sizes(q, n) == full_family_orbit_sizes(q, n)
 
