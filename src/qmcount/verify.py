@@ -1,6 +1,7 @@
 """Validation suites: pinned values, identities, dual routes, and sweeps.
 
-Six suites, each returning plain CheckResult records:
+Six suites, each a generator of (check name, got, want) comparisons that
+_suite runs into plain CheckResult records, passing when got == want:
 
 - regression: recompute every pinned sequence/triangle value.
 - identity: exact power-series and q-combinatorial identities.
@@ -9,16 +10,21 @@ Six suites, each returning plain CheckResult records:
 - limit: catalogued limit digits, and the cyclic limit by two routes.
 - oracle: exhaustive small-field matrix sweeps match every formula.
 
-The command-line `verify` subcommand runs all of them and fails on any
-mismatch.  It and the test suite's full-suite gate both go through
-run_suites, which reads the one list SUITES.
+A route that raises an ArithmeticError or ValueError is one failing check
+of its suite, and the suites after it still run.  The command-line
+`verify` subcommand runs all of them and fails on any mismatch.  It and
+the test suite's full-suite gate both go through run_suites, which reads
+the one list SUITES.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import comb, gcd
+from typing import Any
 
 from . import oracle, regression
 from .exact_series import TruncSeries
@@ -73,17 +79,36 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(results: list[CheckResult], suite: str, name: str, got, want) -> None:
-    if got == want:
-        results.append(CheckResult(suite, name, True))
-    else:
-        results.append(
-            CheckResult(suite, name, False, f"expected {want!r}, got {got!r}")
-        )
+# what a suite's generator yields: (check name, got, want)
+Comparisons = Iterator[tuple[str, Any, Any]]
 
 
-def _prop(results: list[CheckResult], suite: str, name: str, ok: bool, detail: str = "") -> None:
-    results.append(CheckResult(suite, name, ok, "" if ok else detail))
+def _suite(name: str) -> Callable[[Callable[..., Comparisons]], Callable[..., list[CheckResult]]]:
+    """Run a generator of comparisons as the suite `name`.
+
+    A route that raises ArithmeticError or ValueError ends the suite with
+    one failing result that names the last check to finish; any other
+    exception is a fault in the program and propagates.
+    """
+
+    def decorate(checks: Callable[..., Comparisons]) -> Callable[..., list[CheckResult]]:
+        @wraps(checks)
+        def run(*args) -> list[CheckResult]:
+            results: list[CheckResult] = []
+            try:
+                for check, got, want in checks(*args):
+                    ok = got == want
+                    detail = "" if ok else f"expected {want!r}, got {got!r}"
+                    results.append(CheckResult(name, check, ok, detail))
+            except (ArithmeticError, ValueError) as exc:
+                after = f"after {results[-1].name}" if results else "before its first check"
+                detail = f"{type(exc).__name__}: {exc}"
+                results.append(CheckResult(name, f"route raised {after}", False, detail))
+            return results
+
+        return run
+
+    return decorate
 
 
 def failures(results) -> list[CheckResult]:
@@ -93,41 +118,21 @@ def failures(results) -> list[CheckResult]:
 # ---------------------------------------------------------------- regression
 
 
-def regression_checks() -> list[CheckResult]:
+@_suite("regression")
+def regression_checks() -> Comparisons:
     """Recompute every pinned value through the public sequence routes."""
-    results: list[CheckResult] = []
     for entry in regression.SEQUENCES:
-        spec = make_spec(
-            entry.name,
-            entry.q,
-            entry.k,
-            min_n=entry.start,
-            max_n=entry.start + len(entry.values) - 1,
-        )
+        last = entry.start + len(entry.values) - 1
+        spec = make_spec(entry.name, entry.q, entry.k, min_n=entry.start, max_n=last)
         label = f"{entry.name} q={entry.q}" + (f" k={entry.k}" if entry.k else "")
-        _check(results, "regression", label, tuple(sequence_values(spec)), entry.values)
+        yield label, tuple(sequence_values(spec)), entry.values
     for tri in regression.TRIANGLES:
-        spec = make_spec(
-            tri.name, tri.q, min_n=tri.start_row, max_n=tri.start_row + len(tri.rows) - 1
-        )
-        rows = sequence_values(spec)
-        _check(
-            results,
-            "regression",
-            f"{tri.name} q={tri.q}",
-            tuple(tuple(r) for r in rows),
-            tri.rows,
-        )
+        last = tri.start_row + len(tri.rows) - 1
+        rows = sequence_values(make_spec(tri.name, tri.q, min_n=tri.start_row, max_n=last))
+        yield f"{tri.name} q={tri.q}", tuple(tuple(r) for r in rows), tri.rows
     for q, want in regression.DIAGONALIZABLE_D2:
-        _check(results, "regression", f"diagonalizable q={q} n=2", diagonalizable_count(q, 2), want)
-        _check(
-            results,
-            "regression",
-            f"diagonalizable q={q} n=2 gf",
-            gf_counts("diagonalizable", q, 4)[2],
-            want,
-        )
-    return results
+        yield f"diagonalizable q={q} n=2", diagonalizable_count(q, 2), want
+        yield f"diagonalizable q={q} n=2 gf", gf_counts("diagonalizable", q, 4)[2], want
 
 
 # ------------------------------------------------------------------ identity
@@ -142,78 +147,54 @@ def _one_minus_v_over_Q(Q: int, m: int) -> Fraction:
     return (Fraction(1), -Fraction(1, Q))[m] if m < 2 else Fraction(0)
 
 
-def identity_checks() -> list[CheckResult]:
-    results: list[CheckResult] = []
+def _reciprocal_centralizer_sum(Q: int, m: int) -> Fraction:
+    return sum((Fraction(1, centralizer_order(Q, lam)) for lam in partitions_of(m)), Fraction(0))
 
+
+@_suite("identity")
+def identity_checks() -> Comparisons:
     # product of euler factors over every irreducible except z equals 1/(1-u)
     order = 12
     for q in (2, 3, 4):
         prod = factor_series(euler_rule, q, 1, order) ** (q - 1)
         for d in range(2, order + 1):
             prod = prod * factor_series(euler_rule, q, d, order) ** irreducible_poly_count(q, d)
-        _check(results, "identity", f"euler product = 1/(1-u) q={q}", prod, _all_ones(order))
-        _check(
-            results,
-            "identity",
-            f"invertible gf = 1/(1-u) q={q}",
-            gf_build("invertible_check", q, order),
-            _all_ones(order),
-        )
+        yield f"euler product = 1/(1-u) q={q}", prod, _all_ones(order)
+        got = gf_build("invertible_check", q, order)
+        yield f"invertible gf = 1/(1-u) q={q}", got, _all_ones(order)
 
     # the complementary product over all irreducibles equals 1 - u
     for q in (2, 3, 4, 5):
         got = nu_weighted_product(q, _one_minus_v_over_Q, 16)
         want = TruncSeries.one(16) - TruncSeries.monomial(1, 1, 16)
-        _check(results, "identity", f"factored form of 1-u q={q}", got, want)
+        yield f"factored form of 1-u q={q}", got, want
 
     # euler factor coefficients equal partition sums over centralizer orders
     for q in (2, 3):
         for d in (1, 2, 3):
-            ok = True
-            detail = ""
-            for m in range(0, 10 // d + 1):
-                want = sum(
-                    (Fraction(1, centralizer_order(q**d, lam)) for lam in partitions_of(m)),
-                    Fraction(0),
-                )
-                if euler_rule(q**d, m) != want:
-                    ok = False
-                    detail = f"mismatch at q={q} d={d} m={m}"
-                    break
-            _prop(results, "identity", f"partition sum = euler factor q={q} d={d}", ok, detail)
+            ms = range(0, 10 // d + 1)
+            yield (
+                f"partition sum = euler factor q={q} d={d}",
+                [euler_rule(q**d, m) for m in ms],
+                [_reciprocal_centralizer_sum(q**d, m) for m in ms],
+            )
 
     # summing reciprocal centralizer orders over all partitions of n
     for q in (2, 3):
         for n in range(1, 9):
-            total = sum(
-                (Fraction(1, centralizer_order(q, lam)) for lam in partitions_of(n)),
-                Fraction(0),
-            )
-            _check(
-                results,
-                "identity",
-                f"centralizer reciprocal sum q={q} n={n}",
-                gl_order(q, n) * total,
-                q ** (n * (n - 1)),
-            )
+            got = gl_order(q, n) * _reciprocal_centralizer_sum(q, n)
+            yield f"centralizer reciprocal sum q={q} n={n}", got, q ** (n * (n - 1))
 
     # q-binomial theorem: prod_{i=0}^{n-1} (1 + q^i t) as a polynomial in t
     for q in (2, 3, 4, 5):
-        ok = True
-        detail = ""
-        for n in range(0, 11):
-            poly = [1]
-            for i in range(n):
-                shifted = [0] + [c * q**i for c in poly]
-                poly = [a + b for a, b in zip(poly + [0], shifted)]
-            want = [
-                q ** comb(k, 2) * gaussian_binomial(q, n, k) for k in range(n + 1)
-            ]
-            if poly != want:
-                ok = False
-                detail = f"mismatch at q={q} n={n}: {poly} != {want}"
-                break
-        _prop(results, "identity", f"q-binomial theorem q={q}", ok, detail)
+        polys = [[1]]
+        for i in range(10):
+            shifted = [0] + [c * q**i for c in polys[-1]]
+            polys.append([a + b for a, b in zip(polys[-1] + [0], shifted)])
+        want = [
+            [q ** comb(k, 2) * gaussian_binomial(q, n, k) for k in range(n + 1)] for n in range(11)
+        ]
+        yield f"q-binomial theorem q={q}", polys, want
 
     # conjugacy-class products: one partition per irreducible polynomial
     for q in (2, 3):
@@ -224,16 +205,8 @@ def identity_checks() -> list[CheckResult]:
         prod = TruncSeries.one(order)
         for d in range(1, order + 1):
             prod = prod * pgf.dilate(d) ** irreducible_poly_count(q, d)
-        _check(
-            results,
-            "identity",
-            f"class product, all matrices q={q}",
-            prod,
-            gf_build("conjclasses_all", q, order),
-        )
-        _check(
-            results,
-            "identity",
+        yield f"class product, all matrices q={q}", prod, gf_build("conjclasses_all", q, order)
+        yield (
             f"class product, invertible q={q}",
             prod * pgf.recip(),
             gf_build("conjclasses_gl", q, order),
@@ -241,29 +214,20 @@ def identity_checks() -> list[CheckResult]:
 
     # irreducible-polynomial counts partition the roots of z^(q^n) - z
     for q in (2, 3, 4):
-        ok = True
-        detail = ""
-        for n in range(1, 11):
-            got = sum(d * irreducible_poly_count(q, d) for d in divisors(n))
-            if got != q**n:
-                ok = False
-                detail = f"degree-weighted count {got} != {q}^{n}"
-                break
-        _prop(results, "identity", f"irreducible count sum q={q}", ok, detail)
+        ns = range(1, 11)
+        got = [sum(d * irreducible_poly_count(q, d) for d in divisors(n)) for n in ns]
+        yield f"irreducible count sum q={q}", got, [q**n for n in ns]
 
     # factorization type of z^k - 1: degrees sum to k; linear factors = gcd(k, q-1)
-    for q, ks in ((2, (1, 3, 5, 7, 9, 15)), (3, (1, 2, 4, 5, 7, 8)), (4, (3, 5, 7, 9)), (5, (2, 3, 4, 6))):
-        ok = True
-        detail = ""
-        for k in ks:
-            degs = cyclotomic_factor_degrees(q, k)
-            if sum(degs) != k or degs.count(1) != gcd(k, q - 1):
-                ok = False
-                detail = f"bad degree profile {degs} for k={k}"
-                break
-        _prop(results, "identity", f"root-of-unity factor degrees q={q}", ok, detail)
-
-    return results
+    for q, ks in (
+        (2, (1, 3, 5, 7, 9, 15)), (3, (1, 2, 4, 5, 7, 8)), (4, (3, 5, 7, 9)), (5, (2, 3, 4, 6))
+    ):
+        profiles = [cyclotomic_factor_degrees(q, k) for k in ks]
+        yield (
+            f"root-of-unity factor degrees q={q}",
+            [(sum(degs), degs.count(1)) for degs in profiles],
+            [(k, gcd(k, q - 1)) for k in ks],
+        )
 
 
 # --------------------------------------------------------------- cross_route
@@ -314,79 +278,47 @@ def _fraction_builds(q: int, order: int) -> dict:
     }
 
 
-def cross_route_checks() -> list[CheckResult]:
-    results: list[CheckResult] = []
-
+@_suite("cross_route")
+def cross_route_checks() -> Comparisons:
     for q in (2, 3):
-        _check(
-            results,
-            "cross_route",
+        ns = range(11)
+        yield (
             f"projections: sum formula vs gf q={q}",
-            [projection_count(q, n) for n in range(11)],
+            [projection_count(q, n) for n in ns],
             gf_counts("projection", q, 10),
         )
-        _check(
-            results,
-            "cross_route",
+        yield (
             f"diagonalizable: sum formula vs gf q={q}",
-            [diagonalizable_count(q, n) for n in range(11)],
+            [diagonalizable_count(q, n) for n in ns],
             gf_counts("diagonalizable", q, 10),
         )
-        _check(
-            results,
-            "cross_route",
+        yield (
             f"derangements: recursion vs gf q={q}",
-            [linear_derangement_count(q, n) for n in range(11)],
+            [linear_derangement_count(q, n) for n in ns],
             gf_counts("linear_derangement", q, 10),
         )
-        _check(
-            results,
-            "cross_route",
+        yield (
             f"splitting counts: sum vs exp gf q={q}",
-            [
-                [q_stirling(q, n, k) for k in range(1, n + 1)]
-                for n in range(1, 8)
-            ],
-            [
-                [q_stirling_via_gf(q, n, k) for k in range(1, n + 1)]
-                for n in range(1, 8)
-            ],
+            [[q_stirling(q, n, k) for k in range(1, n + 1)] for n in range(1, 8)],
+            [[q_stirling_via_gf(q, n, k) for k in range(1, n + 1)] for n in range(1, 8)],
         )
-        _check(
-            results,
-            "cross_route",
+        yield (
             f"splitting totals vs exp gf q={q}",
             [q_bell(q, n) for n in range(1, 7)],
             gf_counts("bell", q, 6)[1:],
         )
 
     for q in (2, 3, 5):
-        _check(
-            results,
-            "cross_route",
+        yield (
             f"derangement reduced form q={q}",
             [linear_derangement_count(q, n) for n in range(13)],
-            [
-                linear_derangement_reduced(q, n) * q ** (n * (n - 1) // 2)
-                for n in range(13)
-            ],
+            [linear_derangement_reduced(q, n) * q ** (n * (n - 1) // 2) for n in range(13)],
         )
 
     for q in (2, 3, 4):
-        _check(
-            results,
-            "cross_route",
-            f"cyclic gf forms agree q={q}",
-            gf_build("cyclic", q, 12),
-            gf_build("cyclic_alt", q, 12),
-        )
-        _check(
-            results,
-            "cross_route",
-            f"separable gf forms agree q={q}",
-            gf_build("separable", q, 12),
-            gf_build("separable_alt", q, 12),
-        )
+        for kind in ("cyclic", "separable"):
+            got, want = gf_build(kind, q, 12), gf_build(f"{kind}_alt", q, 12)
+            yield f"{kind} gf forms agree q={q}", got, want
 
     # every cycle-index product on both product engines: gf_build's integer
     # exp of summed logs with exact division, and the Fraction
@@ -397,7 +329,7 @@ def cross_route_checks() -> list[CheckResult]:
             got, want = gf_build(kind, q, 24), nu_weighted_product(q, rule, 24)
             if over_one_minus_u:
                 want = want * recip
-            _check(results, "cross_route", f"{kind}: integer vs Fraction product q={q}", got, want)
+            yield f"{kind}: integer vs Fraction product q={q}", got, want
 
     # every other kind gf_build serves, built on integers, against the
     # formula that multiplies it out on the TruncSeries kernels
@@ -407,73 +339,61 @@ def cross_route_checks() -> list[CheckResult]:
                 got = tuple(gf_build(kind, q, 24, k) for k in _POWER_KS)
             else:
                 got = gf_build(kind, q, 24)
-            _check(results, "cross_route", f"{kind}: integer vs Fraction build q={q}", got, want)
+            yield f"{kind}: integer vs Fraction build q={q}", got, want
 
     # over odd q the solutions of A^2 = I biject with projections
     for q in (3, 5):
-        _check(
-            results,
-            "cross_route",
+        yield (
             f"square roots of identity vs projections q={q}",
             gf_counts("power_identity", q, 8, k=2),
             [projection_count(q, n) for n in range(9)],
         )
 
     for q in (2, 3, 4, 5, 7, 8, 9):
-        _check(
-            results,
-            "cross_route",
-            f"diagonalizable n=2 polynomial q={q}",
-            diagonalizable_count(q, 2),
-            (q**4 - q**2 + 2 * q) // 2,
-        )
+        want = (q**4 - q**2 + 2 * q) // 2
+        yield f"diagonalizable n=2 polynomial q={q}", diagonalizable_count(q, 2), want
 
     for q in (2, 3):
-        _check(
-            results,
-            "cross_route",
+        yield (
             f"projections vs splitting numbers q={q}",
             [projection_count(q, n) for n in range(2, 9)],
             [2 + 2 * q_stirling(q, n, 2) for n in range(2, 9)],
         )
 
-    _check(
-        results,
-        "cross_route",
+    yield (
         "projections = diagonalizable at q=2",
         [projection_count(2, n) for n in range(9)],
         [diagonalizable_count(2, n) for n in range(9)],
     )
 
     for q in (2, 3):
-        ok = all(
-            gaussian_binomial(q, n, k)
-            == gl_order(q, n)
-            // (gl_order(q, k) * gl_order(q, n - k) * q ** (k * (n - k)))
-            and gaussian_binomial(q, n, k) == gaussian_binomial(q, n, n - k)
-            for n in range(11)
-            for k in range(n + 1)
+        # the index formula is symmetric in k and n - k, so rows that match
+        # it are symmetric too
+        gl = [gl_order(q, n) for n in range(11)]
+        yield (
+            f"subspace count group identity q={q}",
+            [[gaussian_binomial(q, n, k) for k in range(n + 1)] for n in range(11)],
+            [
+                [gl[n] // (gl[k] * gl[n - k] * q ** (k * (n - k))) for k in range(n + 1)]
+                for n in range(11)
+            ],
         )
-        _prop(results, "cross_route", f"subspace count group identity q={q}", ok, "index formula mismatch")
-        _check(
-            results,
-            "cross_route",
+        yield (
             f"two-part multinomial q={q}",
             [q_multinomial(q, [a, b]) for a in range(5) for b in range(5)],
             [gaussian_binomial(q, a + b, a) for a in range(5) for b in range(5)],
         )
-        ok = all(
-            rank_count(q, m, n, k) == rank_count(q, n, m, k)
-            for m in range(6)
-            for n in range(6)
-            for k in range(min(m, n) + 1)
+        shapes = [(m, n, k) for m in range(6) for n in range(6) for k in range(min(m, n) + 1)]
+        yield (
+            f"rank count transpose symmetry q={q}",
+            [rank_count(q, m, n, k) for m, n, k in shapes],
+            [rank_count(q, n, m, k) for m, n, k in shapes],
         )
-        _prop(results, "cross_route", f"rank count transpose symmetry q={q}", ok, "transpose mismatch")
-        ok = all(
-            sum(rank_count(q, n, n, k) for k in range(n + 1)) == q ** (n * n)
-            for n in range(6)
+        yield (
+            f"rank counts sum to all matrices q={q}",
+            [sum(rank_count(q, n, n, k) for k in range(n + 1)) for n in range(6)],
+            [q ** (n * n) for n in range(6)],
         )
-        _prop(results, "cross_route", f"rank counts sum to all matrices q={q}", ok, "rank total mismatch")
 
     # the q-Pascal table routes against the product cells and group orders
     for q in (2, 3, 4, 5):
@@ -485,71 +405,51 @@ def cross_route_checks() -> list[CheckResult]:
             ("rank rows vs rank_count", "rank_row", ranks),
             ("subspace totals vs summed cells", "subspaces_total", [sum(r) for r in cells]),
         ):
-            got = sequence_values(make_spec(name, q, min_n=0, max_n=16))
-            _check(results, "cross_route", f"{label} q={q}", got, want)
+            yield f"{label} q={q}", sequence_values(make_spec(name, q, min_n=0, max_n=16)), want
         gl = [gl_order(q, n) for n in ns]
         want = [[gl[m] // (gl[a] * gl[m - a]) for a in range(m + 1)] for m in ns]
-        got = complement_rows(q, 16)
-        _check(results, "cross_route", f"complement rows vs group orders q={q}", got, want)
+        yield f"complement rows vs group orders q={q}", complement_rows(q, 16), want
 
     for q in (2, 3, 4, 5):
-        _check(
-            results,
-            "cross_route",
+        yield (
             f"invertible order factored form q={q}",
             [gl_order(q, n) for n in range(9)],
             [gl_order_factored(q, n) for n in range(9)],
         )
-        _check(
-            results,
-            "cross_route",
+        yield (
             f"invertible counts via gf q={q}",
             [gl_order(q, n) for n in range(13)],
             gf_counts("invertible_check", q, 12),
         )
 
-    return results
-
 
 # --------------------------------------------------------------------- trend
 
 
-def trend_checks() -> list[CheckResult]:
-    """Distances to the limiting ratios shrink and end within 10% at n = 10."""
-    results: list[CheckResult] = []
+@_suite("trend")
+def trend_checks() -> Comparisons:
+    """Distances to the limiting ratios shrink and end within 10% at n = 10.
+
+    Each check compares the distances at n = 4, 7, 10 with themselves
+    sorted largest first, the last capped at a tenth of the limit.
+    """
     for q in (2, 3):
         limit = euler_partial_product(q, 60)
-        series = {
-            "invertible fraction": [
-                Fraction(gl_order(q, n), q ** (n * n)) for n in range(1, 11)
-            ],
-            "derangement fraction": [
-                Fraction(linear_derangement_count(q, n), gl_order(q, n))
-                for n in range(1, 11)
-            ],
-        }
         classes = gf_counts("conjclasses_all", q, 10)
-        series["class count growth"] = [
-            Fraction(classes[n], q**n) for n in range(1, 11)
-        ]
-        targets = {
-            "invertible fraction": limit,
-            "derangement fraction": limit,
-            "class count growth": 1 / limit,
-        }
-        for label, values in series.items():
-            target = targets[label]
-            dist = [abs(x - target) for x in values]
-            ok = dist[3] >= dist[6] >= dist[9] and dist[9] <= target / 10
-            _prop(
-                results,
-                "trend",
-                f"{label} q={q}",
-                ok,
-                f"distances n=4,7,10: {[float(dist[i]) for i in (3, 6, 9)]}, "
-                f"limit {float(target):.6f}",
-            )
-    return results
+        for label, target, ratio in (
+            ("invertible fraction", limit, lambda n: Fraction(gl_order(q, n), q ** (n * n))),
+            (
+                "derangement fraction",
+                limit,
+                lambda n: Fraction(linear_derangement_count(q, n), gl_order(q, n)),
+            ),
+            ("class count growth", 1 / limit, lambda n: Fraction(classes[n], q**n)),
+        ):
+            dist = [float(abs(ratio(n) - target)) for n in (4, 7, 10)]
+            want = sorted(dist, reverse=True)
+            want[-1] = min(want[-1], float(target) / 10)
+            shown = f"n=4,7,10, limit {float(target):.6f}"
+            yield f"{label} q={q}", (dist, shown), (want, shown)
 
 
 # -------------------------------------------------------------------- limits
@@ -565,27 +465,24 @@ LIMIT_TARGETS = (
 )
 
 
-def limit_checks() -> list[CheckResult]:
+@_suite("limit")
+def limit_checks() -> Comparisons:
     """The catalogued limit digits, and the cyclic limit by two routes.
 
     The second cyclic route is the cycle-index product of
     cyclic_limit_bracket, which does not use the closed form
     (1 - q^-5) prod_{r>=3}(1 - q^-r) behind limit_eval.
     """
-    results: list[CheckResult] = []
     for kind, q, digits, want in LIMIT_TARGETS:
-        _check(results, "limit", f"{kind} limit q={q}", limit_eval(kind, q, digits), want)
+        yield f"{kind} limit q={q}", limit_eval(kind, q, digits), want
     for q in (2, 3):
         for digits in (4, 5):
             lo, _ = cyclic_limit_bracket(q, digits)
-            _check(
-                results,
-                "limit",
+            yield (
                 f"cyclic limit q={q} digits={digits}: cycle index vs closed form",
                 decimal_truncate(lo, digits),
                 limit_eval("cyclic", q, digits),
             )
-    return results
 
 
 # -------------------------------------------------------------------- oracle
@@ -623,49 +520,26 @@ def _char_power_at_least(k: int, p: int, n: int) -> bool:
     return k == 1
 
 
-def oracle_checks(sweeps: dict) -> list[CheckResult]:
-    results: list[CheckResult] = []
+@_suite("oracle")
+def oracle_checks(sweeps: dict) -> Comparisons:
     for (q, n), (sw, _) in sorted(sweeps.items()):
         tag = f"q={q} n={n}"
         p = PrimePower.of(q).p
-        _check(results, "oracle", f"matrix total {tag}", sw.total, q ** (n * n))
-        _check(results, "oracle", f"invertible {tag}", sw.invertible, gl_order(q, n))
-        _check(results, "oracle", f"nilpotent {tag}", sw.nilpotent, nilpotent_count(q, n))
-        _check(results, "oracle", f"projections {tag}", sw.projection, projection_count(q, n))
-        _check(
-            results,
-            "oracle",
-            f"diagonalizable {tag}",
-            sw.diagonalizable,
-            diagonalizable_count(q, n),
-        )
-        _check(
-            results,
-            "oracle",
-            f"derangements {tag}",
-            sw.linear_derangement,
-            linear_derangement_count(q, n),
-        )
+        yield f"matrix total {tag}", sw.total, q ** (n * n)
+        yield f"invertible {tag}", sw.invertible, gl_order(q, n)
+        yield f"nilpotent {tag}", sw.nilpotent, nilpotent_count(q, n)
+        yield f"projections {tag}", sw.projection, projection_count(q, n)
+        yield f"diagonalizable {tag}", sw.diagonalizable, diagonalizable_count(q, n)
+        yield f"derangements {tag}", sw.linear_derangement, linear_derangement_count(q, n)
         for kind, got in (
             ("cyclic", sw.cyclic),
             ("semisimple", sw.semisimple),
             ("separable", sw.separable),
             ("projective_derangement", sw.projective_derangement),
         ):
-            _check(
-                results,
-                "oracle",
-                f"{kind} {tag}",
-                got,
-                gf_counts(kind, q, n)[n],
-            )
-        _check(
-            results,
-            "oracle",
-            f"rank distribution {tag}",
-            sw.rank,
-            tuple(rank_count(q, n, n, k) for k in range(n + 1)),
-        )
+            yield f"{kind} {tag}", got, gf_counts(kind, q, n)[n]
+        ranks = tuple(rank_count(q, n, n, k) for k in range(n + 1))
+        yield f"rank distribution {tag}", sw.rank, ranks
         for k, got in sorted(sw.power_identity.items()):
             if k % p:
                 want = gf_counts("power_identity", q, n, k)[n]
@@ -676,23 +550,16 @@ def oracle_checks(sweeps: dict) -> list[CheckResult]:
                 want = nilpotent_count(q, n)
             else:
                 continue
-            _check(results, "oracle", f"power identity k={k} {tag}", got, want)
-        _check(results, "oracle", f"flag consistency {tag}", sw.consistency_violations, 0)
+            yield f"power identity k={k} {tag}", got, want
+        yield f"flag consistency {tag}", sw.consistency_violations, 0
         if (q, n) in PER_MATRIX_CASES:
-            _check(
-                results,
-                "oracle",
-                f"orbit-weighted tallies = per-matrix tallies {tag}",
-                sw,
-                oracle.per_matrix_counts(q, n),
-            )
+            per_matrix = oracle.per_matrix_counts(q, n)
+            yield f"orbit-weighted tallies = per-matrix tallies {tag}", sw, per_matrix
 
     # over odd q, A^2 = I exactly when (A + I)/2 is a projection
     for (q, n), (sw, _) in sorted(sweeps.items()):
         if q % 2:
-            _check(
-                results,
-                "oracle",
+            yield (
                 f"square roots of identity vs projections q={q} n={n}",
                 sw.power_identity[2],
                 projection_count(q, n),
@@ -703,45 +570,19 @@ def oracle_checks(sweeps: dict) -> list[CheckResult]:
         sizes_all = [size for size, _ in orbits]
         sizes_gl = [size for size, invertible in orbits if invertible]
         gamma = gl_order(q, n)
-        _check(
-            results,
-            "oracle",
-            f"class count, all matrices {tag}",
-            len(sizes_all),
-            gf_counts("conjclasses_all", q, n)[n],
-        )
-        _check(
-            results,
-            "oracle",
-            f"class count, invertible {tag}",
-            len(sizes_gl),
-            gf_counts("conjclasses_gl", q, n)[n],
-        )
-        _check(results, "oracle", f"orbit sizes cover all matrices {tag}", sum(sizes_all), q ** (n * n))
-        _check(results, "oracle", f"orbit sizes cover invertibles {tag}", sum(sizes_gl), gamma)
-        _prop(
-            results,
-            "oracle",
-            f"orbit sizes divide group order {tag}",
-            all(gamma % s == 0 for s in sizes_all),
-            "orbit size does not divide the group order",
-        )
-        _check(
-            results,
-            "oracle",
-            f"smallest centralizer {tag}",
-            gamma // max(sizes_gl),
-            min_centralizer_orders(q, n)[n],
-        )
-        _check(
-            results,
-            "oracle",
+        want = gf_counts("conjclasses_all", q, n)[n]
+        yield f"class count, all matrices {tag}", len(sizes_all), want
+        want = gf_counts("conjclasses_gl", q, n)[n]
+        yield f"class count, invertible {tag}", len(sizes_gl), want
+        yield f"orbit sizes cover all matrices {tag}", sum(sizes_all), q ** (n * n)
+        yield f"orbit sizes cover invertibles {tag}", sum(sizes_gl), gamma
+        yield f"orbit sizes divide group order {tag}", [s for s in sizes_all if gamma % s], []
+        yield f"smallest centralizer {tag}", gamma // max(sizes_gl), min_centralizer_orders(q, n)[n]
+        yield (
             f"largest class {tag}",
             sequence_values(make_spec("max_class", q, min_n=n, max_n=n)),
             [max(sizes_gl)],
         )
-
-    return results
 
 
 # Every suite but the oracle's, in the order run_all runs them.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,13 @@ def test_criterion_6_convergence_trends_within_tolerance():
     report("criterion 6 (asymptotic trend tolerance)", trend_checks())
 
 
+# SHA-256 of every "suite: name" line run_suites gives on the standard
+# sweeps, in order, recorded before the suites were written as generators
+# of (name, got, want) comparisons.  A check dropped, renamed or moved
+# changes it.
+CHECK_LIST_SHA256 = "9bfc73f9cc6ae7d2b0a1271489239c906b07ef0d9d3efa1081d57d0801394f99"
+
+
 def test_full_suite_summary(sweeps):
     # everything above, through the suite list the CLI's run_all uses
     results = verify.run_suites(sweeps)
@@ -159,3 +167,8 @@ def test_full_suite_summary(sweeps):
     print(f"full verification: {len(results) - len(bad)}/{len(results)} checks passed")
     assert not bad
     assert hasattr(verify, "run_all")
+    assert len(results) == 618
+    listing = "\n".join(f"{r.suite}: {r.name}" for r in results)
+    assert hashlib.sha256(listing.encode()).hexdigest() == CHECK_LIST_SHA256
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert f"({len(results)} internal cross-checks)" in readme

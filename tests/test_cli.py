@@ -6,11 +6,12 @@ import ast
 import json
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qmcount import regression, sequences
+from qmcount import gfengine, regression, sequences, verify
 from qmcount.cli import main
 from qmcount.regression import RegressionEntry
 from qmcount.sequences import make_spec, parse_bfile, sequence_values
@@ -274,6 +275,57 @@ def test_verify_reports_failures(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--oracle-budget", "2", "--quiet")
     assert code == 1
     assert "[FAIL] regression: invertible q=2" in out
+
+
+def test_verify_reports_a_raising_route_as_a_failure(capsys, monkeypatch):
+    # a separable factor whose u^1 coefficient 1/3 scales to no integer count
+    def broken(Q, m):
+        return (Fraction(1), Fraction(1, 3))[m] if m < 2 else Fraction(0)
+
+    monkeypatch.setitem(
+        gfengine._KINDS, "separable", gfengine._KINDS["separable"]._replace(rule=broken)
+    )
+    code, out, err = run_cli(capsys, "verify", "--oracle-budget", "16", "--quiet")
+    assert (code, err) == (1, "")
+    message = "NonIntegralCount: the degree-1 factor at u^1 scales to non-integer 1/3"
+    lines = out.splitlines()
+    # each suite that reaches the separable series fails once, and the rest still run
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "[FAIL] regression", "[FAIL] cross_route", "[FAIL] oracle"
+    ]
+    assert f"[FAIL] cross_route: route raised after cyclic gf forms agree q=2: {message}" in lines
+    assert all(line.endswith(message) for line in lines[:-1])
+    passed, total = lines[-1].removesuffix(" checks passed").split("/")
+    assert int(passed) == int(total) - 3
+
+
+def test_verify_lets_a_programming_error_propagate(monkeypatch):
+    def broken(n):
+        raise TypeError("not a route failure")
+
+    monkeypatch.setattr(verify, "divisors", broken)
+    with pytest.raises(TypeError, match="not a route failure"):
+        verify.identity_checks()
+
+
+def test_a_failing_comparison_shows_both_values(monkeypatch):
+    # with only the divisor 1, the degree-weighted count is nu_1 = q at every n
+    monkeypatch.setattr(verify, "divisors", lambda n: [1])
+    bad = verify.failures(verify.identity_checks())
+    assert [r.name for r in bad] == [f"irreducible count sum q={q}" for q in (2, 3, 4)]
+    assert bad[0].detail == f"expected {[2**n for n in range(1, 11)]!r}, got {[2] * 10!r}"
+
+
+def test_a_failing_trend_shows_its_distances_and_limit(monkeypatch):
+    monkeypatch.setattr(verify, "euler_partial_product", lambda q, n: Fraction(1, 2))
+    results = verify.trend_checks()
+    first = results[0]
+    assert (first.name, first.ok) == ("invertible fraction q=2", False)
+    # |GL_4(2)| / 2^16 = 20160 / 65536 sits 12608 / 65536 from the limit 1/2
+    assert f"got ([{12608 / 65536!r}, " in first.detail
+    assert first.detail.count("n=4,7,10, limit 0.500000") == 2
+    # at q = 3 the distances shrink (0.0636, 0.0603, 0.0601) but end above 1/20
+    assert (results[3].name, results[3].ok) == ("invertible fraction q=3", False)
 
 
 def test_values_beyond_4300_digits_print_in_full(capsys, monkeypatch):
