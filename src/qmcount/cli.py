@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .gfengine import LIMIT_KINDS, NonIntegralCount, UnresolvedDigits, limit_eval
@@ -33,7 +34,9 @@ from .sequences import (
 from .verify import failures, run_all
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qmcount",
         description="Exact counts of matrix classes over finite fields.",

@@ -556,6 +556,10 @@ LIMIT_KINDS = (
 )
 
 
+# a proven bracket (lo, hi), each end a pair (num, den) of positive integers
+_Ends = tuple[tuple[int, int], tuple[int, int]]
+
+
 class UnresolvedDigits(ArithmeticError):
     """A proven bracket did not settle the requested digits within its depth cap."""
 
@@ -566,19 +570,28 @@ def decimal_truncate(x: Fraction, digits: int) -> str:
         raise ValueError("expected a non-negative value")
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    scaled = x.numerator * 10**digits // x.denominator
-    s = str(scaled).rjust(digits + 1, "0")
+    return _truncated(x.numerator, x.denominator, digits)
+
+
+def _truncated(num: int, den: int, digits: int) -> str:
+    """num / den with `digits` decimals, truncated; the pair need not be reduced."""
+    s = str(num * 10**digits // den).rjust(digits + 1, "0")
     if digits == 0:
         return s
     return s[:-digits] + "." + s[-digits:]
 
 
+def _euler_numerator(q: int, terms: int) -> int:
+    """prod_{r=1..terms} (q^r - 1), which is prod (1 - q^-r) times q^(terms(terms+1)/2)."""
+    prod = 1
+    for r in range(1, terms + 1):
+        prod *= q**r - 1
+    return prod
+
+
 def euler_partial_product(q: int, terms: int) -> Fraction:
     """prod_{r=1..terms} (1 - q^-r), an upper bound on the infinite product."""
-    prod = Fraction(1)
-    for r in range(1, terms + 1):
-        prod *= 1 - Fraction(1, q**r)
-    return prod
+    return Fraction(_euler_numerator(q, terms), q ** (terms * (terms + 1) // 2))
 
 
 def _check_limit_args(q: int, digits: int) -> None:
@@ -587,12 +600,17 @@ def _check_limit_args(q: int, digits: int) -> None:
         raise ValueError("digits must be between 1 and 50")
 
 
-def _resolve_digits(bracket, depth: int, digits: int) -> tuple[Fraction, Fraction]:
-    """Deepen bracket(depth) -> (lo, hi) until both ends truncate alike."""
+def _resolve_digits(bracket: Callable[[int], _Ends], depth: int, digits: int) -> _Ends:
+    """Deepen bracket(depth) -> (lo, hi) until both ends truncate alike.
+
+    The ends need not be reduced; the pair of ends that settled is returned.
+    """
+    scale = 10**digits
     for depth in range(depth, 2 * depth + 64):
-        lo, hi = bracket(depth)
-        if decimal_truncate(lo, digits) == decimal_truncate(hi, digits):
-            return lo, hi
+        ends = bracket(depth)
+        (lo_num, lo_den), (hi_num, hi_den) = ends
+        if lo_num * scale // lo_den == hi_num * scale // hi_den:
+            return ends
     raise UnresolvedDigits(f"{digits} digits not settled by depth {depth}")
 
 
@@ -608,27 +626,36 @@ def limit_eval(kind: str, q: int, digits: int = 5) -> str:
     with m the power (q - 1 for projective_frac, else 1), so P_R times that
     is a lower bound.  R starts where the tail is below 10^-(digits+2) and
     grows until both bounds truncate to the same string.
+
+    Both bounds are integer pairs (num, den), never reduced: P_R is
+    prod (q^r - 1) over q^(R(R+1)/2), and the cyclic factor
+    (1 - q^-5) / ((1 - q^-1)(1 - q^-2)) is (q^5 - 1) over
+    (q - 1)(q^2 - 1) q^2.  The decimals are num * 10^digits // den, and
+    scaling num and den by one positive integer leaves that floor
+    unchanged, so the string is the one decimal_truncate gives for the
+    reduced fraction.  No Fraction or float arithmetic is done.
     """
     if kind not in LIMIT_KINDS:
         raise BadKindParams(f"unknown limit kind {kind!r}")
     _check_limit_args(q, digits)
-    allowance = Fraction(1, 10 ** (digits + 2))
     mult = q - 1 if kind == "projective_frac" else 1
+    # the first R whose tail m q / ((q - 1) q^R) is below 10^-(digits+2)
     R = 1
-    while Fraction(mult * q, (q - 1) * q**R) >= allowance:
+    while mult * q * 10 ** (digits + 2) >= (q - 1) * q**R:
         R += 1
     if kind == "cyclic":
         R = max(R, 5)
 
-    def bracket(R: int) -> tuple[Fraction, Fraction]:
-        hi = euler_partial_product(q, R) ** mult
+    def bracket(R: int) -> _Ends:
+        num = _euler_numerator(q, R) ** mult
+        den = q ** (R * (R + 1) // 2 * mult)
         if kind == "cyclic":
-            hi *= (1 - Fraction(1, q**5)) / (
-                (1 - Fraction(1, q)) * (1 - Fraction(1, q**2))
-            )
-        return hi * (1 - Fraction(mult, (q - 1) * q**R)), hi
+            num *= q**5 - 1
+            den *= (q - 1) * (q**2 - 1) * q**2
+        tail = (q - 1) * q**R
+        return (num * (tail - mult), den * tail), (num, den)
 
-    return decimal_truncate(_resolve_digits(bracket, R, digits)[1], digits)
+    return _truncated(*_resolve_digits(bracket, R, digits)[1], digits)
 
 
 def cyclic_limit_bracket(q: int, digits: int) -> tuple[Fraction, Fraction]:
@@ -654,7 +681,7 @@ def cyclic_limit_bracket(q: int, digits: int) -> tuple[Fraction, Fraction]:
     """
     _check_limit_args(q, digits)
 
-    def bracket(depth: int) -> tuple[Fraction, Fraction]:
+    def bracket(depth: int) -> _Ends:
         hi = euler_partial_product(q, depth)
         lo = hi * (1 - Fraction(1, (q - 1) * q**depth))
         for d in range(1, depth + 1):
@@ -672,9 +699,11 @@ def cyclic_limit_bracket(q: int, digits: int) -> tuple[Fraction, Fraction]:
             if top < nu:
                 part += y ** (top + 1) / (factorial(top + 1) * (1 - y))
             hi *= part
-        return lo, hi / (1 - Fraction(2, (depth + 1) * (q - 1) * q**depth))
+        hi /= 1 - Fraction(2, (depth + 1) * (q - 1) * q**depth)
+        return lo.as_integer_ratio(), hi.as_integer_ratio()
 
     depth = 1
     while q**depth < 10**digits:
         depth += 1
-    return _resolve_digits(bracket, depth, digits)
+    lo, hi = _resolve_digits(bracket, depth, digits)
+    return Fraction(*lo), Fraction(*hi)

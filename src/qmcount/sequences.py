@@ -331,9 +331,13 @@ def triangle_flat_start(name: str, first_row: int) -> int:
 
 
 def _decimal(v: int) -> str:
-    """str(v) for an int of any size: Decimal is not held to the interpreter's
-    limit on int-to-text digits."""
-    return str(Decimal(v))
+    """str(v) for an int of any size.  str is faster but refuses values over
+    the interpreter's current limit on int-to-text digits; Decimal is not held
+    to that limit, so it converts only those."""
+    try:
+        return str(v)
+    except ValueError:
+        return str(Decimal(v))
 
 
 def _parse_int(text: str) -> int:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qmcount import gfengine, regression, sequences, verify
+from qmcount import cli, gfengine, regression, sequences, verify
 from qmcount.cli import main
 from qmcount.regression import RegressionEntry
 from qmcount.sequences import make_spec, parse_bfile, sequence_values
@@ -179,6 +179,34 @@ def test_error_messages_go_to_stderr(capsys):
     code, out, err = run_cli(capsys, "seq", "invertible", "--q", "6")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_reusing_the_parser_leaks_no_state(capsys):
+    calls = (
+        ("seq", "invertible", "--q", "3", "--max-n", "6", "--format", "json"),
+        ("table", "rank_row", "--q", "2", "--k", "1", "--max-n", "5"),
+        ("limit", "projective_frac", "--q", "4", "--digits", "12"),
+        ("seq", "cyclic", "--q", "2", "--min-n", "2", "--max-n", "4", "--format", "bfile"),
+        ("table", "qbinom_row", "--q", "2", "--max-n", "3"),
+        ("limit", "cyclic", "--q", "2"),
+        ("limit", "invertible", "--q", "2", "--digits", "x"),
+        ("--help",),
+        ("seq", "invertible", "--q", "3", "--max-n", "6", "--format", "json"),
+    )
+    alone = []
+    for argv in calls:
+        # a fresh parser, as the first call of a new process gets
+        cli.build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    cli.build_parser.cache_clear()
+    together = [run_cli(capsys, *argv) for argv in calls]
+    assert together == alone
+    code, out, err = alone[-3]
+    assert (code, out) == (2, "") and err.startswith("usage: qmcount limit")
+    code, out, err = alone[-2]
+    assert (code, err) == (0, "") and out.startswith("usage: qmcount")
+    assert [code for code, _, _ in alone[:6]] == [0] * 6
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize(

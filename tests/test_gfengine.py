@@ -616,16 +616,51 @@ def test_cyclic_limit_bracket_contains_closed_form_value():
 
 def test_resolve_digits_deepens_until_the_ends_agree():
     def around(x):
-        return lambda depth: (x - Fraction(1, 10**depth), x)
+        return lambda depth: (
+            (x - Fraction(1, 10**depth)).as_integer_ratio(),
+            x.as_integer_ratio(),
+        )
 
     # 1/3 - 10^-3 truncates to 0.332, so depth 3 is not enough
     assert _resolve_digits(around(Fraction(1, 3)), 3, 3) == (
-        Fraction(1, 3) - Fraction(1, 10**4),
-        Fraction(1, 3),
+        (Fraction(1, 3) - Fraction(1, 10**4)).as_integer_ratio(),
+        (1, 3),
     )
     # 1/2 sits on a digit boundary: no depth settles it, and the cap stops it
     with pytest.raises(UnresolvedDigits):
         _resolve_digits(around(Fraction(1, 2)), 3, 1)
+
+
+def reference_limit(kind: str, q: int, digits: int) -> str:
+    """The bracket of limit_eval on Fractions at a fixed depth R with
+    q^-R < 10^-(digits + 5); it asserts that both ends truncate alike."""
+    mult = q - 1 if kind == "projective_frac" else 1
+    R = 1
+    while q**R <= 10 ** (digits + 5):
+        R += 1
+    hi = partial_product(q, R) ** mult
+    if kind == "cyclic":
+        hi *= (1 - Fraction(1, q**5)) / ((1 - Fraction(1, q)) * (1 - Fraction(1, q**2)))
+    lo = hi * (1 - Fraction(mult, (q - 1) * q**R))
+    assert decimal_truncate(lo, digits) == decimal_truncate(hi, digits)
+    return decimal_truncate(hi, digits)
+
+
+def test_limit_grid_reproduces_its_pinned_digest():
+    grid = [
+        limit_eval(kind, q, digits)
+        for kind in LIMIT_KINDS
+        for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 101, 1009)
+        for digits in (1, 2, 5, 10, 20, 37, 50)
+    ]
+    assert len(grid) == 420
+    # recorded from the Fraction bracket that limit_eval used before its integer form
+    assert hashlib.sha256("\n".join(grid).encode()).hexdigest() == (
+        "3ca57582d64e57d7307ccd811f8e3f65dfa0b0ebe9398f54b04f3d09de9eb0ce"
+    )
+    for kind in LIMIT_KINDS:
+        for q in (2, 3, 1009):
+            assert limit_eval(kind, q, 50) == reference_limit(kind, q, 50), (kind, q)
 
 
 def test_limit_eval_validation():

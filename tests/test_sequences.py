@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import sys
+from decimal import Decimal
+
 import pytest
 
 from qmcount import oracle, sequences
@@ -302,6 +306,28 @@ def test_emit_and_parse_bfile():
     assert parse_bfile("5 10\n6 20\n# tail\n") == (5, [10, 20])
     with pytest.raises(ValueError):
         parse_bfile("1 1\n3 2\n")
+
+
+def test_output_is_the_same_on_both_sides_of_the_int_to_text_limit():
+    # str serves values within the interpreter's int-to-text limit and Decimal
+    # the rest; with the limit lowered to 640 digits both print the same text
+    values = [0, -5, 10**639, -(10**639), 10**640, -(10**640), 7 * 10**700 + 3, 2 ** (120 * 120)]
+    texts = [str(Decimal(v)) for v in values]
+    spec = make_spec("invertible", 2, max_n=2)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert str(10**639) == texts[2]
+        with pytest.raises(ValueError):
+            str(10**640)
+        plain = emit_plain(values)
+        text = emit_json(spec, values, offset=3)
+        bfile = emit_bfile(3, values)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert plain == " ".join(texts)
+    assert json.loads(text)["values"] == texts
+    assert bfile == "".join(f"{3 + i} {t}\n" for i, t in enumerate(texts))
 
 
 def test_spec_is_frozen():
