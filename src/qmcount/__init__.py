@@ -3,9 +3,15 @@
 Every count is available through at least two independent routes (closed
 formulas and truncated generating functions), cross-validated against an
 exhaustive small-field enumeration oracle; see the verify module.
+
+Importing the package loads ffpoly and qcount, which every route needs.
+Every other export, and every other submodule (``qmcount.verify`` and the
+rest), is imported on first access, so a process that prints one sequence
+never loads the oracle or the verify suites.
 """
 
-from .exact_series import NonzeroConstantTerm, TruncSeries, ZeroConstantTerm
+from importlib import import_module
+
 from .ffpoly import (
     FieldSpec,
     NotCoprime,
@@ -16,36 +22,6 @@ from .ffpoly import (
     moebius,
     multiplicative_order,
     squarefree_test,
-)
-from .gfengine import (
-    BadKindParams,
-    CostExceeded,
-    GF_KINDS,
-    LIMIT_KINDS,
-    NonIntegralCount,
-    centralizer_order,
-    count_product,
-    euler_rule,
-    extract_count,
-    factor_series,
-    gf_build,
-    gf_counts,
-    limit_eval,
-    nu_weighted_product,
-    partitions_of,
-    q_stirling_via_gf,
-)
-from .oracle import (
-    BudgetExceeded,
-    FqMatrix,
-    char_poly,
-    classify,
-    count_matching,
-    enumerate_matrices,
-    max_class_size,
-    min_centralizer_order,
-    min_poly,
-    sweep_counts,
 )
 from .qcount import (
     CharNotTwo,
@@ -67,87 +43,57 @@ from .qcount import (
     separable_class_count,
     subspace_total,
 )
-from .sequences import (
-    SEQUENCE_NAMES,
-    SequenceSpec,
-    UnsupportedSequence,
-    emit_bfile,
-    emit_json,
-    emit_plain,
-    make_spec,
-    parse_bfile,
-    sequence_values,
-)
-from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadKindParams",
-    "BudgetExceeded",
-    "CharNotTwo",
-    "CheckResult",
-    "CostExceeded",
-    "FieldSpec",
-    "FqMatrix",
-    "GF_KINDS",
-    "LIMIT_KINDS",
-    "NonIntegralCount",
-    "NonzeroConstantTerm",
-    "NotCoprime",
-    "PrimePower",
-    "SEQUENCE_NAMES",
-    "SequenceSpec",
-    "TruncSeries",
-    "UnsupportedSequence",
-    "ZeroConstantTerm",
-    "build_field",
-    "centralizer_order",
-    "char_poly",
-    "classify",
-    "count_matching",
-    "count_product",
-    "cyclotomic_factor_degrees",
-    "diagonalizable_count",
-    "emit_bfile",
-    "emit_json",
-    "emit_plain",
-    "enumerate_matrices",
-    "euler_rule",
-    "extract_count",
-    "factor_series",
-    "field_for",
-    "gaussian_binomial",
-    "gf_build",
-    "gf_counts",
-    "gl_order",
-    "involution_count_char2",
-    "irreducible_poly_count",
-    "limit_eval",
-    "linear_derangement_count",
-    "linear_derangement_reduced",
-    "make_spec",
-    "max_class_size",
-    "min_centralizer_order",
-    "min_poly",
-    "moebius",
-    "multiplicative_order",
-    "nilpotent_count",
-    "nu_weighted_product",
-    "parse_bfile",
-    "partitions_of",
-    "projection_count",
-    "q_bell",
-    "q_factorial",
-    "q_int",
-    "q_multinomial",
-    "q_stirling",
-    "q_stirling_via_gf",
-    "rank_count",
-    "run_all",
-    "separable_class_count",
-    "sequence_values",
-    "squarefree_test",
-    "subspace_total",
-    "sweep_counts",
-]
+# every export by its home module: ffpoly's and qcount's are imported above,
+# the rest by __getattr__ on first access
+_EXPORTS = {
+    "exact_series": ("NonzeroConstantTerm", "TruncSeries", "ZeroConstantTerm"),
+    "ffpoly": (
+        "FieldSpec", "NotCoprime", "build_field", "cyclotomic_factor_degrees", "field_for",
+        "irreducible_poly_count", "moebius", "multiplicative_order", "squarefree_test",
+    ),
+    "gfengine": (
+        "BadKindParams", "CostExceeded", "GF_KINDS", "LIMIT_KINDS", "NonIntegralCount",
+        "centralizer_order", "count_product", "euler_rule", "extract_count", "factor_series",
+        "gf_build", "gf_counts", "limit_eval", "nu_weighted_product", "partitions_of",
+        "q_stirling_via_gf",
+    ),
+    "oracle": (
+        "BudgetExceeded", "FqMatrix", "char_poly", "classify", "count_matching",
+        "enumerate_matrices", "max_class_size", "min_centralizer_order", "min_poly",
+        "sweep_counts",
+    ),
+    "qcount": (
+        "CharNotTwo", "PrimePower", "diagonalizable_count", "gaussian_binomial", "gl_order",
+        "involution_count_char2", "linear_derangement_count", "linear_derangement_reduced",
+        "nilpotent_count", "projection_count", "q_bell", "q_factorial", "q_int",
+        "q_multinomial", "q_stirling", "rank_count", "separable_class_count", "subspace_total",
+    ),
+    "sequences": (
+        "SEQUENCE_NAMES", "SequenceSpec", "UnsupportedSequence", "emit_bfile", "emit_json",
+        "emit_plain", "make_spec", "parse_bfile", "sequence_values",
+    ),
+    "verify": ("CheckResult", "run_all"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("cli", "exact_series", "gfengine", "oracle", "regression", "sequences", "verify")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """An export or submodule not yet loaded: import it and keep it here."""
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -8,6 +8,7 @@ Subcommands:
   line in plain form and flattened in JSON and b-files, or the column k.
 - limit: evaluate a limiting probability to a digit count.
 - verify: run the full validation suites and exit nonzero on mismatch.
+  Only this command imports the verify suites and the brute-force oracle.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -19,7 +20,6 @@ import functools
 import sys
 
 from .gfengine import LIMIT_KINDS, NonIntegralCount, UnresolvedDigits, limit_eval
-from .oracle import BudgetExceeded, DEFAULT_ENUM_BUDGET
 from .sequences import (
     SEQUENCE_NAMES,
     TRIANGLE_NAMES,
@@ -31,7 +31,6 @@ from .sequences import (
     sequence_values,
     triangle_flat_start,
 )
-from .verify import failures, run_all
 
 
 @functools.cache
@@ -57,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     limit.add_argument("--digits", type=int, default=5)
 
     verify = sub.add_parser("verify", help="run all validation suites")
-    verify.add_argument("--oracle-budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    # None: run_all's own default, oracle.DEFAULT_ENUM_BUDGET
+    verify.add_argument("--oracle-budget", type=int, default=None)
     verify.add_argument("--quiet", action="store_true", help="print failures only")
 
     return parser
@@ -104,7 +104,13 @@ def _run_seq(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    results = run_all(args.oracle_budget)
+    from .oracle import BudgetExceeded
+    from .verify import failures, run_all
+
+    try:
+        results = run_all() if args.oracle_budget is None else run_all(args.oracle_budget)
+    except BudgetExceeded as exc:
+        return _error(exc)
     for r in results:
         if r.ok and args.quiet:
             continue
@@ -112,8 +118,15 @@ def _run_verify(args: argparse.Namespace) -> int:
         detail = f": {r.detail}" if r.detail else ""
         print(f"[{status}] {r.suite}: {r.name}{detail}")
     bad = failures(results)
-    print(f"{len(results) - len(bad)}/{len(results)} checks passed")
+    stopped = sum(r.raised for r in results)
+    early = f", {stopped} suite{'s' * (stopped > 1)} stopped early" if stopped else ""
+    print(f"{len(results) - len(bad)}/{len(results)} checks passed{early}")
     return 1 if bad else 0
+
+
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -129,9 +142,8 @@ def main(argv: list[str] | None = None) -> int:
             print(limit_eval(args.kind, args.q, args.digits))
             return 0
         return _run_verify(args)
-    except (BudgetExceeded, NonIntegralCount, UnresolvedDigits, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (NonIntegralCount, UnresolvedDigits, ValueError) as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

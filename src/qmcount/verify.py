@@ -11,10 +11,11 @@ _suite runs into plain CheckResult records, passing when got == want:
 - oracle: exhaustive small-field matrix sweeps match every formula.
 
 A route that raises an ArithmeticError or ValueError is one failing check
-of its suite, and the suites after it still run.  The command-line
-`verify` subcommand runs all of them and fails on any mismatch.  It and
-the test suite's full-suite gate both go through run_suites, which reads
-the one list SUITES.
+of its suite that ends the suite early, and the suites after it still
+run.  The command-line `verify` subcommand runs all of them, fails on any
+mismatch and counts the suites that ended early.  It and the test suite's
+full-suite gate both go through run_suites, which reads the one list
+SUITES.
 """
 
 from __future__ import annotations
@@ -71,12 +72,14 @@ from .sequences import make_spec, sequence_values
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one named check."""
+    """Outcome of one named check; `raised` marks the one that ended its
+    suite early because a route raised."""
 
     suite: str
     name: str
     ok: bool
     detail: str = ""
+    raised: bool = False
 
 
 # what a suite's generator yields: (check name, got, want)
@@ -103,7 +106,8 @@ def _suite(name: str) -> Callable[[Callable[..., Comparisons]], Callable[..., li
             except (ArithmeticError, ValueError) as exc:
                 after = f"after {results[-1].name}" if results else "before its first check"
                 detail = f"{type(exc).__name__}: {exc}"
-                results.append(CheckResult(name, f"route raised {after}", False, detail))
+                check = f"route raised {after}"
+                results.append(CheckResult(name, check, False, detail, raised=True))
             return results
 
         return run

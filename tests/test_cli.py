@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qmcount import cli, gfengine, regression, sequences, verify
+from qmcount import cli, gfengine, oracle, regression, sequences, verify
 from qmcount.cli import main
 from qmcount.regression import RegressionEntry
 from qmcount.sequences import make_spec, parse_bfile, sequence_values
@@ -323,8 +323,33 @@ def test_verify_reports_a_raising_route_as_a_failure(capsys, monkeypatch):
     ]
     assert f"[FAIL] cross_route: route raised after cyclic gf forms agree q=2: {message}" in lines
     assert all(line.endswith(message) for line in lines[:-1])
-    passed, total = lines[-1].removesuffix(" checks passed").split("/")
+    # the summary says that three suites stopped short of their full count
+    counts, early = lines[-1].split(" checks passed")
+    passed, total = counts.split("/")
     assert int(passed) == int(total) - 3
+    assert early == ", 3 suites stopped early"
+
+
+def test_verify_names_one_suite_stopped_early(capsys, monkeypatch):
+    def broken(q, n):
+        raise ZeroDivisionError("no limit")
+
+    monkeypatch.setattr(verify, "euler_partial_product", broken)
+    code, out, err = run_cli(capsys, "verify", "--oracle-budget", "16", "--quiet")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1].endswith(" checks passed, 1 suite stopped early")
+
+
+def test_verify_reports_an_exhausted_oracle_budget(capsys, monkeypatch):
+    def exhausted(budget):
+        raise oracle.BudgetExceeded(4096, budget)
+
+    monkeypatch.setattr(verify, "oracle_sweeps", exhausted)
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, out) == (2, "")
+    default = oracle.DEFAULT_ENUM_BUDGET
+    assert err == f"error: sweep covers 4096 matrices, above the budget of {default}\n"
+    assert run_cli(capsys, "verify", "--oracle-budget", "9")[2].endswith("budget of 9\n")
 
 
 def test_verify_lets_a_programming_error_propagate(monkeypatch):

@@ -1,0 +1,87 @@
+"""What importing the package loads, and how its lazy exports resolve."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qmcount
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh(code: str):
+    """The JSON that `code`, run in a fresh interpreter, prints last."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qmcount'))))"
+
+
+def test_import_loads_only_ffpoly_and_qcount():
+    code = f"import json, qmcount\nqmcount.field_for(3)\n{LOADED}"
+    assert fresh(code) == ["qmcount", "qmcount.ffpoly", "qmcount.qcount"]
+
+
+def test_seq_table_and_limit_never_load_the_oracle_or_the_suites():
+    code = (
+        "import contextlib, io, json\n"
+        "from qmcount import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(a.split()) for a in ("
+        "'seq cyclic --q 2 --max-n 10', 'table rank_row --q 3 --max-n 4', "
+        "'limit invertible --q 2 --digits 20')]\n"
+        f"assert codes == [0, 0, 0], codes\n{LOADED}"
+    )
+    loaded = fresh(code)
+    assert "qmcount.cli" in loaded and "qmcount.sequences" in loaded
+    assert not {"qmcount.oracle", "qmcount.regression", "qmcount.verify"} & set(loaded)
+
+
+def test_verify_runs_in_a_fresh_interpreter():
+    code = (
+        "import contextlib, io, json\n"
+        "from qmcount import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.main(['verify', '--oracle-budget', '16', '--quiet'])\n"
+        "print(json.dumps([code, out.getvalue()]))"
+    )
+    assert fresh(code) == [0, "305/305 checks passed\n"]
+
+
+def test_every_export_is_its_home_modules_object():
+    assert sum(map(len, qmcount._EXPORTS.values())) == len(qmcount.__all__)
+    for name in qmcount.__all__:
+        home = importlib.import_module(f"qmcount.{qmcount._HOME[name]}")
+        value = getattr(qmcount, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
+def test_submodules_and_star_import_resolve_in_a_fresh_interpreter():
+    code = (
+        "import json, qmcount\n"
+        "ok = callable(qmcount.verify.run_all) and 'verify' in dir(qmcount)\n"
+        "scope = {}\n"
+        "exec('from qmcount import *', scope)\n"
+        "print(json.dumps([ok, sorted(set(qmcount.__all__) - set(scope))]))"
+    )
+    assert fresh(code) == [True, []]
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'qmcount' has no attribute 'no_such_name'"):
+        qmcount.no_such_name
+    assert not hasattr(qmcount, "DEFAULT_ENUM_BUDGET")
+    with pytest.raises(ImportError):
+        from qmcount import no_such_name  # noqa: F401
