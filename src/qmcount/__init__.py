@@ -49,16 +49,15 @@ __version__ = "0.1.0"
 # every export by its home module: ffpoly's and qcount's are imported above,
 # the rest by __getattr__ on first access
 _EXPORTS = {
-    "exact_series": ("NonzeroConstantTerm", "TruncSeries", "ZeroConstantTerm"),
+    "exact_series": ("TruncSeries",),
     "ffpoly": (
         "FieldSpec", "NotCoprime", "build_field", "cyclotomic_factor_degrees", "field_for",
         "irreducible_poly_count", "moebius", "multiplicative_order", "squarefree_test",
     ),
     "gfengine": (
         "BadKindParams", "CostExceeded", "GF_KINDS", "LIMIT_KINDS", "NonIntegralCount",
-        "centralizer_order", "count_product", "euler_rule", "extract_count", "factor_series",
-        "gf_build", "gf_counts", "limit_eval", "nu_weighted_product", "partitions_of",
-        "q_stirling_via_gf",
+        "centralizer_order", "euler_rule", "extract_count", "gf_build", "gf_counts",
+        "limit_eval", "partitions_of", "q_stirling_via_gf",
     ),
     "oracle": (
         "BudgetExceeded", "FqMatrix", "char_poly", "classify", "count_matching",
@@ -78,7 +77,9 @@ _EXPORTS = {
     "verify": ("CheckResult", "run_all"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("cli", "exact_series", "gfengine", "oracle", "regression", "sequences", "verify")
+_SUBMODULES = (
+    "classtypes", "cli", "exact_series", "gfengine", "oracle", "regression", "sequences", "verify",
+)
 
 __all__ = sorted(_HOME)
 

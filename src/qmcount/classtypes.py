@@ -1,0 +1,236 @@
+"""Class types: every series kind's counts, summed conjugacy class by class.
+
+A conjugacy class of n x n matrices over F_q gives each monic irreducible
+polynomial phi a partition lam_phi, the sizes of its generalized Jordan
+blocks at phi, with sum deg(phi) |lam_phi| = n; the class has
+|GL_n(q)| / prod_phi centralizer_order(q^deg(phi), lam_phi) members
+(J. A. Green, Trans. AMS 80, 1955; J. Fulman, Bull. AMS 39, 2002).  A
+series kind of gfengine is a restriction on the classes: which
+polynomials may carry a nonempty partition, and which partitions.
+DECLARATIONS writes that once per kind, as a number of usable polynomials
+per degree and a shape of partition, and reads none of gfengine's product
+rules, so a wrong rule and a wrong scaling both show against it.
+
+class_type_counts sums the allowed classes' sizes, or counts the classes
+for the class-counting kinds.  The polynomials of one degree d are alike,
+so with Q = q^d one sum serves them all: g(m), the sum of the sizes
+|GL_m(Q)| / c(lam) over the allowed lam |- m, each an exact division that
+checks centralizer_order, times the index of GL_m(Q) in GL_md(q).  That
+counts the md x md matrices whose characteristic polynomial is phi^m, with
+an allowed shape, for one phi of degree d.  The copies of a degree give (1 + G)^copies, expanded
+binomially, and the degrees are multiplied together.  A product joins a
+matrix counted on one part to one counted on the other across each of the
+|GL_n| / (|GL_k| |GL_(n-k)|) ordered splittings F_q^n = U + U' with
+dim U = k; for class counts the classes just pair up.  All of it is
+integer arithmetic.  class_sizes lists the classes of one size one by one
+instead, for the oracle's orbit sizes.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from functools import cache
+from math import comb
+from typing import NamedTuple
+
+from .ffpoly import cyclotomic_factor_degrees, irreducible_poly_count
+from .gfengine import CostExceeded, NonIntegralCount, centralizer_order, partitions_of
+from .qcount import gl_order
+
+# the partitions of m each shape allows at one polynomial
+SHAPES: dict[str, Callable[[int], tuple[tuple[int, ...], ...]]] = {
+    "any": cache(lambda m: tuple(partitions_of(m))),
+    "all parts 1": lambda m: ((1,) * m,),
+    "one part": lambda m: ((m,),),
+    "only (1)": lambda m: ((1,),) if m == 1 else (),
+}
+
+
+class Declaration(NamedTuple):
+    """The classes a kind allows: copies(q, d, k) usable polynomials of
+    degree d, each with a partition of the given shape.  A weighted kind
+    counts the matrices in those classes, the others the classes."""
+
+    copies: Callable[[int, int, int | None], int]
+    shape: str
+    weighted: bool = True
+
+
+def _irreducibles(linear: Callable[[int], int]):
+    """Every irreducible of degree d >= 2, nu_d of them, and linear(q) of
+    the q linear polynomials z - c."""
+    return lambda q, d, k: linear(q) if d == 1 else irreducible_poly_count(q, d)
+
+
+def _linear(count: Callable[[int], int]):
+    """count(q) linear polynomials and nothing of higher degree."""
+    return lambda q, d, k: count(q) if d == 1 else 0
+
+
+def _roots_of_one(q: int, d: int, k: int | None) -> int:
+    """The irreducible factors of degree d of z^k - 1, square-free when p
+    does not divide k, so that A^k = I leaves each the shape 1^m."""
+    if k is None:
+        raise ValueError("power_identity needs the exponent k")
+    return cyclotomic_factor_degrees(q, k).count(d)
+
+
+_EVERY = _irreducibles(lambda q: q)
+
+DECLARATIONS: dict[str, Declaration] = {
+    # invertible: z carries nothing; a derangement also leaves out z - 1,
+    # a projective one every linear polynomial
+    "invertible_check": Declaration(_irreducibles(lambda q: q - 1), "any"),
+    "linear_derangement": Declaration(_irreducibles(lambda q: q - 2), "any"),
+    "projective_derangement": Declaration(_irreducibles(lambda q: 0), "any"),
+    "diagonalizable": Declaration(_linear(lambda q: q), "all parts 1"),
+    "projection": Declaration(_linear(lambda q: 2), "all parts 1"),  # z and z - 1
+    "power_identity": Declaration(_roots_of_one, "all parts 1"),
+    "cyclic": Declaration(_EVERY, "one part"),
+    "cyclic_alt": Declaration(_EVERY, "one part"),
+    "semisimple": Declaration(_EVERY, "all parts 1"),
+    "separable": Declaration(_EVERY, "only (1)"),
+    "separable_alt": Declaration(_EVERY, "only (1)"),
+    "conjclasses_all": Declaration(_EVERY, "any", weighted=False),
+    "conjclasses_gl": Declaration(_irreducibles(lambda q: q - 1), "any", weighted=False),
+}
+
+# class_type_counts refuses orders whose work model, order^4 log2(q),
+# scores above this.  The partition sums grow like the partition numbers;
+# the bound admits order <= 36 at q = 2, where every kind takes 1.3 s on a
+# 2-core Xeon, order <= 30 at q = 4 and order <= 25 at q = 16.
+MAX_CLASS_TYPE_WORK = 36**4
+
+# class_sizes lists every class one by one, and M_n(F_q) has about q^n of
+# them, so it refuses n with q^n above this: n <= 12 at q = 2 (13386
+# classes in 0.55 s on a 2-core Xeon), n <= 6 at q = 4, n <= 3 at q = 16.
+MAX_LISTED_CLASSES = 2**12
+
+
+def _check_cost(q: int, order: int) -> None:
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    # (q - 1).bit_length() is ceil(log2 q)
+    if order**4 * (q - 1).bit_length() > MAX_CLASS_TYPE_WORK:
+        raise CostExceeded(
+            f"the class types of order {order} over F_{q} are beyond the cost "
+            f"bound of {MAX_CLASS_TYPE_WORK} work units"
+        )
+
+
+def _class_size(group: int, centralizer: int, what: str) -> int:
+    size, rem = divmod(group, centralizer)
+    if rem:
+        raise NonIntegralCount(f"a centralizer of order {centralizer} does not divide {what}")
+    return size
+
+
+@cache
+def _splittings(q: int, order: int, weighted: bool) -> tuple:
+    """W(n, k) for k <= n <= order: the ordered splittings F_q^n = U + U'
+    with dim U = k, |GL_n| / (|GL_k| |GL_(n-k)|), when weighted, else 1."""
+    if not weighted:
+        return tuple((1,) * (n + 1) for n in range(order + 1))
+    gl = [gl_order(q, n) for n in range(order + 1)]
+    return tuple(
+        tuple(gl[n] // (gl[k] * gl[n - k]) for k in range(n + 1)) for n in range(order + 1)
+    )
+
+
+def _times(a: list, b: list, d: int, w: tuple) -> list:
+    """The counts of a joined to b, whose terms sit at multiples of d:
+    sum_k W(n, k) b_k a_(n-k) at each n."""
+    return [
+        sum(w[n][k] * b[k] * a[n - k] for k in range(0, n + 1, d) if b[k] and a[n - k])
+        for n in range(len(a))
+    ]
+
+
+@cache
+def _degree_sum(q: int, d: int, m: int, shape: str, weighted: bool) -> int:
+    """g(m) for one polynomial of degree d: the md x md matrices whose
+    characteristic polynomial is its m-th power with an allowed shape, or
+    the number of allowed shapes when not weighted."""
+    allowed = SHAPES[shape](m)
+    if not weighted:
+        return len(allowed)
+    Q = q**d
+    group = gl_order(Q, m)
+    what = f"|GL_{m}({Q})| = {group}"
+    sizes = sum(_class_size(group, centralizer_order(Q, lam), what) for lam in allowed)
+    # times the index of GL_m(Q), a subgroup of GL_md(q)
+    return sizes * (gl_order(q, m * d) // group)
+
+
+@cache
+def _degree_factor(q: int, d: int, order: int, shape: str, weighted: bool, copies: int) -> tuple:
+    """(1 + G)^copies to u^order, G = sum_(m>=1) g(m) u^(md), as
+    sum_j C(copies, j) G^j."""
+    w = _splittings(q, order, weighted)
+    g = [0] * (order + 1)
+    for m in range(1, order // d + 1):
+        g[m * d] = _degree_sum(q, d, m, shape, weighted)
+    factor = [1] + [0] * order
+    power = factor
+    for j in range(1, min(copies, order // d) + 1):
+        power = _times(power, g, d, w)
+        factor = [f + comb(copies, j) * p for f, p in zip(factor, power)]
+    return tuple(factor)
+
+
+def class_type_counts(kind: str, q: int, order: int, k: int | None = None) -> list[int]:
+    """The counts for n = 0 .. order of the classes kind allows: the
+    matrices in them, or the classes themselves for the class counts."""
+    declaration = DECLARATIONS[kind]
+    _check_cost(q, order)
+    shape, weighted = declaration.shape, declaration.weighted
+    counts = [1] + [0] * order
+    for d in range(1, order + 1):
+        copies = declaration.copies(q, d, k)
+        if copies:
+            factor = _degree_factor(q, d, order, shape, weighted, copies)
+            counts = _times(counts, factor, d, _splittings(q, order, weighted))
+    return counts
+
+
+def class_sizes(kind: str, q: int, n: int, k: int | None = None) -> list[int]:
+    """|GL_n(q)| / prod_phi c(lam_phi) for each class of n x n matrices that
+    kind allows, one entry per class, in no particular order.
+
+    A choice of j of the usable polynomials of degree d for one partition
+    is C(free, j) classes, free being those of degree d not yet given one.
+    """
+    declaration = DECLARATIONS[kind]
+    _check_cost(q, n)
+    if q**n > MAX_LISTED_CLASSES:
+        raise CostExceeded(
+            f"listing the classes of size {n} over F_{q} is beyond the bound of "
+            f"{MAX_LISTED_CLASSES} for q^n"
+        )
+    free = {d: declaration.copies(q, d, k) for d in range(1, n + 1)}
+    options = [
+        (d, d * m, centralizer_order(q**d, lam))
+        for d in range(1, n + 1)
+        if free[d]
+        for m in range(1, n // d + 1)
+        for lam in SHAPES[declaration.shape](m)
+    ]
+    group = gl_order(q, n)
+    what = f"|GL_{n}({q})| = {group}"
+    sizes: list[int] = []
+
+    def walk(i: int, left: int, centralizer: int, classes: int) -> None:
+        if not left:
+            sizes.extend([_class_size(group, centralizer, what)] * classes)
+            return
+        if i == len(options):
+            return
+        d, weight, c = options[i]
+        for j in range(min(free[d], left // weight) + 1):
+            ways = comb(free[d], j)
+            free[d] -= j
+            walk(i + 1, left - j * weight, centralizer * c**j, classes * ways)
+            free[d] += j
+
+    walk(0, n, 1, 1)
+    return sizes

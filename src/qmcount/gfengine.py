@@ -8,20 +8,22 @@ factor per polynomial, each a series in u^deg(phi).  Restricting the
 allowed partitions per polynomial restricts the matrices counted, which
 yields the generating functions built here.  A factor depends on its
 polynomial only through Q = q^deg(phi), so each is declared once, as a
-rule(Q, m) giving its coefficient of u^(m deg(phi)); factor_series and
-the two product engines read only that declaration.
+rule(Q, m) giving its coefficient of u^(m deg(phi)); the product engine
+reads only that declaration.
 
 Each kind gf_build serves is one entry of _KINDS: a rule with a number
 of factors per degree, nu_d unless declared, and whether the product is
 divided by 1 - u; or, for the q-Bell and conjugacy class series, a
 builder of its own.  Every kind is built on integers, with exact division
 throughout: a normalized series (below) is carried as a_n S_n, a product
-of factors as one exp of their summed logs (count_product), and the
+of factors as one exp of their summed logs (_scaled_product), and the
 conjugacy class series by integer loops over one list.  S_n is
 D_n = q^n (q - 1)...(q^n - 1) when every factor coefficient scales to an
-integer by it, and |GL_n(q)| otherwise.  The Fraction kernels of
-exact_series, with factor_series and nu_weighted_product on top, are
-only the reference engine that verify and the tests compare them with.
+integer by it, and |GL_n(q)| otherwise.  gf_counts reads the counts off
+those integers; gf_build divides them by S_n once and hands the series
+back as an exact_series.TruncSeries.  verify and the tests check every
+kind against the classtypes module, which sums the conjugacy classes
+themselves and reads none of the rules.
 
 A "normalized" series is one whose u^n coefficient must be multiplied by
 gl_order(q, n) to give the matrix count; the conjugacy class series are
@@ -97,18 +99,25 @@ def centralizer_order(qd: int, partition) -> int:
         prod over distinct part sizes i (multiplicity b_i) of
         prod_{k=1..b_i} (qd^(d_i) - qd^(d_i - k)),
 
-    where d_i = sum_j min(i, lam_j).
+    where d_i = sum_j min(i, lam_j): the parts below i, plus i for each
+    part from i up.  Each factor is qd^(d_i - k) (qd^k - 1), so the order
+    is qd^E prod_i prod_{k=1..b_i} (qd^k - 1) with
+    E = sum_i (b_i d_i - b_i (b_i + 1) / 2), one power taken at the end.
     """
-    parts = sorted(partition, reverse=True)
-    if any(p < 1 for p in parts):
+    mult = Counter(partition)
+    if any(p < 1 for p in mult):
         raise ValueError("partition parts must be >= 1")
-    mult = Counter(parts)
     result = 1
-    for i, b in mult.items():
-        d_i = sum(min(i, p) for p in parts)
+    exponent = below = 0
+    from_i = sum(mult.values())
+    for i in sorted(mult):
+        b = mult[i]
+        exponent += b * (below + i * from_i) - b * (b + 1) // 2
         for k in range(1, b + 1):
-            result *= qd**d_i - qd ** (d_i - k)
-    return result
+            result *= qd**k - 1
+        below += i * b
+        from_i -= b
+    return result * qd**exponent
 
 
 def min_centralizer_orders(q: int, max_n: int) -> list[int]:
@@ -161,18 +170,6 @@ def _in_v(rule, Q: int, top: int) -> list:
     if coeffs[0] != 1:
         raise ValueError("product factors must have constant term 1")
     return coeffs
-
-
-def factor_series(rule, q: int, d: int, order: int) -> TruncSeries:
-    """sum_m rule(q^d, m) u^(m d) truncated at `order`: one polynomial's factor.
-
-    A rule(Q, m) declares the coefficient of u^(m d) in the factor of one
-    monic irreducible of degree d, which depends on the polynomial only
-    through Q = q^d; rule(Q, 0) is 1.
-    """
-    if d < 1:
-        raise ValueError("polynomial degree must be >= 1")
-    return TruncSeries(_in_v(rule, q**d, order // d), order).dilate(d)
 
 
 def euler_rule(Q: int, m: int) -> Fraction:
@@ -231,23 +228,6 @@ def separable_alt_rule(Q: int, m: int) -> Fraction:
     """1 + (u^d - u^(2d)) / (Q (Q - 1)): separable_rule's factor times 1 - u^d / Q."""
     c = cyclic_alt_rule(Q, 1)
     return (Fraction(1), c, -c)[m] if m < 3 else Fraction(0)
-
-
-def nu_weighted_product(q: int, rule, order: int) -> TruncSeries:
-    """prod_{d=1..order} factor_d ** nu_d, with nu_d the irreducible count,
-    on the Fraction kernels: the reference for count_product.
-
-    factor_d is rule's factor for one polynomial of degree d, so degrees
-    beyond `order` contribute nothing and the product is exact to the
-    truncation order.  Each power is taken in v = u^d, of order
-    order // d, and multiplied into the result over its nonzero terms.
-    """
-    result = TruncSeries.one(order)
-    for d in range(1, order + 1):
-        factor = TruncSeries(_in_v(rule, q**d, order // d))
-        power = factor ** irreducible_poly_count(q, d)
-        result = result * TruncSeries(power.coeffs, order).dilate(d)
-    return result
 
 
 def _scales(q: int, order: int, gl: bool) -> list[int]:
@@ -311,9 +291,24 @@ def _scaled_factor(coeffs: list, Q: int, d: int, gl: bool) -> tuple[list[int], l
 
 
 def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
-    """(A, gl): the scaled coefficients A_n = a_n S_n of count_product's
-    product, with S_n = D_n when every factor scales to integers by D_m(Q)
-    and |GL_n| (gl) otherwise."""
+    """(A, gl): the scaled coefficients A_n = a_n S_n of prod_d factor_d **
+    copies[d], factor_d being rule's factor for one polynomial of degree d;
+    copies defaults to nu_d, the irreducible count, and may be negative.
+
+    S_n is D_n = q^n prod_(i<=n) (q^i - 1) when every factor coefficient
+    read, F_m = rule(Q, m) D_m(Q) with Q = q^d, is an integer, and |GL_n|
+    (gl) otherwise: unit_rule's 1 / |GL_m(Q)| needs |GL_m(Q)|'s power
+    Q^(m(m-1)/2) from m = 4.  A rejected D_n costs only the factor
+    coefficients scaled so far.
+
+    A series a is carried as A_n = a_n S_n and its log l as
+    L_n = n l_n S_n, so b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k).
+    Per degree d the factor's log is G_m = m F_m - sum_(j<m) W_Q(m, j)
+    G_j F_(m-j), with no division.  Its copies in u^d add
+    copies[d] d G_m S_(md)(q) / S_m(Q) to L_(md), and one exp gives A_n
+    with exact division by n; a factor that fits neither scale, or an
+    inexact division, raises NonIntegralCount.
+    """
     if copies is None:
         copies = {d: irreducible_poly_count(q, d) for d in range(1, order + 1)}
     if any(d < 1 for d in copies):
@@ -342,38 +337,6 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
                 )
             log[m * d] += total
     return (_scaled_exp(q, log, gl) if factors else [1] + [0] * order), gl
-
-
-def count_product(q: int, rule, order: int, copies=None) -> TruncSeries:
-    """prod_d factor_d ** copies[d] on integers; copies defaults to nu_d.
-
-    factor_d is rule's factor for one polynomial of degree d, and a copy
-    count may be negative: with copies = nu_d, the irreducible count, this
-    is nu_weighted_product's product.  A series a is carried as
-    A_n = a_n S_n and its log l as L_n = n l_n S_n, so b' = l' b reads
-    n B_n = sum_k W(n, k) L_k B_(n-k).  S_n is D_n = q^n prod_(i<=n)
-    (q^i - 1) when every factor coefficient read, F_m = rule(Q, m) D_m(Q)
-    with Q = q^d, is an integer, and |GL_n| otherwise: unit_rule's
-    1 / |GL_m(Q)| needs |GL_m(Q)|'s power Q^(m(m-1)/2) from m = 4.  A
-    rejected D_n costs only the factor coefficients scaled so far.
-
-    Per degree d the factor's log is G_m = m F_m - sum_(j<m) W_Q(m, j)
-    G_j F_(m-j), with no division.  Its copies in u^d add
-    copies[d] d G_m S_(md)(q) / S_m(Q) to L_(md), and one exp gives A_n
-    with exact division by n; a factor that fits neither scale, or an
-    inexact division, raises NonIntegralCount.  gf_build and gf_counts
-    read the integers A_n; this returns a_n = A_n / S_n(q), which verify
-    and the tests compare with the Fraction kernels.
-    """
-    return _unscaled(*_scaled_product(q, rule, order, copies), q)
-
-
-def _unscaled(values: list[int], gl: bool | None, q: int) -> TruncSeries:
-    """The series a_n = values[n] / S_n, S_n as _scaled_build reads gl."""
-    order = len(values) - 1
-    if gl is None:
-        return TruncSeries(values, order)
-    return TruncSeries([Fraction(a, s) for a, s in zip(values, _scales(q, order, gl))], order)
 
 
 def _divide_by_one_minus_u(values: list[int], q: int, gl: bool) -> None:
@@ -496,7 +459,10 @@ def gf_build(kind: str, q: int, order: int, k: int | None = None) -> TruncSeries
     u^n coefficient; the conjugacy class kinds carry the count itself.
     The series is built on integers and divided by its scales once.
     """
-    return _unscaled(*_scaled_build(kind, q, order, k), q)
+    values, gl = _scaled_build(kind, q, order, k)
+    if gl is not None:
+        values = [Fraction(a, s) for a, s in zip(values, _scales(q, order, gl))]
+    return TruncSeries(values, order)
 
 
 def _count(n: int, value) -> int:
@@ -537,11 +503,15 @@ def q_stirling_via_gf(q: int, n: int, k: int) -> int:
 
     The exponential-style identity: the series (sum_{r>=1} u^r/gl_order(r))^k
     carries k! * {n into k parts} / gl_order(n) as its u^n coefficient.
+    The power is multiplied out on a plain list of Fractions.
     """
     if n < 1 or k < 1 or k > n:
         return 0
-    s = factor_series(unit_rule, q, 1, n) - 1
-    value = (s**k).coeff(n) * gl_order(q, n) * Fraction(1, factorial(k))
+    unit_sum = [Fraction(0)] + [unit_rule(q, r) for r in range(1, n + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * n
+    for _ in range(k):
+        power = [sum(unit_sum[i] * power[m - i] for i in range(1, m + 1)) for m in range(n + 1)]
+    value = power[n] * gl_order(q, n) / factorial(k)
     if value.denominator != 1:
         raise NonIntegralCount(f"splitting count came out as {value}")
     return value.numerator

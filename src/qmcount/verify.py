@@ -4,11 +4,15 @@ Six suites, each a generator of (check name, got, want) comparisons that
 _suite runs into plain CheckResult records, passing when got == want:
 
 - regression: recompute every pinned sequence/triangle value.
-- identity: exact power-series and q-combinatorial identities.
-- cross_route: the same count computed by two independent methods.
+- identity: exact power-series identities, on integer lists and class
+  types, and q-combinatorial identities.
+- cross_route: the same count computed by two independent methods; every
+  series kind gf_counts serves against the sum over its class types
+  (classtypes), which reads none of gfengine's rules.
 - trend: ratios at n = 10 sit near their limiting products.
 - limit: catalogued limit digits, and the cyclic limit by two routes.
-- oracle: exhaustive small-field matrix sweeps match every formula.
+- oracle: exhaustive small-field matrix sweeps match every formula, and
+  the orbit sizes of each walk match the class sizes of classtypes.
 
 A route that raises an ArithmeticError or ValueError is one failing check
 of its suite that ends the suite early, and the suites after it still
@@ -28,27 +32,20 @@ from math import comb, gcd
 from typing import Any
 
 from . import oracle, regression
-from .exact_series import TruncSeries
+from .classtypes import DECLARATIONS, class_sizes, class_type_counts
 from .ffpoly import cyclotomic_factor_degrees, divisors, irreducible_poly_count
 from .gfengine import (
     centralizer_order,
-    cyclic_alt_rule,
     cyclic_limit_bracket,
-    cyclic_rule,
     decimal_truncate,
     euler_partial_product,
     euler_rule,
-    factor_series,
     gf_build,
     gf_counts,
     limit_eval,
     min_centralizer_orders,
-    nu_weighted_product,
     partitions_of,
     q_stirling_via_gf,
-    separable_alt_rule,
-    separable_rule,
-    unit_rule,
 )
 from .qcount import (
     PrimePower,
@@ -142,36 +139,34 @@ def regression_checks() -> Comparisons:
 # ------------------------------------------------------------------ identity
 
 
-def _all_ones(order: int) -> TruncSeries:
-    return TruncSeries([1] * (order + 1), order)
-
-
-def _one_minus_v_over_Q(Q: int, m: int) -> Fraction:
-    """The factor 1 - u^d / Q, whose product over all irreducibles is 1 - u."""
-    return (Fraction(1), -Fraction(1, Q))[m] if m < 2 else Fraction(0)
-
-
 def _reciprocal_centralizer_sum(Q: int, m: int) -> Fraction:
     return sum((Fraction(1, centralizer_order(Q, lam)) for lam in partitions_of(m)), Fraction(0))
 
 
 @_suite("identity")
 def identity_checks() -> Comparisons:
-    # product of euler factors over every irreducible except z equals 1/(1-u)
+    # the invertible classes summed over their class types, over |GL_n|:
+    # the product of the euler factors of every irreducible but z, 1/(1-u)
     order = 12
     for q in (2, 3, 4):
-        prod = factor_series(euler_rule, q, 1, order) ** (q - 1)
-        for d in range(2, order + 1):
-            prod = prod * factor_series(euler_rule, q, d, order) ** irreducible_poly_count(q, d)
-        yield f"euler product = 1/(1-u) q={q}", prod, _all_ones(order)
-        got = gf_build("invertible_check", q, order)
-        yield f"invertible gf = 1/(1-u) q={q}", got, _all_ones(order)
+        ones = [1] * (order + 1)
+        counts = class_type_counts("invertible_check", q, order)
+        got = [Fraction(c, gl_order(q, n)) for n, c in enumerate(counts)]
+        yield f"euler product = 1/(1-u) q={q}", got, ones
+        got = list(gf_build("invertible_check", q, order).coeffs)
+        yield f"invertible gf = 1/(1-u) q={q}", got, ones
 
-    # the complementary product over all irreducibles equals 1 - u
+    # the complementary product over all irreducibles equals 1 - u: with
+    # x = u/q, prod_d (1 - x^d)^nu_d = 1 - q x, expanded binomially on integers
     for q in (2, 3, 4, 5):
-        got = nu_weighted_product(q, _one_minus_v_over_Q, 16)
-        want = TruncSeries.one(16) - TruncSeries.monomial(1, 1, 16)
-        yield f"factored form of 1-u q={q}", got, want
+        prod = [1] + [0] * 16
+        for d in range(1, 17):
+            nu = irreducible_poly_count(q, d)
+            factor = [0] * 17
+            for j in range(16 // d + 1):
+                factor[j * d] = (-1) ** j * comb(nu, j)
+            prod = [sum(prod[i] * factor[n - i] for i in range(n + 1)) for n in range(17)]
+        yield f"factored form of 1-u q={q}", prod, [1, -q] + [0] * 15
 
     # euler factor coefficients equal partition sums over centralizer orders
     for q in (2, 3):
@@ -200,21 +195,12 @@ def identity_checks() -> Comparisons:
         ]
         yield f"q-binomial theorem q={q}", polys, want
 
-    # conjugacy-class products: one partition per irreducible polynomial
+    # conjugacy-class products: one partition per irreducible polynomial,
+    # counted class type by class type
     for q in (2, 3):
-        order = 10
-        pgf = TruncSeries.one(order)
-        for i in range(1, order + 1):
-            pgf = pgf * (TruncSeries.one(order) - TruncSeries.monomial(1, i, order)).recip()
-        prod = TruncSeries.one(order)
-        for d in range(1, order + 1):
-            prod = prod * pgf.dilate(d) ** irreducible_poly_count(q, d)
-        yield f"class product, all matrices q={q}", prod, gf_build("conjclasses_all", q, order)
-        yield (
-            f"class product, invertible q={q}",
-            prod * pgf.recip(),
-            gf_build("conjclasses_gl", q, order),
-        )
+        for kind, label in (("conjclasses_all", "all matrices"), ("conjclasses_gl", "invertible")):
+            got = class_type_counts(kind, q, 10)
+            yield f"class product, {label} q={q}", got, gf_counts(kind, q, 10)
 
     # irreducible-polynomial counts partition the roots of z^(q^n) - z
     for q in (2, 3, 4):
@@ -239,47 +225,6 @@ def identity_checks() -> Comparisons:
 
 # exponents k of the power_identity checks, prime to every characteristic
 _POWER_KS = (1, 5, 7)
-
-# the cycle-index product kinds, each one rule's factor over every monic
-# irreducible, with whether gf_build divides the product by 1 - u
-_NU_PRODUCTS = {
-    "semisimple": (unit_rule, False),
-    "cyclic": (cyclic_rule, False),
-    "separable": (separable_rule, False),
-    "cyclic_alt": (cyclic_alt_rule, True),
-    "separable_alt": (separable_alt_rule, True),
-}
-
-
-def _fraction_builds(q: int, order: int) -> dict:
-    """Every gf_build kind outside _NU_PRODUCTS, multiplied out on the
-    TruncSeries kernels (power_identity as a tuple over _POWER_KS)."""
-    one = TruncSeries.one(order)
-    one_minus_u = one - TruncSeries.monomial(1, 1, order)
-    euler_inverse = factor_series(euler_rule, q, 1, order).recip()
-    unit = factor_series(unit_rule, q, 1, order)
-    roots_of_one = []
-    for k in _POWER_KS:
-        product = one
-        for d in cyclotomic_factor_degrees(q, k):
-            product = product * factor_series(unit_rule, q, d, order)
-        roots_of_one.append(product)
-    classes_all = classes_gl = one
-    for r in range(1, order + 1):
-        one_minus_qu = one - TruncSeries.monomial(q, r, order)
-        classes_all = classes_all / one_minus_qu
-        classes_gl = classes_gl * (one - TruncSeries.monomial(1, r, order)) / one_minus_qu
-    return {
-        "invertible_check": one_minus_u.recip(),
-        "linear_derangement": euler_inverse / one_minus_u,
-        "projective_derangement": euler_inverse ** (q - 1) / one_minus_u,
-        "diagonalizable": unit**q,
-        "projection": unit**2,
-        "power_identity": tuple(roots_of_one),
-        "conjclasses_all": classes_all,
-        "conjclasses_gl": classes_gl,
-        "bell": (unit - 1).exp(),
-    }
 
 
 @_suite("cross_route")
@@ -324,26 +269,20 @@ def cross_route_checks() -> Comparisons:
             got, want = gf_build(kind, q, 12), gf_build(f"{kind}_alt", q, 12)
             yield f"{kind} gf forms agree q={q}", got, want
 
-    # every cycle-index product on both product engines: gf_build's integer
-    # exp of summed logs with exact division, and the Fraction
-    # power-and-multiply kernels
-    recip = (TruncSeries.one(24) - TruncSeries.monomial(1, 1, 24)).recip()
+    # every kind gf_counts serves, from gfengine's product rules, against
+    # the sum over the class types its declaration allows, which reads no
+    # rule; the q-Bell series against the splitting-number sums
     for q in (2, 3, 4):
-        for kind, (rule, over_one_minus_u) in _NU_PRODUCTS.items():
-            got, want = gf_build(kind, q, 24), nu_weighted_product(q, rule, 24)
-            if over_one_minus_u:
-                want = want * recip
-            yield f"{kind}: integer vs Fraction product q={q}", got, want
-
-    # every other kind gf_build serves, built on integers, against the
-    # formula that multiplies it out on the TruncSeries kernels
-    for q in (2, 3, 4):
-        for kind, want in _fraction_builds(q, 24).items():
+        for kind in DECLARATIONS:
             if kind == "power_identity":
-                got = tuple(gf_build(kind, q, 24, k) for k in _POWER_KS)
+                got = tuple(gf_counts(kind, q, 24, k) for k in _POWER_KS)
+                want = tuple(class_type_counts(kind, q, 24, k) for k in _POWER_KS)
             else:
-                got = gf_build(kind, q, 24)
-            yield f"{kind}: integer vs Fraction build q={q}", got, want
+                got, want = gf_counts(kind, q, 24), class_type_counts(kind, q, 24)
+            yield f"{kind}: gf_counts vs class types q={q}", got, want
+        yield f"bell: gf_counts vs q-Bell sums q={q}", gf_counts("bell", q, 24), [
+            q_bell(q, n) for n in range(25)
+        ]
 
     # over odd q the solutions of A^2 = I biject with projections
     for q in (3, 5):
@@ -587,6 +526,12 @@ def oracle_checks(sweeps: dict) -> Comparisons:
             sequence_values(make_spec("max_class", q, min_n=n, max_n=n)),
             [max(sizes_gl)],
         )
+        # the walk's orbits against |GL_n| / prod c(lam_phi), class by class
+        for kind, label, sizes in (
+            ("conjclasses_all", "all matrices", sizes_all),
+            ("conjclasses_gl", "invertible", sizes_gl),
+        ):
+            yield f"class sizes, {label} {tag}", sorted(sizes), sorted(class_sizes(kind, q, n))
 
 
 # Every suite but the oracle's, in the order run_all runs them.

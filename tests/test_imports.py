@@ -44,7 +44,9 @@ def test_seq_table_and_limit_never_load_the_oracle_or_the_suites():
     )
     loaded = fresh(code)
     assert "qmcount.cli" in loaded and "qmcount.sequences" in loaded
-    assert not {"qmcount.oracle", "qmcount.regression", "qmcount.verify"} & set(loaded)
+    assert not {
+        "qmcount.classtypes", "qmcount.oracle", "qmcount.regression", "qmcount.verify"
+    } & set(loaded)
 
 
 def test_verify_runs_in_a_fresh_interpreter():
@@ -54,9 +56,9 @@ def test_verify_runs_in_a_fresh_interpreter():
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         "    code = cli.main(['verify', '--oracle-budget', '16', '--quiet'])\n"
-        "print(json.dumps([code, out.getvalue()]))"
+        "print(json.dumps([code, out.getvalue(), 'qmcount.classtypes' in sys.modules]))"
     )
-    assert fresh(code) == [0, "305/305 checks passed\n"]
+    assert fresh(code) == [0, "313/313 checks passed\n", True]
 
 
 def test_every_export_is_its_home_modules_object():

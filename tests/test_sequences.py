@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 from decimal import Decimal
 
 import pytest
 
-from qmcount import oracle, sequences
+from qmcount import oracle, regression, sequences
 from qmcount.gfengine import CostExceeded
 from qmcount.qcount import (
     diagonalizable_count,
@@ -108,6 +109,20 @@ def test_oeis_info():
     assert oeis_info("conjclasses_gl", 8, None) == (None, None)
     assert oeis_info("max_class", 2, None) == ("A070731", 1)
     assert oeis_info("min_centralizer", 2, None) == ("A082877", 1)
+
+
+def test_pinned_sources_and_the_registry_are_one_oeis_catalogue():
+    # a pin whose source is an A-number cites the registry's id for its
+    # (name, q, k), and a pin whose (name, q, k) has a registry id cites it
+    pins = [(e.name, e.q, e.k, e.source) for e in regression.SEQUENCES]
+    pins += [(t.name, t.q, None, t.source) for t in regression.TRIANGLES]
+    cited = 0
+    for name, q, k, source in pins:
+        oeis_id = oeis_info(name, q, k)[0]
+        if oeis_id is not None or re.fullmatch(r"A\d{6}", source):
+            assert source == oeis_id, (name, q, k, source)
+            cited += 1
+    assert cited == 18
     assert oeis_info("cyclic", 2, None) == (None, None)
     # a column of a catalogued triangle is not the catalogued entry
     assert oeis_info("qbinom_row", 2, 1) == (None, None)
