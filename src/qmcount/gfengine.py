@@ -19,7 +19,11 @@ throughout: a normalized series (below) is carried as a_n S_n, a product
 of factors as one exp of their summed logs (_scaled_product), and the
 conjugacy class series by integer loops over one list.  S_n is
 D_n = q^n (q - 1)...(q^n - 1) when every factor coefficient scales to an
-integer by it, and |GL_n(q)| otherwise.  gf_counts reads the counts off
+integer by it, and |GL_n(q)| otherwise.  Multiplying two scaled series
+weighs each pair of terms by W(n, k) = S_n / (S_k S_(n-k)), a Gaussian
+binomial (times q^(k(n-k)) for |GL_n|); the logs and the exp never form
+it, but carry each weighted term from n - 1 to n by an exact ratio of
+small integers (_carry).  gf_counts reads the counts off
 those integers; gf_build divides them by S_n once and hands the series
 back as an exact_series.TruncSeries.  verify and the tests check every
 kind against the classtypes module, which sums the conjugacy classes
@@ -58,8 +62,10 @@ class CostExceeded(ValueError):
 
 # gf_build refuses orders N whose work model, N^2 log2(N) products of
 # N^2 log2(q)-bit integers, scores above this.  Semisimple at q = 2 and
-# N = 120 scores 1.45e9 and builds in 0.15 s on a 2-core Xeon; the bound
-# admits N <= 149 at q = 2, N <= 128 at q = 3 and N <= 109 at q = 9.
+# N = 120 scores 1.45e9; its gf_counts takes 0.16 s of process time on a
+# 2-core Xeon, against 0.25 s when each weight W(n, k) was multiplied in
+# whole (best of 15, interleaved).  The bound admits N <= 149 at q = 2,
+# N <= 128 at q = 3 and N <= 109 at q = 9.
 MAX_SERIES_WORK = 4 * 10**9
 
 # min_centralizer_orders refuses a max_n whose knapsack, usable
@@ -239,36 +245,39 @@ def _scales(q: int, order: int, gl: bool) -> list[int]:
     return scales
 
 
-def _weight_rows(q: int, order: int, gl: bool):
-    """Yield (n, [W(n, k) for k = 0 .. n]) for n = 0 .. order.
+def _carry(terms: list[int], pw: list[int], n: int, start: int, gl: bool) -> None:
+    """Move terms[k] = W(n-1, k) X_k on to W(n, k) X_k in place, for
+    k = start .. n-1; pw[i] is q^i.
 
     W(n, k) = S_n / (S_k S_(n-k)) multiplies two scaled coefficients into
-    the scaled coefficient of their product (S_n as in _scales).  It is
-    the Gaussian binomial [n, k]_q for D_n and q^(k(n-k)) [n, k]_q for
-    |GL_n|.  One row is held and updated in place between yields, by the
-    q-Pascal rule W(n, k) = q^(s(n-k)) W(n-1, k-1) + q^((1+s)k) W(n-1, k),
-    s = 1 for |GL_n| and 0 for D_n.
+    the scaled coefficient of their product (S_n as in _scales): the
+    Gaussian binomial [n, k]_q for D_n, times q^(k(n-k)) for |GL_n|.
+    From n - 1 to n it grows by the exact ratio
+    q^(s k) (q^n - 1) / (q^(n-k) - 1), s = 1 for |GL_n| and 0 for D_n, so
+    each term costs one product and one division by small integers; an
+    inexact division raises NonIntegralCount.
     """
-    s = int(gl)
-    pw = [q**m for m in range((1 + s) * order + 1)]
-    row: list[int] = []
-    for n in range(order + 1):
-        for k in range(n - 1, 0, -1):
-            row[k] = pw[s * (n - k)] * row[k - 1] + pw[(1 + s) * k] * row[k]
-        row.append(1)
-        yield n, row
+    up = pw[n] - 1
+    for k in range(start, n):
+        t, rem = divmod(terms[k] * (pw[k] * up if gl else up), pw[n - k] - 1)
+        if rem:
+            raise NonIntegralCount(f"a carried weight is not an integer at u^{n}")
+        terms[k] = t
 
 
 def _scaled_exp(q: int, log: list[int], gl: bool) -> list[int]:
     """A_n = a_n S_n of a = exp(l), from L_n = n l_n S_n with L_0 = 0.
 
-    b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k); the division by n
+    b' = l' b reads n B_n = sum_k T(n, k) B_(n-k), with T(n, k) =
+    W(n, k) L_k carried from n - 1 to n by _carry; the division by n
     must be exact, or NonIntegralCount is raised.
     """
-    product: list[int] = []
-    for n, w in _weight_rows(q, len(log) - 1, gl):
-        total = sum(w[k] * log[k] * product[n - k] for k in range(1, n + 1) if log[k])
-        b, rem = divmod(total, n) if n else (1, 0)
+    pw = [q**i for i in range(len(log))]
+    terms, product = [0], [1]
+    for n in range(1, len(log)):
+        _carry(terms, pw, n, 1, gl)
+        terms.append(log[n])
+        b, rem = divmod(sum(terms[k] * product[n - k] for k in range(1, n + 1) if terms[k]), n)
         if rem:
             raise NonIntegralCount(f"the product is not an integer at u^{n}")
         product.append(b)
@@ -302,12 +311,15 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     coefficients scaled so far.
 
     A series a is carried as A_n = a_n S_n and its log l as
-    L_n = n l_n S_n, so b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k).
-    Per degree d the factor's log is G_m = m F_m - sum_(j<m) W_Q(m, j)
-    G_j F_(m-j), with no division.  Its copies in u^d add
-    copies[d] d G_m S_(md)(q) / S_m(Q) to L_(md), and one exp gives A_n
-    with exact division by n; a factor that fits neither scale, or an
-    inexact division, raises NonIntegralCount.
+    L_n = n l_n S_n.  Per degree d the factor's log is
+    G_m = m F_m - sum_(j<m) W_Q(m, j) G_j F_(m-j), with no division; it reads
+    only j >= m - last, last being the factor's last nonzero F, and each
+    term W_Q(m, j) G_j is carried from m - 1 to m by _carry.  Its copies
+    in u^d add copies[d] d G_m I_m to L_(md), where I_m = S_(md)(q) / S_m(Q)
+    is an integer: GL_m(F_Q) is a subgroup of GL_(md)(F_q), and for D_n
+    the factors Q^i - 1 = q^(di) - 1 are among the q^i - 1.  One exp
+    gives A_n with exact division by n; a factor that fits neither
+    scale, or an inexact division, raises NonIntegralCount.
     """
     if copies is None:
         copies = {d: irreducible_poly_count(q, d) for d in range(1, order + 1)}
@@ -319,23 +331,23 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     except NonIntegralCount:
         gl, scaled = True, [_scaled_factor(coeffs, q**d, d, True) for d, _, coeffs in factors]
     scales = _scales(q, order, gl)
+    pw = [q**i for i in range(order + 1)]
     log = [0] * (order + 1)
     for (d, nu, _), (factor, scales_Q) in zip(factors, scaled):
-        glog = [0]
-        for m, w in _weight_rows(q**d, len(factor) - 1, gl):
-            if not m:
-                continue
-            g = m * factor[m]
-            for j in range(1, m):
-                if glog[j] and factor[m - j]:
-                    g -= w[j] * glog[j] * factor[m - j]
-            glog.append(g)
-            total, rem = divmod(nu * d * g * scales[m * d], scales_Q[m])
+        last = max(m for m, f in enumerate(factor) if f)
+        pw_Q, terms = pw[::d], [0]
+        for m in range(1, len(factor)):
+            start = max(1, m - last)
+            _carry(terms, pw_Q, m, start, gl)
+            terms.append(m * factor[m] - sum(
+                terms[j] * factor[m - j] for j in range(start, m) if factor[m - j]
+            ))
+            index, rem = divmod(scales[m * d], scales_Q[m])
             if rem:
                 raise NonIntegralCount(
-                    f"the log of the degree-{d} factors is not an integer at u^{m * d}"
+                    f"the index of the degree-{d} factors is not an integer at u^{m * d}"
                 )
-            log[m * d] += total
+            log[m * d] += nu * d * terms[m] * index
     return (_scaled_exp(q, log, gl) if factors else [1] + [0] * order), gl
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from itertools import accumulate
+from math import comb
 
 import pytest
 
@@ -20,7 +21,9 @@ from qmcount.gfengine import (
     LIMIT_KINDS,
     NonIntegralCount,
     UnresolvedDigits,
+    _carry,
     _resolve_digits,
+    _scaled_exp,
     _scaled_product,
     _scales,
     centralizer_order,
@@ -44,6 +47,7 @@ from qmcount.ffpoly import irreducible_poly_count
 from qmcount.qcount import (
     PrimePower,
     diagonalizable_count,
+    gaussian_rows,
     gl_order,
     linear_derangement_count,
     projection_count,
@@ -246,6 +250,67 @@ def test_scaled_product_rejects_factors_that_are_not_counts():
         _scaled_product(2, rule, 8, None)
     with pytest.raises(ValueError):
         _scaled_product(2, lambda Q, m: 0, 8, None)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_carry_reproduces_the_q_pascal_table(q):
+    # X_k = 1 seeded at n = k and carried on is W(n, k): the Gaussian
+    # binomial for D_n, times q^(k(n-k)) for |GL_n|; a window of three,
+    # as a log reads, leaves the terms below its start as they were
+    N = 30
+    rows = gaussian_rows(q, N)
+    pw = [q**i for i in range(N + 1)]
+    for gl in (False, True):
+        for width in (N, 3):
+            terms: list[int] = []
+            for n in range(N + 1):
+                start = max(0, n - width)
+                below = terms[:start]
+                _carry(terms, pw, n, start, gl)
+                terms.append(1)
+                assert terms[:start] == below
+                want = [rows[n][k] * q ** (k * (n - k) * gl) for k in range(start, n + 1)]
+                assert terms[start:] == want, (gl, width, n)
+    # a table that is not the powers of q leaves the division inexact
+    with pytest.raises(NonIntegralCount, match="not an integer at u\\^2"):
+        _carry([0, 1], [1, 4, 6], 2, 1, False)
+
+
+def test_scaled_exp_refuses_an_inexact_division():
+    # L_1 = 1 gives B_1 = 1, and 2 B_2 = W(2, 1) L_1 B_1 = [2, 1]_2 = 3
+    with pytest.raises(NonIntegralCount, match="not an integer at u\\^2"):
+        _scaled_exp(2, [0, 1, 0], False)
+
+
+def fraction_product(q: int, rule, order: int) -> list[Fraction]:
+    """prod_d (1 + g_d)^nu_d, g_d being rule's factor at degree d less its
+    constant term, expanded binomially and multiplied out on Fractions."""
+    def times(a, b):
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+    product = [Fraction(1)] + [Fraction(0)] * order
+    for d in range(1, order + 1):
+        g = [Fraction(0)] * (order + 1)
+        for m in range(1, order // d + 1):
+            g[m * d] = Fraction(rule(q**d, m))
+        nu = irreducible_poly_count(q, d)
+        factor, power = [Fraction(1)] + [Fraction(0)] * order, g
+        for j in range(1, order // d + 1):
+            factor = [f + comb(nu, j) * p for f, p in zip(factor, power)]
+            power = times(power, g)
+        product = times(product, factor)
+    return product
+
+
+def test_windowed_logs_match_the_fraction_product():
+    # 1 + v^2 / (Q^2 - 1) scales to Q^2 (Q - 1) at v^2 by D_2(Q), with a
+    # zero coefficient inside the window its log reads
+    def gap_rule(Q: int, m: int) -> Fraction:
+        return Fraction(1, Q * Q - 1) if m == 2 else Fraction(int(m == 0))
+
+    for q in (2, 3):
+        for rule in (separable_rule, cyclic_alt_rule, separable_alt_rule, cyclic_rule, gap_rule):
+            assert product_series(q, rule, 12) == fraction_product(q, rule, 12), (q, rule)
 
 
 # SHA-256 of repr((kind, q, gf_counts(kind, q, order))) for the five
