@@ -11,7 +11,7 @@ functions, serves every field: over F_p it builds the tables of F_{p^e}.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .qcount import PrimePower, is_prime
 
@@ -28,52 +28,39 @@ class ZeroPolynomial(ValueError):
 # integer number theory
 
 
-def divisors(n: int) -> list[int]:
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n, p ascending."""
     if n < 1:
-        raise ValueError("divisors need n >= 1")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+        raise ValueError(f"expected an integer n >= 1, got {n}")
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
+def divisors(n: int) -> list[int]:
+    result = [1]
+    for p, e in _prime_factors(n):
+        result = [d * p**i for d in result for i in range(e + 1)]
+    return sorted(result)
 
 
 def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError("moebius needs n >= 1")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    factors = _prime_factors(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    result = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return prod(p ** (e - 1) * (p - 1) for p, e in _prime_factors(n))
 
 
 def irreducible_poly_count(q: int, d: int) -> int:

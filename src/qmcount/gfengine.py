@@ -40,10 +40,10 @@ from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, gcd
 from typing import NamedTuple
 
-from .ffpoly import NotCoprime, cyclotomic_factor_degrees, irreducible_poly_count
+from .ffpoly import divisors, irreducible_poly_count, moebius
 from .qcount import PrimePower, gl_order
 from .exact_series import TruncSeries
 
@@ -73,6 +73,14 @@ MAX_SERIES_WORK = 4 * 10**9
 # this: max_n <= 107 at q = 1009 (about a second) and max_n <= 237 at
 # q = 2 (about half a second).
 MAX_KNAPSACK_WORK = 2 * 10**6
+
+# limit_eval refuses a request whose bracket raises P_R's numerator, of
+# R(R+1)/2 log2(q) bits, to a power m of more than this many bits (m is
+# q - 1 for projective_frac, else 1).  The largest admitted limits, such
+# as projective_frac at q = 9091 to 32 digits, take about 2 s of process
+# time on a 2-core Xeon.  At 50 digits it admits q <= 4096 and refuses
+# q >= 4099; every other limit kind stays far below it.
+MAX_LIMIT_BITS = 7 * 10**6
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
@@ -377,27 +385,37 @@ def _class_counts(q: int, order: int, invertible: bool) -> list[int]:
     return c
 
 
-def _root_of_one_copies(pp: PrimePower, k: int | None) -> Counter:
-    """How many irreducible factors of each degree z^k - 1 has; it must be
-    square-free, so that A^k = I leaves each a partition 1^m."""
+def _root_of_one_copies(pp: PrimePower, k: int | None, order: int) -> dict[int, int]:
+    """The number of irreducible factors of z^k - 1 of each degree d <= order.
+    z^k - 1 must be square-free, so that A^k = I leaves each a partition 1^m.
+
+    The roots of z^k - 1 in the cyclic group F_(q^e)^* number
+    gcd(k, q^e - 1), so those of degree exactly d over F_q number
+    sum_(e | d) mu(d/e) gcd(k, q^e - 1), d to a factor: the Moebius sum
+    irreducible_poly_count takes over q^e.  Its cost grows with order,
+    not with k.
+    """
     if k is None:
         raise BadKindParams("power_identity needs the exponent k")
     if k < 1:
         raise BadKindParams("the exponent k must be >= 1")
     if k % pp.p == 0:
         raise BadKindParams(f"z^{k} - 1 is not square-free in characteristic {pp.p}")
-    try:
-        return Counter(cyclotomic_factor_degrees(pp.q, k))
-    except NotCoprime as exc:
-        raise BadKindParams(str(exc)) from exc
+    roots = [gcd(k, pp.q**e - 1) for e in range(order + 1)]
+    copies = {}
+    for d in range(1, order + 1):
+        copies[d], rem = divmod(sum(moebius(d // e) * roots[e] for e in divisors(d)), d)
+        if rem:
+            raise NonIntegralCount(f"the roots of z^{k} - 1 of degree {d} are not whole factors")
+    return copies
 
 
 class _Kind(NamedTuple):
     """How gf_build makes one kind: the product of rule's factor over the
-    monic irreducibles, copies(pp, k)[d] of them at degree d (all nu_d when
-    copies is None), divided by 1 - u when over_one_minus_u; or its own
-    build(q, order), scaled by |GL_n| when normalized.  normalized is its
-    GF_KINDS flag, and only a kind that takes_k accepts a power k."""
+    monic irreducibles, copies(pp, k, order)[d] of them at degree d (all
+    nu_d when copies is None), divided by 1 - u when over_one_minus_u; or
+    its own build(q, order), scaled by |GL_n| when normalized.  normalized
+    is its GF_KINDS flag, and only a kind that takes_k accepts a power k."""
 
     rule: Callable | None = None
     copies: Callable | None = None
@@ -412,11 +430,11 @@ class _Kind(NamedTuple):
 # with c != 0.  The _alt factors carry 1 - u^d / q^d, whose product over
 # every monic irreducible is 1 - u.
 _KINDS: dict[str, _Kind] = {
-    "invertible_check": _Kind(euler_rule, lambda pp, k: {}, True),
-    "linear_derangement": _Kind(euler_rule, lambda pp, k: {1: -1}, True),
-    "projective_derangement": _Kind(euler_rule, lambda pp, k: {1: 1 - pp.q}, True),
-    "diagonalizable": _Kind(unit_rule, lambda pp, k: {1: pp.q}),
-    "projection": _Kind(unit_rule, lambda pp, k: {1: 2}),  # the eigenvalues 0 and 1
+    "invertible_check": _Kind(euler_rule, lambda pp, k, order: {}, True),
+    "linear_derangement": _Kind(euler_rule, lambda pp, k, order: {1: -1}, True),
+    "projective_derangement": _Kind(euler_rule, lambda pp, k, order: {1: 1 - pp.q}, True),
+    "diagonalizable": _Kind(unit_rule, lambda pp, k, order: {1: pp.q}),
+    "projection": _Kind(unit_rule, lambda pp, k, order: {1: 2}),  # the eigenvalues 0 and 1
     "power_identity": _Kind(unit_rule, _root_of_one_copies, takes_k=True),
     "cyclic": _Kind(cyclic_rule),
     "cyclic_alt": _Kind(cyclic_alt_rule, over_one_minus_u=True),
@@ -457,7 +475,7 @@ def _scaled_build(kind: str, q: int, order: int, k: int | None) -> tuple[list[in
         raise BadKindParams(f"kind {kind!r} does not take a power k")
     if entry.build is not None:
         return entry.build(q, order), (True if entry.normalized else None)
-    copies = None if entry.copies is None else entry.copies(pp, k)
+    copies = None if entry.copies is None else entry.copies(pp, k, order)
     values, gl = _scaled_product(q, entry.rule, order, copies)
     if entry.over_one_minus_u:
         _divide_by_one_minus_u(values, q, gl)
@@ -627,6 +645,12 @@ def limit_eval(kind: str, q: int, digits: int = 5) -> str:
         R += 1
     if kind == "cyclic":
         R = max(R, 5)
+    bits = mult * R * (R + 1) // 2 * (q - 1).bit_length()
+    if bits > MAX_LIMIT_BITS:
+        raise CostExceeded(
+            f"the {kind} limit over F_{q} to {digits} digits is beyond the cost bound "
+            f"of {MAX_LIMIT_BITS} bits"
+        )
 
     def bracket(R: int) -> _Ends:
         num = _euler_numerator(q, R) ** mult

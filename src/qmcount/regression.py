@@ -1,6 +1,7 @@
 """Frozen reference values for the counting sequences and triangles.
 
-Each entry pins a published run of values at explicit indices, so any
+Each pin holds a published run at explicit indices from `start` on:
+either a sequence's values or a triangle's rows, one tuple per row.  Any
 regression in the computing routes is caught by direct comparison.  The
 `source` field names the OEIS entry when one exists, otherwise a short
 tag for where the values come from.
@@ -17,20 +18,11 @@ class RegressionEntry:
     q: int
     k: int | None
     start: int
-    values: tuple[int, ...]
+    values: tuple[int, ...] | tuple[tuple[int, ...], ...]
     source: str
 
 
-@dataclass(frozen=True)
-class TriangleEntry:
-    name: str
-    q: int
-    start_row: int
-    rows: tuple[tuple[int, ...], ...]
-    source: str
-
-
-SEQUENCES: tuple[RegressionEntry, ...] = (
+PINS: tuple[RegressionEntry, ...] = (
     RegressionEntry("all", 2, None, 0, (1, 2, 16, 512, 65536), "A002416"),
     RegressionEntry(
         "invertible", 2, None, 0, (1, 1, 6, 168, 20160, 9999360), "A002884"
@@ -206,25 +198,10 @@ SEQUENCES: tuple[RegressionEntry, ...] = (
         (1, 2, 3, 6, 12, 21, 42, 84, 147, 294),
         "A082877",
     ),
-)
-
-
-# d_2 = (q^4 - q^2 + 2q) / 2 evaluated at small prime powers
-DIAGONALIZABLE_D2: tuple[tuple[int, int], ...] = (
-    (2, 8),
-    (3, 39),
-    (4, 124),
-    (5, 305),
-    (7, 1183),
-    (8, 2024),
-    (9, 3249),
-)
-
-
-TRIANGLES: tuple[TriangleEntry, ...] = (
-    TriangleEntry(
+    RegressionEntry(
         "qbinom_row",
         2,
+        None,
         0,
         (
             (1,),
@@ -237,9 +214,10 @@ TRIANGLES: tuple[TriangleEntry, ...] = (
         ),
         "A022166",
     ),
-    TriangleEntry(
+    RegressionEntry(
         "qstirling_row",
         2,
+        None,
         1,
         (
             (1,),
@@ -251,9 +229,10 @@ TRIANGLES: tuple[TriangleEntry, ...] = (
         ),
         "splitting triangle",
     ),
-    TriangleEntry(
+    RegressionEntry(
         "rank_row",
         2,
+        None,
         0,
         (
             (1,),
@@ -265,4 +244,16 @@ TRIANGLES: tuple[TriangleEntry, ...] = (
         ),
         "rank triangle",
     ),
+)
+
+
+# d_2 = (q^4 - q^2 + 2q) / 2 evaluated at small prime powers
+DIAGONALIZABLE_D2: tuple[tuple[int, int], ...] = (
+    (2, 8),
+    (3, 39),
+    (4, 124),
+    (5, 305),
+    (7, 1183),
+    (8, 2024),
+    (9, 3249),
 )

@@ -97,6 +97,13 @@ def test_seq_power_identity(capsys):
     )
     assert code == 0
     assert out == "1 1 3 57\n"
+    # a large k costs no more than a small one
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "seq", "power_identity", "--q", "2", "--k", "1000000007", "--max-n", "3"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "1 1 1 1\n")
 
 
 def test_limit(capsys):
@@ -230,6 +237,8 @@ def test_centralizer_sequences_answer_at_once(capsys, name, q, max_n, out):
         ("seq", "invertible", "--q", "2", "--max-n", "3000"),
         ("seq", "nilpotent", "--q", "3", "--max-n", "20000"),
         ("table", "rank_row", "--q", "2", "--max-n", "3000"),
+        ("limit", "projective_frac", "--q", "32003", "--digits", "50"),
+        ("limit", "projective_frac", "--q", "2305843009213693951"),
     ],
 )
 def test_cost_guards_refuse_at_once(capsys, argv):
@@ -299,7 +308,7 @@ def test_verify_quiet_hides_passes(capsys):
 
 def test_verify_reports_failures(capsys, monkeypatch):
     broken = RegressionEntry("invertible", 2, None, 0, (1, 1, 7), "broken pin")
-    monkeypatch.setattr(regression, "SEQUENCES", (broken,))
+    monkeypatch.setattr(regression, "PINS", (broken,))
     code, out, _ = run_cli(capsys, "verify", "--oracle-budget", "2", "--quiet")
     assert code == 1
     assert "[FAIL] regression: invertible q=2" in out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from math import gcd
 
 import pytest
 
@@ -53,6 +54,8 @@ def test_divisors():
     assert divisors(49) == [1, 7, 49]
     with pytest.raises(ValueError):
         divisors(0)
+    for n in range(1, 501):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_moebius():
@@ -62,6 +65,10 @@ def test_moebius():
     assert moebius(6) == 1
     assert moebius(12) == 0
     assert moebius(30) == -1
+    for n in range(1, 501):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+        square_free = all(n % (p * p) for p in primes)
+        assert moebius(n) == ((-1) ** len(primes) if square_free else 0), n
 
 
 def test_euler_phi():
@@ -69,6 +76,8 @@ def test_euler_phi():
     assert euler_phi(9) == 6
     assert euler_phi(12) == 4
     assert [euler_phi(m) for m in range(1, 9)] == [1, 1, 2, 2, 4, 2, 6, 4]
+    for n in range(1, 501):
+        assert euler_phi(n) == sum(1 for a in range(1, n + 1) if gcd(a, n) == 1), n
 
 
 def test_irreducible_poly_count_values():

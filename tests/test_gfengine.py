@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -10,7 +11,7 @@ from math import comb
 import pytest
 
 import qmcount
-from qmcount import classtypes, oracle
+from qmcount import classtypes, gfengine, oracle
 from qmcount.classtypes import class_type_counts
 from qmcount.exact_series import TruncSeries
 from qmcount.gfengine import (
@@ -23,6 +24,7 @@ from qmcount.gfengine import (
     UnresolvedDigits,
     _carry,
     _resolve_digits,
+    _root_of_one_copies,
     _scaled_exp,
     _scaled_product,
     _scales,
@@ -43,7 +45,7 @@ from qmcount.gfengine import (
     separable_rule,
     unit_rule,
 )
-from qmcount.ffpoly import irreducible_poly_count
+from qmcount.ffpoly import cyclotomic_factor_degrees, irreducible_poly_count
 from qmcount.qcount import (
     PrimePower,
     diagonalizable_count,
@@ -492,6 +494,17 @@ def test_gf_power_identity():
             assert extract_count(square, n, q) == projection_count(q, n)
 
 
+def test_root_of_one_copies_match_the_factor_degrees():
+    # the Moebius count of roots against phi(m) / ord_m(q) factors per m | k
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
+        pp = PrimePower.of(q)
+        for k in range(1, 61):
+            if k % pp.p:
+                copies = _root_of_one_copies(pp, k, 30)
+                want = Counter(d for d in cyclotomic_factor_degrees(q, k) if d <= 30)
+                assert +Counter(copies) == want, (q, k)
+
+
 def test_gf_cyclic():
     gf = gf_build("cyclic", 2, 6)
     assert extract_count(gf, 1, 2) == 2
@@ -700,6 +713,23 @@ def test_limit_grid_reproduces_its_pinned_digest():
     for kind in LIMIT_KINDS:
         for q in (2, 3, 1009):
             assert limit_eval(kind, q, 50) == reference_limit(kind, q, 50), (kind, q)
+
+
+def test_limit_guard_refuses_one_past_its_edge_before_any_work(monkeypatch):
+    def bracket_work(q, terms):
+        raise AssertionError("admitted")
+
+    monkeypatch.setattr(gfengine, "_euler_numerator", bracket_work)
+    # 4096 = 2^12 is the largest q admitted at 50 digits, 4099 the next prime power
+    with pytest.raises(AssertionError, match="admitted"):
+        limit_eval("projective_frac", 4096, 50)
+    with pytest.raises(CostExceeded):
+        limit_eval("projective_frac", 4099, 50)
+    with pytest.raises(CostExceeded):
+        limit_eval("projective_frac", 2**61 - 1, 1)
+    # the other kinds raise P_R to the power 1 only
+    with pytest.raises(AssertionError, match="admitted"):
+        limit_eval("invertible", 2**61 - 1, 50)
 
 
 def test_limit_eval_validation():

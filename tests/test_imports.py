@@ -12,7 +12,9 @@ import pytest
 
 import qmcount
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def fresh(code: str):
@@ -87,3 +89,37 @@ def test_an_unknown_name_is_an_attribute_error():
     assert not hasattr(qmcount, "DEFAULT_ENUM_BUDGET")
     with pytest.raises(ImportError):
         from qmcount import no_such_name  # noqa: F401
+
+
+# the names the benchmark's tracer looks for that this version no longer has
+TRACER_MISSING = [
+    "TruncSeries.__mul__", "TruncSeries.__pow__", "TruncSeries.exp", "TruncSeries.recip",
+    "qmcount.cli.triangle_column", "qmcount.cli.triangle_rows",
+    "qmcount.gfengine.euler_inverse_factor", "qmcount.gfengine.nu_weighted_product",
+    "qmcount.gfengine.unit_partition_sum", "qmcount.sequences.diagonalizable_count",
+    "qmcount.sequences.extract_count", "qmcount.sequences.gaussian_binomial",
+    "qmcount.sequences.gf_build", "qmcount.sequences.linear_derangement_count",
+    "qmcount.sequences.projection_count", "qmcount.sequences.q_bell",
+    "qmcount.sequences.q_stirling", "qmcount.sequences.rank_count",
+    "qmcount.sequences.subspace_total",
+]
+
+
+def test_the_benchmark_tracer_installs_and_uninstalls_cleanly():
+    # the tracer patches qmcount.field_for by identity with ffpoly's, so the
+    # ffpoly and qcount exports must be bound at import, not on first access;
+    # a fresh interpreter, since an earlier access would bind a lazy name too
+    code = (
+        "import importlib.util, json, qmcount\n"
+        "from qmcount import ffpoly\n"
+        f"spec = importlib.util.spec_from_file_location('tracer', {str(TRACER)!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "original = ffpoly.field_for\n"
+        "tr = tracer.Tracer()\n"
+        "tr.install()\n"
+        "missing = sorted(set(tr.missing))\n"
+        "tr.uninstall()\n"
+        "print(json.dumps([missing, qmcount.field_for is original, ffpoly.field_for is original]))"
+    )
+    assert fresh(code) == [TRACER_MISSING, True, True]

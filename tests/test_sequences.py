@@ -114,13 +114,11 @@ def test_oeis_info():
 def test_pinned_sources_and_the_registry_are_one_oeis_catalogue():
     # a pin whose source is an A-number cites the registry's id for its
     # (name, q, k), and a pin whose (name, q, k) has a registry id cites it
-    pins = [(e.name, e.q, e.k, e.source) for e in regression.SEQUENCES]
-    pins += [(t.name, t.q, None, t.source) for t in regression.TRIANGLES]
     cited = 0
-    for name, q, k, source in pins:
-        oeis_id = oeis_info(name, q, k)[0]
-        if oeis_id is not None or re.fullmatch(r"A\d{6}", source):
-            assert source == oeis_id, (name, q, k, source)
+    for pin in regression.PINS:
+        oeis_id = oeis_info(pin.name, pin.q, pin.k)[0]
+        if oeis_id is not None or re.fullmatch(r"A\d{6}", pin.source):
+            assert pin.source == oeis_id, pin
             cited += 1
     assert cited == 18
     assert oeis_info("cyclic", 2, None) == (None, None)
