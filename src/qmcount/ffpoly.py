@@ -79,18 +79,20 @@ def irreducible_poly_count(q: int, d: int) -> int:
 
 
 def multiplicative_order(q: int, m: int) -> int:
-    """Order of q in the unit group modulo m (m >= 1, gcd(q, m) = 1)."""
+    """Order of q in the unit group modulo m (m >= 1, gcd(q, m) = 1).
+
+    The order divides phi(m), the group's order, so it is phi(m) with
+    each prime p of phi(m) divided out while q^(order / p) is still 1:
+    a few modular powers per prime instead of one step per power.
+    """
     if m < 1:
         raise ValueError("modulus must be >= 1")
     if gcd(q, m) != 1:
         raise NotCoprime(f"gcd({q}, {m}) != 1")
-    if m == 1:
-        return 1
-    order = 1
-    value = q % m
-    while value != 1:
-        value = value * q % m
-        order += 1
+    order = euler_phi(m)
+    for p, _ in _prime_factors(order):
+        while order % p == 0 and pow(q, order // p, m) == 1:
+            order //= p
     return order
 
 

@@ -19,11 +19,15 @@ throughout: a normalized series (below) is carried as a_n S_n, a product
 of factors as one exp of their summed logs (_scaled_product), and the
 conjugacy class series by integer loops over one list.  S_n is
 D_n = q^n (q - 1)...(q^n - 1) when every factor coefficient scales to an
-integer by it, and |GL_n(q)| otherwise.  Multiplying two scaled series
+integer by it, and |GL_n(q)| otherwise.  A factor that is a product of
+binomials 1 + c v and their inverses (every rule but unit_rule) also
+declares its log in closed form, rule.log(Q, m), which enters the
+product's log as one exact division; unit_rule's factor has no product form, so its log is
+recurred from its coefficients.  Multiplying two scaled series
 weighs each pair of terms by W(n, k) = S_n / (S_k S_(n-k)), a Gaussian
-binomial (times q^(k(n-k)) for |GL_n|); the logs and the exp never form
-it, but carry each weighted term from n - 1 to n by an exact ratio of
-small integers (_carry).  gf_counts reads the counts off
+binomial (times q^(k(n-k)) for |GL_n|); the recurred logs and the exp
+never form it, but carry each weighted term from n - 1 to n by an exact
+ratio of small integers (_carry).  gf_counts reads the counts off
 those integers; gf_build divides them by S_n once and hands the series
 back as an exact_series.TruncSeries.  verify and the tests check every
 kind against the classtypes module, which sums the conjugacy classes
@@ -62,10 +66,12 @@ class CostExceeded(ValueError):
 
 # gf_build refuses orders N whose work model, N^2 log2(N) products of
 # N^2 log2(q)-bit integers, scores above this.  Semisimple at q = 2 and
-# N = 120 scores 1.45e9; its gf_counts takes 0.16 s of process time on a
-# 2-core Xeon, against 0.25 s when each weight W(n, k) was multiplied in
-# whole (best of 15, interleaved).  The bound admits N <= 149 at q = 2,
-# N <= 128 at q = 3 and N <= 109 at q = 9.
+# N = 120 scores 1.45e9; its gf_counts takes about 0.16 s of process time
+# on a 2-core Xeon (best of 5).  The bound admits N <= 149 at q = 2,
+# N <= 128 at q = 3 and N <= 109 at q = 9.  At those edges semisimple,
+# whose unit factor's log still recurs, is the slowest kind: 0.69-0.88 s
+# at (9, 109); a kind whose factor declares a closed log costs about its
+# exp alone, e.g. cyclic at (9, 109) 0.19-0.26 s.
 MAX_SERIES_WORK = 4 * 10**9
 
 # min_centralizer_orders refuses a max_n whose knapsack, usable
@@ -186,6 +192,20 @@ def _in_v(rule, Q: int, top: int) -> list:
     return coeffs
 
 
+def _closed_log(log: Callable[[int, int], Fraction]) -> Callable:
+    """Declare rule.log = log on the rule it decorates: log(Q, m) = m l_m,
+    the coefficient of v^m in v f'(v) / f(v) for the rule's factor f, so
+    that _scaled_product adds the factor's log without recurring it from
+    the coefficients."""
+
+    def declare(rule: Callable) -> Callable:
+        rule.log = log
+        return rule
+
+    return declare
+
+
+@_closed_log(lambda Q, m: Fraction(1, Q**m - 1))
 def euler_rule(Q: int, m: int) -> Fraction:
     """Q^(m(m-1)) / gl_order(Q, m): every partition of m is allowed.
 
@@ -194,7 +214,8 @@ def euler_rule(Q: int, m: int) -> Fraction:
     this exact closed form: by a classical identity of Euler it equals
     1 / (Q^m (1 - 1/Q) ... (1 - 1/Q^m)), which rearranges to the ratio.
     The tests cross-check it against the partition sum over centralizer
-    orders term by term.
+    orders term by term.  Its log sums -log(1 - v / Q^r) over r, so
+    m l_m = sum_r Q^(-r m) = 1 / (Q^m - 1).
     """
     return Fraction(Q ** (m * (m - 1)), gl_order(Q, m))
 
@@ -204,21 +225,25 @@ def unit_rule(Q: int, m: int) -> Fraction:
 
     The centralizer of m repeated blocks at one polynomial of degree d is
     the invertible group over the degree-d extension field, of order
-    gl_order(Q, m) with Q = q^d.
+    gl_order(Q, m) with Q = q^d.  It declares no closed log (see
+    _scaled_product).
     """
     return Fraction(1, gl_order(Q, m))
 
 
+@_closed_log(lambda Q, m: Fraction((-1) ** (m + 1), (Q * (Q - 1)) ** m) + Fraction(1, Q**m))
 def cyclic_rule(Q: int, m: int) -> Fraction:
     """1 / (Q^(m-1) (Q - 1)) for m >= 1: the partition is empty or one part.
 
     A cyclic matrix's partition at each polynomial is empty or the single
     part (m), whose centralizer is the unit group of F_Q[z] / (z^m), of
-    order Q^(m-1) (Q - 1).
+    order Q^(m-1) (Q - 1).  The factor is
+    (1 + v / (Q (Q - 1))) / (1 - v / Q), whence its log.
     """
     return Fraction(1) if m == 0 else Fraction(1, Q ** (m - 1) * (Q - 1))
 
 
+@_closed_log(lambda Q, m: Fraction((-1) ** (m + 1), (Q - 1) ** m))
 def separable_rule(Q: int, m: int) -> Fraction:
     """1 + u^d / (Q - 1): a separable matrix has each irreducible at most once.
 
@@ -228,6 +253,7 @@ def separable_rule(Q: int, m: int) -> Fraction:
     return (Fraction(1), Fraction(1, Q - 1))[m] if m < 2 else Fraction(0)
 
 
+@_closed_log(lambda Q, m: Fraction((-1) ** (m + 1), (Q * (Q - 1)) ** m))
 def cyclic_alt_rule(Q: int, m: int) -> Fraction:
     """1 + u^d / (Q (Q - 1)): cyclic_rule's factor times 1 - u^d / Q.
 
@@ -238,6 +264,7 @@ def cyclic_alt_rule(Q: int, m: int) -> Fraction:
     return (Fraction(1), Fraction(1, Q * (Q - 1)))[m] if m < 2 else Fraction(0)
 
 
+@_closed_log(lambda Q, m: Fraction((-1) ** (m + 1), (Q - 1) ** m) - Fraction(1, Q**m))
 def separable_alt_rule(Q: int, m: int) -> Fraction:
     """1 + (u^d - u^(2d)) / (Q (Q - 1)): separable_rule's factor times 1 - u^d / Q."""
     c = cyclic_alt_rule(Q, 1)
@@ -307,6 +334,24 @@ def _scaled_factor(coeffs: list, Q: int, d: int, gl: bool) -> tuple[list[int], l
     return factor, scales
 
 
+def _factor_log(factor: list[int], pw: list[int], gl: bool) -> list[int]:
+    """G_m = m l_m S_m(Q) of one factor in v = u^d scaled as F_m = f_m S_m(Q),
+    pw[i] being Q^i: G_m = m F_m - sum_(j<m) W_Q(m, j) G_j F_(m-j), with
+    no division.  It reads only j >= m - last, last being the factor's
+    last nonzero F, and each term W_Q(m, j) G_j is carried from m - 1 to
+    m by _carry, in place, so G_m is kept apart as it is made."""
+    last = max(m for m, f in enumerate(factor) if f)
+    terms, logs = [0], [0]
+    for m in range(1, len(factor)):
+        start = max(1, m - last)
+        _carry(terms, pw, m, start, gl)
+        terms.append(m * factor[m] - sum(
+            terms[j] * factor[m - j] for j in range(start, m) if factor[m - j]
+        ))
+        logs.append(terms[m])
+    return logs
+
+
 def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     """(A, gl): the scaled coefficients A_n = a_n S_n of prod_d factor_d **
     copies[d], factor_d being rule's factor for one polynomial of degree d;
@@ -319,15 +364,21 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     coefficients scaled so far.
 
     A series a is carried as A_n = a_n S_n and its log l as
-    L_n = n l_n S_n.  Per degree d the factor's log is
-    G_m = m F_m - sum_(j<m) W_Q(m, j) G_j F_(m-j), with no division; it reads
-    only j >= m - last, last being the factor's last nonzero F, and each
-    term W_Q(m, j) G_j is carried from m - 1 to m by _carry.  Its copies
-    in u^d add copies[d] d G_m I_m to L_(md), where I_m = S_(md)(q) / S_m(Q)
-    is an integer: GL_m(F_Q) is a subgroup of GL_(md)(F_q), and for D_n
-    the factors Q^i - 1 = q^(di) - 1 are among the q^i - 1.  One exp
-    gives A_n with exact division by n; a factor that fits neither
-    scale, or an inexact division, raises NonIntegralCount.
+    L_n = n l_n S_n.  The copies of the degree-d factor add
+    copies[d] d lambda_m S_(md)(q) to L_(md), lambda_m = m l_m being the
+    factor's log coefficient in v = u^d.  A rule that declares rule.log
+    (a product of binomials, such as euler_rule or cyclic_rule) gives
+    lambda_m in closed form, and lambda_m S_(md)(q) is one exact division.
+    A rule without it, unit_rule above all, has its log G_m = lambda_m S_m(Q)
+    built by the recurrence of _factor_log and multiplied by the index
+    I_m = S_(md)(q) / S_m(Q), an integer: GL_m(F_Q) is a subgroup of
+    GL_(md)(F_q), and for D_n the factors Q^i - 1 = q^(di) - 1 are among
+    the q^i - 1.  With x = 1 / Q, unit_rule's factor
+    sum_m v^m / |GL_m(Q)| is sum_m x^(m^2) v^m / ((1 - x)...(1 - x^m)), a
+    Rogers-Ramanujan-type sum with no product form, so its log has no
+    closed coefficient to declare.  One exp gives A_n with exact division by n;
+    a factor that fits neither scale, or an inexact division, raises
+    NonIntegralCount.
     """
     if copies is None:
         copies = {d: irreducible_poly_count(q, d) for d in range(1, order + 1)}
@@ -340,22 +391,22 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
         gl, scaled = True, [_scaled_factor(coeffs, q**d, d, True) for d, _, coeffs in factors]
     scales = _scales(q, order, gl)
     pw = [q**i for i in range(order + 1)]
+    closed = getattr(rule, "log", None)
     log = [0] * (order + 1)
     for (d, nu, _), (factor, scales_Q) in zip(factors, scaled):
-        last = max(m for m, f in enumerate(factor) if f)
-        pw_Q, terms = pw[::d], [0]
+        logs = None if closed else _factor_log(factor, pw[::d], gl)
         for m in range(1, len(factor)):
-            start = max(1, m - last)
-            _carry(terms, pw_Q, m, start, gl)
-            terms.append(m * factor[m] - sum(
-                terms[j] * factor[m - j] for j in range(start, m) if factor[m - j]
-            ))
-            index, rem = divmod(scales[m * d], scales_Q[m])
+            if closed:
+                lam = closed(q**d, m)
+                term, rem = divmod(lam.numerator * scales[m * d], lam.denominator)
+            else:
+                index, rem = divmod(scales[m * d], scales_Q[m])
+                term = logs[m] * index
             if rem:
                 raise NonIntegralCount(
-                    f"the index of the degree-{d} factors is not an integer at u^{m * d}"
+                    f"the degree-{d} factors' log is not an integer at u^{m * d}"
                 )
-            log[m * d] += nu * d * terms[m] * index
+            log[m * d] += nu * d * term
     return (_scaled_exp(q, log, gl) if factors else [1] + [0] * order), gl
 
 

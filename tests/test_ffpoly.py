@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import time
 from math import gcd
 
 import pytest
 
+from qmcount.classtypes import class_type_counts
 from qmcount.ffpoly import (
     FieldSpec,
     NotCoprime,
@@ -120,6 +122,32 @@ def test_multiplicative_order():
         multiplicative_order(2, 4)
     with pytest.raises(NotCoprime):
         multiplicative_order(3, 6)
+
+
+def stepped_order(q: int, m: int) -> int:
+    """The order of q modulo m by the definition: step through the powers."""
+    order, value = 1, q % m
+    while value != 1 % m:
+        value = value * q % m
+        order += 1
+    return order
+
+
+def test_multiplicative_order_matches_the_stepping_definition():
+    for q in range(2, 17):
+        for m in range(1, 301):
+            if gcd(q, m) == 1:
+                assert multiplicative_order(q, m) == stepped_order(q, m), (q, m)
+
+
+def test_multiplicative_order_at_a_large_modulus_is_quick():
+    # 100000007 is prime; stepping through ord(2) of its powers took seconds
+    start = time.process_time()
+    degrees = cyclotomic_factor_degrees(2, 100000007)
+    counts = class_type_counts("power_identity", 2, 12, 100000007)
+    assert time.process_time() - start < 1.0
+    assert sum(degrees) == 100000007 and degrees[0] == 1
+    assert counts == [1] * 13  # only z - 1 divides z^k - 1 below degree 13
 
 
 def test_cyclotomic_factor_degrees():

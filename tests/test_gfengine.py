@@ -23,9 +23,12 @@ from qmcount.gfengine import (
     NonIntegralCount,
     UnresolvedDigits,
     _carry,
+    _factor_log,
+    _in_v,
     _resolve_digits,
     _root_of_one_copies,
     _scaled_exp,
+    _scaled_factor,
     _scaled_product,
     _scales,
     centralizer_order,
@@ -304,6 +307,11 @@ def fraction_product(q: int, rule, order: int) -> list[Fraction]:
     return product
 
 
+def without_log(rule):
+    """rule's coefficients with no closed log declared."""
+    return lambda Q, m: rule(Q, m)
+
+
 def test_windowed_logs_match_the_fraction_product():
     # 1 + v^2 / (Q^2 - 1) scales to Q^2 (Q - 1) at v^2 by D_2(Q), with a
     # zero coefficient inside the window its log reads
@@ -312,7 +320,88 @@ def test_windowed_logs_match_the_fraction_product():
 
     for q in (2, 3):
         for rule in (separable_rule, cyclic_alt_rule, separable_alt_rule, cyclic_rule, gap_rule):
-            assert product_series(q, rule, 12) == fraction_product(q, rule, 12), (q, rule)
+            want = fraction_product(q, rule, 12)
+            assert product_series(q, rule, 12) == want, (q, rule)
+            # the same coefficients without the closed log run the recurrence
+            assert product_series(q, without_log(rule), 12) == want, (q, rule)
+
+
+CLOSED_LOG_RULES = (euler_rule, cyclic_rule, cyclic_alt_rule, separable_rule, separable_alt_rule)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_each_closed_log_is_the_log_the_recurrence_computes(q):
+    # G_m = m l_m D_m(Q), built by _factor_log from the rule's own
+    # coefficients, is the declared log times D_m(Q) up to order 30
+    order = 30
+    pw = [q**i for i in range(order + 1)]
+    for rule in CLOSED_LOG_RULES:
+        factor, scales = _scaled_factor(_in_v(rule, q, order), q, 1, False)
+        want = [0] + [rule.log(q, m) * scales[m] for m in range(1, order + 1)]
+        assert _factor_log(factor, pw, False) == want, rule.__name__
+    assert not hasattr(unit_rule, "log")
+
+
+# (rule, kinds it serves, its log with one sign flipped)
+FLIPPED_LOGS = {
+    "euler": (euler_rule, ("linear_derangement", "projective_derangement"),
+              lambda Q, m: Fraction(-1, Q**m - 1)),
+    "cyclic_first": (cyclic_rule, ("cyclic",),
+                     lambda Q, m: Fraction((-1) ** m, (Q * (Q - 1)) ** m) + Fraction(1, Q**m)),
+    "cyclic_second": (cyclic_rule, ("cyclic",),
+                      lambda Q, m: Fraction((-1) ** (m + 1), (Q * (Q - 1)) ** m) - Fraction(1, Q**m)),
+    "cyclic_alt": (cyclic_alt_rule, ("cyclic_alt",),
+                   lambda Q, m: Fraction((-1) ** m, (Q * (Q - 1)) ** m)),
+    "separable": (separable_rule, ("separable",),
+                  lambda Q, m: Fraction((-1) ** m, (Q - 1) ** m)),
+    "separable_alt_first": (separable_alt_rule, ("separable_alt",),
+                            lambda Q, m: Fraction((-1) ** m, (Q - 1) ** m) - Fraction(1, Q**m)),
+    "separable_alt_second": (separable_alt_rule, ("separable_alt",),
+                             lambda Q, m: Fraction((-1) ** (m + 1), (Q - 1) ** m) + Fraction(1, Q**m)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(FLIPPED_LOGS))
+def test_a_closed_log_with_one_sign_flipped_is_caught(monkeypatch, mutant):
+    rule, kinds, flipped = FLIPPED_LOGS[mutant]
+    monkeypatch.setattr(rule, "log", flipped)
+    for kind in kinds:
+        for q in (2, 3, 4):
+            try:
+                counts = gf_counts(kind, q, 12)
+            except NonIntegralCount:
+                continue
+            assert counts != class_type_counts(kind, q, 12), (kind, q)
+
+
+def test_a_closed_log_that_is_not_a_scaled_integer_is_refused():
+    # 1 / (Q + 1) times D_1(2) = 2 leaves 2 / 3 at u^1
+    rule = without_log(separable_rule)
+    rule.log = lambda Q, m: Fraction(1, Q + 1)
+    with pytest.raises(NonIntegralCount, match="log is not an integer at u\\^1"):
+        _scaled_product(2, rule, 8, None)
+
+
+def test_only_a_rule_without_a_closed_log_runs_the_per_degree_recurrence(monkeypatch):
+    carried = []
+
+    def counted(terms, pw, n, start, gl):
+        carried.append(n)
+        _carry(terms, pw, n, start, gl)
+
+    monkeypatch.setattr(gfengine, "_carry", counted)
+    order = 24
+    # the exp carries its terms once per order, and the closed logs none;
+    # invertible_check is the empty product, which runs no exp
+    for kind in ("cyclic", "separable", "cyclic_alt", "separable_alt",
+                 "invertible_check", "linear_derangement", "projective_derangement"):
+        carried.clear()
+        gf_counts(kind, 3, order)
+        assert len(carried) == (0 if kind == "invertible_check" else order), kind
+    # the unit factor's log recurs at every degree d, order // d carries each
+    carried.clear()
+    gf_counts("semisimple", 3, order)
+    assert len(carried) == order + sum(order // d for d in range(1, order + 1))
 
 
 # SHA-256 of repr((kind, q, gf_counts(kind, q, order))) for the five
