@@ -33,7 +33,7 @@ from functools import cache
 from math import comb
 from typing import NamedTuple
 
-from .ffpoly import cyclotomic_factor_degrees, irreducible_poly_count
+from .ffpoly import cyclotomic_factor_counts, irreducible_poly_count
 from .gfengine import CostExceeded, NonIntegralCount, centralizer_order, partitions_of
 from .qcount import gl_order
 
@@ -67,12 +67,16 @@ def _linear(count: Callable[[int], int]):
     return lambda q, d, k: count(q) if d == 1 else 0
 
 
+# one tally per (q, k), read once per degree; callers only read it
+_factor_counts = cache(cyclotomic_factor_counts)
+
+
 def _roots_of_one(q: int, d: int, k: int | None) -> int:
     """The irreducible factors of degree d of z^k - 1, square-free when p
     does not divide k, so that A^k = I leaves each the shape 1^m."""
     if k is None:
         raise ValueError("power_identity needs the exponent k")
-    return cyclotomic_factor_degrees(q, k).count(d)
+    return _factor_counts(q, k).get(d, 0)
 
 
 _EVERY = _irreducibles(lambda q: q)

@@ -96,23 +96,29 @@ def multiplicative_order(q: int, m: int) -> int:
     return order
 
 
-def cyclotomic_factor_degrees(q: int, k: int) -> tuple[int, ...]:
-    """Degrees of the irreducible factors of z^k - 1 over F_q (gcd(k, q) = 1).
+def cyclotomic_factor_counts(q: int, k: int) -> dict[int, int]:
+    """degree -> number of irreducible factors of z^k - 1 over F_q of that
+    degree (gcd(k, q) = 1), ascending by degree.
 
     Each divisor m of k contributes phi(m) / ord_m(q) factors of degree
-    ord_m(q).  Returned sorted ascending, with multiplicity.
+    ord_m(q), so the tally costs one order per divisor, however many
+    factors there are.
     """
     if k < 1:
         raise ValueError("exponent must be >= 1")
     if gcd(q, k) != 1:
         raise NotCoprime(f"z^{k} - 1 is not square-free over F_{q}")
-    degrees: list[int] = []
+    counts: dict[int, int] = {}
     for m in divisors(k):
         d = multiplicative_order(q, m)
-        count = euler_phi(m) // d
-        degrees.extend([d] * count)
-    degrees.sort()
-    return tuple(degrees)
+        counts[d] = counts.get(d, 0) + euler_phi(m) // d
+    return dict(sorted(counts.items()))
+
+
+def cyclotomic_factor_degrees(q: int, k: int) -> tuple[int, ...]:
+    """Degrees of the irreducible factors of z^k - 1 over F_q (gcd(k, q) = 1),
+    sorted ascending, with multiplicity: cyclotomic_factor_counts listed out."""
+    return tuple(d for d, count in cyclotomic_factor_counts(q, k).items() for _ in range(count))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ product's log as one exact division; unit_rule's factor has no product form, so 
 recurred from its coefficients.  Multiplying two scaled series
 weighs each pair of terms by W(n, k) = S_n / (S_k S_(n-k)), a Gaussian
 binomial (times q^(k(n-k)) for |GL_n|); the recurred logs and the exp
-never form it, but carry each weighted term from n - 1 to n by an exact
-ratio of small integers (_carry).  gf_counts reads the counts off
+never form it.  They carry each term's Gaussian binomial from n - 1 to n
+by an exact ratio of small integers (_carry), at both scales, and for
+|GL_n| put the q^(k(n-k)) into each sum by two Horner runs whose steps
+multiply by small powers of q (_weighted_sum).  gf_counts reads the counts off
 those integers; gf_build divides them by S_n once and hands the series
 back as an exact_series.TruncSeries.  verify and the tests check every
 kind against the classtypes module, which sums the conjugacy classes
@@ -66,12 +68,12 @@ class CostExceeded(ValueError):
 
 # gf_build refuses orders N whose work model, N^2 log2(N) products of
 # N^2 log2(q)-bit integers, scores above this.  Semisimple at q = 2 and
-# N = 120 scores 1.45e9; its gf_counts takes about 0.16 s of process time
-# on a 2-core Xeon (best of 5).  The bound admits N <= 149 at q = 2,
-# N <= 128 at q = 3 and N <= 109 at q = 9.  At those edges semisimple,
-# whose unit factor's log still recurs, is the slowest kind: 0.69-0.88 s
-# at (9, 109); a kind whose factor declares a closed log costs about its
-# exp alone, e.g. cyclic at (9, 109) 0.19-0.26 s.
+# N = 120 scores 1.45e9; its gf_counts takes 0.11-0.14 s of process time
+# on a 2-core Xeon (best of 5, three processes).  The bound admits
+# N <= 149 at q = 2, N <= 128 at q = 3 and N <= 109 at q = 9.  At those
+# edges semisimple, whose unit factor's log still recurs, is the slowest
+# kind: 0.49-0.56 s at (9, 109); a kind whose factor declares a closed
+# log costs about its exp alone, e.g. cyclic at (9, 109) 0.15-0.25 s.
 MAX_SERIES_WORK = 4 * 10**9
 
 # min_centralizer_orders refuses a max_n whose knapsack, usable
@@ -271,48 +273,85 @@ def separable_alt_rule(Q: int, m: int) -> Fraction:
     return (Fraction(1), c, -c)[m] if m < 3 else Fraction(0)
 
 
+def _step(q: int, n: int, gl: bool) -> int:
+    """S_n / S_(n-1): q^(n-1) (q^n - 1) for |GL_n(q)|, q (q^n - 1) for D_n."""
+    return q ** (n - 1 if gl else 1) * (q**n - 1)
+
+
 def _scales(q: int, order: int, gl: bool) -> list[int]:
     """S_n for n = 0 .. order: |GL_n(q)| = q^(n(n-1)/2) prod_(i<=n) (q^i - 1)
     when gl, else D_n = q^n prod_(i<=n) (q^i - 1)."""
     scales = [1]
     for n in range(1, order + 1):
-        scales.append(scales[-1] * q ** (n - 1 if gl else 1) * (q**n - 1))
+        scales.append(scales[-1] * _step(q, n, gl))
     return scales
 
 
-def _carry(terms: list[int], pw: list[int], n: int, start: int, gl: bool) -> None:
-    """Move terms[k] = W(n-1, k) X_k on to W(n, k) X_k in place, for
+def _carry(terms: list[int], pw: list[int], n: int, start: int) -> None:
+    """Move terms[k] = [n-1, k]_q X_k on to [n, k]_q X_k in place, for
     k = start .. n-1; pw[i] is q^i.
 
     W(n, k) = S_n / (S_k S_(n-k)) multiplies two scaled coefficients into
     the scaled coefficient of their product (S_n as in _scales): the
-    Gaussian binomial [n, k]_q for D_n, times q^(k(n-k)) for |GL_n|.
-    From n - 1 to n it grows by the exact ratio
-    q^(s k) (q^n - 1) / (q^(n-k) - 1), s = 1 for |GL_n| and 0 for D_n, so
-    each term costs one product and one division by small integers; an
-    inexact division raises NonIntegralCount.
+    Gaussian binomial [n, k]_q for D_n, times q^(k(n-k)) for |GL_n|.  Only
+    the Gaussian binomial is carried, at both scales; _weighted_sum puts
+    in |GL_n|'s power of q.  From n - 1 to n it grows by the exact ratio
+    (q^n - 1) / (q^(n-k) - 1), so each term costs one product and one
+    division by small integers; an inexact division raises
+    NonIntegralCount.
     """
     up = pw[n] - 1
     for k in range(start, n):
-        t, rem = divmod(terms[k] * (pw[k] * up if gl else up), pw[n - k] - 1)
+        t, rem = divmod(terms[k] * up, pw[n - k] - 1)
         if rem:
             raise NonIntegralCount(f"a carried weight is not an integer at u^{n}")
         terms[k] = t
 
 
+def _weighted_sum(
+    terms: list[int], other: list[int], n: int, start: int, pw: list[int], gl: bool
+) -> int:
+    """sum_(k=start..n) q^(k(n-k)) terms[k] other[n-k] when gl, else the
+    plain sum, pw[i] being q^i and terms[k] = [n, k]_q X_k as _carry keeps
+    them, so each term is W(n, k) X_k other[n-k].
+
+    The exponent e(k) = k(n-k) rises to k = n // 2 and falls after it, so
+    two Horner runs apply it with small powers only: from k = n // 2 down
+    to start, acc q^(e(k+1) - e(k)) + x_k with e(k+1) - e(k) = n - 2k - 1,
+    the result times q^(e(start)); and from n // 2 + 1 up to n,
+    acc q^(e(k-1) - e(k)) + x_k with e(k-1) - e(k) = 2k - n - 1, which
+    ends at e(n) = 0.  Each step multiplies by at most q^(n-1), in time
+    linear in acc; each product x_k is formed in the loop.
+    """
+    if not gl:
+        return sum(terms[k] * other[n - k] for k in range(start, n + 1))
+    half = n // 2
+    low = 0
+    if start <= half:
+        low = terms[half] * other[n - half]
+        for k in range(half - 1, start - 1, -1):
+            low = low * pw[n - 2 * k - 1] + terms[k] * other[n - k]
+        low *= pw[1] ** (start * (n - start))
+    high = 0
+    for k in range(max(start, half + 1), n + 1):
+        high = high * pw[2 * k - n - 1] + terms[k] * other[n - k]
+    return low + high
+
+
 def _scaled_exp(q: int, log: list[int], gl: bool) -> list[int]:
     """A_n = a_n S_n of a = exp(l), from L_n = n l_n S_n with L_0 = 0.
 
-    b' = l' b reads n B_n = sum_k T(n, k) B_(n-k), with T(n, k) =
-    W(n, k) L_k carried from n - 1 to n by _carry; the division by n
-    must be exact, or NonIntegralCount is raised.
+    b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k): T_k = [n, k]_q L_k
+    is carried from n - 1 to n by _carry, and _weighted_sum adds
+    |GL_n|'s q^(k(n-k)) by Horner runs, or sums plainly for D_n.  The
+    division by n must be exact, or NonIntegralCount is raised.
     """
     pw = [q**i for i in range(len(log))]
     terms, product = [0], [1]
     for n in range(1, len(log)):
-        _carry(terms, pw, n, 1, gl)
+        _carry(terms, pw, n, 1)
         terms.append(log[n])
-        b, rem = divmod(sum(terms[k] * product[n - k] for k in range(1, n + 1) if terms[k]), n)
+        b, rem = divmod(_weighted_sum(terms, product, n, 1, pw, gl), n)
         if rem:
             raise NonIntegralCount(f"the product is not an integer at u^{n}")
         product.append(b)
@@ -321,16 +360,18 @@ def _scaled_exp(q: int, log: list[int], gl: bool) -> list[int]:
 
 def _scaled_factor(coeffs: list, Q: int, d: int, gl: bool) -> tuple[list[int], list[int]]:
     """(F, S) of one degree-d factor in v = u^d: F_m = coeffs[m] S_m(Q), S as
-    in _scales, or NonIntegralCount at the first F_m that is not an integer."""
+    in _scales, each the numerator times S_m(Q) over the reduced
+    denominator, or NonIntegralCount at the first F_m that is not an
+    integer."""
     scales = _scales(Q, len(coeffs) - 1, gl)
     factor = []
-    for m, s in enumerate(scales):
-        scaled = coeffs[m] * s
-        if scaled.denominator != 1:
+    for m, (c, s) in enumerate(zip(coeffs, scales)):
+        quotient, rem = divmod(s, c.denominator)
+        if rem:
             raise NonIntegralCount(
-                f"the degree-{d} factor at u^{m * d} scales to non-integer {scaled}"
+                f"the degree-{d} factor at u^{m * d} scales to non-integer {c * s}"
             )
-        factor.append(scaled.numerator)
+        factor.append(c.numerator * quotient)
     return factor, scales
 
 
@@ -338,16 +379,16 @@ def _factor_log(factor: list[int], pw: list[int], gl: bool) -> list[int]:
     """G_m = m l_m S_m(Q) of one factor in v = u^d scaled as F_m = f_m S_m(Q),
     pw[i] being Q^i: G_m = m F_m - sum_(j<m) W_Q(m, j) G_j F_(m-j), with
     no division.  It reads only j >= m - last, last being the factor's
-    last nonzero F, and each term W_Q(m, j) G_j is carried from m - 1 to
-    m by _carry, in place, so G_m is kept apart as it is made."""
+    last nonzero F; each term [m, j]_Q G_j is carried from m - 1 to m by
+    _carry, in place, and _weighted_sum adds |GL_m(Q)|'s Q^(j(m-j)), with
+    G_m's own slot held at 0 until G_m is made."""
     last = max(m for m, f in enumerate(factor) if f)
     terms, logs = [0], [0]
     for m in range(1, len(factor)):
         start = max(1, m - last)
-        _carry(terms, pw, m, start, gl)
-        terms.append(m * factor[m] - sum(
-            terms[j] * factor[m - j] for j in range(start, m) if factor[m - j]
-        ))
+        _carry(terms, pw, m, start)
+        terms.append(0)
+        terms[m] = m * factor[m] - _weighted_sum(terms, factor, m, start, pw, gl)
         logs.append(terms[m])
     return logs
 
@@ -373,7 +414,8 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     built by the recurrence of _factor_log and multiplied by the index
     I_m = S_(md)(q) / S_m(Q), an integer: GL_m(F_Q) is a subgroup of
     GL_(md)(F_q), and for D_n the factors Q^i - 1 = q^(di) - 1 are among
-    the q^i - 1.  With x = 1 / Q, unit_rule's factor
+    the q^i - 1; it is one exact division of two scales already at hand.
+    With x = 1 / Q, unit_rule's factor
     sum_m v^m / |GL_m(Q)| is sum_m x^(m^2) v^m / ((1 - x)...(1 - x^m)), a
     Rogers-Ramanujan-type sum with no product form, so its log has no
     closed coefficient to declare.  One exp gives A_n with exact division by n;
@@ -414,7 +456,7 @@ def _divide_by_one_minus_u(values: list[int], q: int, gl: bool) -> None:
     """Divide a scaled series by 1 - u in place: b_n = a_n + b_(n-1), so
     B_n = A_n + (S_n / S_(n-1)) B_(n-1)."""
     for n in range(1, len(values)):
-        values[n] += q ** (n - 1 if gl else 1) * (q**n - 1) * values[n - 1]
+        values[n] += _step(q, n, gl) * values[n - 1]
 
 
 def _class_counts(q: int, order: int, invertible: bool) -> list[int]:
@@ -558,11 +600,17 @@ def _count(n: int, value) -> int:
 def extract_count(gf: TruncSeries, n: int, q: int, normalized: bool = True) -> int:
     """Read the matrix count of size n out of a generating function.
 
-    For normalized series the coefficient is scaled by gl_order(q, n); the
-    result must come out a non-negative integer or the series was wrong.
+    For normalized series the coefficient is scaled by gl_order(q, n): its
+    numerator times gl_order(q, n) over its reduced denominator, which must
+    divide exactly.  The result must come out a non-negative integer or the
+    series was wrong.
     """
     c = gf.coeff(n)
-    return _count(n, c * gl_order(q, n) if normalized else c)
+    if normalized:
+        group = gl_order(q, n)
+        quotient, rem = divmod(group, c.denominator)
+        c = c * group if rem else c.numerator * quotient
+    return _count(n, c)
 
 
 def gf_counts(kind: str, q: int, order: int, k: int | None = None) -> list[int]:

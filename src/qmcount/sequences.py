@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -330,14 +330,44 @@ def triangle_flat_start(name: str, first_row: int) -> int:
     return tri.start + sum(row - tri.first_col + 1 for row in rows)
 
 
+# _decimal converts a value of at most this many bits to Decimal whole: below
+# it Decimal's own conversion is quick, and 2048 to 8192 time alike
+_DECIMAL_LEAF_BITS = 4096
+
+
 def _decimal(v: int) -> str:
-    """str(v) for an int of any size.  str is faster but refuses values over
-    the interpreter's current limit on int-to-text digits; Decimal is not held
-    to that limit, so it converts only those."""
+    """str(v) for an int of any size.  str refuses values over the
+    interpreter's current limit on int-to-text digits, and Decimal, which
+    is not held to that limit, converts a large int in quadratic time.  So
+    a value past the limit is split at 2^w, w half its bits, each half
+    converted the same way, and the halves joined as hi 2^w + lo in an
+    exact Decimal context, which raises Inexact rather than round; the
+    powers 2^w are made once per call."""
     try:
         return str(v)
     except ValueError:
-        return str(Decimal(v))
+        pass
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+    powers: dict[int, Decimal] = {}
+
+    def two_to(w: int) -> Decimal:
+        if w not in powers:
+            half = w // 2
+            powers[w] = (
+                Decimal(1 << w) if w <= _DECIMAL_LEAF_BITS
+                else exact.multiply(two_to(half), two_to(w - half))
+            )
+        return powers[w]
+
+    def convert(x: int, bits: int) -> Decimal:
+        """x as a Decimal, 0 <= x < 2^bits."""
+        if bits <= _DECIMAL_LEAF_BITS:
+            return Decimal(x)
+        w = bits // 2
+        hi = x >> w
+        return exact.fma(convert(hi, bits - w), two_to(w), convert(x - (hi << w), w))
+
+    return ("-" if v < 0 else "") + str(convert(abs(v), abs(v).bit_length()))
 
 
 def _parse_int(text: str) -> int:

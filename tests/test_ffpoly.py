@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from math import gcd
 
 import pytest
 
+from qmcount import classtypes
 from qmcount.classtypes import class_type_counts
+from qmcount.gfengine import gf_counts
 from qmcount.ffpoly import (
     FieldSpec,
     NotCoprime,
     ZeroPolynomial,
     build_field,
+    cyclotomic_factor_counts,
     cyclotomic_factor_degrees,
     divisors,
     euler_phi,
@@ -148,6 +152,33 @@ def test_multiplicative_order_at_a_large_modulus_is_quick():
     assert time.process_time() - start < 1.0
     assert sum(degrees) == 100000007 and degrees[0] == 1
     assert counts == [1] * 13  # only z - 1 divides z^k - 1 below degree 13
+
+
+def test_cyclotomic_factor_counts_tally_the_listed_factors():
+    # the factors listed one by one, phi(m) / ord_m(q) of degree ord_m(q)
+    # for each m | k with the order stepped; classtypes reads the tally
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for k in range(1, 61):
+            if gcd(q, k) != 1:
+                continue
+            listed = [
+                stepped_order(q, m) for m in divisors(k)
+                for _ in range(euler_phi(m) // stepped_order(q, m))
+            ]
+            counts = cyclotomic_factor_counts(q, k)
+            assert counts == Counter(listed) and list(counts) == sorted(counts), (q, k)
+            assert cyclotomic_factor_degrees(q, k) == tuple(sorted(listed)), (q, k)
+            for d in range(1, k + 1):
+                assert classtypes._roots_of_one(q, d, k) == listed.count(d), (q, k, d)
+
+
+def test_class_types_at_a_large_exponent_are_quick():
+    # 2^24 - 1 has 699251 irreducible factors over F_2, tallied in 64 orders
+    classtypes._factor_counts.cache_clear()
+    start = time.process_time()
+    counts = class_type_counts("power_identity", 2, 20, 2**24 - 1)
+    assert time.process_time() - start < 0.25
+    assert counts == gf_counts("power_identity", 2, 20, 2**24 - 1)
 
 
 def test_cyclotomic_factor_degrees():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -31,6 +32,7 @@ from qmcount.gfengine import (
     _scaled_factor,
     _scaled_product,
     _scales,
+    _weighted_sum,
     centralizer_order,
     cyclic_alt_rule,
     cyclic_limit_bracket,
@@ -259,26 +261,49 @@ def test_scaled_product_rejects_factors_that_are_not_counts():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_carry_reproduces_the_q_pascal_table(q):
-    # X_k = 1 seeded at n = k and carried on is W(n, k): the Gaussian
-    # binomial for D_n, times q^(k(n-k)) for |GL_n|; a window of three,
-    # as a log reads, leaves the terms below its start as they were
+    # X_k = 1 seeded at n = k and carried on is [n, k]_q; read through
+    # _weighted_sum against a unit vector at n - k it is W(n, k): the
+    # Gaussian binomial for D_n, times q^(k(n-k)) for |GL_n|.  A window of
+    # three, as a log reads, leaves the terms below its start as they were
     N = 30
     rows = gaussian_rows(q, N)
     pw = [q**i for i in range(N + 1)]
-    for gl in (False, True):
-        for width in (N, 3):
-            terms: list[int] = []
-            for n in range(N + 1):
-                start = max(0, n - width)
-                below = terms[:start]
-                _carry(terms, pw, n, start, gl)
-                terms.append(1)
-                assert terms[:start] == below
+    for width in (N, 3):
+        terms: list[int] = []
+        for n in range(N + 1):
+            start = max(0, n - width)
+            below = terms[:start]
+            _carry(terms, pw, n, start)
+            terms.append(1)
+            assert terms[:start] == below
+            assert terms[start:] == rows[n][start:], (width, n)
+            for gl in (False, True):
+                got = []
+                for k in range(start, n + 1):
+                    unit = [int(j == n - k) for j in range(n + 1)]
+                    got.append(_weighted_sum(terms, unit, n, start, pw, gl))
                 want = [rows[n][k] * q ** (k * (n - k) * gl) for k in range(start, n + 1)]
-                assert terms[start:] == want, (gl, width, n)
+                assert got == want, (gl, width, n)
     # a table that is not the powers of q leaves the division inexact
     with pytest.raises(NonIntegralCount, match="not an integer at u\\^2"):
-        _carry([0, 1], [1, 4, 6], 2, 1, False)
+        _carry([0, 1], [1, 4, 6], 2, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_horner_runs_equal_the_direct_weighted_sum(q):
+    # every start, those above n / 2 included, at odd and even n, with
+    # zeros among the terms and the coefficients they meet
+    rng = random.Random(q)
+    for n in list(range(1, 14)) + [30, 31]:
+        pw = [q**i for i in range(n + 1)]
+        for _ in range(3):
+            terms = [rng.choice((0, rng.randrange(-10**9, 10**9))) for _ in range(n + 1)]
+            other = [rng.choice((0, rng.randrange(10**9))) for _ in range(n + 1)]
+            for start in range(0, n + 1):
+                x = [terms[k] * other[n - k] for k in range(n + 1)]
+                direct = sum(q ** (k * (n - k)) * x[k] for k in range(start, n + 1))
+                assert _weighted_sum(terms, other, n, start, pw, True) == direct, (n, start)
+                assert _weighted_sum(terms, other, n, start, pw, False) == sum(x[start:])
 
 
 def test_scaled_exp_refuses_an_inexact_division():
@@ -385,9 +410,9 @@ def test_a_closed_log_that_is_not_a_scaled_integer_is_refused():
 def test_only_a_rule_without_a_closed_log_runs_the_per_degree_recurrence(monkeypatch):
     carried = []
 
-    def counted(terms, pw, n, start, gl):
+    def counted(terms, pw, n, start):
         carried.append(n)
-        _carry(terms, pw, n, start, gl)
+        _carry(terms, pw, n, start)
 
     monkeypatch.setattr(gfengine, "_carry", counted)
     order = 24
@@ -453,6 +478,21 @@ MOVED_COUNT_CASES = (
 # SHA-256 of repr((case, [hex(c) for c in gf_counts(*case)])) over
 # MOVED_COUNT_CASES, recorded from the Fraction-kernel builds.
 MOVED_COUNTS_SHA256 = "53379e318cf77f085615cce39289bcd61d84b1351b0a95272002183baf8af76e"
+
+
+# SHA-256 of repr((case, [hex(c) for c in gf_counts(*case)])) over
+# UNIT_FACTOR_EDGE_CASES, recorded when |GL_n|'s q^(k(n-k)) was still
+# carried inside every weight: unit-factor kinds at the guard edges.
+UNIT_FACTOR_EDGE_CASES = (("semisimple", 3, 128, None), ("semisimple", 9, 109, None),
+                          ("power_identity", 3, 128, 8))
+UNIT_FACTOR_EDGE_SHA256 = "4c49bb3c1141f30f52a1caa947e108c534e30a01823cd3d83e68f2d972566424"
+
+
+def test_unit_factor_edge_counts_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for case in UNIT_FACTOR_EDGE_CASES:
+        digest.update(repr((case, [hex(c) for c in gf_counts(*case)])).encode())
+    assert digest.hexdigest() == UNIT_FACTOR_EDGE_SHA256
 
 
 def test_moved_kind_counts_match_the_pinned_digest():

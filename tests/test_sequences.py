@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import sys
 from decimal import Decimal
@@ -341,6 +342,28 @@ def test_output_is_the_same_on_both_sides_of_the_int_to_text_limit():
     assert plain == " ".join(texts)
     assert json.loads(text)["values"] == texts
     assert bfile == "".join(f"{3 + i} {t}\n" for i, t in enumerate(texts))
+
+
+def test_split_conversion_past_the_limit_is_str_byte_for_byte():
+    # just below, at and one past the default 4300 digits, and well past it,
+    # against str under a raised limit; the default limit is set for the
+    # conversions and the caller's limit restored afterwards
+    rng = random.Random(4300)
+    values = [10**4299 - 1, 10**4299, 10**4300 - 1, 10**4300, -(10**4300 + 7),
+              rng.randrange(10**4300, 10**4301), rng.randrange(10**60000),
+              2**100000 - 1, 2**100000, -(3**50000), 10**20000 * 12345]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [str(v) for v in values]
+        assert [len(w.lstrip("-")) for w in want[:4]] == [4299, 4300, 4300, 4301]
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            str(10**4300)
+        got = [sequences._decimal(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
 
 
 def test_spec_is_frozen():
