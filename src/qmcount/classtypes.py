@@ -122,10 +122,14 @@ def _check_cost(q: int, order: int) -> None:
         )
 
 
-def _class_size(group: int, centralizer: int, what: str) -> int:
+def _class_size(group: int, centralizer: int, n: int, q: int) -> int:
+    """group / centralizer, group being |GL_n(q)|.  The error names the
+    group by n and q and prints neither order: both may be past the
+    interpreter's limit on int-to-text digits, and the text is built only
+    when raising."""
     size, rem = divmod(group, centralizer)
     if rem:
-        raise NonIntegralCount(f"a centralizer of order {centralizer} does not divide {what}")
+        raise NonIntegralCount(f"a centralizer order does not divide |GL_{n}({q})|")
     return size
 
 
@@ -160,8 +164,7 @@ def _degree_sum(q: int, d: int, m: int, shape: str, weighted: bool) -> int:
         return len(allowed)
     Q = q**d
     group = gl_order(Q, m)
-    what = f"|GL_{m}({Q})| = {group}"
-    sizes = sum(_class_size(group, centralizer_order(Q, lam), what) for lam in allowed)
+    sizes = sum(_class_size(group, centralizer_order(Q, lam), m, Q) for lam in allowed)
     # times the index of GL_m(Q), a subgroup of GL_md(q)
     return sizes * (gl_order(q, m * d) // group)
 
@@ -220,12 +223,11 @@ def class_sizes(kind: str, q: int, n: int, k: int | None = None) -> list[int]:
         for lam in SHAPES[declaration.shape](m)
     ]
     group = gl_order(q, n)
-    what = f"|GL_{n}({q})| = {group}"
     sizes: list[int] = []
 
     def walk(i: int, left: int, centralizer: int, classes: int) -> None:
         if not left:
-            sizes.extend([_class_size(group, centralizer, what)] * classes)
+            sizes.extend([_class_size(group, centralizer, n, q)] * classes)
             return
         if i == len(options):
             return

@@ -82,12 +82,15 @@ MAX_SERIES_WORK = 4 * 10**9
 # q = 2 (about half a second).
 MAX_KNAPSACK_WORK = 2 * 10**6
 
-# limit_eval refuses a request whose bracket raises P_R's numerator, of
-# R(R+1)/2 log2(q) bits, to a power m of more than this many bits (m is
-# q - 1 for projective_frac, else 1).  The largest admitted limits, such
-# as projective_frac at q = 9091 to 32 digits, take about 2 s of process
-# time on a 2-core Xeon.  At 50 digits it admits q <= 4096 and refuses
-# q >= 4099; every other limit kind stays far below it.
+# limit_eval refuses a request whose partial product P_R, of R(R+1)/2
+# log2(q) bits, raised to the power m (q - 1 for projective_frac, else 1)
+# would have more than this many bits.  The bracket never forms P_R: the
+# ends of the pentagonal series have about (digits + 2) log2(10) bits
+# before the power, so the bound is kept only so that the same requests are
+# admitted.  At 50 digits it admits q <= 4096 and refuses q >= 4099; every
+# other limit kind stays far below it.  The largest admitted limits take
+# 0.35-0.42 s of process time on a 2-core Xeon (projective_frac at q = 9091
+# to 32 digits), 0.15 s at q = 4096 and 0.02 s at q = 1009 to 50 digits.
 MAX_LIMIT_BITS = 7 * 10**6
 
 
@@ -713,24 +716,61 @@ def _resolve_digits(bracket: Callable[[int], _Ends], depth: int, digits: int) ->
     raise UnresolvedDigits(f"{digits} digits not settled by depth {depth}")
 
 
+def _pentagonal_ends(q: int, depth: int) -> tuple[int, int]:
+    """(lo, hi), the partial sums S_(K-1) and S_K in increasing order, each
+    times q^(K(3K+1)/2), K = depth.  S_K is Euler's pentagonal series for
+    prod_{r>=1}(1 - x^r) at x = 1/q, cut after its K-th pair of terms:
+
+        S_K = 1 + sum_{k=1..K} (-1)^k (x^(k(3k-1)/2) + x^(k(3k+1)/2)).
+
+    S_K is a Horner run in q over the exponents 0, 1, 2, 5, 7, 12, 15, ...,
+    whose gaps alternate 2k - 1 and k, each step a multiplication by a
+    small power of q.  S_(K-1) differs from it by the K-th pair,
+    (q^K + 1) / q^(K(3K+1)/2), and lies below it when K is even.
+    """
+    num = 1
+    for k in range(1, depth + 1):
+        sign = -1 if k % 2 else 1
+        num = (num * q ** (2 * k - 1) + sign) * q**k + sign
+    gap = q**depth + 1
+    return (num - gap, num) if depth % 2 == 0 else (num, num + gap)
+
+
 def limit_eval(kind: str, q: int, digits: int = 5) -> str:
     """Evaluate a limiting probability to `digits` proven truncated decimals.
 
     The limits: invertible, linear_derangement_frac and conj_ratio all
-    equal prod_{r>=1}(1 - q^-r); projective_frac is its (q-1) power; and
-    cyclic is (1 - q^-5) * prod_{r>=3}(1 - q^-r).
+    equal E = prod_{r>=1}(1 - q^-r); projective_frac is E^m with m = q - 1;
+    and cyclic is (1 - q^-5) * prod_{r>=3}(1 - q^-r), E times the factor
+    (1 - q^-5) / ((1 - q^-1)(1 - q^-2)).  Elsewhere m = 1.
 
-    The partial product P_R over r <= R is an upper bound.  The dropped
-    factors multiply to at least 1 - m * sum_{r>R} q^-r = 1 - m q^-R / (q-1),
-    with m the power (q - 1 for projective_frac, else 1), so P_R times that
-    is a lower bound.  R starts where the tail is below 10^-(digits+2) and
-    grows until both bounds truncate to the same string.
+    E comes from Euler's pentagonal number theorem (Andrews, The Theory
+    of Partitions, ch. 1): with x = 1/q,
 
-    Both bounds are integer pairs (num, den), never reduced: P_R is
-    prod (q^r - 1) over q^(R(R+1)/2), and the cyclic factor
-    (1 - q^-5) / ((1 - q^-1)(1 - q^-2)) is (q^5 - 1) over
-    (q - 1)(q^2 - 1) q^2.  The decimals are num * 10^digits // den, and
-    scaling num and den by one positive integer leaves that floor
+        prod_{r>=1}(1 - x^r) = 1 + sum_{k>=1} (-1)^k t_k,
+        t_k = x^(k(3k-1)/2) + x^(k(3k+1)/2),
+
+    the two terms of each pair sharing the sign (-1)^k.  The grouped terms
+    alternate in sign and shrink strictly, t_(k+1) / t_k =
+    x^(3k+1) (1 + x^(k+1)) / (1 + x^k) < 1, so by Leibniz the partial sums
+    S_(K-1) and S_K lie on either side of E, S_K above when K is even.
+    Their gap is t_K = x^(K(3K-1)/2) (1 + x^K).  Both ends are positive,
+    S_1 = 1 - x - x^2 >= 1/4 at x <= 1/2, so raising them to the power m
+    keeps their order, and the cyclic factor is exact and positive.
+
+    R, the first depth whose product-form tail m q^-R / (q - 1) is below
+    10^-(digits+2), sets the cost guard: MAX_LIMIT_BITS bounds
+    m R(R+1)/2 log2(q), whatever the series costs.  The series starts at
+    the first K with K(3K-1)/2 >= R, where its gap t_K <= x^R q / (q - 1)
+    is within that tail, and K grows until both ends truncate to the
+    same string.
+
+    Both ends are integer pairs (num, den), never reduced: S_(K-1) and
+    S_K are _pentagonal_ends(q, K) over q^(K(3K+1)/2), and the cyclic
+    factor is (q^5 - 1) over (q - 1)(q^2 - 1) q^2.  Their integers have
+    about m (digits + 2) log2(10) bits, where the partial product to R
+    would have m R(R+1)/2 log2(q).  The decimals are num * 10^digits // den,
+    and scaling num and den by one positive integer leaves that floor
     unchanged, so the string is the one decimal_truncate gives for the
     reduced fraction.  No Fraction or float arithmetic is done.
     """
@@ -739,9 +779,11 @@ def limit_eval(kind: str, q: int, digits: int = 5) -> str:
     _check_limit_args(q, digits)
     mult = q - 1 if kind == "projective_frac" else 1
     # the first R whose tail m q / ((q - 1) q^R) is below 10^-(digits+2)
-    R = 1
-    while mult * q * 10 ** (digits + 2) >= (q - 1) * q**R:
+    tail_bound = mult * q * 10 ** (digits + 2)
+    R, power = 1, q
+    while tail_bound >= (q - 1) * power:
         R += 1
+        power *= q
     if kind == "cyclic":
         R = max(R, 5)
     bits = mult * R * (R + 1) // 2 * (q - 1).bit_length()
@@ -750,17 +792,21 @@ def limit_eval(kind: str, q: int, digits: int = 5) -> str:
             f"the {kind} limit over F_{q} to {digits} digits is beyond the cost bound "
             f"of {MAX_LIMIT_BITS} bits"
         )
+    K = 1
+    while K * (3 * K - 1) // 2 < R:
+        K += 1
 
-    def bracket(R: int) -> _Ends:
-        num = _euler_numerator(q, R) ** mult
-        den = q ** (R * (R + 1) // 2 * mult)
+    def bracket(K: int) -> _Ends:
+        lo, hi = _pentagonal_ends(q, K)
+        lo, hi = lo**mult, hi**mult
+        den = q ** (K * (3 * K + 1) // 2 * mult)
         if kind == "cyclic":
-            num *= q**5 - 1
+            lo *= q**5 - 1
+            hi *= q**5 - 1
             den *= (q - 1) * (q**2 - 1) * q**2
-        tail = (q - 1) * q**R
-        return (num * (tail - mult), den * tail), (num, den)
+        return (lo, den), (hi, den)
 
-    return _truncated(*_resolve_digits(bracket, R, digits)[1], digits)
+    return _truncated(*_resolve_digits(bracket, K, digits)[1], digits)
 
 
 def cyclic_limit_bracket(q: int, digits: int) -> tuple[Fraction, Fraction]:
@@ -774,11 +820,11 @@ def cyclic_limit_bracket(q: int, digits: int) -> tuple[Fraction, Fraction]:
         prod_{r>=1}(1 - q^-r) * prod_{d>=1} (1 + x_d)^nu_d,
         nu_d = irreducible_poly_count(q, d).
 
-    This does not use the closed form behind limit_eval.  At depth D:
-    the Euler product keeps r <= D as in limit_eval; each (1 + x_d)^nu_d
-    with d <= D keeps the binomial terms j <= J = ceil(D/d), which is
-    exact once J >= nu_d and otherwise a lower bound whose dropped terms
-    sum to at most y^(J+1) / ((J+1)! (1-y)), y = nu_d x_d, because
+    This does not use the closed form behind limit_eval, nor its
+    pentagonal series.  At depth D: the Euler product keeps r <= D;
+    each (1 + x_d)^nu_d with d <= D keeps the binomial terms
+    j <= J = ceil(D/d), which is exact once J >= nu_d and otherwise a
+    lower bound whose dropped terms sum to at most y^(J+1) / ((J+1)! (1-y)), y = nu_d x_d, because
     C(nu, j) x^j <= y^j / j!; degrees above D contribute a factor between
     1 and 1 / (1 - S), S = 2 q^-D / ((D+1)(q-1)), since nu_d <= q^d / d
     gives nu_d x_d <= 2 / (d q^d).  The depth grows until both ends

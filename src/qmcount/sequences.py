@@ -370,11 +370,31 @@ def _decimal(v: int) -> str:
     return ("-" if v < 0 else "") + str(convert(abs(v), abs(v).bit_length()))
 
 
+# _parse_int converts at most this many digits with int whole: the smallest
+# limit on text-to-int digits the interpreter accepts, so int never refuses
+_PARSE_LEAF_DIGITS = 640
+
+
 def _parse_int(text: str) -> int:
-    """int(text) for a decimal integer of any length."""
+    """int(text) for a decimal integer of any length.  int refuses text
+    past the interpreter's limit on text-to-int digits and converts a long
+    text in quadratic time.  So the digits are split at 10^w, w half their
+    count, each half parsed the same way, and the halves joined as
+    hi 10^w + lo; the powers 10^w are made once per call."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
         raise ValueError(f"not a decimal integer: {text[:40]!r}")
-    return int(Decimal(text))
+    powers: dict[int, int] = {}
+
+    def convert(digits: str) -> int:
+        if len(digits) <= _PARSE_LEAF_DIGITS:
+            return int(digits)
+        w = len(digits) // 2
+        if w not in powers:
+            powers[w] = 10**w
+        return convert(digits[:-w]) * powers[w] + convert(digits[-w:])
+
+    value = convert(text.lstrip("+-"))
+    return -value if text.startswith("-") else value
 
 
 def emit_plain(values) -> str:

@@ -411,7 +411,8 @@ def limit_checks() -> Comparisons:
 
     The second cyclic route is the cycle-index product of
     cyclic_limit_bracket, which does not use the closed form
-    (1 - q^-5) prod_{r>=3}(1 - q^-r) behind limit_eval.
+    (1 - q^-5) prod_{r>=3}(1 - q^-r) behind limit_eval, nor the
+    pentagonal series limit_eval evaluates it by.
     """
     for kind, q, digits, want in LIMIT_TARGETS:
         yield f"{kind} limit q={q}", limit_eval(kind, q, digits), want

@@ -87,6 +87,13 @@ def test_a_wrong_centralizer_order_is_caught(monkeypatch, fresh_caches):
     assert sum(class_sizes("conjclasses_all", 2, 3)) != 2**9
 
 
+def test_a_group_order_past_the_int_to_text_limit_is_never_printed(fresh_caches):
+    # |GL_120(2)| has about 4334 digits; one class of all parts 1 at m = 120,
+    # the scalar matrix, has size 1
+    assert gl_order(2, 120) > 10**4300
+    assert classtypes._degree_sum(2, 1, 120, "all parts 1", True) == 1
+
+
 def test_the_route_reads_no_product_rule(monkeypatch):
     names = set(vars(classtypes))
     assert not [n for n in names if n.endswith("_rule") or n in ("_KINDS", "_scaled_product")]

@@ -26,6 +26,7 @@ from qmcount.gfengine import (
     _carry,
     _factor_log,
     _in_v,
+    _pentagonal_ends,
     _resolve_digits,
     _root_of_one_copies,
     _scaled_exp,
@@ -813,7 +814,8 @@ def test_resolve_digits_deepens_until_the_ends_agree():
 
 
 def reference_limit(kind: str, q: int, digits: int) -> str:
-    """The bracket of limit_eval on Fractions at a fixed depth R with
+    """The product-form bracket on Fractions, the partial product P_R and
+    P_R (1 - m q^-R / (q - 1)), at a fixed depth R with
     q^-R < 10^-(digits + 5); it asserts that both ends truncate alike."""
     mult = q - 1 if kind == "projective_frac" else 1
     R = 1
@@ -839,16 +841,32 @@ def test_limit_grid_reproduces_its_pinned_digest():
     assert hashlib.sha256("\n".join(grid).encode()).hexdigest() == (
         "3ca57582d64e57d7307ccd811f8e3f65dfa0b0ebe9398f54b04f3d09de9eb0ce"
     )
+    # the guard refuses projective_frac at q = 999999999989 (see below)
     for kind in LIMIT_KINDS:
-        for q in (2, 3, 1009):
-            assert limit_eval(kind, q, 50) == reference_limit(kind, q, 50), (kind, q)
+        for q in (2, 3, 1009, 999999999989):
+            if (kind, q) != ("projective_frac", 999999999989):
+                assert limit_eval(kind, q, 50) == reference_limit(kind, q, 50), (kind, q)
+
+
+def test_pentagonal_ends_bracket_the_product():
+    # S_(K-1) and S_K lie on either side of the infinite product, which is
+    # within x^200 below the 200-term one, and are x^(K(3K-1)/2) (1 + x^K)
+    # apart, x = 1/q
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        x = Fraction(1, q)
+        product = partial_product(q, 200)
+        for K in range(1, 11):
+            den = q ** (K * (3 * K + 1) // 2)
+            lo, hi = (Fraction(end, den) for end in _pentagonal_ends(q, K))
+            assert lo < product - x**200 and product < hi, (q, K)
+            assert hi - lo == x ** (K * (3 * K - 1) // 2) * (1 + x**K), (q, K)
 
 
 def test_limit_guard_refuses_one_past_its_edge_before_any_work(monkeypatch):
-    def bracket_work(q, terms):
+    def bracket_work(q, depth):
         raise AssertionError("admitted")
 
-    monkeypatch.setattr(gfengine, "_euler_numerator", bracket_work)
+    monkeypatch.setattr(gfengine, "_pentagonal_ends", bracket_work)
     # 4096 = 2^12 is the largest q admitted at 50 digits, 4099 the next prime power
     with pytest.raises(AssertionError, match="admitted"):
         limit_eval("projective_frac", 4096, 50)

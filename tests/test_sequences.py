@@ -366,6 +366,33 @@ def test_split_conversion_past_the_limit_is_str_byte_for_byte():
     assert got == want
 
 
+def test_split_parse_past_the_limit_is_int_for_int():
+    # texts at and around the 640-digit leaf and the default 4300-digit
+    # limit, and well past it, against int under a lifted limit; the split
+    # parse runs under the default limit and the caller's limit is restored
+    rng = random.Random(4301)
+    values = [10**639, 10**640 - 1, 10**640, -(10**4299), 10**4300 - 1, 10**4300,
+              rng.randrange(10**4300, 10**4301), rng.randrange(10**60000),
+              -(2**100000 - 1), 10**20000 * 12345]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        texts = [str(v) for v in values] + ["+" + str(values[-1]), "-000" + str(values[2])]
+        want = values + [values[-1], -values[2]]
+        assert [int(t) for t in texts] == want
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            int(texts[5])
+        got = [sequences._parse_int(t) for t in texts]
+        bfile = parse_bfile("".join(f"{7 + i} {t}\n" for i, t in enumerate(texts)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    assert bfile == (7, want)
+    with pytest.raises(ValueError):
+        sequences._parse_int("1_000")
+
+
 def test_spec_is_frozen():
     spec = make_spec("invertible", 2)
     assert isinstance(spec, SequenceSpec)
