@@ -17,18 +17,18 @@ divided by 1 - u; or, for the q-Bell and conjugacy class series, a
 builder of its own.  Every kind is built on integers, with exact division
 throughout: a normalized series (below) is carried as a_n S_n, a product
 of factors as one exp of their summed logs (_scaled_product), and the
-conjugacy class series by integer loops over one list.  S_n is
-D_n = q^n (q - 1)...(q^n - 1) when every factor coefficient scales to an
-integer by it, and |GL_n(q)| otherwise.  A factor that is a product of
-binomials 1 + c v and their inverses (every rule but unit_rule) also
-declares its log in closed form, rule.log(Q, m), which enters the
-product's log as one exact division; unit_rule's factor has no product form, so its log is
-recurred from its coefficients.  Multiplying two scaled series
+conjugacy class series by integer loops over one list.  The rule
+declares the scale S_n.  A factor that is a product of binomials 1 + c v
+and their inverses (every rule but unit_rule) declares its log in closed
+form, rule.log(Q, m), which enters the product's log by one exact
+division, at D_n = q^n (q - 1)...(q^n - 1).  unit_rule's factor has no
+product form; at |GL_n(q)| its coefficients are all 1, and its log is
+recurred from that alone (_unit_log).  Multiplying two scaled series
 weighs each pair of terms by W(n, k) = S_n / (S_k S_(n-k)), a Gaussian
-binomial (times q^(k(n-k)) for |GL_n|); the recurred logs and the exp
-never form it.  They carry each term's Gaussian binomial from n - 1 to n
-by an exact ratio of small integers (_carry), at both scales, and for
-|GL_n| put the q^(k(n-k)) into each sum by two Horner runs whose steps
+binomial (times q^(k(n-k)) for |GL_n|); the unit log and the exp never
+form it.  They carry each term's Gaussian binomial from n - 1 to n by an
+exact ratio of small integers (_carry), at both scales, and for |GL_n|
+put the q^(k(n-k)) into each sum by two Horner runs whose steps
 multiply by small powers of q (_weighted_sum).  gf_counts reads the counts off
 those integers; gf_build divides them by S_n once and hands the series
 back as an exact_series.TruncSeries.  verify and the tests check every
@@ -68,12 +68,13 @@ class CostExceeded(ValueError):
 
 # gf_build refuses orders N whose work model, N^2 log2(N) products of
 # N^2 log2(q)-bit integers, scores above this.  Semisimple at q = 2 and
-# N = 120 scores 1.45e9; its gf_counts takes 0.11-0.14 s of process time
+# N = 120 scores 1.45e9; its gf_counts takes 0.11-0.15 s of process time
 # on a 2-core Xeon (best of 5, three processes).  The bound admits
 # N <= 149 at q = 2, N <= 128 at q = 3 and N <= 109 at q = 9.  At those
 # edges semisimple, whose unit factor's log still recurs, is the slowest
-# kind: 0.49-0.56 s at (9, 109); a kind whose factor declares a closed
-# log costs about its exp alone, e.g. cyclic at (9, 109) 0.15-0.25 s.
+# kind: 0.40-0.56 s at (9, 109); a closed-log kind costs about its exp
+# alone: at (9, 109) cyclic 0.15-0.25 s and projective_derangement
+# 0.12-0.14 s, and linear_derangement at (2, 149) 0.04 s.
 MAX_SERIES_WORK = 4 * 10**9
 
 # min_centralizer_orders refuses a max_n whose knapsack, usable
@@ -189,19 +190,10 @@ def min_centralizer_orders(q: int, max_n: int) -> list[int]:
     return best
 
 
-def _in_v(rule, Q: int, top: int) -> list:
-    """rule(Q, m) for m = 0 .. top: one factor's coefficients in v = u^d."""
-    coeffs = [rule(Q, m) for m in range(top + 1)]
-    if coeffs[0] != 1:
-        raise ValueError("product factors must have constant term 1")
-    return coeffs
-
-
 def _closed_log(log: Callable[[int, int], Fraction]) -> Callable:
     """Declare rule.log = log on the rule it decorates: log(Q, m) = m l_m,
-    the coefficient of v^m in v f'(v) / f(v) for the rule's factor f, so
-    that _scaled_product adds the factor's log without recurring it from
-    the coefficients."""
+    the coefficient of v^m in v f'(v) / f(v) for the rule's factor f,
+    which _scaled_product adds at scale D_n without reading a coefficient."""
 
     def declare(rule: Callable) -> Callable:
         rule.log = log
@@ -220,7 +212,8 @@ def euler_rule(Q: int, m: int) -> Fraction:
     1 / (Q^m (1 - 1/Q) ... (1 - 1/Q^m)), which rearranges to the ratio.
     The tests cross-check it against the partition sum over centralizer
     orders term by term.  Its log sums -log(1 - v / Q^r) over r, so
-    m l_m = sum_r Q^(-r m) = 1 / (Q^m - 1).
+    m l_m = sum_r Q^(-r m) = 1 / (Q^m - 1).  Times D_m(Q) the coefficient
+    is Q^(m(m+1)/2), an integer.
     """
     return Fraction(Q ** (m * (m - 1)), gl_order(Q, m))
 
@@ -230,8 +223,8 @@ def unit_rule(Q: int, m: int) -> Fraction:
 
     The centralizer of m repeated blocks at one polynomial of degree d is
     the invertible group over the degree-d extension field, of order
-    gl_order(Q, m) with Q = q^d.  It declares no closed log (see
-    _scaled_product).
+    gl_order(Q, m) with Q = q^d.  It declares no closed log: times
+    gl_order(Q, m) every coefficient is 1, which is all _unit_log reads.
     """
     return Fraction(1, gl_order(Q, m))
 
@@ -243,7 +236,8 @@ def cyclic_rule(Q: int, m: int) -> Fraction:
     A cyclic matrix's partition at each polynomial is empty or the single
     part (m), whose centralizer is the unit group of F_Q[z] / (z^m), of
     order Q^(m-1) (Q - 1).  The factor is
-    (1 + v / (Q (Q - 1))) / (1 - v / Q), whence its log.
+    (1 + v / (Q (Q - 1))) / (1 - v / Q), whence its log.  Times D_m(Q) the
+    coefficient is Q (Q^2 - 1)...(Q^m - 1) for m >= 1, an integer.
     """
     return Fraction(1) if m == 0 else Fraction(1, Q ** (m - 1) * (Q - 1))
 
@@ -253,7 +247,8 @@ def separable_rule(Q: int, m: int) -> Fraction:
     """1 + u^d / (Q - 1): a separable matrix has each irreducible at most once.
 
     The one allowed nonempty partition is (1), whose centralizer is the
-    unit group of F_Q, of order Q - 1.
+    unit group of F_Q, of order Q - 1.  Times D_1(Q) = Q (Q - 1) its
+    coefficient at m = 1 is Q.
     """
     return (Fraction(1), Fraction(1, Q - 1))[m] if m < 2 else Fraction(0)
 
@@ -264,14 +259,18 @@ def cyclic_alt_rule(Q: int, m: int) -> Fraction:
 
     The product of 1 - u^d / q^d over every monic irreducible telescopes
     to 1 - u, so the cyclic series is 1 / (1 - u) times the product of
-    these factors; the terms in u^(m d), m >= 2, cancel.
+    these factors; the terms in u^(m d), m >= 2, cancel.  Times D_1(Q) its
+    coefficient at m = 1 is 1.
     """
     return (Fraction(1), Fraction(1, Q * (Q - 1)))[m] if m < 2 else Fraction(0)
 
 
 @_closed_log(lambda Q, m: Fraction((-1) ** (m + 1), (Q - 1) ** m) - Fraction(1, Q**m))
 def separable_alt_rule(Q: int, m: int) -> Fraction:
-    """1 + (u^d - u^(2d)) / (Q (Q - 1)): separable_rule's factor times 1 - u^d / Q."""
+    """1 + (u^d - u^(2d)) / (Q (Q - 1)): separable_rule's factor times 1 - u^d / Q.
+
+    Times D_m(Q) its coefficients are 1 at m = 1 and -Q (Q^2 - 1) at m = 2.
+    """
     c = cyclic_alt_rule(Q, 1)
     return (Fraction(1), c, -c)[m] if m < 3 else Fraction(0)
 
@@ -290,9 +289,9 @@ def _scales(q: int, order: int, gl: bool) -> list[int]:
     return scales
 
 
-def _carry(terms: list[int], pw: list[int], n: int, start: int) -> None:
+def _carry(terms: list[int], pw: list[int], n: int) -> None:
     """Move terms[k] = [n-1, k]_q X_k on to [n, k]_q X_k in place, for
-    k = start .. n-1; pw[i] is q^i.
+    k = 1 .. n-1; pw[i] is q^i.
 
     W(n, k) = S_n / (S_k S_(n-k)) multiplies two scaled coefficients into
     the scaled coefficient of their product (S_n as in _scales): the
@@ -304,39 +303,37 @@ def _carry(terms: list[int], pw: list[int], n: int, start: int) -> None:
     NonIntegralCount.
     """
     up = pw[n] - 1
-    for k in range(start, n):
+    for k in range(1, n):
         t, rem = divmod(terms[k] * up, pw[n - k] - 1)
         if rem:
             raise NonIntegralCount(f"a carried weight is not an integer at u^{n}")
         terms[k] = t
 
 
-def _weighted_sum(
-    terms: list[int], other: list[int], n: int, start: int, pw: list[int], gl: bool
-) -> int:
-    """sum_(k=start..n) q^(k(n-k)) terms[k] other[n-k] when gl, else the
-    plain sum, pw[i] being q^i and terms[k] = [n, k]_q X_k as _carry keeps
-    them, so each term is W(n, k) X_k other[n-k].
+def _weighted_sum(terms: list[int], other: list[int], n: int, pw: list[int], gl: bool) -> int:
+    """sum_(k=1..n) q^(k(n-k)) terms[k] other[n-k] when gl, else the plain
+    sum, pw[i] being q^i and terms[k] = [n, k]_q X_k as _carry keeps them,
+    so each term is W(n, k) X_k other[n-k].
 
     The exponent e(k) = k(n-k) rises to k = n // 2 and falls after it, so
     two Horner runs apply it with small powers only: from k = n // 2 down
-    to start, acc q^(e(k+1) - e(k)) + x_k with e(k+1) - e(k) = n - 2k - 1,
-    the result times q^(e(start)); and from n // 2 + 1 up to n,
+    to 1, acc q^(e(k+1) - e(k)) + x_k with e(k+1) - e(k) = n - 2k - 1,
+    the result times q^(e(1)) = q^(n-1); and from n // 2 + 1 up to n,
     acc q^(e(k-1) - e(k)) + x_k with e(k-1) - e(k) = 2k - n - 1, which
     ends at e(n) = 0.  Each step multiplies by at most q^(n-1), in time
     linear in acc; each product x_k is formed in the loop.
     """
     if not gl:
-        return sum(terms[k] * other[n - k] for k in range(start, n + 1))
+        return sum(terms[k] * other[n - k] for k in range(1, n + 1))
     half = n // 2
     low = 0
-    if start <= half:
+    if half:
         low = terms[half] * other[n - half]
-        for k in range(half - 1, start - 1, -1):
+        for k in range(half - 1, 0, -1):
             low = low * pw[n - 2 * k - 1] + terms[k] * other[n - k]
-        low *= pw[1] ** (start * (n - start))
+        low *= pw[n - 1]
     high = 0
-    for k in range(max(start, half + 1), n + 1):
+    for k in range(half + 1, n + 1):
         high = high * pw[2 * k - n - 1] + terms[k] * other[n - k]
     return low + high
 
@@ -352,46 +349,26 @@ def _scaled_exp(q: int, log: list[int], gl: bool) -> list[int]:
     pw = [q**i for i in range(len(log))]
     terms, product = [0], [1]
     for n in range(1, len(log)):
-        _carry(terms, pw, n, 1)
+        _carry(terms, pw, n)
         terms.append(log[n])
-        b, rem = divmod(_weighted_sum(terms, product, n, 1, pw, gl), n)
+        b, rem = divmod(_weighted_sum(terms, product, n, pw, gl), n)
         if rem:
             raise NonIntegralCount(f"the product is not an integer at u^{n}")
         product.append(b)
     return product
 
 
-def _scaled_factor(coeffs: list, Q: int, d: int, gl: bool) -> tuple[list[int], list[int]]:
-    """(F, S) of one degree-d factor in v = u^d: F_m = coeffs[m] S_m(Q), S as
-    in _scales, each the numerator times S_m(Q) over the reduced
-    denominator, or NonIntegralCount at the first F_m that is not an
-    integer."""
-    scales = _scales(Q, len(coeffs) - 1, gl)
-    factor = []
-    for m, (c, s) in enumerate(zip(coeffs, scales)):
-        quotient, rem = divmod(s, c.denominator)
-        if rem:
-            raise NonIntegralCount(
-                f"the degree-{d} factor at u^{m * d} scales to non-integer {c * s}"
-            )
-        factor.append(c.numerator * quotient)
-    return factor, scales
-
-
-def _factor_log(factor: list[int], pw: list[int], gl: bool) -> list[int]:
-    """G_m = m l_m S_m(Q) of one factor in v = u^d scaled as F_m = f_m S_m(Q),
-    pw[i] being Q^i: G_m = m F_m - sum_(j<m) W_Q(m, j) G_j F_(m-j), with
-    no division.  It reads only j >= m - last, last being the factor's
-    last nonzero F; each term [m, j]_Q G_j is carried from m - 1 to m by
-    _carry, in place, and _weighted_sum adds |GL_m(Q)|'s Q^(j(m-j)), with
-    G_m's own slot held at 0 until G_m is made."""
-    last = max(m for m, f in enumerate(factor) if f)
+def _unit_log(pw: list[int]) -> list[int]:
+    """G_m = m l_m |GL_m(Q)|, m < len(pw), of unit_rule's factor, pw[i]
+    being Q^i.  Scaled by |GL_m(Q)| every coefficient is 1, so
+    G_m = m - sum_(0<j<m) W_Q(m, j) G_j: each [m, j]_Q G_j is carried by
+    _carry, and _weighted_sum adds Q^(j(m-j)), G_m's slot held at 0."""
+    ones = [1] * len(pw)
     terms, logs = [0], [0]
-    for m in range(1, len(factor)):
-        start = max(1, m - last)
-        _carry(terms, pw, m, start)
+    for m in range(1, len(pw)):
+        _carry(terms, pw, m)
         terms.append(0)
-        terms[m] = m * factor[m] - _weighted_sum(terms, factor, m, start, pw, gl)
+        terms[m] = m - _weighted_sum(terms, ones, m, pw, True)
         logs.append(terms[m])
     return logs
 
@@ -401,58 +378,49 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     copies[d], factor_d being rule's factor for one polynomial of degree d;
     copies defaults to nu_d, the irreducible count, and may be negative.
 
-    S_n is D_n = q^n prod_(i<=n) (q^i - 1) when every factor coefficient
-    read, F_m = rule(Q, m) D_m(Q) with Q = q^d, is an integer, and |GL_n|
-    (gl) otherwise: unit_rule's 1 / |GL_m(Q)| needs |GL_m(Q)|'s power
-    Q^(m(m-1)/2) from m = 4.  A rejected D_n costs only the factor
-    coefficients scaled so far.
-
-    A series a is carried as A_n = a_n S_n and its log l as
-    L_n = n l_n S_n.  The copies of the degree-d factor add
-    copies[d] d lambda_m S_(md)(q) to L_(md), lambda_m = m l_m being the
-    factor's log coefficient in v = u^d.  A rule that declares rule.log
-    (a product of binomials, such as euler_rule or cyclic_rule) gives
-    lambda_m in closed form, and lambda_m S_(md)(q) is one exact division.
-    A rule without it, unit_rule above all, has its log G_m = lambda_m S_m(Q)
-    built by the recurrence of _factor_log and multiplied by the index
-    I_m = S_(md)(q) / S_m(Q), an integer: GL_m(F_Q) is a subgroup of
-    GL_(md)(F_q), and for D_n the factors Q^i - 1 = q^(di) - 1 are among
-    the q^i - 1; it is one exact division of two scales already at hand.
-    With x = 1 / Q, unit_rule's factor
-    sum_m v^m / |GL_m(Q)| is sum_m x^(m^2) v^m / ((1 - x)...(1 - x^m)), a
-    Rogers-Ramanujan-type sum with no product form, so its log has no
-    closed coefficient to declare.  One exp gives A_n with exact division by n;
-    a factor that fits neither scale, or an inexact division, raises
-    NonIntegralCount.
+    The rule declares S_n: D_n = q^n prod_(i<=n) (q^i - 1) for a closed
+    log, whose rule's docstring shows its coefficients integers at D_m(Q),
+    and |GL_n| (gl) for unit_rule; any other rule raises ValueError.  No
+    coefficient is read.  A series a is carried as A_n = a_n S_n and its
+    log l as L_n = n l_n S_n, to which the copies of the degree-d factor
+    add copies[d] d lambda_m S_(md)(q), lambda_m = m l_m being the
+    factor's log coefficient in v = u^d: a closed log's by one exact
+    division, and the unit log G_m = lambda_m |GL_m(Q)| of _unit_log times
+    the index |GL_md(q)| / |GL_m(Q)|, an integer as GL_m(F_Q) is a
+    subgroup of GL_md(F_q).  With x = 1 / Q the unit factor is
+    sum_m x^(m^2) v^m / ((1 - x)...(1 - x^m)), a Rogers-Ramanujan-type sum
+    with no product form and so no closed log.  One exp gives A_n with
+    exact division by n; an inexact division raises NonIntegralCount.
     """
     if copies is None:
         copies = {d: irreducible_poly_count(q, d) for d in range(1, order + 1)}
     if any(d < 1 for d in copies):
         raise ValueError("polynomial degree must be >= 1")
-    factors = [(d, nu, _in_v(rule, q**d, order // d)) for d, nu in copies.items() if d <= order and nu]
-    try:
-        gl, scaled = False, [_scaled_factor(coeffs, q**d, d, False) for d, _, coeffs in factors]
-    except NonIntegralCount:
-        gl, scaled = True, [_scaled_factor(coeffs, q**d, d, True) for d, _, coeffs in factors]
+    closed = getattr(rule, "log", None)
+    if closed is None and rule is not unit_rule:
+        raise ValueError("a product rule must declare a closed log or be unit_rule")
+    gl = closed is None
     scales = _scales(q, order, gl)
     pw = [q**i for i in range(order + 1)]
-    closed = getattr(rule, "log", None)
     log = [0] * (order + 1)
-    for (d, nu, _), (factor, scales_Q) in zip(factors, scaled):
-        logs = None if closed else _factor_log(factor, pw[::d], gl)
-        for m in range(1, len(factor)):
-            if closed:
-                lam = closed(q**d, m)
-                term, rem = divmod(lam.numerator * scales[m * d], lam.denominator)
-            else:
+    for d, nu in copies.items():
+        if d > order or not nu:
+            continue
+        if gl:
+            logs, scales_Q = _unit_log(pw[::d]), _scales(q**d, order // d, True)
+        for m in range(1, order // d + 1):
+            if gl:
                 index, rem = divmod(scales[m * d], scales_Q[m])
                 term = logs[m] * index
+            else:
+                lam = closed(q**d, m)
+                term, rem = divmod(lam.numerator * scales[m * d], lam.denominator)
             if rem:
                 raise NonIntegralCount(
                     f"the degree-{d} factors' log is not an integer at u^{m * d}"
                 )
             log[m * d] += nu * d * term
-    return (_scaled_exp(q, log, gl) if factors else [1] + [0] * order), gl
+    return (_scaled_exp(q, log, gl) if any(log) else [1] + [0] * order), gl
 
 
 def _divide_by_one_minus_u(values: list[int], q: int, gl: bool) -> None:
@@ -623,10 +591,12 @@ def gf_counts(kind: str, q: int, order: int, k: int | None = None) -> list[int]:
     Each count must come out a non-negative integer, as in extract_count."""
     counts, gl = _scaled_build(kind, q, order, k)
     if gl is False:
-        counts = [
-            c * q ** (n * (n - 3) // 2) if n >= 3 else Fraction(c, q ** (n * (3 - n) // 2))
-            for n, c in enumerate(counts)
-        ]
+        for n, c in enumerate(counts):
+            e = n * (n - 3) // 2  # -1 at n = 1, 2
+            counts[n], rem = divmod(c * q ** max(e, 0), q ** max(-e, 0))
+            if rem:
+                g = gcd(c, q)
+                raise NonIntegralCount(f"coefficient of u^{n} scales to non-integer {c // g}/{q // g}")
     return [_count(n, c) for n, c in enumerate(counts)]
 
 

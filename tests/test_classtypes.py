@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from qmcount import classtypes, gfengine, oracle
@@ -98,14 +100,18 @@ def test_the_route_reads_no_product_rule(monkeypatch):
     names = set(vars(classtypes))
     assert not [n for n in names if n.endswith("_rule") or n in ("_KINDS", "_scaled_product")]
 
-    # breaking gfengine's cyclic rule moves gf_counts, and not the class types
+    # breaking gfengine's cyclic rule moves gf_counts, and not the class
+    # types: its closed log 1/(Q + 1) scales to no integer at u^1
     def broken(Q, m):
-        return 1 if m == 0 else 0
+        return gfengine.cyclic_rule(Q, m)
+
+    broken.log = lambda Q, m: Fraction(1, Q + 1)
 
     monkeypatch.setitem(
         gfengine._KINDS, "cyclic", gfengine._KINDS["cyclic"]._replace(rule=broken)
     )
-    assert gf_counts("cyclic", 2, 3) != [1, 2, 14, 412]
+    with pytest.raises(NonIntegralCount, match="log is not an integer at u\\^1"):
+        gf_counts("cyclic", 2, 3)
     assert class_type_counts("cyclic", 2, 3) == [1, 2, 14, 412]
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import json
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -28,6 +31,17 @@ def test_seq_plain(capsys):
     assert code == 0
     assert out == "1 1 6 168 20160 9999360\n"
     assert err == ""
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["seq", "cyclic", "--q", "2", "--max-n", "4"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "qmcount", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert out == "1 2 14 412 50832\n"
 
 
 def test_seq_single_value(capsys):
@@ -315,16 +329,17 @@ def test_verify_reports_failures(capsys, monkeypatch):
 
 
 def test_verify_reports_a_raising_route_as_a_failure(capsys, monkeypatch):
-    # a separable factor whose u^1 coefficient 1/3 scales to no integer count
+    # a separable factor whose closed log 1/(Q + 1) scales to no integer at u^1
     def broken(Q, m):
-        return (Fraction(1), Fraction(1, 3))[m] if m < 2 else Fraction(0)
+        return gfengine.separable_rule(Q, m)
 
+    broken.log = lambda Q, m: Fraction(1, Q + 1)
     monkeypatch.setitem(
         gfengine._KINDS, "separable", gfengine._KINDS["separable"]._replace(rule=broken)
     )
     code, out, err = run_cli(capsys, "verify", "--oracle-budget", "16", "--quiet")
     assert (code, err) == (1, "")
-    message = "NonIntegralCount: the degree-1 factor at u^1 scales to non-integer 1/3"
+    message = "NonIntegralCount: the degree-1 factors' log is not an integer at u^1"
     lines = out.splitlines()
     # each suite that reaches the separable series fails once, and the rest still run
     assert [line.split(":")[0] for line in lines[:-1]] == [

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -24,13 +24,11 @@ from qmcount.gfengine import (
     NonIntegralCount,
     UnresolvedDigits,
     _carry,
-    _factor_log,
-    _in_v,
+    _closed_log,
     _pentagonal_ends,
     _resolve_digits,
     _root_of_one_copies,
     _scaled_exp,
-    _scaled_factor,
     _scaled_product,
     _scales,
     _weighted_sum,
@@ -192,7 +190,8 @@ def test_alt_rules_are_the_plain_rules_times_one_minus_u_d_over_Q():
 
 
 def test_scaled_product_trivial_and_validation():
-    assert product_series(2, lambda Q, m: int(m == 0), 8) == [1] + [0] * 8
+    trivial = _closed_log(lambda Q, m: Fraction(0))(lambda Q, m: int(m == 0))
+    assert product_series(2, trivial, 8) == [1] + [0] * 8
     with pytest.raises(ValueError):
         _scaled_product(2, lambda Q, m: 0, 8, None)
 
@@ -205,20 +204,38 @@ def test_every_kind_has_an_independent_reference():
     assert "bell" not in classtypes.DECLARATIONS
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_scaled_product_picks_the_scale_that_keeps_the_factors_integers(q):
-    def d_scale(Q, m):  # D_m(Q) = Q^m (Q - 1)...(Q^m - 1)
-        return Q**m * gl_order(Q, m) // Q ** (m * (m - 1) // 2)
+def d_scale(Q: int, m: int) -> int:
+    """D_m(Q) = Q^m (Q - 1)...(Q^m - 1)."""
+    return Q**m * gl_order(Q, m) // Q ** (m * (m - 1) // 2)
 
+
+# rule -> its coefficient times D_m(Q), as its docstring states it
+D_SCALED = {
+    euler_rule: lambda Q, m: Q ** (m * (m + 1) // 2),
+    cyclic_rule: lambda Q, m: Q * prod(Q**i - 1 for i in range(2, m + 1)) if m else 1,
+    separable_rule: lambda Q, m: (1, Q)[m] if m < 2 else 0,
+    cyclic_alt_rule: lambda Q, m: int(m < 2),
+    separable_alt_rule: lambda Q, m: (1, 1, -Q * (Q * Q - 1))[m] if m < 3 else 0,
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_scaled_product_uses_the_scale_each_rule_declares(q):
+    # every closed-log rule's coefficients are integers times D_m(Q), and
+    # unit_rule's are exactly 1 times |GL_m(Q)|
+    for rule, scaled in D_SCALED.items():
+        for m in range(31):
+            assert rule(q, m) * d_scale(q, m) == scaled(q, m), (rule.__name__, m)
+    for m in range(31):
+        assert unit_rule(q, m) * gl_order(q, m) == 1
     # cyclic_alt_rule fits only D_n: |GL_1(Q)| leaves 1 / Q at m = 1
     assert cyclic_alt_rule(q, 1) * gl_order(q, 1) == Fraction(1, q)
-    assert all((cyclic_alt_rule(q, m) * d_scale(q, m)).denominator == 1 for m in range(9))
     # unit_rule fits only |GL_n| from m = 4: D_4(Q) leaves Q^4 / Q^6
     assert unit_rule(q, 4) * d_scale(q, 4) == Fraction(1, q**2)
+    # below m = 4 D_n would fit too, but unit_rule declares |GL_n| at every order
     assert all((unit_rule(q, m) * d_scale(q, m)).denominator == 1 for m in range(4))
     cases = [(cyclic_alt_rule, order, False) for order in (0, 1, 3, 4, 20)]
-    cases += [(unit_rule, order, True) for order in (4, 5, 20)]
-    cases += [(unit_rule, order, False) for order in (0, 1, 2, 3)]
+    cases += [(unit_rule, order, True) for order in (0, 1, 2, 3, 4, 5, 20)]
     for rule, order, gl in cases:
         assert _scaled_product(q, rule, order, None)[1] is gl, (rule.__name__, order)
         # either scale gives the counts of the class types: the cyclic
@@ -248,63 +265,68 @@ def test_division_by_one_minus_u_matches_the_reciprocal_product():
                 assert got == list(accumulate(series)), (kind, q, order)
 
 
-def test_scaled_product_rejects_factors_that_are_not_counts():
-    # 1 + u^d / (Q + 1): Q + 1 divides neither Q - 1 nor Q (Q - 1)
-    def rule(Q: int, m: int) -> Fraction:
-        return (Fraction(1), Fraction(1, Q + 1))[m] if m < 2 else Fraction(0)
+def one_over_Q_plus_one(Q: int, m: int) -> Fraction:
+    """1 + u^d / (Q + 1): Q + 1 divides neither Q - 1 nor Q (Q - 1)."""
+    return (Fraction(1), Fraction(1, Q + 1))[m] if m < 2 else Fraction(0)
 
-    # so the factor fits neither scale, D_1(Q) = Q (Q - 1) nor |GL_1(Q)| = Q - 1
-    with pytest.raises(NonIntegralCount, match="scales to non-integer"):
-        _scaled_product(2, rule, 8, None)
+
+# the same factor with its log, m l_m = -(-1 / (Q + 1))^m, declared
+not_a_count_rule = _closed_log(lambda Q, m: -Fraction(-1, Q + 1) ** m)(
+    lambda Q, m: one_over_Q_plus_one(Q, m)
+)
+
+
+def test_scaled_product_rejects_factors_that_are_not_counts():
+    # its log 1 / (Q + 1) at m = 1 times D_1(2) = 2 leaves 2 / 3 at u^1
+    with pytest.raises(NonIntegralCount, match="log is not an integer at u\\^1"):
+        _scaled_product(2, not_a_count_rule, 8, None)
+    # a rule that declares no log and is not unit_rule has no scale
+    with pytest.raises(ValueError, match="closed log or be unit_rule"):
+        _scaled_product(2, one_over_Q_plus_one, 8, None)
     with pytest.raises(ValueError):
         _scaled_product(2, lambda Q, m: 0, 8, None)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_carry_reproduces_the_q_pascal_table(q):
-    # X_k = 1 seeded at n = k and carried on is [n, k]_q; read through
-    # _weighted_sum against a unit vector at n - k it is W(n, k): the
-    # Gaussian binomial for D_n, times q^(k(n-k)) for |GL_n|.  A window of
-    # three, as a log reads, leaves the terms below its start as they were
+    # X_k = 1 seeded at n = k and carried on is [n, k]_q (k = 0 is never
+    # carried, and [n, 0]_q = 1); read through _weighted_sum against a unit
+    # vector at n - k it is W(n, k): the Gaussian binomial for D_n, times
+    # q^(k(n-k)) for |GL_n|
     N = 30
     rows = gaussian_rows(q, N)
     pw = [q**i for i in range(N + 1)]
-    for width in (N, 3):
-        terms: list[int] = []
-        for n in range(N + 1):
-            start = max(0, n - width)
-            below = terms[:start]
-            _carry(terms, pw, n, start)
-            terms.append(1)
-            assert terms[:start] == below
-            assert terms[start:] == rows[n][start:], (width, n)
-            for gl in (False, True):
-                got = []
-                for k in range(start, n + 1):
-                    unit = [int(j == n - k) for j in range(n + 1)]
-                    got.append(_weighted_sum(terms, unit, n, start, pw, gl))
-                want = [rows[n][k] * q ** (k * (n - k) * gl) for k in range(start, n + 1)]
-                assert got == want, (gl, width, n)
+    terms: list[int] = []
+    for n in range(N + 1):
+        _carry(terms, pw, n)
+        terms.append(1)
+        assert terms == rows[n], n
+        for gl in (False, True):
+            got = []
+            for k in range(1, n + 1):
+                unit = [int(j == n - k) for j in range(n + 1)]
+                got.append(_weighted_sum(terms, unit, n, pw, gl))
+            want = [rows[n][k] * q ** (k * (n - k) * gl) for k in range(1, n + 1)]
+            assert got == want, (gl, n)
     # a table that is not the powers of q leaves the division inexact
     with pytest.raises(NonIntegralCount, match="not an integer at u\\^2"):
-        _carry([0, 1], [1, 4, 6], 2, 1)
+        _carry([0, 1], [1, 4, 6], 2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 9])
 def test_horner_runs_equal_the_direct_weighted_sum(q):
-    # every start, those above n / 2 included, at odd and even n, with
-    # zeros among the terms and the coefficients they meet
+    # odd and even n, with zeros among the terms and the coefficients they
+    # meet; the sum starts at k = 1
     rng = random.Random(q)
     for n in list(range(1, 14)) + [30, 31]:
         pw = [q**i for i in range(n + 1)]
         for _ in range(3):
             terms = [rng.choice((0, rng.randrange(-10**9, 10**9))) for _ in range(n + 1)]
             other = [rng.choice((0, rng.randrange(10**9))) for _ in range(n + 1)]
-            for start in range(0, n + 1):
-                x = [terms[k] * other[n - k] for k in range(n + 1)]
-                direct = sum(q ** (k * (n - k)) * x[k] for k in range(start, n + 1))
-                assert _weighted_sum(terms, other, n, start, pw, True) == direct, (n, start)
-                assert _weighted_sum(terms, other, n, start, pw, False) == sum(x[start:])
+            x = [terms[k] * other[n - k] for k in range(n + 1)]
+            direct = sum(q ** (k * (n - k)) * x[k] for k in range(1, n + 1))
+            assert _weighted_sum(terms, other, n, pw, True) == direct, n
+            assert _weighted_sum(terms, other, n, pw, False) == sum(x[1:])
 
 
 def test_scaled_exp_refuses_an_inexact_division():
@@ -333,14 +355,11 @@ def fraction_product(q: int, rule, order: int) -> list[Fraction]:
     return product
 
 
-def without_log(rule):
-    """rule's coefficients with no closed log declared."""
-    return lambda Q, m: rule(Q, m)
-
-
 def test_windowed_logs_match_the_fraction_product():
     # 1 + v^2 / (Q^2 - 1) scales to Q^2 (Q - 1) at v^2 by D_2(Q), with a
-    # zero coefficient inside the window its log reads
+    # zero coefficient at v, so its log 2 (-1)^(m/2+1) / (Q^2 - 1)^(m/2) is
+    # zero at every odd m
+    @_closed_log(lambda Q, m: Fraction(0) if m % 2 else 2 * -Fraction(-1, Q * Q - 1) ** (m // 2))
     def gap_rule(Q: int, m: int) -> Fraction:
         return Fraction(1, Q * Q - 1) if m == 2 else Fraction(int(m == 0))
 
@@ -348,8 +367,6 @@ def test_windowed_logs_match_the_fraction_product():
         for rule in (separable_rule, cyclic_alt_rule, separable_alt_rule, cyclic_rule, gap_rule):
             want = fraction_product(q, rule, 12)
             assert product_series(q, rule, 12) == want, (q, rule)
-            # the same coefficients without the closed log run the recurrence
-            assert product_series(q, without_log(rule), 12) == want, (q, rule)
 
 
 CLOSED_LOG_RULES = (euler_rule, cyclic_rule, cyclic_alt_rule, separable_rule, separable_alt_rule)
@@ -357,14 +374,16 @@ CLOSED_LOG_RULES = (euler_rule, cyclic_rule, cyclic_alt_rule, separable_rule, se
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_each_closed_log_is_the_log_the_recurrence_computes(q):
-    # G_m = m l_m D_m(Q), built by _factor_log from the rule's own
-    # coefficients, is the declared log times D_m(Q) up to order 30
+    # m l_m = m f_m - sum_(0<j<m) j l_j f_(m-j), recurred on Fractions from
+    # the rule's own coefficients f_m, is the declared log up to order 30
     order = 30
-    pw = [q**i for i in range(order + 1)]
     for rule in CLOSED_LOG_RULES:
-        factor, scales = _scaled_factor(_in_v(rule, q, order), q, 1, False)
-        want = [0] + [rule.log(q, m) * scales[m] for m in range(1, order + 1)]
-        assert _factor_log(factor, pw, False) == want, rule.__name__
+        f = [rule(q, m) for m in range(order + 1)]
+        assert f[0] == 1, rule.__name__
+        logs = [Fraction(0)]
+        for m in range(1, order + 1):
+            logs.append(m * f[m] - sum(logs[j] * f[m - j] for j in range(1, m)))
+        assert logs[1:] == [rule.log(q, m) for m in range(1, order + 1)], rule.__name__
     assert not hasattr(unit_rule, "log")
 
 
@@ -402,18 +421,32 @@ def test_a_closed_log_with_one_sign_flipped_is_caught(monkeypatch, mutant):
 
 def test_a_closed_log_that_is_not_a_scaled_integer_is_refused():
     # 1 / (Q + 1) times D_1(2) = 2 leaves 2 / 3 at u^1
-    rule = without_log(separable_rule)
-    rule.log = lambda Q, m: Fraction(1, Q + 1)
+    rule = _closed_log(lambda Q, m: Fraction(1, Q + 1))(lambda Q, m: separable_rule(Q, m))
     with pytest.raises(NonIntegralCount, match="log is not an integer at u\\^1"):
         _scaled_product(2, rule, 8, None)
+
+
+def test_scaled_product_reads_no_rule_coefficient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a coefficient was read")
+
+    # a closed log on a rule that cannot be read builds the same product
+    for rule in CLOSED_LOG_RULES:
+        blind = _closed_log(rule.log)(lambda Q, m: refuse(Q, m))
+        assert _scaled_product(3, blind, 12, None) == _scaled_product(3, rule, 12, None)
+    # unit_rule's coefficients are 1 / gl_order(Q, m), and its product
+    # never calls gl_order
+    want = _scaled_product(3, unit_rule, 12, None)
+    monkeypatch.setattr(gfengine, "gl_order", refuse)
+    assert _scaled_product(3, unit_rule, 12, None) == want
 
 
 def test_only_a_rule_without_a_closed_log_runs_the_per_degree_recurrence(monkeypatch):
     carried = []
 
-    def counted(terms, pw, n, start):
+    def counted(terms, pw, n):
         carried.append(n)
-        _carry(terms, pw, n, start)
+        _carry(terms, pw, n)
 
     monkeypatch.setattr(gfengine, "_carry", counted)
     order = 24
@@ -521,11 +554,11 @@ def test_gf_counts_never_build_a_fraction_series(monkeypatch):
 
 
 def test_scaled_product_with_explicit_copies_still_refuses_non_counts():
-    def rule(Q: int, m: int) -> Fraction:
-        return (Fraction(1), Fraction(1, Q + 1))[m] if m < 2 else Fraction(0)
-
-    with pytest.raises(NonIntegralCount, match="scales to non-integer"):
-        _scaled_product(3, rule, 8, {1: -1})
+    # 1 / 4 times D_1(3) = 6 leaves 3 / 2 at u^1
+    with pytest.raises(NonIntegralCount, match="log is not an integer at u\\^1"):
+        _scaled_product(3, not_a_count_rule, 8, {1: -1})
+    with pytest.raises(ValueError, match="closed log or be unit_rule"):
+        _scaled_product(3, one_over_Q_plus_one, 8, {1: -1})
     with pytest.raises(ValueError):
         _scaled_product(3, unit_rule, 8, {0: 1})
 
@@ -546,11 +579,11 @@ def test_cost_guards():
 
 def test_factored_one_minus_u_identity():
     # prod_d (1 - u^d / q^d)^(nu_d) telescopes to 1 - u
+    @_closed_log(lambda Q, m: -Fraction(1, Q**m))
+    def rule(Q: int, m: int) -> Fraction:
+        return (Fraction(1), -Fraction(1, Q))[m] if m < 2 else Fraction(0)
+
     for q in (2, 3, 4):
-
-        def rule(Q: int, m: int) -> Fraction:
-            return (Fraction(1), -Fraction(1, Q))[m] if m < 2 else Fraction(0)
-
         assert product_series(q, rule, 12) == [1, -1] + [0] * 11
 
 
