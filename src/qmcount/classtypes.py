@@ -17,12 +17,13 @@ so with Q = q^d one sum serves them all: g(m), the sum of the sizes
 |GL_m(Q)| / c(lam) over the allowed lam |- m, each an exact division that
 checks centralizer_order, times the index of GL_m(Q) in GL_md(q).  That
 counts the md x md matrices whose characteristic polynomial is phi^m, with
-an allowed shape, for one phi of degree d.  The copies of a degree give (1 + G)^copies, expanded
-binomially, and the degrees are multiplied together.  A product joins a
-matrix counted on one part to one counted on the other across each of the
-|GL_n| / (|GL_k| |GL_(n-k)|) ordered splittings F_q^n = U + U' with
-dim U = k; for class counts the classes just pair up.  All of it is
-integer arithmetic.  class_sizes lists the classes of one size one by one
+an allowed shape, for one phi of degree d.  The copies of a degree give
+(1 + G)^copies, expanded binomially, and the degrees are multiplied
+together.  A product is qcount.join: a matrix counted on one part meets
+one counted on the other in each of the |GL_n| / (|GL_k| |GL_(n-k)|)
+ordered splittings F_q^n = U + U' with dim U = k (qcount.complement_rows);
+for class counts the classes just pair up.  All of it is integer
+arithmetic.  class_sizes lists the classes of one size one by one
 instead, for the oracle's orbit sizes.
 """
 
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 from .ffpoly import cyclotomic_factor_counts, irreducible_poly_count
 from .gfengine import CostExceeded, NonIntegralCount, centralizer_order, partitions_of
-from .qcount import gl_order
+from .qcount import complement_rows, gl_order, join
 
 # the partitions of m each shape allows at one polynomial
 SHAPES: dict[str, Callable[[int], tuple[tuple[int, ...], ...]]] = {
@@ -136,22 +137,10 @@ def _class_size(group: int, centralizer: int, n: int, q: int) -> int:
 @cache
 def _splittings(q: int, order: int, weighted: bool) -> tuple:
     """W(n, k) for k <= n <= order: the ordered splittings F_q^n = U + U'
-    with dim U = k, |GL_n| / (|GL_k| |GL_(n-k)|), when weighted, else 1."""
+    with dim U = k (complement_rows) when weighted, else 1."""
     if not weighted:
         return tuple((1,) * (n + 1) for n in range(order + 1))
-    gl = [gl_order(q, n) for n in range(order + 1)]
-    return tuple(
-        tuple(gl[n] // (gl[k] * gl[n - k]) for k in range(n + 1)) for n in range(order + 1)
-    )
-
-
-def _times(a: list, b: list, d: int, w: tuple) -> list:
-    """The counts of a joined to b, whose terms sit at multiples of d:
-    sum_k W(n, k) b_k a_(n-k) at each n."""
-    return [
-        sum(w[n][k] * b[k] * a[n - k] for k in range(0, n + 1, d) if b[k] and a[n - k])
-        for n in range(len(a))
-    ]
+    return tuple(map(tuple, complement_rows(q, order)))
 
 
 @cache
@@ -180,7 +169,7 @@ def _degree_factor(q: int, d: int, order: int, shape: str, weighted: bool, copie
     factor = [1] + [0] * order
     power = factor
     for j in range(1, min(copies, order // d) + 1):
-        power = _times(power, g, d, w)
+        power = join(power, g, w, d)
         factor = [f + comb(copies, j) * p for f, p in zip(factor, power)]
     return tuple(factor)
 
@@ -196,7 +185,7 @@ def class_type_counts(kind: str, q: int, order: int, k: int | None = None) -> li
         copies = declaration.copies(q, d, k)
         if copies:
             factor = _degree_factor(q, d, order, shape, weighted, copies)
-            counts = _times(counts, factor, d, _splittings(q, order, weighted))
+            counts = join(counts, factor, _splittings(q, order, weighted), d)
     return counts
 
 

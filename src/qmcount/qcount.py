@@ -6,10 +6,13 @@ a closed formula or a simple recursion (projections, diagonalizable
 matrices, involutions in characteristic two, nilpotents, eigenvalue-free
 matrices, and the rank triangle).  Their Gaussian binomials come from one
 q-Pascal table, gaussian_rows; gaussian_binomial is the per-cell check.
+|GL_n| comes from one recurrence, GLOrderTable (gl_order_factored is the
+check), and join, shared with classtypes, joins counts across splittings.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -89,7 +92,8 @@ class PrimePower:
 
 
 class GLOrderTable:
-    """Memoized orders of the groups of invertible n x n matrices over F_q."""
+    """Memoized orders of the groups of invertible n x n matrices over F_q,
+    extended one order at a time by |GL_m| = |GL_(m-1)| q^(m-1) (q^m - 1)."""
 
     def __init__(self, q: int):
         self.q = q
@@ -100,11 +104,7 @@ class GLOrderTable:
             raise ValueError("matrix size must be >= 0")
         while len(self._values) <= n:
             m = len(self._values)
-            prod = 1
-            qm = self.q**m
-            for i in range(m):
-                prod *= qm - self.q**i
-            self._values.append(prod)
+            self._values.append(self._values[-1] * self.q ** (m - 1) * (self.q**m - 1))
         return self._values[n]
 
 
@@ -192,24 +192,34 @@ def rank_count(q: int, m: int, n: int, k: int) -> int:
     return gaussian_binomial(q, m, k) * gaussian_binomial(q, n, k) * gl_order(q, k)
 
 
+def join(a: list[int], b: Sequence[int], rows: Sequence[Sequence[int]], step: int = 1) -> list[int]:
+    """sum_k rows[n][k] b_k a_(n-k) over k divisible by step, zero terms
+    skipped, at each n < len(a).  With rows = complement_rows, it joins a
+    count b_k on U to a count a_(n-k) on U' in each ordered splitting
+    F_q^n = U + U' with dim U = k."""
+    return [
+        sum(rows[n][k] * b[k] * a[n - k] for k in range(0, n + 1, step) if b[k] and a[n - k])
+        for n in range(len(a))
+    ]
+
+
 def _ordered_splittings(q: int, n: int, k: int) -> list[list[int]]:
     """Ordered splittings of F_q^m into j nonzero subspaces, as rows
     [S_j(0), ..., S_j(n)] for j = 0 .. k.
 
     A splitting with dimensions (n_1, ..., n_j) is counted
     gl_order(m) / prod gl_order(n_i) times.  Choosing the first part a
-    gives the convolution S_j(m) = sum_{a >= 1} C(m, a) S_{j-1}(m - a)
-    over the complement counts C(m, a) of complement_rows.
+    gives S_j(m) = sum_{a >= 1} C(m, a) S_{j-1}(m - a), the join of
+    S_(j-1) to one nonzero part over the complement counts C(m, a) of
+    complement_rows.
     """
     if n < 0:
         raise ValueError("matrix size must be >= 0")
     first = complement_rows(q, n)
+    part = [0] + [1] * n  # one nonzero subspace of each dimension a >= 1
     rows = [[1] + [0] * n]  # S_0(m): only the empty splitting of the zero space
     for _ in range(k):
-        row = rows[-1]
-        rows.append(
-            [sum(first[m][a] * row[m - a] for a in range(1, m + 1)) for m in range(n + 1)]
-        )
+        rows.append(join(rows[-1], part, first))
     return rows
 
 

@@ -12,7 +12,7 @@ from math import comb, prod
 import pytest
 
 import qmcount
-from qmcount import classtypes, gfengine, oracle
+from qmcount import classtypes, cli, gfengine, oracle, verify
 from qmcount.classtypes import class_type_counts
 from qmcount.exact_series import TruncSeries
 from qmcount.gfengine import (
@@ -60,6 +60,7 @@ from qmcount.qcount import (
     q_bell,
     q_stirling,
 )
+from qmcount.sequences import SEQUENCE_NAMES, TRIANGLE_NAMES
 
 
 def test_partitions_of():
@@ -541,9 +542,9 @@ def test_moved_kind_counts_match_the_pinned_digest():
                 gf_counts(kind, q, order)
 
 
-def test_gf_counts_never_build_a_fraction_series(monkeypatch):
+def test_gf_counts_never_build_a_fraction_series(monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("gf_counts built a TruncSeries")
+        raise AssertionError("a TruncSeries was built")
 
     monkeypatch.setattr(TruncSeries, "__init__", refuse)
     for q in (2, 3, 4):
@@ -551,6 +552,14 @@ def test_gf_counts_never_build_a_fraction_series(monkeypatch):
         cases += [("power_identity", k) for k in (1, 3, 5, 7) if k % PrimePower.of(q).p]
         for kind, k in cases:
             assert len(gf_counts(kind, q, 20, k)) == 21, (kind, k)
+    # nor does any verify check or any seq or table request
+    assert not verify.failures(verify.run_suites(verify.oracle_sweeps(16)))
+    for q in (2, 3):
+        for command, names in (("seq", SEQUENCE_NAMES), ("table", TRIANGLE_NAMES)):
+            for name in names:
+                k = ["--k", "5"] if name == "power_identity" else []
+                argv = [command, name, "--q", str(q), "--max-n", "6", *k]
+                assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_scaled_product_with_explicit_copies_still_refuses_non_counts():

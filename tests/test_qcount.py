@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import time
+from math import prod
 
 import pytest
 
 from qmcount.gfengine import q_stirling_via_gf
 from qmcount.qcount import (
     CharNotTwo,
+    GLOrderTable,
     PrimePower,
     complement_rows,
     diagonalizable_count,
@@ -97,6 +99,28 @@ def test_gl_order_factored_form():
             assert gl_order(q, n) == gl_order_factored(q, n)
             binom = n * (n - 1) // 2
             assert gl_order(q, n) == (q - 1) ** n * q**binom * q_factorial(q, n)
+
+
+def _balanced_product(terms: list[int]) -> int:
+    """prod(terms), multiplied pairwise so that big factors meet big ones."""
+    while len(terms) > 1:
+        terms = [prod(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0] if terms else 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 9, 1000003])
+def test_gl_order_table_recurrence_matches_both_closed_forms(q):
+    # the table extends by |GL_m| = |GL_(m-1)| q^(m-1) (q^m - 1); check it
+    # far past verify's n <= 8, against the factored form and the product
+    # prod_(i<n) (q^n - q^i) that defines it
+    table = GLOrderTable(q)
+    table.value(150)
+    for n in range(151):
+        got = table.value(n)
+        assert got == gl_order_factored(q, n), n
+        assert got == _balanced_product([q**n - q**i for i in range(n)]), n
+    with pytest.raises(ValueError):
+        table.value(-1)
 
 
 def test_q_int_and_factorial():
