@@ -4,17 +4,22 @@ Everything here is plain integer arithmetic: group orders, q-analogues
 of factorials and binomial coefficients, and the matrix counts that have
 a closed formula or a simple recursion (projections, diagonalizable
 matrices, involutions in characteristic two, nilpotents, eigenvalue-free
-matrices, and the rank triangle).  Their Gaussian binomials come from one
-q-Pascal table, gaussian_rows; gaussian_binomial is the per-cell check.
-|GL_n| comes from one recurrence, GLOrderTable (gl_order_factored is the
-check), and join, shared with classtypes, joins counts across splittings.
+matrices, and the rank triangle).  The triangles and their row sums are
+built by small-step recurrences, each step a big number times a power of
+q or a difference of two: the Gaussian binomials by q-Pascal
+(gaussian_rows), the complement counts (complement_rows), the rank
+triangle by adding a row and then a column (rank_rows) and the subspace
+totals as Galois numbers (subspace_totals).  gaussian_binomial and
+rank_count are the per-cell checks.  |GL_n| comes from one recurrence,
+GLOrderTable (gl_order_factored is the check), and join, shared with
+classtypes, joins counts across splittings.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 
 class CharNotTwo(ValueError):
@@ -127,11 +132,12 @@ def q_int(q: int, i: int) -> int:
 
 
 def q_factorial(q: int, n: int) -> int:
-    """The q-factorial [n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
-    prod = 1
-    for i in range(1, n + 1):
-        prod *= q_int(q, i)
-    return prod
+    """The q-factorial [n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1,
+    multiplied pairwise so that big factors meet big ones."""
+    terms = [q_int(q, i) for i in range(1, n + 1)]
+    while len(terms) > 1:
+        terms = [prod(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0] if terms else 1
 
 
 def gaussian_binomial(q: int, n: int, k: int) -> int:
@@ -158,31 +164,83 @@ def q_multinomial(q: int, parts: tuple[int, ...] | list[int]) -> int:
     return exact_div(num, den)
 
 
+def _powers(q: int, N: int) -> list[int]:
+    """[q^0, q^1, ..., q^(2N)], every power a table to dimension N >= 0 reads."""
+    if N < 0:
+        raise ValueError("dimension must be >= 0")
+    return [q**i for i in range(2 * N + 1)]
+
+
 def gaussian_rows(q: int, N: int) -> list[list[int]]:
     """Rows n = 0 .. N of the Gaussian binomials, row n = [[n, 0]_q, ..., [n, n]_q].
 
     Built by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]
     (G. E. Andrews, The Theory of Partitions, ch. 3): n additions a row.
     """
-    if N < 0:
-        raise ValueError("dimension must be >= 0")
+    pw = _powers(q, N)
     rows = [[1]]
     for n in range(1, N + 1):
         prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + q**k * prev[k] for k in range(1, n)] + [1])
+        rows.append([1] + [prev[k - 1] + pw[k] * prev[k] for k in range(1, n)] + [1])
     return rows
 
 
 def complement_rows(q: int, N: int) -> list[list[int]]:
     """Rows m = 0 .. N of q^(a(m-a)) [m, a]_q = |GL_m| / (|GL_a| |GL_(m-a)|),
-    the ordered pairs (U, W) of complementary subspaces of F_q^m with dim U = a."""
-    rows = gaussian_rows(q, N)
-    return [[q ** (a * (m - a)) * g for a, g in enumerate(row)] for m, row in enumerate(rows)]
+    the ordered pairs (U, W) of complementary subspaces of F_q^m with dim U = a.
+
+    q^(a(m-a)) times the q-Pascal rule gives
+    C(m, a) = q^(m-a) C(m-1, a-1) + q^(2a) C(m-1, a).
+    """
+    pw = _powers(q, N)
+    rows = [[1]]
+    for m in range(1, N + 1):
+        prev = rows[-1]
+        rows.append(
+            [1] + [pw[m - a] * prev[a - 1] + pw[2 * a] * prev[a] for a in range(1, m)] + [1]
+        )
+    return rows
+
+
+def subspace_totals(q: int, N: int) -> list[int]:
+    """[G_0, ..., G_N], G_n the number of subspaces of F_q^n (the Galois
+    numbers), by G_(n+1) = 2 G_n + (q^n - 1) G_(n-1) (Goldman and Rota,
+    Studies in Appl. Math. 49, 1970)."""
+    pw = _powers(q, N)
+    totals = [1, 2][: N + 1]
+    for n in range(1, N):
+        totals.append(2 * totals[n] + (pw[n] - 1) * totals[n - 1])
+    return totals
 
 
 def subspace_total(q: int, n: int) -> int:
     """Total number of subspaces of F_q^n (sum of the Gaussian binomials)."""
-    return sum(gaussian_rows(q, n)[n])
+    return subspace_totals(q, n)[n]
+
+
+def _add_line(row: list[int], pw: list[int], d: int) -> list[int]:
+    """Rank counts of matrices with one more line of length d, from the
+    counts row[k] of rank k before it.  A matrix of rank k keeps its rank
+    when the new line lies in its span, q^k ways, and one of rank k - 1
+    gains one otherwise, q^d - q^(k-1) ways."""
+    ext = row + [0]
+    return [1] + [
+        pw[k] * ext[k] + (pw[d] - pw[k - 1]) * row[k - 1] for k in range(1, min(len(row), d) + 1)
+    ]
+
+
+def rank_rows(q: int, N: int) -> list[list[int]]:
+    """Rows n = 0 .. N of the rank triangle, row n = [R(n, 0), ..., R(n, n)],
+    R(n, k) = rank_count(q, n, n, k) the n x n matrices of rank k.
+
+    Row n comes from row n - 1 by adding a row of length n - 1 and then a
+    column of length n, two _add_line steps.
+    """
+    pw = _powers(q, N)
+    rows = [[1]]
+    for n in range(1, N + 1):
+        rows.append(_add_line(_add_line(rows[-1], pw, n - 1), pw, n))
+    return rows
 
 
 def rank_count(q: int, m: int, n: int, k: int) -> int:

@@ -27,7 +27,9 @@ from .qcount import (
     nilpotent_count,
     q_factorial,
     q_stirling_rows,
+    rank_rows,
     separable_class_count,
+    subspace_totals,
 )
 
 
@@ -41,13 +43,17 @@ class UnsupportedSequence(ValueError):
 # a route that takes more products per value, or a triangle with N^2 / 2
 # cells, has a larger exponent e, fitted to timings.  The bound admits
 # `seq invertible --q 2 --max-n 288`, `table rank_row --q 2 --max-n 112`,
-# `seq qbell --q 2 --max-n 57` and `table qstirling_row --q 2 --max-n 34`;
-# each route ran in at most about two seconds at its largest admitted n,
-# at q = 2 and at q = 1000003 (2-core Xeon host, single runs).  The routes
+# `seq qbell --q 2 --max-n 57` and `table qstirling_row --q 2 --max-n 34`.
+# At its largest admitted n, at q = 2 and at q = 1000003, each route takes
+# at most 0.47 s of process time in a fresh process, except
+# separable_classes (1.3-1.6 s to n = 12599 and 1709), which prints more
+# values than any other (2-core Xeon host, three runs each).  The routes
 # that read one table per request (qbell, diagonalizable, qstirling_row,
 # lin_derangement, qbinom_row, rank_row, subspaces_total, projection) run
-# far below their exponents; the exponents are kept so that the admitted
-# requests stay the same.
+# far below their exponents; rank_row's 0.35 s is mostly the text of its
+# cells, and subspaces_total, projection, diagonalizable and
+# qstirling_row take under 0.05 s.  The exponents are kept so that the
+# admitted requests stay the same.
 MAX_FORMULA_WORK = 2 * 10**12
 
 
@@ -156,13 +162,6 @@ def _cells(rows: list[list[int]]):
     return lambda n, k: rows[n][k] if k <= n else 0
 
 
-def _rank_cells(r: _Run):
-    """The n x n matrices of rank k number [n, k]_q^2 |GL_k|."""
-    gl = [gl_order(r.q, k) for k in range(r.max_n + 1)]
-    rows = gaussian_rows(r.q, r.max_n)
-    return _cells([[g * g * gl[k] for k, g in enumerate(row)] for row in rows])
-
-
 @dataclass(frozen=True)
 class _Seq:
     """One catalogued sequence.
@@ -192,7 +191,7 @@ _REGISTRY = {
     ),
     "subspaces_total": _Seq(
         0,
-        lambda r: [sum(row) for row in gaussian_rows(r.q, r.max_n)].__getitem__,
+        lambda r: subspace_totals(r.q, r.max_n).__getitem__,
         _oeis({q: f"A{6116 + q - 2:06d}" for q in range(2, 9)}),
         work=6,
     ),
@@ -243,7 +242,7 @@ _REGISTRY = {
     "qstirling_row": _Seq(
         1, lambda r: _cells(q_stirling_rows(r.q, r.max_n)), first_col=1, work=8
     ),
-    "rank_row": _Seq(0, _rank_cells, first_col=0, work=6),
+    "rank_row": _Seq(0, lambda r: _cells(rank_rows(r.q, r.max_n)), first_col=0, work=6),
 }
 
 SCALAR_NAMES = tuple(name for name, e in _REGISTRY.items() if e.first_col is None)

@@ -334,7 +334,10 @@ def cross_route_checks() -> Comparisons:
             [q ** (n * n) for n in range(6)],
         )
 
-    # the q-Pascal table routes against the product cells and group orders
+    # the recurrence tables against the product cells and group orders: the
+    # q-Pascal rows, the rank rows built a row and a column at a time, the
+    # Galois-number totals and the complement rows, each against a formula
+    # it does not read
     for q in (2, 3, 4, 5):
         ns = range(17)
         cells = [[gaussian_binomial(q, n, k) for k in range(n + 1)] for n in ns]

@@ -32,8 +32,10 @@ from qmcount.qcount import (
     q_stirling,
     q_stirling_rows,
     rank_count,
+    rank_rows,
     separable_class_count,
     subspace_total,
+    subspace_totals,
 )
 
 
@@ -130,6 +132,10 @@ def test_q_int_and_factorial():
     assert q_factorial(2, 4) == 315
     assert q_factorial(2, 0) == 1
     assert q_factorial(3, 3) == 52
+    # the pairwise product is the product from the left
+    for q in (2, 3, 1000003):
+        for n in range(-1, 40):
+            assert q_factorial(q, n) == prod(q_int(q, i) for i in range(1, n + 1)), (q, n)
 
 
 def test_gaussian_binomial_values():
@@ -219,19 +225,26 @@ def test_rank_count_matches_the_product_quotient(q):
                 assert rank_count(q, m, n, k) == want, (m, n, k)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 1000003])
 def test_q_pascal_rows_match_the_cells_and_group_orders(q):
-    N = 14
+    # each recurrence table against its closed form, at N = 0, 1 and its top
+    N = 30 if q < 10 else 8
     gl = [gl_order(q, n) for n in range(N + 1)]
-    assert gaussian_rows(q, N) == [
-        [gaussian_binomial(q, n, k) for k in range(n + 1)] for n in range(N + 1)
-    ]
-    assert complement_rows(q, N) == [
-        [exact_div(gl[m], gl[a] * gl[m - a]) for a in range(m + 1)] for m in range(N + 1)
-    ]
-    assert gaussian_rows(q, 0) == complement_rows(q, 0) == [[1]]
-    with pytest.raises(ValueError):
-        gaussian_rows(q, -1)
+    cells = [[gaussian_binomial(q, n, k) for k in range(n + 1)] for n in range(N + 1)]
+    wants = {
+        gaussian_rows: cells,
+        complement_rows: [
+            [exact_div(gl[m], gl[a] * gl[m - a]) for a in range(m + 1)] for m in range(N + 1)
+        ],
+        rank_rows: [[rank_count(q, n, n, k) for k in range(n + 1)] for n in range(N + 1)],
+        subspace_totals: [sum(row) for row in cells],
+    }
+    for table, want in wants.items():
+        for M in (0, 1, N):
+            assert table(q, M) == want[: M + 1], (table.__name__, M)
+        with pytest.raises(ValueError):
+            table(q, -1)
+    assert [subspace_total(q, n) for n in range(N + 1)] == wants[subspace_totals]
 
 
 def test_q_stirling():

@@ -236,9 +236,9 @@ def test_triangle_rows_and_columns_match_the_cells(name, q):
 # each table route and the table function it reads in sequences
 TABLE_ROUTES = {
     "qbinom_row": "gaussian_rows",
-    "rank_row": "gaussian_rows",
+    "rank_row": "rank_rows",
     "qstirling_row": "q_stirling_rows",
-    "subspaces_total": "gaussian_rows",
+    "subspaces_total": "subspace_totals",
     "projection": "complement_rows",
 }
 
