@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from decimal import Decimal
 
 from .gfengine import LIMIT_KINDS, NonIntegralCount, UnresolvedDigits, limit_eval
 from .sequences import (
@@ -90,7 +91,8 @@ def _run_seq(args: argparse.Namespace) -> int:
         max_n=args.max_n,
         align_to_oeis=(args.format == "bfile"),
     )
-    values = sequence_values(spec)
+    # exact Decimals wherever a route builds its values from `one`: their text is linear
+    values = sequence_values(spec, Decimal(1))
     start = spec.min_n
     if spec.name in TRIANGLE_NAMES and spec.k is None:
         if args.format == "plain":

@@ -1,18 +1,27 @@
 """Closed-form exact counts of matrices and subspaces over a finite field.
 
-Everything here is plain integer arithmetic: group orders, q-analogues
-of factorials and binomial coefficients, and the matrix counts that have
-a closed formula or a simple recursion (projections, diagonalizable
+Everything here is exact arithmetic: group orders, q-analogues of
+factorials and binomial coefficients, and the matrix counts that have a
+closed formula or a simple recursion (projections, diagonalizable
 matrices, involutions in characteristic two, nilpotents, eigenvalue-free
 matrices, and the rank triangle).  The triangles and their row sums are
 built by small-step recurrences, each step a big number times a power of
 q or a difference of two: the Gaussian binomials by q-Pascal
 (gaussian_rows), the complement counts (complement_rows), the rank
 triangle by adding a row and then a column (rank_rows) and the subspace
-totals as Galois numbers (subspace_totals).  gaussian_binomial and
-rank_count are the per-cell checks.  |GL_n| comes from one recurrence,
-GLOrderTable (gl_order_factored is the check), and join, shared with
-classtypes, joins counts across splittings.
+totals as Galois numbers (subspace_totals).  The scalar runs are running
+products: |GL_n| (GLOrderTable; gl_order_factored is the check), the
+q-factorials (q_factorials), q^(n^2 + shift n) (square_powers), the
+separable class counts and the linear derangements.  gaussian_binomial,
+rank_count, q_factorial, nilpotent_count and separable_class_count are
+the per-value checks.  join, shared with classtypes, joins counts across
+splittings.
+
+The tables and runs that a printed sequence reads are generic over the
+number type: they build every value from a given `one` (the int 1 by
+default) by sums, differences, products and exact divisions with ints, so
+an exact decimal one gives exact decimal values, whose text takes linear
+time where an int's takes quadratic.
 """
 
 from __future__ import annotations
@@ -98,18 +107,21 @@ class PrimePower:
 
 class GLOrderTable:
     """Memoized orders of the groups of invertible n x n matrices over F_q,
-    extended one order at a time by |GL_m| = |GL_(m-1)| q^(m-1) (q^m - 1)."""
+    of the type of `one`, extended one order at a time by
+    |GL_m| = |GL_(m-1)| q^(m-1) (q^m - 1) with q^(m-1) carried."""
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, one=1):
         self.q = q
-        self._values: list[int] = [1]
+        self._values = [one]
+        self._power = one  # q^(m-1) for the next order m
 
-    def value(self, n: int) -> int:
+    def value(self, n: int):
         if n < 0:
             raise ValueError("matrix size must be >= 0")
         while len(self._values) <= n:
-            m = len(self._values)
-            self._values.append(self._values[-1] * self.q ** (m - 1) * (self.q**m - 1))
+            below = self._power
+            self._power = below * self.q
+            self._values.append(self._values[-1] * (below * (self._power - 1)))
         return self._values[n]
 
 
@@ -140,6 +152,17 @@ def q_factorial(q: int, n: int) -> int:
     return terms[0] if terms else 1
 
 
+def q_factorials(q: int, N: int, one=1) -> list:
+    """[[0]_q!, ..., [N]_q!] of the type of `one`, by the running product
+    [n]_q! = [n-1]_q! [n]_q, with q^n carried and divided exactly into
+    [n]_q = (q^n - 1) / (q - 1)."""
+    power, facts = one, [one]
+    for _ in range(N):
+        power *= q
+        facts.append(facts[-1] * ((power - 1) // (q - 1)))
+    return facts
+
+
 def gaussian_binomial(q: int, n: int, k: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over F_q."""
     if k < 0 or k > n:
@@ -164,24 +187,29 @@ def q_multinomial(q: int, parts: tuple[int, ...] | list[int]) -> int:
     return exact_div(num, den)
 
 
-def _powers(q: int, N: int) -> list[int]:
-    """[q^0, q^1, ..., q^(2N)], every power a table to dimension N >= 0 reads."""
+def _powers(q: int, N: int, one=1) -> list:
+    """[q^0, q^1, ..., q^(2N)], every power a table to dimension N >= 0
+    reads, each the one before times q, so of the type of `one`."""
     if N < 0:
         raise ValueError("dimension must be >= 0")
-    return [q**i for i in range(2 * N + 1)]
+    pw = [one]
+    for _ in range(2 * N):
+        pw.append(pw[-1] * q)
+    return pw
 
 
-def gaussian_rows(q: int, N: int) -> list[list[int]]:
-    """Rows n = 0 .. N of the Gaussian binomials, row n = [[n, 0]_q, ..., [n, n]_q].
+def gaussian_rows(q: int, N: int, one=1) -> list[list]:
+    """Rows n = 0 .. N of the Gaussian binomials, row n = [[n, 0]_q, ..., [n, n]_q],
+    of the type of `one`.
 
     Built by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]
     (G. E. Andrews, The Theory of Partitions, ch. 3): n additions a row.
     """
-    pw = _powers(q, N)
-    rows = [[1]]
+    pw = _powers(q, N, one)
+    rows = [[one]]
     for n in range(1, N + 1):
         prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + pw[k] * prev[k] for k in range(1, n)] + [1])
+        rows.append([one] + [prev[k - 1] + pw[k] * prev[k] for k in range(1, n)] + [one])
     return rows
 
 
@@ -202,12 +230,12 @@ def complement_rows(q: int, N: int) -> list[list[int]]:
     return rows
 
 
-def subspace_totals(q: int, N: int) -> list[int]:
-    """[G_0, ..., G_N], G_n the number of subspaces of F_q^n (the Galois
-    numbers), by G_(n+1) = 2 G_n + (q^n - 1) G_(n-1) (Goldman and Rota,
-    Studies in Appl. Math. 49, 1970)."""
-    pw = _powers(q, N)
-    totals = [1, 2][: N + 1]
+def subspace_totals(q: int, N: int, one=1) -> list:
+    """[G_0, ..., G_N] of the type of `one`, G_n the number of subspaces of
+    F_q^n (the Galois numbers), by G_(n+1) = 2 G_n + (q^n - 1) G_(n-1)
+    (Goldman and Rota, Studies in Appl. Math. 49, 1970)."""
+    pw = _powers(q, N, one)
+    totals = [one, 2 * one][: N + 1]
     for n in range(1, N):
         totals.append(2 * totals[n] + (pw[n] - 1) * totals[n - 1])
     return totals
@@ -218,26 +246,27 @@ def subspace_total(q: int, n: int) -> int:
     return subspace_totals(q, n)[n]
 
 
-def _add_line(row: list[int], pw: list[int], d: int) -> list[int]:
+def _add_line(row: list, pw: list, d: int) -> list:
     """Rank counts of matrices with one more line of length d, from the
     counts row[k] of rank k before it.  A matrix of rank k keeps its rank
     when the new line lies in its span, q^k ways, and one of rank k - 1
     gains one otherwise, q^d - q^(k-1) ways."""
     ext = row + [0]
-    return [1] + [
+    return [pw[0]] + [
         pw[k] * ext[k] + (pw[d] - pw[k - 1]) * row[k - 1] for k in range(1, min(len(row), d) + 1)
     ]
 
 
-def rank_rows(q: int, N: int) -> list[list[int]]:
+def rank_rows(q: int, N: int, one=1) -> list[list]:
     """Rows n = 0 .. N of the rank triangle, row n = [R(n, 0), ..., R(n, n)],
-    R(n, k) = rank_count(q, n, n, k) the n x n matrices of rank k.
+    of the type of `one`, R(n, k) = rank_count(q, n, n, k) the n x n
+    matrices of rank k.
 
     Row n comes from row n - 1 by adding a row of length n - 1 and then a
     column of length n, two _add_line steps.
     """
-    pw = _powers(q, N)
-    rows = [[1]]
+    pw = _powers(q, N, one)
+    rows = [[one]]
     for n in range(1, N + 1):
         rows.append(_add_line(_add_line(rows[-1], pw, n - 1), pw, n))
     return rows
@@ -363,16 +392,33 @@ def nilpotent_count(q: int, n: int) -> int:
     return q ** (n * n - n)
 
 
-def linear_derangement_counts(q: int, N: int) -> list[int]:
-    """[e_0, ..., e_N], e_n the number of invertible n x n matrices over
-    F_q with no eigenvalue 1.
+def square_powers(q: int, N: int, shift: int, one=1) -> list:
+    """[q^(n^2 + shift n) for n = 0 .. N], shift 0 or -1, of the type of
+    `one`: all n x n matrices (shift 0) or the nilpotent ones (shift -1).
+    Each is the one before times q^(2n - 1 + shift), and that step grows
+    by q^2."""
+    step, values = one * q ** (1 + shift), [one]
+    for _ in range(N):
+        values.append(values[-1] * step)
+        step *= q * q
+    return values
+
+
+def linear_derangement_counts(q: int, N: int, one=1) -> list:
+    """[e_0, ..., e_N] of the type of `one`, e_n the number of invertible
+    n x n matrices over F_q with no eigenvalue 1.
 
     Satisfies e_n = e_{n-1} (q^n - 1) q^(n-1) + (-1)^n q^(n(n-1)/2)
-    with e_0 = 1.
+    with e_0 = 1; q^(n-1) and q^(n(n-1)/2) are carried as running
+    products.
     """
-    e = [1]
+    e = [one]
+    power = tri = one  # q^(m-1) and q^((m-1)(m-2)/2) before step m
     for m in range(1, N + 1):
-        e.append(e[-1] * (q**m - 1) * q ** (m - 1) + (-1) ** m * q ** (m * (m - 1) // 2))
+        tri *= power
+        below, power = power, power * q
+        term = e[-1] * ((power - 1) * below)
+        e.append(term - tri if m % 2 else term + tri)
     return e
 
 
@@ -401,6 +447,16 @@ def separable_class_count(q: int, n: int) -> int:
     if n == 1:
         return q
     return q**n - q ** (n - 1)
+
+
+def separable_class_counts(q: int, N: int, one=1) -> list:
+    """[separable_class_count(q, n) for n = 1 .. N] of the type of `one`,
+    each the difference of a running power of q and the power before it."""
+    power, counts = one, []
+    for n in range(1, N + 1):
+        below, power = power, power * q
+        counts.append(power if n == 1 else power - below)
+    return counts
 
 
 def gl_order_factored(q: int, n: int) -> int:

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from functools import partial
 from typing import Callable, NamedTuple
 
 from .gfengine import CostExceeded, gf_counts, min_centralizer_orders
 from .qcount import (
+    GLOrderTable,
     PrimePower,
     complement_rows,
     diagonalizable_counts,
@@ -24,11 +25,11 @@ from .qcount import (
     gl_order,
     involution_count_char2,
     linear_derangement_counts,
-    nilpotent_count,
-    q_factorial,
+    q_factorials,
     q_stirling_rows,
     rank_rows,
-    separable_class_count,
+    separable_class_counts,
+    square_powers,
     subspace_totals,
 )
 
@@ -38,22 +39,23 @@ class UnsupportedSequence(ValueError):
 
 
 # A closed-form request to max n = N over F_q scores N^e ceil(log2 q)^2.
-# The values have about n^2 log2 q bits and their text conversion is
-# quadratic in that length, so printing N of them scores N^5 log2(q)^2;
-# a route that takes more products per value, or a triangle with N^2 / 2
-# cells, has a larger exponent e, fitted to timings.  The bound admits
-# `seq invertible --q 2 --max-n 288`, `table rank_row --q 2 --max-n 112`,
-# `seq qbell --q 2 --max-n 57` and `table qstirling_row --q 2 --max-n 34`.
-# At its largest admitted n, at q = 2 and at q = 1000003, each route takes
-# at most 0.47 s of process time in a fresh process, except
-# separable_classes (1.3-1.6 s to n = 12599 and 1709), which prints more
-# values than any other (2-core Xeon host, three runs each).  The routes
-# that read one table per request (qbell, diagonalizable, qstirling_row,
-# lin_derangement, qbinom_row, rank_row, subspaces_total, projection) run
-# far below their exponents; rank_row's 0.35 s is mostly the text of its
-# cells, and subspaces_total, projection, diagonalizable and
-# qstirling_row take under 0.05 s.  The exponents are kept so that the
-# admitted requests stay the same.
+# The exponents e were fitted to timings when every value printed as an
+# int, whose text takes quadratic time, so that printing N values of about
+# n^2 log2 q bits scored N^5 log2(q)^2 and routes with more products per
+# value, or triangles, scored more.  The routes that build their values
+# from `one` now print exact Decimals, whose text is linear, and every
+# route runs far below its exponent.  The bound admits `seq invertible
+# --q 2 --max-n 288`, `table rank_row --q 2 --max-n 112`, `seq qbell --q 2
+# --max-n 57` and `table qstirling_row --q 2 --max-n 34`.  At its largest
+# admitted n, at q = 2 and at q = 1000003, each route takes at most 0.16 s
+# of process time in a fresh process (2-core Xeon host, three runs each):
+# separable_classes 0.15 s to n = 12599 and 0.05 s to 1709, the
+# characteristic-two involutions 0.11 s, rank_row 0.09 and 0.06 s, and
+# all, invertible, nilpotent, qfactorial, lin_derangement, qbinom_row and
+# subspaces_total 0.005-0.05 s; the int join and sum routes, projection,
+# diagonalizable, qbell and qstirling_row, take 0.004-0.07 s.  The
+# exponents and the bound are kept only so that the admitted requests stay
+# the same.
 MAX_FORMULA_WORK = 2 * 10**12
 
 
@@ -98,11 +100,14 @@ _POWER_IDENTITY_OEIS = {
 
 
 class _Run(NamedTuple):
-    """What a value route may read: one request, with max_n at least 0."""
+    """What a value route may read: one request, with max_n at least 0,
+    and the `one` that sets the number type of the routes that build their
+    values from it."""
 
     q: int
     k: int | None
     max_n: int
+    one: int | Decimal
 
 
 def _oeis(ids: dict[int, str], offset: int = 0):
@@ -141,6 +146,17 @@ def _power_identity(r: _Run):
     )
 
 
+def _separable_classes(r: _Run):
+    counts = separable_class_counts(r.q, r.max_n, r.one)
+
+    def value(n: int):
+        if n < 1:
+            raise ValueError("degree must be >= 1")
+        return counts[n - 1]
+
+    return value
+
+
 def _min_centralizer(r: _Run):
     orders = min_centralizer_orders(r.q, r.max_n)
 
@@ -168,7 +184,10 @@ class _Seq:
 
     Every route maps a request (_Run) to its value function: a function
     of n for a scalar, of (n, k) for a triangle, whose row n runs over k
-    from first_col to n and is zero beyond.  A triangle is read by rows,
+    from first_col to n and is zero beyond.  The routes that print every
+    value their table or running product computes build it from r.one;
+    the join and sum routes, where Decimal arithmetic is slower than int,
+    and the series routes give ints.  A triangle is read by rows,
     or by one column k; a scalar takes k only when it needs one.  Routes
     call module functions by name at call time, so a wrapper installed on
     a module attribute is the one called.  A closed-form route names its
@@ -185,13 +204,18 @@ class _Seq:
 
 
 _REGISTRY = {
-    "all": _Seq(0, lambda r: lambda n: r.q ** (n * n), _oeis({2: "A002416"}), work=5),
+    "all": _Seq(
+        0,
+        lambda r: square_powers(r.q, r.max_n, 0, r.one).__getitem__,
+        _oeis({2: "A002416"}),
+        work=5,
+    ),
     "invertible": _Seq(
-        0, lambda r: partial(gl_order, r.q), _oeis({2: "A002884"}), work=5
+        0, lambda r: GLOrderTable(r.q, r.one).value, _oeis({2: "A002884"}), work=5
     ),
     "subspaces_total": _Seq(
         0,
-        lambda r: subspace_totals(r.q, r.max_n).__getitem__,
+        lambda r: subspace_totals(r.q, r.max_n, r.one).__getitem__,
         _oeis({q: f"A{6116 + q - 2:06d}" for q in range(2, 9)}),
         work=6,
     ),
@@ -199,11 +223,14 @@ _REGISTRY = {
         1, lambda r: [sum(row) for row in q_stirling_rows(r.q, r.max_n)].__getitem__, work=7
     ),
     "qfactorial": _Seq(
-        0, lambda r: partial(q_factorial, r.q), _oeis({2: "A005329"}), work=5
+        0,
+        lambda r: q_factorials(r.q, r.max_n, r.one).__getitem__,
+        _oeis({2: "A005329"}),
+        work=5,
     ),
     "lin_derangement": _Seq(
         0,
-        lambda r: linear_derangement_counts(r.q, r.max_n).__getitem__,
+        lambda r: linear_derangement_counts(r.q, r.max_n, r.one).__getitem__,
         _oeis({2: "A002820"}, 2),
         work=5,
     ),
@@ -218,12 +245,15 @@ _REGISTRY = {
     # guarded inside the route: only its k = 2, q = 2^e branch is closed-form
     "power_identity": _Seq(0, _power_identity, _power_identity_oeis, needs_k=True),
     "nilpotent": _Seq(
-        0, lambda r: partial(nilpotent_count, r.q), _oeis({2: "A053763"}), work=5
+        0,
+        lambda r: square_powers(r.q, r.max_n, -1, r.one).__getitem__,
+        _oeis({2: "A053763"}),
+        work=5,
     ),
     "cyclic": _Seq(0, _gf("cyclic")),
     "semisimple": _Seq(0, _gf("semisimple")),
     "separable": _Seq(0, _gf("separable")),
-    "separable_classes": _Seq(1, lambda r: partial(separable_class_count, r.q), work=3),
+    "separable_classes": _Seq(1, _separable_classes, work=3),
     "conjclasses_all": _Seq(0, _gf("conjclasses_all"), _oeis({2: "A070933"})),
     "conjclasses_gl": _Seq(
         0,
@@ -234,7 +264,7 @@ _REGISTRY = {
     "max_class": _Seq(1, _max_class, _oeis({2: "A070731"}, 1)),
     "qbinom_row": _Seq(
         0,
-        lambda r: _cells(gaussian_rows(r.q, r.max_n)),
+        lambda r: _cells(gaussian_rows(r.q, r.max_n, r.one)),
         _oeis({q: f"A{22166 + q - 2:06d}" for q in range(2, 25)}),
         first_col=0,
         work=6,
@@ -242,7 +272,9 @@ _REGISTRY = {
     "qstirling_row": _Seq(
         1, lambda r: _cells(q_stirling_rows(r.q, r.max_n)), first_col=1, work=8
     ),
-    "rank_row": _Seq(0, lambda r: _cells(rank_rows(r.q, r.max_n)), first_col=0, work=6),
+    "rank_row": _Seq(
+        0, lambda r: _cells(rank_rows(r.q, r.max_n, r.one)), first_col=0, work=6
+    ),
 }
 
 SCALAR_NAMES = tuple(name for name, e in _REGISTRY.items() if e.first_col is None)
@@ -301,9 +333,22 @@ def make_spec(
     return SequenceSpec(name, q, k, min_n, max_n, ident, offset)
 
 
-def sequence_values(spec: SequenceSpec) -> list:
+def _exact_context() -> Context:
+    """A decimal context in which +, -, * and // of integers never round:
+    any result that would is refused with Inexact."""
+    return Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+
+
+def sequence_values(spec: SequenceSpec, one: int | Decimal = 1) -> list:
     """Values for n = min_n .. max_n: a scalar's, a triangle's column k,
-    or, when k is None, a triangle's rows as lists."""
+    or, when k is None, a triangle's rows as lists.
+
+    The routes that print every value their recurrence computes build
+    their values from `one`: ints by default, exact Decimals from
+    Decimal(1), whose text the emitters take in linear time.  The other
+    routes give ints either way.  The values are computed in the exact
+    decimal context.
+    """
     entry = _REGISTRY[spec.name]
     if entry.work is not None:
         _check_formula_work(spec.q, spec.max_n, entry.work)
@@ -312,13 +357,14 @@ def sequence_values(spec: SequenceSpec) -> list:
         raise UnsupportedSequence(f"column index {spec.k} out of range for {spec.name}")
     if triangle and spec.k is None and spec.min_n < entry.start:
         raise UnsupportedSequence(f"{spec.name!r} rows start at {entry.start}")
-    value = entry.route(_Run(spec.q, spec.k, max(spec.max_n, 0)))
-    ns = range(spec.min_n, spec.max_n + 1)
-    if not triangle:
-        return [value(n) for n in ns]
-    if spec.k is not None:
-        return [value(n, spec.k) for n in ns]
-    return [[value(n, k) for k in range(entry.first_col, n + 1)] for n in ns]
+    with localcontext(_exact_context()):
+        value = entry.route(_Run(spec.q, spec.k, max(spec.max_n, 0), one))
+        ns = range(spec.min_n, spec.max_n + 1)
+        if not triangle:
+            return [value(n) for n in ns]
+        if spec.k is not None:
+            return [value(n, spec.k) for n in ns]
+        return [[value(n, k) for k in range(entry.first_col, n + 1)] for n in ns]
 
 
 def triangle_flat_start(name: str, first_row: int) -> int:
@@ -334,19 +380,19 @@ def triangle_flat_start(name: str, first_row: int) -> int:
 _DECIMAL_LEAF_BITS = 4096
 
 
-def _decimal(v: int) -> str:
-    """str(v) for an int of any size.  str refuses values over the
+def _decimal(v: int | Decimal) -> str:
+    """str(v) for an integral int or Decimal of any size.  A Decimal prints
+    by str at once, in linear time.  str refuses an int over the
     interpreter's current limit on int-to-text digits, and Decimal, which
     is not held to that limit, converts a large int in quadratic time.  So
-    a value past the limit is split at 2^w, w half its bits, each half
-    converted the same way, and the halves joined as hi 2^w + lo in an
-    exact Decimal context, which raises Inexact rather than round; the
-    powers 2^w are made once per call."""
+    an int past the limit is split at 2^w, w half its bits, each half
+    converted the same way, and the halves joined as hi 2^w + lo in the
+    exact context; the powers 2^w are made once per call."""
     try:
         return str(v)
     except ValueError:
         pass
-    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+    exact = _exact_context()
     powers: dict[int, Decimal] = {}
 
     def two_to(w: int) -> Decimal:

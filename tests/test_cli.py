@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import ast
+import hashlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +20,14 @@ import pytest
 from qmcount import cli, gfengine, oracle, regression, sequences, verify
 from qmcount.cli import main
 from qmcount.regression import RegressionEntry
-from qmcount.sequences import make_spec, parse_bfile, sequence_values
+from qmcount.sequences import (
+    SEQUENCE_NAMES,
+    TRIANGLE_NAMES,
+    _decimal,
+    make_spec,
+    parse_bfile,
+    sequence_values,
+)
 
 
 def run_cli(capsys, *argv):
@@ -437,6 +447,64 @@ def test_values_beyond_4300_digits_print_in_full(capsys, monkeypatch):
     )
     assert (code, err) == (0, "")
     assert parse_bfile(out) == (spec.min_n, expected)
+
+
+def printed_values(fmt: str, out: str) -> list[str]:
+    """The value tokens of one seq or table output."""
+    if fmt == "json":
+        return json.loads(out)["values"]
+    if fmt == "bfile":
+        return [line.split()[1] for line in out.splitlines()]
+    return out.split()
+
+
+@pytest.mark.parametrize("name", SEQUENCE_NAMES)
+def test_every_printed_value_is_the_text_of_its_int(capsys, name):
+    """The CLI prints some routes from exact Decimals, which have a negative
+    zero and an exponent form; every token must still be a plain integer,
+    the text of the library's int value."""
+    triangle = name in TRIANGLE_NAMES
+    ks = (None, 1) if triangle else (2,) if name == "power_identity" else (None,)
+    runs = [(q, 6) for q in (2, 3, 4, 5, 7, 8, 9)] + [(1000003, 8)]
+    for (q, max_n), k, fmt in itertools.product(runs, ks, ("plain", "json", "bfile")):
+        argv = ["table" if triangle else "seq", name, "--q", str(q), "--max-n", str(max_n)]
+        argv += ["--format", fmt] + (["--k", str(k)] if k is not None else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        spec = make_spec(name, q, k, max_n=max_n, align_to_oeis=fmt == "bfile")
+        values = sequence_values(spec)
+        if triangle and k is None:
+            values = [v for row in values for v in row]
+        tokens = printed_values(fmt, out)
+        assert all(re.fullmatch(r"0|-?[1-9][0-9]*", t) for t in tokens), argv
+        assert tokens == [_decimal(v) for v in values], argv
+
+
+# SHA-256 of the plain output at the largest n each Decimal route admits,
+# recorded from the same routes computed and printed as ints
+EDGE_DIGESTS = [
+    ("seq all --q 2 --max-n 288", "7c3e8e2cd81035186bf7a9487a818935b162bb97299e6dbfcace152acb20ecac"),
+    ("seq invertible --q 2 --max-n 288", "0d15bd7c279d97625eced93a9f7229d00a0e47c590342381ab84b50fe1b463d0"),
+    ("seq invertible --q 1000003 --max-n 87", "72253b43b08c69ff53e1a945f1223e1374ac758a4238d367e7b3c8382910683d"),
+    ("seq nilpotent --q 2 --max-n 288", "9607cd1c27d7e0088f556855c4fc6c86a5858cb13c30b2eb9aac82bb0a787610"),
+    ("seq qfactorial --q 2 --max-n 288", "19b5250db8ecbb58618d24e21ae226d75107829341f9af4698cec759632e59e5"),
+    ("seq lin_derangement --q 2 --max-n 288", "6ad7a1d12b6902688ecac026d37b00b673c6fcf137fbe0f38fe9b4fd8508b4e1"),
+    ("seq separable_classes --q 2 --max-n 12599", "97c961d22c077a56332af2bfb2d8cfa87e084f842d7577390266e279156bdcc9"),
+    ("seq separable_classes --q 1000003 --max-n 1709", "253cd53b6cf72eab763ae4599fb5b098f471948d1ab1187fbdf2f3976fe6219a"),
+    ("seq subspaces_total --q 2 --max-n 112", "91c533fa4e3bb86af2d0c5c06c4648e19ffc9e4ca9a0999f9f166f0bc5b5eb9d"),
+    ("table qbinom_row --q 2 --max-n 112", "d272dac602247fce9dcbfe6ada4cc6a2228939067a7be33f22674539f863573f"),
+    ("table rank_row --q 2 --max-n 112", "c23ab5a804b679064255d267929ff39ff8c93d327b97ca1a2d42d3797e27263b"),
+]
+
+
+@pytest.mark.parametrize("line, digest", EDGE_DIGESTS, ids=[line for line, _ in EDGE_DIGESTS])
+def test_guard_edge_text_is_unchanged(capsys, line, digest):
+    *argv, max_n = line.split()
+    code, out, err = run_cli(capsys, *argv, max_n)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, out, err = run_cli(capsys, *argv, str(int(max_n) + 1))
+    assert (code, out) == (2, "") and "bound" in err
 
 
 def test_large_prime_field(capsys):

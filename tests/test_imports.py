@@ -34,6 +34,15 @@ def test_import_loads_only_ffpoly_and_qcount():
     assert fresh(code) == ["qmcount", "qmcount.ffpoly", "qmcount.qcount"]
 
 
+def test_import_loads_no_decimal():
+    # qcount's tables take their number type from `one`, never from an import
+    code = (
+        "import json, qmcount\nqmcount.field_for(3)\n"
+        "print(json.dumps(sorted({'decimal', '_decimal'} & set(sys.modules))))"
+    )
+    assert fresh(code) == []
+
+
 def test_seq_table_and_limit_never_load_the_oracle_or_the_suites():
     code = (
         "import contextlib, io, json\n"
@@ -99,9 +108,10 @@ TRACER_MISSING = [
     "qmcount.gfengine.unit_partition_sum", "qmcount.sequences.diagonalizable_count",
     "qmcount.sequences.extract_count", "qmcount.sequences.gaussian_binomial",
     "qmcount.sequences.gf_build", "qmcount.sequences.linear_derangement_count",
-    "qmcount.sequences.projection_count", "qmcount.sequences.q_bell",
+    "qmcount.sequences.nilpotent_count", "qmcount.sequences.projection_count",
+    "qmcount.sequences.q_bell", "qmcount.sequences.q_factorial",
     "qmcount.sequences.q_stirling", "qmcount.sequences.rank_count",
-    "qmcount.sequences.subspace_total",
+    "qmcount.sequences.separable_class_count", "qmcount.sequences.subspace_total",
 ]
 
 

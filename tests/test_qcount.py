@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from math import prod
 
 import pytest
@@ -22,11 +23,13 @@ from qmcount.qcount import (
     gl_order_factored,
     involution_count_char2,
     linear_derangement_count,
+    linear_derangement_counts,
     linear_derangement_reduced,
     nilpotent_count,
     projection_count,
     q_bell,
     q_factorial,
+    q_factorials,
     q_int,
     q_multinomial,
     q_stirling,
@@ -34,6 +37,8 @@ from qmcount.qcount import (
     rank_count,
     rank_rows,
     separable_class_count,
+    separable_class_counts,
+    square_powers,
     subspace_total,
     subspace_totals,
 )
@@ -245,6 +250,43 @@ def test_q_pascal_rows_match_the_cells_and_group_orders(q):
         with pytest.raises(ValueError):
             table(q, -1)
     assert [subspace_total(q, n) for n in range(N + 1)] == wants[subspace_totals]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 1000003])
+def test_running_products_match_their_per_value_checks(q):
+    N = 40 if q < 10 else 12
+    ns = range(N + 1)
+    assert q_factorials(q, N) == [q_factorial(q, n) for n in ns]
+    assert square_powers(q, N, 0) == [q ** (n * n) for n in ns]
+    assert square_powers(q, N, -1) == [nilpotent_count(q, n) for n in ns]
+    assert separable_class_counts(q, N) == [separable_class_count(q, n) for n in ns[1:]]
+    assert linear_derangement_counts(q, N) == [
+        q ** (n * (n - 1) // 2) * linear_derangement_reduced(q, n) for n in ns
+    ]
+    for M in (0, 1):
+        assert q_factorials(q, M) == q_factorials(q, N)[: M + 1]
+        assert separable_class_counts(q, M) == separable_class_counts(q, N)[:M]
+
+
+def test_tables_built_from_a_decimal_one_are_the_int_tables():
+    """Every value is built from `one`, so a Decimal one gives Decimals
+    throughout, equal to the ints, in a context that refuses to round."""
+    builds = [
+        lambda q, N, one: gaussian_rows(q, N, one),
+        lambda q, N, one: rank_rows(q, N, one),
+        lambda q, N, one: [subspace_totals(q, N, one)],
+        lambda q, N, one: [q_factorials(q, N, one)],
+        lambda q, N, one: [square_powers(q, N, 0, one), square_powers(q, N, -1, one)],
+        lambda q, N, one: [separable_class_counts(q, N, one)],
+        lambda q, N, one: [linear_derangement_counts(q, N, one)],
+        lambda q, N, one: [[GLOrderTable(q, one).value(n) for n in range(N + 1)]],
+    ]
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        for q, N in ((2, 40), (9, 20), (1000003, 8)):
+            for build in builds:
+                ints, decimals = build(q, N, 1), build(q, N, Decimal(1))
+                assert decimals == ints
+                assert all(type(v) is Decimal for row in decimals for v in row)
 
 
 def test_q_stirling():

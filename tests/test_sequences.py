@@ -234,12 +234,20 @@ def test_triangle_rows_and_columns_match_the_cells(name, q):
 
 
 # each table route and the table function it reads in sequences
+# each route's table and the arguments of its one build at q = 3, max n = 9;
+# a route that builds its values from `one` passes the int 1 by default
 TABLE_ROUTES = {
-    "qbinom_row": "gaussian_rows",
-    "rank_row": "rank_rows",
-    "qstirling_row": "q_stirling_rows",
-    "subspaces_total": "subspace_totals",
-    "projection": "complement_rows",
+    "qbinom_row": ("gaussian_rows", (3, 9, 1)),
+    "rank_row": ("rank_rows", (3, 9, 1)),
+    "qstirling_row": ("q_stirling_rows", (3, 9)),
+    "subspaces_total": ("subspace_totals", (3, 9, 1)),
+    "projection": ("complement_rows", (3, 9)),
+    "qfactorial": ("q_factorials", (3, 9, 1)),
+    "lin_derangement": ("linear_derangement_counts", (3, 9, 1)),
+    "all": ("square_powers", (3, 9, 0, 1)),
+    "nilpotent": ("square_powers", (3, 9, -1, 1)),
+    "separable_classes": ("separable_class_counts", (3, 9, 1)),
+    "invertible": ("GLOrderTable", (3, 1)),
 }
 
 
@@ -247,21 +255,22 @@ TABLE_ROUTES = {
 def test_table_routes_build_one_table_per_request(monkeypatch, name):
     """A route looks its table function up at call time and builds it once,
     whether it serves rows, a column or a scalar run."""
+    attr, args = TABLE_ROUTES[name]
     ks = (None, 2) if name in TRIANGLE_NAMES else (None,)
     specs = [make_spec(name, 3, k=k, max_n=9) for k in ks]
     wants = [sequence_values(spec) for spec in specs]
-    table = getattr(sequences, TABLE_ROUTES[name])
+    table = getattr(sequences, attr)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return table(*args)
 
-    monkeypatch.setattr(sequences, TABLE_ROUTES[name], counted)
+    monkeypatch.setattr(sequences, attr, counted)
     for spec, want in zip(specs, wants):
         calls.clear()
         assert sequence_values(spec) == want
-        assert calls == [(3, 9)]
+        assert calls == [args]
 
 
 def test_triangle_errors_come_in_order(monkeypatch):
