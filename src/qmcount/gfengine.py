@@ -46,7 +46,7 @@ from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
-from math import factorial, gcd
+from math import factorial, gcd, isqrt, log2
 from typing import NamedTuple
 
 from .ffpoly import divisors, irreducible_poly_count, moebius
@@ -748,12 +748,16 @@ def limit_eval(kind: str, q: int, digits: int = 5) -> str:
         raise BadKindParams(f"unknown limit kind {kind!r}")
     _check_limit_args(q, digits)
     mult = q - 1 if kind == "projective_frac" else 1
-    # the first R whose tail m q / ((q - 1) q^R) is below 10^-(digits+2)
-    tail_bound = mult * q * 10 ** (digits + 2)
-    R, power = 1, q
-    while tail_bound >= (q - 1) * power:
+    # the first R whose tail m q / ((q - 1) q^R) is below 10^-(digits+2),
+    # i.e. with q^R > M: R - 1 = floor(log_q M).  M's bit length over
+    # log2(q) lies in (log_q M, log_q M + 1], so its floor is R or R - 1;
+    # the loops correct that and any rounding of the float.
+    M = mult * q * 10 ** (digits + 2) // (q - 1)
+    R = max(int(M.bit_length() / log2(q)), 1)
+    while q**R <= M:
         R += 1
-        power *= q
+    while R > 1 and q ** (R - 1) > M:
+        R -= 1
     if kind == "cyclic":
         R = max(R, 5)
     bits = mult * R * (R + 1) // 2 * (q - 1).bit_length()
@@ -762,8 +766,10 @@ def limit_eval(kind: str, q: int, digits: int = 5) -> str:
             f"the {kind} limit over F_{q} to {digits} digits is beyond the cost bound "
             f"of {MAX_LIMIT_BITS} bits"
         )
-    K = 1
-    while K * (3 * K - 1) // 2 < R:
+    # the least K with K(3K - 1)/2 >= R is the ceiling of
+    # (1 + sqrt(24R + 1)) / 6, which the floor below is or is one short of
+    K = (1 + isqrt(24 * R + 1)) // 6
+    if K * (3 * K - 1) // 2 < R:
         K += 1
 
     def bracket(K: int) -> _Ends:

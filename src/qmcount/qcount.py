@@ -7,13 +7,17 @@ matrices, involutions in characteristic two, nilpotents, eigenvalue-free
 matrices, and the rank triangle).  The triangles and their row sums are
 built by small-step recurrences, each step a big number times a power of
 q or a difference of two: the Gaussian binomials by q-Pascal
-(gaussian_rows), the complement counts (complement_rows), the rank
-triangle by adding a row and then a column (rank_rows) and the subspace
-totals as Galois numbers (subspace_totals).  The scalar runs are running
-products: |GL_n| (GLOrderTable; gl_order_factored is the check), the
-q-factorials (q_factorials), q^(n^2 + shift n) (square_powers), the
+(gaussian_rows), the complement counts (complement_rows), the subspace
+totals as Galois numbers (subspace_totals) and the projection counts by
+their q-difference recurrence (projection_counts).  The rank triangle
+(rank_rows) and the characteristic-two involutions
+(involution_counts_char2) run along each row by the ratio of neighbouring
+terms, one product and one exact division a term.  The scalar runs are
+running products: |GL_n| (GLOrderTable; gl_order_factored is the check),
+the q-factorials (q_factorials), q^(n^2 + shift n) (square_powers), the
 separable class counts and the linear derangements.  gaussian_binomial,
-rank_count, q_factorial, nilpotent_count and separable_class_count are
+rank_count, q_factorial, nilpotent_count, separable_class_count,
+projection_count (the complement-row sum) and involution_count_char2 are
 the per-value checks.  join, shared with classtypes, joins counts across
 splittings.
 
@@ -35,8 +39,9 @@ class CharNotTwo(ValueError):
     """The involution sum formula only holds in characteristic two."""
 
 
-def exact_div(a: int, b: int) -> int:
-    """Integer quotient that insists the division is exact."""
+def exact_div(a, b):
+    """Quotient of two ints, or two integral Decimals, that insists the
+    division is exact."""
     q, r = divmod(a, b)
     if r:
         raise ArithmeticError(f"{a} is not divisible by {b}")
@@ -246,29 +251,26 @@ def subspace_total(q: int, n: int) -> int:
     return subspace_totals(q, n)[n]
 
 
-def _add_line(row: list, pw: list, d: int) -> list:
-    """Rank counts of matrices with one more line of length d, from the
-    counts row[k] of rank k before it.  A matrix of rank k keeps its rank
-    when the new line lies in its span, q^k ways, and one of rank k - 1
-    gains one otherwise, q^d - q^(k-1) ways."""
-    ext = row + [0]
-    return [pw[0]] + [
-        pw[k] * ext[k] + (pw[d] - pw[k - 1]) * row[k - 1] for k in range(1, min(len(row), d) + 1)
-    ]
-
-
 def rank_rows(q: int, N: int, one=1) -> list[list]:
     """Rows n = 0 .. N of the rank triangle, row n = [R(n, 0), ..., R(n, n)],
     of the type of `one`, R(n, k) = rank_count(q, n, n, k) the n x n
     matrices of rank k.
 
-    Row n comes from row n - 1 by adding a row of length n - 1 and then a
-    column of length n, two _add_line steps.
+    A matrix of rank k is its image, one of [n, k]_q subspaces, times a
+    surjection of F_q^n onto it, prod_(i<k) (q^n - q^i) of them.  So
+    R(n, 0) = 1 and the row runs by its ratios,
+    R(n, k) = R(n, k-1) (q^n - q^(k-1)) (q^(n-k+1) - 1) / (q^k - 1),
+    one product and one exact division a cell.
     """
     pw = _powers(q, N, one)
+    less = [p - 1 for p in pw]  # q^i - 1
     rows = [[one]]
     for n in range(1, N + 1):
-        rows.append(_add_line(_add_line(rows[-1], pw, n - 1), pw, n))
+        row = [one]
+        for k in range(1, n + 1):
+            step = (pw[n] - pw[k - 1]) * less[n - k + 1]
+            row.append(exact_div(row[-1] * step, less[k]))
+        rows.append(row)
     return rows
 
 
@@ -348,6 +350,38 @@ def projection_count(q: int, n: int) -> int:
     return sum(complement_rows(q, n)[n])
 
 
+def projection_counts(q: int, N: int, one=1) -> list:
+    """[P_0, ..., P_N] of the type of `one`, P_n = projection_count(q, n),
+    by P_0 = 1, P_1 = 2 and, for n >= 1,
+
+        P_(n+1) = (q^n + 1) P_n + q^n (q^n - 1) P_(n-1)
+                  - q^(n-1) (q^n - 1) (q^(n-1) - 1) P_(n-2),
+
+    the last term 0 at n = 1: three products of a big count and a small
+    coefficient a step.
+
+    Proof.  Let e(u) = sum_m u^m / |GL_m|.  |GL_m| = |GL_(m-1)| q^(m-1)
+    (q^m - 1) gives e(q^2 u) - e(q u) = q u e(u).  A projection is an
+    ordered (image, kernel) splitting, so P_n / |GL_n| = [u^n] Y(u) with
+    Y = e^2.  Squaring e(q^2 u) = e(q u) + q u e(u) and its shift
+    e(q^3 u) = e(q^2 u) + q^2 u e(q u), and eliminating e(u) e(q u)
+    between them, gives
+
+        Y(q^3 u) = (1 + q^2 u) Y(q^2 u) + q^2 u (1 + q^2 u) Y(q u) - q^4 u^3 Y(u).
+
+    Its u^(n+1) coefficient, times |GL_n| / q^(n+2), is the recurrence.
+    """
+    pw = _powers(q, N, one)
+    counts = [one, 2 * one][: N + 1]
+    for n in range(1, N):
+        drop = pw[n] - 1
+        step = (pw[n] + 1) * counts[n] + (pw[n] * drop) * counts[n - 1]
+        if n > 1:
+            step -= (pw[n - 1] * drop * (pw[n - 1] - 1)) * counts[n - 2]
+        counts.append(step)
+    return counts
+
+
 def diagonalizable_counts(q: int, N: int) -> list[int]:
     """Numbers of diagonalizable n x n matrices over F_q, for n = 0 .. N.
 
@@ -383,6 +417,29 @@ def involution_count_char2(q: int, n: int) -> int:
             gn, q ** (i * (2 * n - 3 * i)) * gl_order(q, i) * gl_order(q, n - 2 * i)
         )
     return total
+
+
+def involution_counts_char2(q: int, N: int, one=1) -> list:
+    """[involution_count_char2(q, n) for n = 0 .. N] of the type of `one`.
+
+    Row n sums the class sizes t_i of I + N with N of rank i, from t_0 = 1
+    by their ratios, t_i = t_(i-1) q^(i-1) (q^(n-2i+2) - 1) (q^(n-2i+1) - 1)
+    / (q^i - 1), each division exact: the quotient of the class sizes at
+    i and i - 1, with |GL_m| = |GL_(m-1)| q^(m-1) (q^m - 1) cancelled.
+    """
+    if PrimePower.of(q).p != 2:
+        raise CharNotTwo(f"field size {q} has odd characteristic")
+    pw = _powers(q, N, one)
+    less = [p - 1 for p in pw]  # q^i - 1
+    counts = []
+    for n in range(N + 1):
+        term = total = one
+        for i in range(1, n // 2 + 1):
+            step = pw[i - 1] * less[n - 2 * i + 2] * less[n - 2 * i + 1]
+            term = exact_div(term * step, less[i])
+            total += term
+        counts.append(total)
+    return counts
 
 
 def nilpotent_count(q: int, n: int) -> int:

@@ -12,19 +12,18 @@ import json
 import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
-from functools import partial
 from typing import Callable, NamedTuple
 
 from .gfengine import CostExceeded, gf_counts, min_centralizer_orders
 from .qcount import (
     GLOrderTable,
     PrimePower,
-    complement_rows,
     diagonalizable_counts,
     gaussian_rows,
     gl_order,
-    involution_count_char2,
+    involution_counts_char2,
     linear_derangement_counts,
+    projection_counts,
     q_factorials,
     q_stirling_rows,
     rank_rows,
@@ -49,13 +48,13 @@ class UnsupportedSequence(ValueError):
 # --max-n 57` and `table qstirling_row --q 2 --max-n 34`.  At its largest
 # admitted n, at q = 2 and at q = 1000003, each route takes at most 0.16 s
 # of process time in a fresh process (2-core Xeon host, three runs each):
-# separable_classes 0.15 s to n = 12599 and 0.05 s to 1709, the
-# characteristic-two involutions 0.11 s, rank_row 0.09 and 0.06 s, and
-# all, invertible, nilpotent, qfactorial, lin_derangement, qbinom_row and
-# subspaces_total 0.005-0.05 s; the int join and sum routes, projection,
-# diagonalizable, qbell and qstirling_row, take 0.004-0.07 s.  The
-# exponents and the bound are kept only so that the admitted requests stay
-# the same.
+# separable_classes 0.15 s to n = 12599 and 0.05 s to 1709, rank_row
+# 0.05 s at both, the characteristic-two involutions 0.01 s (q = 2 and
+# 1048576), and all, invertible, nilpotent, qfactorial, lin_derangement,
+# qbinom_row, subspaces_total and projection 0.004-0.05 s; the int join
+# and sum routes, diagonalizable, qbell and qstirling_row, take
+# 0.004-0.07 s.  The exponents and the bound are kept only so that the
+# admitted requests stay the same.
 MAX_FORMULA_WORK = 2 * 10**12
 
 
@@ -140,7 +139,7 @@ def _power_identity(r: _Run):
         return gf_counts("power_identity", r.q, r.max_n, r.k).__getitem__
     if r.k == 2 and pp.p == 2:
         _check_formula_work(r.q, r.max_n, 6)
-        return partial(involution_count_char2, r.q)
+        return involution_counts_char2(r.q, r.max_n, r.one).__getitem__
     raise UnsupportedSequence(
         f"no route for A^{r.k} = I over F_{r.q}: the characteristic divides k"
     )
@@ -185,14 +184,16 @@ class _Seq:
     Every route maps a request (_Run) to its value function: a function
     of n for a scalar, of (n, k) for a triangle, whose row n runs over k
     from first_col to n and is zero beyond.  The routes that print every
-    value their table or running product computes build it from r.one;
-    the join and sum routes, where Decimal arithmetic is slower than int,
-    and the series routes give ints.  A triangle is read by rows,
-    or by one column k; a scalar takes k only when it needs one.  Routes
-    call module functions by name at call time, so a wrapper installed on
-    a module attribute is the one called.  A closed-form route names its
-    work exponent for _check_formula_work; the series and knapsack routes
-    (None) guard themselves.
+    value their table, recurrence or running product computes build it
+    from r.one, projection and the characteristic-two involutions among
+    them; the join and sum routes (diagonalizable, qbell, qstirling_row),
+    where Decimal arithmetic is slower than int, and the series routes
+    give ints.  A triangle is read by rows, or by one column k; a scalar
+    takes k only when it needs one.  Routes call module functions by name
+    at call time, so a wrapper installed on a module attribute is the one
+    called.  A closed-form route names its work exponent for
+    _check_formula_work; the series and knapsack routes (None) guard
+    themselves.
     """
 
     start: int
@@ -238,7 +239,7 @@ _REGISTRY = {
     "diagonalizable": _Seq(0, lambda r: diagonalizable_counts(r.q, r.max_n).__getitem__, work=7),
     "projection": _Seq(
         0,
-        lambda r: [sum(row) for row in complement_rows(r.q, r.max_n)].__getitem__,
+        lambda r: projection_counts(r.q, r.max_n, r.one).__getitem__,
         _oeis({3: "A053846"}),
         work=6,
     ),

@@ -335,9 +335,10 @@ def cross_route_checks() -> Comparisons:
         )
 
     # the recurrence tables against the product cells and group orders: the
-    # q-Pascal rows, the rank rows built a row and a column at a time, the
-    # Galois-number totals and the complement rows, each against a formula
-    # it does not read
+    # q-Pascal rows, the rank rows built by their row ratios, the
+    # Galois-number totals, the complement rows and the projection counts
+    # by their q-difference recurrence, each against a formula it does not
+    # read
     for q in (2, 3, 4, 5):
         ns = range(17)
         cells = [[gaussian_binomial(q, n, k) for k in range(n + 1)] for n in ns]
@@ -350,7 +351,22 @@ def cross_route_checks() -> Comparisons:
             yield f"{label} q={q}", sequence_values(make_spec(name, q, min_n=0, max_n=16)), want
         gl = [gl_order(q, n) for n in ns]
         want = [[gl[m] // (gl[a] * gl[m - a]) for a in range(m + 1)] for m in ns]
-        yield f"complement rows vs group orders q={q}", complement_rows(q, 16), want
+        rows = complement_rows(q, 16)
+        yield f"complement rows vs group orders q={q}", rows, want
+        yield (
+            f"projection recurrence vs complement sums q={q}",
+            sequence_values(make_spec("projection", q, min_n=0, max_n=16)),
+            [sum(row) for row in rows],
+        )
+
+    # the characteristic-two involutions, each row summed from its class
+    # sizes by their ratios, against the class sizes from group orders
+    for q in (2, 4):
+        yield (
+            f"char-2 involutions: term ratios vs class sizes q={q}",
+            sequence_values(make_spec("power_identity", q, k=2, min_n=0, max_n=16)),
+            [involution_count_char2(q, n) for n in range(17)],
+        )
 
     for q in (2, 3, 4, 5):
         yield (

@@ -151,10 +151,10 @@ def test_criterion_6_convergence_trends_within_tolerance():
 
 
 # SHA-256 of every "suite: name" line run_suites gives on the standard
-# sweeps, in order, recorded when the series kinds' second route became
-# their class types and the oracle gained the class-size multisets.  A
+# sweeps, in order, recorded when the projection recurrence and the
+# characteristic-two involution ratios gained their cross-route checks.  A
 # check dropped, renamed or moved changes it.
-CHECK_LIST_SHA256 = "d1fb927d92e8ad33d5423c3d4268b860004b04f3b1f58eab7a315d0be6f18d78"
+CHECK_LIST_SHA256 = "d6af719409deb0b2857e57ce58325383319a295e50445d3d45018dfb67c6c2f8"
 
 
 def test_full_suite_summary(sweeps):
@@ -167,7 +167,7 @@ def test_full_suite_summary(sweeps):
     print(f"full verification: {len(results) - len(bad)}/{len(results)} checks passed")
     assert not bad
     assert hasattr(verify, "run_all")
-    assert len(results) == 652
+    assert len(results) == 658
     listing = "\n".join(f"{r.suite}: {r.name}" for r in results)
     assert hashlib.sha256(listing.encode()).hexdigest() == CHECK_LIST_SHA256
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

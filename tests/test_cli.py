@@ -494,6 +494,10 @@ EDGE_DIGESTS = [
     ("seq subspaces_total --q 2 --max-n 112", "91c533fa4e3bb86af2d0c5c06c4648e19ffc9e4ca9a0999f9f166f0bc5b5eb9d"),
     ("table qbinom_row --q 2 --max-n 112", "d272dac602247fce9dcbfe6ada4cc6a2228939067a7be33f22674539f863573f"),
     ("table rank_row --q 2 --max-n 112", "c23ab5a804b679064255d267929ff39ff8c93d327b97ca1a2d42d3797e27263b"),
+    ("seq projection --q 2 --max-n 112", "a119f5c98dbcf9dcf291a1e4d238af9e3ebeb69302f9c572c69293c3e8e34c83"),
+    ("seq projection --q 1000003 --max-n 41", "35351100d80432e26e253c18fb9785eab01d1078dd18e5604154835c6cd490cd"),
+    ("seq power_identity --q 2 --k 2 --max-n 112", "ec31746c14ea32f74b8f4f2854fd53482e5daf16f00a3ba3fdea03fae8cec067"),
+    ("seq power_identity --q 1048576 --k 2 --max-n 41", "b392187980d5d68a3c324c4d19cca83b65dd8568735b3933630295c79de3b397"),
 ]
 
 

@@ -22,11 +22,13 @@ from qmcount.qcount import (
     gl_order,
     gl_order_factored,
     involution_count_char2,
+    involution_counts_char2,
     linear_derangement_count,
     linear_derangement_counts,
     linear_derangement_reduced,
     nilpotent_count,
     projection_count,
+    projection_counts,
     q_bell,
     q_factorial,
     q_factorials,
@@ -233,7 +235,7 @@ def test_rank_count_matches_the_product_quotient(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 1000003])
 def test_q_pascal_rows_match_the_cells_and_group_orders(q):
     # each recurrence table against its closed form, at N = 0, 1 and its top
-    N = 30 if q < 10 else 8
+    N = 40 if q < 10 else 8
     gl = [gl_order(q, n) for n in range(N + 1)]
     cells = [[gaussian_binomial(q, n, k) for k in range(n + 1)] for n in range(N + 1)]
     wants = {
@@ -244,6 +246,7 @@ def test_q_pascal_rows_match_the_cells_and_group_orders(q):
         rank_rows: [[rank_count(q, n, n, k) for k in range(n + 1)] for n in range(N + 1)],
         subspace_totals: [sum(row) for row in cells],
     }
+    wants[projection_counts] = [sum(row) for row in wants[complement_rows]]
     for table, want in wants.items():
         for M in (0, 1, N):
             assert table(q, M) == want[: M + 1], (table.__name__, M)
@@ -280,10 +283,12 @@ def test_tables_built_from_a_decimal_one_are_the_int_tables():
         lambda q, N, one: [separable_class_counts(q, N, one)],
         lambda q, N, one: [linear_derangement_counts(q, N, one)],
         lambda q, N, one: [[GLOrderTable(q, one).value(n) for n in range(N + 1)]],
+        lambda q, N, one: [projection_counts(q, N, one)],
     ]
+    char2 = [lambda q, N, one: [involution_counts_char2(q, N, one)]]
     with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
-        for q, N in ((2, 40), (9, 20), (1000003, 8)):
-            for build in builds:
+        for q, N in ((2, 40), (4, 20), (9, 20), (1000003, 8), (1 << 20, 8)):
+            for build in builds + (char2 if q % 2 == 0 else []):
                 ints, decimals = build(q, N, 1), build(q, N, Decimal(1))
                 assert decimals == ints
                 assert all(type(v) is Decimal for row in decimals for v in row)
@@ -363,6 +368,12 @@ def test_involution_count_char2():
         involution_count_char2(3, 2)
     with pytest.raises(CharNotTwo):
         involution_count_char2(9, 2)
+    # the rows summed by term ratios against the class-size sums
+    for q, N in ((2, 40), (4, 40), (8, 40), (1 << 20, 8)):
+        want = [involution_count_char2(q, n) for n in range(N + 1)]
+        assert involution_counts_char2(q, N) == want
+    with pytest.raises(CharNotTwo):
+        involution_counts_char2(3, 2)
 
 
 def test_nilpotent_count():

@@ -241,23 +241,25 @@ TABLE_ROUTES = {
     "rank_row": ("rank_rows", (3, 9, 1)),
     "qstirling_row": ("q_stirling_rows", (3, 9)),
     "subspaces_total": ("subspace_totals", (3, 9, 1)),
-    "projection": ("complement_rows", (3, 9)),
+    "projection": ("projection_counts", (3, 9, 1)),
     "qfactorial": ("q_factorials", (3, 9, 1)),
     "lin_derangement": ("linear_derangement_counts", (3, 9, 1)),
     "all": ("square_powers", (3, 9, 0, 1)),
     "nilpotent": ("square_powers", (3, 9, -1, 1)),
     "separable_classes": ("separable_class_counts", (3, 9, 1)),
     "invertible": ("GLOrderTable", (3, 1)),
+    "power_identity": ("involution_counts_char2", (4, 9, 1)),
 }
 
 
 @pytest.mark.parametrize("name", TABLE_ROUTES)
 def test_table_routes_build_one_table_per_request(monkeypatch, name):
     """A route looks its table function up at call time and builds it once,
-    whether it serves rows, a column or a scalar run."""
+    whether it serves rows, a column or a scalar run; the table's first
+    argument is the request's q."""
     attr, args = TABLE_ROUTES[name]
-    ks = (None, 2) if name in TRIANGLE_NAMES else (None,)
-    specs = [make_spec(name, 3, k=k, max_n=9) for k in ks]
+    ks = (None, 2) if name in TRIANGLE_NAMES else (2,) if name == "power_identity" else (None,)
+    specs = [make_spec(name, args[0], k=k, max_n=9) for k in ks]
     wants = [sequence_values(spec) for spec in specs]
     table = getattr(sequences, attr)
     calls = []
