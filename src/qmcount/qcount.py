@@ -12,14 +12,20 @@ totals as Galois numbers (subspace_totals) and the projection counts by
 their q-difference recurrence (projection_counts).  The rank triangle
 (rank_rows) and the characteristic-two involutions
 (involution_counts_char2) run along each row by the ratio of neighbouring
-terms, one product and one exact division a term.  The scalar runs are
-running products: |GL_n| (GLOrderTable; gl_order_factored is the check),
-the q-factorials (q_factorials), q^(n^2 + shift n) (square_powers), the
-separable class counts and the linear derangements.  gaussian_binomial,
-rank_count, q_factorial, nilpotent_count, separable_class_count,
-projection_count (the complement-row sum) and involution_count_char2 are
-the per-value checks.  join, shared with classtypes, joins counts across
-splittings.
+terms, one product and one exact division a term.  The splitting counts
+come from e(u) = sum_m u^m / |GL_m|: the diagonalizable counts, the
+ordered splittings into q eigenspaces, by the power recurrence of e^q
+(diagonalizable_counts), and the q-Stirling triangle, the unordered
+splittings, a column at a time from the one before over the complement
+counts (q_stirling_rows), whose row sums are the q-Bell numbers.  The
+scalar runs are running products: |GL_n| (GLOrderTable;
+gl_order_factored is the check), the q-factorials (q_factorials),
+q^(n^2 + shift n) (square_powers), the separable class counts and the
+linear derangements.  gaussian_binomial, rank_count, q_factorial,
+nilpotent_count, separable_class_count, projection_count (the
+complement-row sum), involution_count_char2, and diagonalizable_count and
+q_stirling (by the splitting joins) are the per-value checks.  join,
+shared with classtypes, joins counts across splittings.
 
 The tables and runs that a printed sequence reads are generic over the
 number type: they build every value from a given `one` (the int 1 by
@@ -33,6 +39,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb, factorial, prod
+from operator import mul
 
 
 class CharNotTwo(ValueError):
@@ -102,8 +109,11 @@ class PrimePower:
     def of(cls, q: int) -> PrimePower:
         if q < 2:
             raise ValueError(f"field size must be at least 2, got {q}")
-        # q is a prime power for at most one e: the one whose root is prime
-        for e in range(q.bit_length(), 0, -1):
+        # q is a prime power for at most one e: the one whose root is prime.
+        # A prime q, the common case, takes one test and no roots.
+        if is_prime(q):
+            return cls(q, 1, q)
+        for e in range(q.bit_length(), 1, -1):
             p = _int_root(q, e)
             if p > 1 and p**e == q and is_prime(p):
                 return cls(p, e, q)
@@ -326,13 +336,28 @@ def q_stirling_rows(q: int, N: int) -> list[list[int]]:
     """Rows n = 0 .. N of the splitting triangle, row n = [S(n, 0), ..., S(n, n)].
 
     S(n, k) = q_stirling(q, n, k), except that S(0, 0) = 1 counts the empty
-    splitting of the zero space; all rows come from one splitting table.
+    splitting of the zero space.  Column k comes from column k - 1 by
+
+        S(m, k) = (1/k) sum_(b=k-1..m-1) C(m, b) S(b, k - 1),
+
+    C = complement_rows, one sum of products and one exact division a
+    cell.  Proof: the ordered splittings into k nonzero parts, k! S(m, k)
+    of them, are a last part U' of dimension m - b >= 1 with a complement
+    U of dimension b, C(m, b) pairs (U, U') in all, and an ordered
+    splitting of U into k - 1 nonzero parts, (k - 1)! S(b, k - 1) of them.
     """
-    table = _ordered_splittings(q, N, N)
-    return [
-        [exact_div(table[k][n], factorial(k)) for k in range(n + 1)]
-        for n in range(N + 1)
-    ]
+    rows = complement_rows(q, N)
+    cols = [[1] + [0] * N]  # S(m, 0): only the empty splitting of the zero space
+    for k in range(1, N + 1):
+        prev = cols[-1]
+        cols.append(
+            [0] * k
+            + [
+                exact_div(sum(map(mul, rows[m][k - 1 : m], prev[k - 1 : m])), k)
+                for m in range(k, N + 1)
+            ]
+        )
+    return [[col[n] for col in cols[: n + 1]] for n in range(N + 1)]
 
 
 def q_bell(q: int, n: int) -> int:
@@ -383,21 +408,62 @@ def projection_counts(q: int, N: int, one=1) -> list:
 
 
 def diagonalizable_counts(q: int, N: int) -> list[int]:
-    """Numbers of diagonalizable n x n matrices over F_q, for n = 0 .. N.
+    """[D_0, ..., D_N], D_n the number of diagonalizable n x n matrices over
+    F_q, by D_0 = 1 and, for n >= 1,
 
-    A diagonalizable matrix is an ordered splitting of F_q^n into its
-    eigenspaces, one per field element.  Choosing which j of the q
-    eigenvalues occur leaves an ordered splitting into j nonzero parts.
+        n D_n = sum_(j=0..n-1) (q (n-j) - j) q^(j(n-j)) [n, j]_q D_j,
+
+    one exact division by n a value.
+
+    Proof.  A diagonalizable matrix is an ordered splitting of F_q^n into
+    its eigenspaces, one per field element, zero spaces allowed, and a
+    splitting with dimensions (n_1, ..., n_q) is counted |GL_n| / prod
+    |GL_(n_i)| times.  So with e(u) = sum_m u^m / |GL_m|, the series
+    F(u) = sum_n f_n u^n, f_n = D_n / |GL_n|, is e^q.  Then
+    F' = q e^(q-1) e', so e F' = q e' F.  The u^(n-1) coefficients of the
+    two sides are sum_(k=0..n-1) (n - k) f_(n-k) / |GL_k| and
+    q sum_(k=1..n) k f_(n-k) / |GL_k|.  Moving the terms k >= 1 of the
+    left to the right leaves
+    n f_n = sum_(k=1..n) ((q + 1) k - n) f_(n-k) / |GL_k|.  Times |GL_n|,
+    with |GL_n| / (|GL_k| |GL_(n-k)|) = q^(k(n-k)) [n, k]_q and j = n - k,
+    it is the recurrence.
+
+    Each step carries T_j = [n, j]_q D_j from n - 1 to n by
+    [n, j]_q = [n-1, j]_q (q^n - 1) / (q^(n-j) - 1), a division exact
+    because its quotient is the integer T_j; the new term j = n - 1
+    enters as [n-1, n-1]_q D_(n-1) = D_(n-1) before its ratio.
+    The exponents j(n - j) rise by n - 2j + 1 up to j = n // 2 and fall
+    after it, so q^(j(n-j)) is applied by two Horner runs out of the
+    middle, each step a product with a power of q.  A big number is only
+    ever multiplied by a power of q, q^n - 1 or an int below (q + 1) n.
+    diagonalizable_count is the check, by the splitting joins.
     """
-    table = _ordered_splittings(q, N, min(N, q))
-    return [
-        sum(comb(q, j) * row[n] for j, row in enumerate(table)) for n in range(N + 1)
-    ]
+    pw = _powers(q, N)
+    less = [p - 1 for p in pw]  # q^i - 1
+    counts, carried = [1], []
+    for n in range(1, N + 1):
+        carried.append(counts[-1])
+        top = less[n]
+        carried = [t * top // less[n - j] for j, t in enumerate(carried)]
+        mid = n // 2
+        left = (q * (n - mid) - mid) * carried[mid]
+        for j in range(mid - 1, -1, -1):  # exponents j(n - j) falling to 0
+            left = left * pw[n - 2 * j - 1] + (q * (n - j) - j) * carried[j]
+        right = 0
+        for j in range(mid + 1, n):  # exponents falling to n - 1
+            right = right * pw[2 * j - n - 1] + (q * (n - j) - j) * carried[j]
+        counts.append(exact_div(left + right * pw[n - 1], n))
+    return counts
 
 
 def diagonalizable_count(q: int, n: int) -> int:
-    """Number of diagonalizable n x n matrices over F_q."""
-    return diagonalizable_counts(q, n)[n]
+    """Number of diagonalizable n x n matrices over F_q.
+
+    Choosing which j of the q eigenvalues occur leaves an ordered
+    splitting of F_q^n into j nonzero eigenspaces.
+    """
+    table = _ordered_splittings(q, n, min(n, q))
+    return sum(comb(q, j) * row[n] for j, row in enumerate(table))
 
 
 def involution_count_char2(q: int, n: int) -> int:

@@ -51,10 +51,10 @@ class UnsupportedSequence(ValueError):
 # separable_classes 0.15 s to n = 12599 and 0.05 s to 1709, rank_row
 # 0.05 s at both, the characteristic-two involutions 0.01 s (q = 2 and
 # 1048576), and all, invertible, nilpotent, qfactorial, lin_derangement,
-# qbinom_row, subspaces_total and projection 0.004-0.05 s; the int join
-# and sum routes, diagonalizable, qbell and qstirling_row, take
-# 0.004-0.07 s.  The exponents and the bound are kept only so that the
-# admitted requests stay the same.
+# qbinom_row, subspaces_total and projection 0.004-0.05 s; the splitting
+# routes, on ints, diagonalizable 0.004-0.008 s, qstirling_row 0.008-0.01 s
+# and qbell, which sums the q-Stirling rows, 0.02-0.06 s.  The exponents
+# and the bound are kept only so that the admitted requests stay the same.
 MAX_FORMULA_WORK = 2 * 10**12
 
 
@@ -186,14 +186,15 @@ class _Seq:
     from first_col to n and is zero beyond.  The routes that print every
     value their table, recurrence or running product computes build it
     from r.one, projection and the characteristic-two involutions among
-    them; the join and sum routes (diagonalizable, qbell, qstirling_row),
-    where Decimal arithmetic is slower than int, and the series routes
-    give ints.  A triangle is read by rows, or by one column k; a scalar
-    takes k only when it needs one.  Routes call module functions by name
-    at call time, so a wrapper installed on a module attribute is the one
-    called.  A closed-form route names its work exponent for
-    _check_formula_work; the series and knapsack routes (None) guard
-    themselves.
+    them; the splitting routes (diagonalizable by the power recurrence
+    of e(u)^q, qstirling_row by the unordered splitting step, qbell by its
+    row sums), whose recurrences run slower on Decimals than on ints, and
+    the series routes give ints.  A triangle is read by rows, or by one
+    column k; a scalar takes k only when it needs one.  Routes call module
+    functions by name at call time, so a wrapper installed on a module
+    attribute is the one called.  A closed-form route names its work
+    exponent for _check_formula_work; the series and knapsack routes
+    (None) guard themselves.
     """
 
     start: int

@@ -368,6 +368,29 @@ def cross_route_checks() -> Comparisons:
             [involution_count_char2(q, n) for n in range(17)],
         )
 
+    # the splitting counts by their recurrences against the splitting
+    # joins: the diagonalizable counts by the power recurrence of e^q, over
+    # fields smaller and larger than the dimension, and the q-Stirling rows
+    # by the unordered splitting step, with their q-Bell sums
+    for q in (2, 3, 4, 5, 9, 17):
+        yield (
+            f"diagonalizable: power recurrence vs splitting joins q={q}",
+            sequence_values(make_spec("diagonalizable", q, min_n=0, max_n=16)),
+            [diagonalizable_count(q, n) for n in range(17)],
+        )
+    for q in (2, 3, 4, 5):
+        joins = [[q_stirling(q, n, k) for k in range(1, n + 1)] for n in range(1, 13)]
+        yield (
+            f"q-Stirling rows: unordered step vs splitting joins q={q}",
+            sequence_values(make_spec("qstirling_row", q, min_n=1, max_n=12)),
+            joins,
+        )
+        yield (
+            f"q-Bell: row sums vs splitting joins q={q}",
+            sequence_values(make_spec("qbell", q, min_n=1, max_n=12)),
+            [sum(row) for row in joins],
+        )
+
     for q in (2, 3, 4, 5):
         yield (
             f"invertible order factored form q={q}",

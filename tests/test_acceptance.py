@@ -151,10 +151,10 @@ def test_criterion_6_convergence_trends_within_tolerance():
 
 
 # SHA-256 of every "suite: name" line run_suites gives on the standard
-# sweeps, in order, recorded when the projection recurrence and the
-# characteristic-two involution ratios gained their cross-route checks.  A
-# check dropped, renamed or moved changes it.
-CHECK_LIST_SHA256 = "d6af719409deb0b2857e57ce58325383319a295e50445d3d45018dfb67c6c2f8"
+# sweeps, in order, recorded when the diagonalizable power recurrence and
+# the q-Stirling splitting step gained their checks against the splitting
+# joins.  A check dropped, renamed or moved changes it.
+CHECK_LIST_SHA256 = "e8372e9c62ad7a7c22d52f2c94c147117752284aeade819ebc3b4239f03997c9"
 
 
 def test_full_suite_summary(sweeps):
@@ -167,7 +167,7 @@ def test_full_suite_summary(sweeps):
     print(f"full verification: {len(results) - len(bad)}/{len(results)} checks passed")
     assert not bad
     assert hasattr(verify, "run_all")
-    assert len(results) == 658
+    assert len(results) == 672
     listing = "\n".join(f"{r.suite}: {r.name}" for r in results)
     assert hashlib.sha256(listing.encode()).hexdigest() == CHECK_LIST_SHA256
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

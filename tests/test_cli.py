@@ -480,8 +480,10 @@ def test_every_printed_value_is_the_text_of_its_int(capsys, name):
         assert tokens == [_decimal(v) for v in values], argv
 
 
-# SHA-256 of the plain output at the largest n each Decimal route admits,
-# recorded from the same routes computed and printed as ints
+# SHA-256 of the plain output at the largest n a closed-form route admits:
+# the Decimal routes' recorded from the same routes computed and printed as
+# ints, the diagonalizable, qbell and qstirling_row routes' from the
+# splitting joins they read before their recurrences
 EDGE_DIGESTS = [
     ("seq all --q 2 --max-n 288", "7c3e8e2cd81035186bf7a9487a818935b162bb97299e6dbfcace152acb20ecac"),
     ("seq invertible --q 2 --max-n 288", "0d15bd7c279d97625eced93a9f7229d00a0e47c590342381ab84b50fe1b463d0"),
@@ -498,6 +500,12 @@ EDGE_DIGESTS = [
     ("seq projection --q 1000003 --max-n 41", "35351100d80432e26e253c18fb9785eab01d1078dd18e5604154835c6cd490cd"),
     ("seq power_identity --q 2 --k 2 --max-n 112", "ec31746c14ea32f74b8f4f2854fd53482e5daf16f00a3ba3fdea03fae8cec067"),
     ("seq power_identity --q 1048576 --k 2 --max-n 41", "b392187980d5d68a3c324c4d19cca83b65dd8568735b3933630295c79de3b397"),
+    ("seq diagonalizable --q 2 --max-n 57", "80fbc4c62cd53fa07f92a6eafc336c752058937b8e979320c3f28ed20d19b330"),
+    ("seq diagonalizable --q 1000003 --max-n 24", "2f1e9f1a3baf099992a75949385b1eb9af9756153edda85d114952b7bd83f84b"),
+    ("seq qbell --q 2 --max-n 57", "052516094616339752ad6fc971fa87c27d65ac874b869dd4c78b1ded7531e6b8"),
+    ("seq qbell --q 1000003 --max-n 24", "e91815c329b555f19e2e8a1f040157c7abeac995e2e20f00ac30dbf7f0d96a9f"),
+    ("table qstirling_row --q 2 --max-n 34", "438d397241f559e788741f4e797e9bc1a3b1d6e8ea334d3a2a2243c3d7d531d9"),
+    ("table qstirling_row --q 1000003 --max-n 16", "14ce75cb8ec8d3eb7a313364903f3a86e52b538c9630c2715a76d63e7d487071"),
 ]
 
 

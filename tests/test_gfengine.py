@@ -921,6 +921,34 @@ def test_limit_guard_refuses_one_past_its_edge_before_any_work(monkeypatch):
         limit_eval("invertible", 2**61 - 1, 50)
 
 
+def test_limit_eval_starts_at_the_least_sufficient_depth(monkeypatch):
+    # R, by a plain loop, is the first depth whose product-form tail
+    # m q / ((q - 1) q^R) is below 10^-(digits+2), at least 5 for cyclic;
+    # the series starts at the least K with K(3K - 1)/2 >= R
+    starts = []
+
+    def record(bracket, depth, digits):
+        starts.append(depth)
+        return (1, 2), (1, 2)
+
+    monkeypatch.setattr(gfengine, "_resolve_digits", record)
+    for kind in LIMIT_KINDS:
+        for q in (2, 3, 4, 5, 7, 9, 16, 1009, 4096):
+            mult = q - 1 if kind == "projective_frac" else 1
+            for digits in range(1, 51):
+                M = mult * q * 10 ** (digits + 2) // (q - 1)
+                R = 1
+                while q**R <= M:
+                    R += 1
+                if kind == "cyclic":
+                    R = max(R, 5)
+                K = 1
+                while K * (3 * K - 1) // 2 < R:
+                    K += 1
+                limit_eval(kind, q, digits)
+                assert starts.pop() == K, (kind, q, digits)
+
+
 def test_limit_eval_validation():
     assert set(LIMIT_KINDS) == {
         "invertible",

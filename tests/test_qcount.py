@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -67,22 +67,54 @@ def test_prime_power_rejects_other_integers():
         (999999999989, (999999999989, 1)),
         (2**100, (2, 100)),
         (3**40, (3, 40)),
-        (561, None),  # a Carmichael number
-        (2305843009213693951 * 3, None),
-        (1, None),
-        (2**89 - 1, None),  # prime, but beyond the proven range of the test
+        (1000003**3, (1000003, 3)),
+        (561, "a prime power"),  # a Carmichael number
+        (2305843009213693951 * 3, "a prime power"),
+        (2**61 * 3, "a prime power"),
+        (1, "at least 2"),
+        (2**89 - 1, "proven range"),  # prime, but beyond the proven range of the test
+        ((2**89 - 1) ** 2, "proven range"),  # the square of that prime
     ],
-    ids=["2^61-1", "999999999989", "2^100", "3^40", "561", "3(2^61-1)", "1", "2^89-1"],
+    ids=[
+        "2^61-1", "999999999989", "2^100", "3^40", "1000003^3", "561", "3(2^61-1)",
+        "3*2^61", "1", "2^89-1", "(2^89-1)^2",
+    ],
 )
 def test_prime_power_large_inputs(q, expected):
     t0 = time.perf_counter()
-    if expected is None:
-        with pytest.raises(ValueError):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
             PrimePower.of(q)
     else:
         pp = PrimePower.of(q)
         assert (pp.p, pp.e, pp.q) == (*expected, q)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_prime_power_matches_a_sieve_to_2_16():
+    # the smallest prime factor of every m <= 2^16, by a sieve
+    top = 2**16
+    least = list(range(top + 1))
+    for p in range(2, isqrt(top) + 1):
+        if least[p] == p:
+            for m in range(p * p, top + 1, p):
+                if least[m] == m:
+                    least[m] = p
+    for q in range(2, top + 1):
+        p, rest, e = least[q], q, 0
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        try:
+            got = PrimePower.of(q)
+        except ValueError as exc:
+            got = str(exc)
+        if rest == 1:
+            assert got == PrimePower(p, e, q), q
+        else:
+            assert got == f"field size must be a prime power, got {q}", q
+    for q in (0, 1, -4):
+        with pytest.raises(ValueError, match=f"^field size must be at least 2, got {q}$"):
+            PrimePower.of(q)
 
 
 def test_exact_div():
@@ -332,6 +364,17 @@ def test_one_splitting_table_serves_every_n():
     assert diagonalizable_counts(3, 0) == [1]
     with pytest.raises(ValueError):
         q_stirling_rows(2, -1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 1000003])
+def test_splitting_recurrences_match_the_splitting_joins(q):
+    # fields smaller and larger than the dimension: the power recurrence
+    # of e(u)^q against the joins over the eigenvalues that occur, and the
+    # unordered splitting step against the ordered splittings over k!
+    assert diagonalizable_counts(q, 14) == [diagonalizable_count(q, n) for n in range(15)]
+    rows = q_stirling_rows(q, 11)
+    assert rows[0] == [1]
+    assert rows[1:] == [[q_stirling(q, n, k) for k in range(n + 1)] for n in range(1, 12)]
 
 
 def test_projection_count():
