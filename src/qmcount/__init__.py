@@ -23,9 +23,9 @@ _EXPORTS = {
         "irreducible_poly_count", "moebius", "multiplicative_order", "squarefree_test",
     ),
     "gfengine": (
-        "BadKindParams", "CostExceeded", "GF_KINDS", "LIMIT_KINDS", "NonIntegralCount",
-        "centralizer_order", "euler_rule", "extract_count", "gf_build", "gf_counts",
-        "limit_eval", "partitions_of", "q_stirling_via_gf",
+        "BadKindParams", "CostExceeded", "GF_KINDS", "LIMIT_KINDS", "centralizer_order",
+        "euler_rule", "extract_count", "gf_build", "gf_counts", "limit_eval", "partitions_of",
+        "q_stirling_via_gf",
     ),
     "oracle": (
         "BudgetExceeded", "FqMatrix", "char_poly", "classify", "count_matching",
@@ -33,10 +33,11 @@ _EXPORTS = {
         "sweep_counts",
     ),
     "qcount": (
-        "CharNotTwo", "PrimePower", "diagonalizable_count", "gaussian_binomial", "gl_order",
-        "involution_count_char2", "linear_derangement_count", "linear_derangement_reduced",
-        "nilpotent_count", "projection_count", "q_bell", "q_factorial", "q_int",
-        "q_multinomial", "q_stirling", "rank_count", "separable_class_count", "subspace_total",
+        "CharNotTwo", "NonIntegralCount", "PrimePower", "diagonalizable_count",
+        "gaussian_binomial", "gl_order", "involution_count_char2", "linear_derangement_count",
+        "linear_derangement_reduced", "nilpotent_count", "projection_count", "q_bell",
+        "q_factorial", "q_int", "q_multinomial", "q_stirling", "rank_count",
+        "separable_class_count", "subspace_total",
     ),
     "sequences": (
         "SEQUENCE_NAMES", "SequenceSpec", "UnsupportedSequence", "emit_bfile", "emit_json",

@@ -27,9 +27,10 @@ recurred from that alone (_unit_log).  Multiplying two scaled series
 weighs each pair of terms by W(n, k) = S_n / (S_k S_(n-k)), a Gaussian
 binomial (times q^(k(n-k)) for |GL_n|); the unit log and the exp never
 form it.  They carry each term's Gaussian binomial from n - 1 to n by an
-exact ratio of small integers (_carry), at both scales, and for |GL_n|
-put the q^(k(n-k)) into each sum by two Horner runs whose steps
-multiply by small powers of q (_weighted_sum).  gf_counts reads the counts off
+exact ratio of small integers, at both scales, and for |GL_n| put the
+q^(k(n-k)) into each sum by two Horner runs whose steps multiply by small
+powers of q: the kernel _carry and _weighted_sum of qcount, which
+diagonalizable_counts reads too.  gf_counts reads the counts off
 those integers; gf_build divides them by S_n once and hands the series
 back as an exact_series.TruncSeries.  verify and the tests check every
 kind against the classtypes module, which sums the conjugacy classes
@@ -50,16 +51,12 @@ from math import factorial, gcd, isqrt, log2
 from typing import NamedTuple
 
 from .ffpoly import divisors, irreducible_poly_count, moebius
-from .qcount import PrimePower, gl_order
+from .qcount import NonIntegralCount, PrimePower, _carry, _weighted_sum, gl_order
 from .exact_series import TruncSeries
 
 
 class BadKindParams(ValueError):
     """Unknown generating function tag, or parameters that do not fit it."""
-
-
-class NonIntegralCount(ArithmeticError):
-    """A coefficient that must be a count failed to be a non-negative integer."""
 
 
 class CostExceeded(ValueError):
@@ -287,55 +284,6 @@ def _scales(q: int, order: int, gl: bool) -> list[int]:
     for n in range(1, order + 1):
         scales.append(scales[-1] * _step(q, n, gl))
     return scales
-
-
-def _carry(terms: list[int], pw: list[int], n: int) -> None:
-    """Move terms[k] = [n-1, k]_q X_k on to [n, k]_q X_k in place, for
-    k = 1 .. n-1; pw[i] is q^i.
-
-    W(n, k) = S_n / (S_k S_(n-k)) multiplies two scaled coefficients into
-    the scaled coefficient of their product (S_n as in _scales): the
-    Gaussian binomial [n, k]_q for D_n, times q^(k(n-k)) for |GL_n|.  Only
-    the Gaussian binomial is carried, at both scales; _weighted_sum puts
-    in |GL_n|'s power of q.  From n - 1 to n it grows by the exact ratio
-    (q^n - 1) / (q^(n-k) - 1), so each term costs one product and one
-    division by small integers; an inexact division raises
-    NonIntegralCount.
-    """
-    up = pw[n] - 1
-    for k in range(1, n):
-        t, rem = divmod(terms[k] * up, pw[n - k] - 1)
-        if rem:
-            raise NonIntegralCount(f"a carried weight is not an integer at u^{n}")
-        terms[k] = t
-
-
-def _weighted_sum(terms: list[int], other: list[int], n: int, pw: list[int], gl: bool) -> int:
-    """sum_(k=1..n) q^(k(n-k)) terms[k] other[n-k] when gl, else the plain
-    sum, pw[i] being q^i and terms[k] = [n, k]_q X_k as _carry keeps them,
-    so each term is W(n, k) X_k other[n-k].
-
-    The exponent e(k) = k(n-k) rises to k = n // 2 and falls after it, so
-    two Horner runs apply it with small powers only: from k = n // 2 down
-    to 1, acc q^(e(k+1) - e(k)) + x_k with e(k+1) - e(k) = n - 2k - 1,
-    the result times q^(e(1)) = q^(n-1); and from n // 2 + 1 up to n,
-    acc q^(e(k-1) - e(k)) + x_k with e(k-1) - e(k) = 2k - n - 1, which
-    ends at e(n) = 0.  Each step multiplies by at most q^(n-1), in time
-    linear in acc; each product x_k is formed in the loop.
-    """
-    if not gl:
-        return sum(terms[k] * other[n - k] for k in range(1, n + 1))
-    half = n // 2
-    low = 0
-    if half:
-        low = terms[half] * other[n - half]
-        for k in range(half - 1, 0, -1):
-            low = low * pw[n - 2 * k - 1] + terms[k] * other[n - k]
-        low *= pw[n - 1]
-    high = 0
-    for k in range(half + 1, n + 1):
-        high = high * pw[2 * k - n - 1] + terms[k] * other[n - k]
-    return low + high
 
 
 def _scaled_exp(q: int, log: list[int], gl: bool) -> list[int]:

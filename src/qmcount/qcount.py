@@ -11,20 +11,25 @@ q or a difference of two: the Gaussian binomials by q-Pascal
 totals as Galois numbers (subspace_totals) and the projection counts by
 their q-difference recurrence (projection_counts).  The rank triangle
 (rank_rows) and the characteristic-two involutions
-(involution_counts_char2) run along each row by the ratio of neighbouring
-terms, one product and one exact division a term.  The splitting counts
-come from e(u) = sum_m u^m / |GL_m|: the diagonalizable counts, the
-ordered splittings into q eigenspaces, by the power recurrence of e^q
-(diagonalizable_counts), and the q-Stirling triangle, the unordered
-splittings, a column at a time from the one before over the complement
-counts (q_stirling_rows), whose row sums are the q-Bell numbers.  The
-scalar runs are running products: |GL_n| (GLOrderTable;
+(involution_counts_char2) run along each row by the ratio of
+neighbouring terms, one product and one exact division a term.  The
+splitting counts come from e(u) = sum_m u^m / |GL_m|: the diagonalizable
+counts, the ordered splittings into q eigenspaces, by the power
+recurrence of e^q (diagonalizable_counts), and the q-Stirling triangle,
+the unordered splittings, a column at a time from the one before over
+the complement counts (q_stirling_rows), whose row sums are the q-Bell
+numbers (q_bell, the check of gfengine's bell series, which the qbell
+route reads).  The recurrences of series over |GL_n| share one kernel,
+which carries each Gaussian binomial [n, k]_q by an exact ratio (_carry)
+and weighs a sum by q^(k(n-k)) through Horner runs (_weighted_sum):
+diagonalizable_counts reads it, and so do gfengine's exp and unit log.
+The scalar runs are running products: |GL_n| (GLOrderTable;
 gl_order_factored is the check), the q-factorials (q_factorials),
 q^(n^2 + shift n) (square_powers), the separable class counts and the
 linear derangements.  gaussian_binomial, rank_count, q_factorial,
 nilpotent_count, separable_class_count, projection_count (the
-complement-row sum), involution_count_char2, and diagonalizable_count and
-q_stirling (by the splitting joins) are the per-value checks.  join,
+complement-row sum), involution_count_char2, and diagonalizable_count
+and q_stirling (by the splitting joins) are the per-value checks.  join,
 shared with classtypes, joins counts across splittings.
 
 The tables and runs that a printed sequence reads are generic over the
@@ -44,6 +49,10 @@ from operator import mul
 
 class CharNotTwo(ValueError):
     """The involution sum formula only holds in characteristic two."""
+
+
+class NonIntegralCount(ArithmeticError):
+    """A coefficient that must be a count failed to be a non-negative integer."""
 
 
 def exact_div(a, b):
@@ -211,6 +220,51 @@ def _powers(q: int, N: int, one=1) -> list:
     for _ in range(2 * N):
         pw.append(pw[-1] * q)
     return pw
+
+
+def _carry(terms: list[int], pw: list[int], n: int) -> None:
+    """Move terms[k] = [n-1, k]_q X_k on to [n, k]_q X_k in place, for
+    k = 1 .. n-1; pw[i] is q^i.
+
+    From n - 1 to n the Gaussian binomial grows by the exact ratio
+    (q^n - 1) / (q^(n-k) - 1), so each term costs one product and one
+    division by small integers; an inexact division, which only a pw that
+    is not the powers of q can make, raises NonIntegralCount.  [n, 0]_q = 1
+    is never carried, and a new term X_m enters as [m, m]_q X_m = X_m.
+    """
+    up = pw[n] - 1
+    for k in range(1, n):
+        t, rem = divmod(terms[k] * up, pw[n - k] - 1)
+        if rem:
+            raise NonIntegralCount(f"a carried weight is not an integer at u^{n}")
+        terms[k] = t
+
+
+def _weighted_sum(a: list[int], b: list[int], n: int, pw: list[int], gl: bool) -> int:
+    """sum_(k=1..n) q^(k(n-k)) a[k] b[n-k] when gl, else the plain sum,
+    pw[i] being q^i.
+
+    The exponent e(k) = k(n-k) rises to k = n // 2 and falls after it, so
+    two Horner runs apply it with small powers only: from k = n // 2 down
+    to 1, acc q^(e(k+1) - e(k)) + x_k with e(k+1) - e(k) = n - 2k - 1,
+    the result times q^(e(1)) = q^(n-1); and from n // 2 + 1 up to n,
+    acc q^(e(k-1) - e(k)) + x_k with e(k-1) - e(k) = 2k - n - 1, which
+    ends at e(n) = 0.  Each step multiplies by at most q^(n-1), in time
+    linear in acc; each product x_k = a[k] b[n-k] is formed in the loop.
+    """
+    if not gl:
+        return sum(a[k] * b[n - k] for k in range(1, n + 1))
+    half = n // 2
+    low = 0
+    if half:
+        low = a[half] * b[n - half]
+        for k in range(half - 1, 0, -1):
+            low = low * pw[n - 2 * k - 1] + a[k] * b[n - k]
+        low *= pw[n - 1]
+    high = 0
+    for k in range(half + 1, n + 1):
+        high = high * pw[2 * k - n - 1] + a[k] * b[n - k]
+    return low + high
 
 
 def gaussian_rows(q: int, N: int, one=1) -> list[list]:
@@ -428,31 +482,19 @@ def diagonalizable_counts(q: int, N: int) -> list[int]:
     with |GL_n| / (|GL_k| |GL_(n-k)|) = q^(k(n-k)) [n, k]_q and j = n - k,
     it is the recurrence.
 
-    Each step carries T_j = [n, j]_q D_j from n - 1 to n by
-    [n, j]_q = [n-1, j]_q (q^n - 1) / (q^(n-j) - 1), a division exact
-    because its quotient is the integer T_j; the new term j = n - 1
-    enters as [n-1, n-1]_q D_(n-1) = D_(n-1) before its ratio.
-    The exponents j(n - j) rise by n - 2j + 1 up to j = n // 2 and fall
-    after it, so q^(j(n-j)) is applied by two Horner runs out of the
-    middle, each step a product with a power of q.  A big number is only
-    ever multiplied by a power of q, q^n - 1 or an int below (q + 1) n.
+    Each step carries T_j = [n, j]_q D_j from n - 1 to n, the new term
+    j = n - 1 entering as [n-1, n-1]_q D_(n-1) = D_(n-1), and weighs the sum
+    by q^(j(n-j)) with the series kernel (_carry, _weighted_sum), so a big
+    number only meets small factors and every carried division is checked.
     diagonalizable_count is the check, by the splitting joins.
     """
     pw = _powers(q, N)
-    less = [p - 1 for p in pw]  # q^i - 1
     counts, carried = [1], []
     for n in range(1, N + 1):
         carried.append(counts[-1])
-        top = less[n]
-        carried = [t * top // less[n - j] for j, t in enumerate(carried)]
-        mid = n // 2
-        left = (q * (n - mid) - mid) * carried[mid]
-        for j in range(mid - 1, -1, -1):  # exponents j(n - j) falling to 0
-            left = left * pw[n - 2 * j - 1] + (q * (n - j) - j) * carried[j]
-        right = 0
-        for j in range(mid + 1, n):  # exponents falling to n - 1
-            right = right * pw[2 * j - n - 1] + (q * (n - j) - j) * carried[j]
-        counts.append(exact_div(left + right * pw[n - 1], n))
+        _carry(carried, pw, n)
+        coeffs = [(q + 1) * k - n for k in range(n + 1)]  # meets T_(n-k)
+        counts.append(exact_div(_weighted_sum(coeffs, carried, n, pw, True), n))
     return counts
 
 

@@ -52,9 +52,11 @@ class UnsupportedSequence(ValueError):
 # 0.05 s at both, the characteristic-two involutions 0.01 s (q = 2 and
 # 1048576), and all, invertible, nilpotent, qfactorial, lin_derangement,
 # qbinom_row, subspaces_total and projection 0.004-0.05 s; the splitting
-# routes, on ints, diagonalizable 0.004-0.008 s, qstirling_row 0.008-0.01 s
-# and qbell, which sums the q-Stirling rows, 0.02-0.06 s.  The exponents
-# and the bound are kept only so that the admitted requests stay the same.
+# routes, on ints, diagonalizable 0.004-0.008 s and qstirling_row
+# 0.008-0.01 s; and qbell, which reads the bell series, 0.007-0.009 s, its
+# series guard at most 2% of MAX_SERIES_WORK wherever this bound admits
+# it.  The exponents and the bound are kept only so that the admitted
+# requests stay the same.
 MAX_FORMULA_WORK = 2 * 10**12
 
 
@@ -187,14 +189,14 @@ class _Seq:
     value their table, recurrence or running product computes build it
     from r.one, projection and the characteristic-two involutions among
     them; the splitting routes (diagonalizable by the power recurrence
-    of e(u)^q, qstirling_row by the unordered splitting step, qbell by its
-    row sums), whose recurrences run slower on Decimals than on ints, and
-    the series routes give ints.  A triangle is read by rows, or by one
-    column k; a scalar takes k only when it needs one.  Routes call module
-    functions by name at call time, so a wrapper installed on a module
-    attribute is the one called.  A closed-form route names its work
-    exponent for _check_formula_work; the series and knapsack routes
-    (None) guard themselves.
+    of e(u)^q, qstirling_row by the unordered splitting step), whose
+    recurrences run slower on Decimals than on ints, and the series
+    routes, qbell's the bell series exp(e(u) - 1) among them, give ints.
+    A triangle is read by rows, or by one column k; a scalar takes k only
+    when it needs one.  Routes call module functions by name at call
+    time, so a wrapper installed on a module attribute is the one called.
+    A closed-form route names its work exponent for _check_formula_work;
+    the series and knapsack routes (None) guard themselves, qbell both.
     """
 
     start: int
@@ -221,9 +223,7 @@ _REGISTRY = {
         _oeis({q: f"A{6116 + q - 2:06d}" for q in range(2, 9)}),
         work=6,
     ),
-    "qbell": _Seq(
-        1, lambda r: [sum(row) for row in q_stirling_rows(r.q, r.max_n)].__getitem__, work=7
-    ),
+    "qbell": _Seq(1, _gf("bell"), work=7),
     "qfactorial": _Seq(
         0,
         lambda r: q_factorials(r.q, r.max_n, r.one).__getitem__,

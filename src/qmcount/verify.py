@@ -370,8 +370,9 @@ def cross_route_checks() -> Comparisons:
 
     # the splitting counts by their recurrences against the splitting
     # joins: the diagonalizable counts by the power recurrence of e^q, over
-    # fields smaller and larger than the dimension, and the q-Stirling rows
-    # by the unordered splitting step, with their q-Bell sums
+    # fields smaller and larger than the dimension, the q-Stirling rows
+    # by the unordered splitting step, and the qbell route, the bell
+    # series, against the joins' row sums
     for q in (2, 3, 4, 5, 9, 17):
         yield (
             f"diagonalizable: power recurrence vs splitting joins q={q}",

@@ -8,10 +8,12 @@ from math import isqrt, prod
 
 import pytest
 
+from qmcount import qcount
 from qmcount.gfengine import q_stirling_via_gf
 from qmcount.qcount import (
     CharNotTwo,
     GLOrderTable,
+    NonIntegralCount,
     PrimePower,
     complement_rows,
     diagonalizable_count,
@@ -375,6 +377,15 @@ def test_splitting_recurrences_match_the_splitting_joins(q):
     rows = q_stirling_rows(q, 11)
     assert rows[0] == [1]
     assert rows[1:] == [[q_stirling(q, n, k) for k in range(n + 1)] for n in range(1, 12)]
+
+
+def test_diagonalizable_counts_check_their_carried_divisions(monkeypatch):
+    # a table that is not the powers of q leaves the first carried ratio,
+    # [2, 1] = (pw[2] - 1) / (pw[1] - 1), inexact at n = 2
+    real = qcount._powers(2, 8)
+    monkeypatch.setattr(qcount, "_powers", lambda q, N: [1] + [3 * p for p in real[1:]])
+    with pytest.raises(NonIntegralCount, match="a carried weight is not an integer at u\\^2"):
+        diagonalizable_counts(2, 8)
 
 
 def test_projection_count():

@@ -275,6 +275,26 @@ def test_table_routes_build_one_table_per_request(monkeypatch, name):
         assert calls == [args]
 
 
+def test_qbell_reads_the_bell_series_once(monkeypatch):
+    """The qbell route is one bell series to the largest n, built once per
+    request, and builds no q-Stirling table."""
+    want = sequence_values(make_spec("qbell", 3, max_n=9))
+    series = sequences.gf_counts
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return series(*args)
+
+    def refuse(*args):
+        raise AssertionError("the q-Stirling table was built")
+
+    monkeypatch.setattr(sequences, "gf_counts", counted)
+    monkeypatch.setattr(sequences, "q_stirling_rows", refuse)
+    assert sequence_values(make_spec("qbell", 3, max_n=9)) == want
+    assert calls == [("bell", 3, 9)]
+
+
 def test_triangle_errors_come_in_order(monkeypatch):
     def refuse(*args):
         raise AssertionError("the route was built")
