@@ -16,25 +16,47 @@ of factors per degree, nu_d unless declared, and whether the product is
 divided by 1 - u; or, for the q-Bell and conjugacy class series, a
 builder of its own.  Every kind is built on integers, with exact division
 throughout: a normalized series (below) is carried as a_n S_n, a product
-of factors as one exp of their summed logs (_scaled_product), and the
-conjugacy class series by integer loops over one list.  The rule
-declares the scale S_n.  A factor that is a product of binomials 1 + c v
-and their inverses (every rule but unit_rule) declares its log in closed
-form, rule.log(Q, m), which enters the product's log by one exact
-division, at D_n = q^n (q - 1)...(q^n - 1).  unit_rule's factor has no
-product form; at |GL_n(q)| its coefficients are all 1, and its log is
-recurred from that alone (_unit_log).  Multiplying two scaled series
-weighs each pair of terms by W(n, k) = S_n / (S_k S_(n-k)), a Gaussian
-binomial (times q^(k(n-k)) for |GL_n|); the unit log and the exp never
-form it.  They carry each term's Gaussian binomial from n - 1 to n by an
-exact ratio of small integers, at both scales, and for |GL_n| put the
-q^(k(n-k)) into each sum by two Horner runs whose steps multiply by small
-powers of q: the kernel _carry and _weighted_sum of qcount, which
-diagonalizable_counts reads too.  gf_counts reads the counts off
-those integers; gf_build divides them by S_n once and hands the series
-back as an exact_series.TruncSeries.  verify and the tests check every
-kind against the classtypes module, which sums the conjugacy classes
-themselves and reads none of the rules.
+of factors by one of two paths (_scaled_product), and the conjugacy
+class series by integer loops over one list.  The rule declares the
+scale S_n.  A factor that is a product of binomials 1 + c v and their
+inverses (every rule but unit_rule) declares its log in closed form,
+rule.log(Q, m), which enters the product's log by one exact division, at
+D_n = q^n (q - 1)...(q^n - 1).  unit_rule's factor has no product form;
+at |GL_n(q)| its coefficients are all 1, and its log is recurred from
+that alone (_unit_log).  Multiplying two scaled series weighs each pair
+of terms by W(n, k) = S_n / (S_k S_(n-k)), a Gaussian binomial (times
+q^(k(n-k)) for |GL_n|), which no recurrence here forms in whole.  Each
+carries a term's Gaussian binomial from n - 1 to n by an exact ratio of
+small integers, at both scales, and for |GL_n| puts the q^(k(n-k)) into
+each sum by two Horner runs whose steps multiply by small powers of q:
+the kernel _carry and _weighted_sum of qcount.
+
+The first path, for the kinds with nu_d factors at every degree, sums
+the factors' logs and takes one exp, whose N^2 / 2 products of two big
+numbers set the cost of every series.  The second, for a product with
+explicit copies at a few degrees (A^k = I, the derangements, the
+diagonalizable matrices and the projections), forms no log: a rule that
+declares a base, the scaled coefficients of its factor or of the
+factor's inverse (rule.base), has each degree's factor raised to its
+copy count by J. C. P. Miller's power recurrence (qcount._scaled_power,
+the step diagonalizable_counts runs), whose big numbers only meet small
+ones, and the degrees joined by one product of scaled series each
+(_scaled_join).  unit_rule's base is its coefficients, all 1; euler_rule's
+is its inverse prod_r (1 - v / Q^r), whose coefficients Euler's identity
+gives, for the derangements' negative copies.  A join costs about as
+much at every degree, so a product of more than MAX_FINITE_JOINS + 1
+degrees takes the exp-log, where it was measured to be cheaper.
+
+gf_counts reads the counts off those integers; gf_build divides them by
+S_n once and hands the series back as an exact_series.TruncSeries.
+verify and the tests check every kind against the classtypes module,
+which sums the conjugacy classes themselves and reads none of the rules,
+and the finite path against the exp-log.  The diagonalizable series
+runs the power step the CLI's diagonalizable route runs, and the linear
+derangement series, (-q)^n over 1 - u, the sum
+qcount.linear_derangement_counts runs: their independent checks are the
+splitting joins (qcount.diagonalizable_count), the class types and the
+oracle.
 
 A "normalized" series is one whose u^n coefficient must be multiplied by
 gl_order(q, n) to give the matrix count; the conjugacy class series are
@@ -51,7 +73,7 @@ from math import factorial, gcd, isqrt, log2
 from typing import NamedTuple
 
 from .ffpoly import divisors, irreducible_poly_count, moebius
-from .qcount import NonIntegralCount, PrimePower, _carry, _weighted_sum, gl_order
+from .qcount import NonIntegralCount, PrimePower, _carry, _scaled_power, _weighted_sum, gl_order
 from .exact_series import TruncSeries
 
 
@@ -69,9 +91,14 @@ class CostExceeded(ValueError):
 # on a 2-core Xeon (best of 5, three processes).  The bound admits
 # N <= 149 at q = 2, N <= 128 at q = 3 and N <= 109 at q = 9.  At those
 # edges semisimple, whose unit factor's log still recurs, is the slowest
-# kind: 0.40-0.56 s at (9, 109); a closed-log kind costs about its exp
-# alone: at (9, 109) cyclic 0.15-0.25 s and projective_derangement
-# 0.12-0.14 s, and linear_derangement at (2, 149) 0.04 s.
+# kind: 0.38-0.41 s at (9, 109); a closed-log kind costs about its exp
+# alone, cyclic 0.15-0.17 s at (9, 109).  A finite product costs its
+# powers and joins (best of 5, three processes): power_identity 0.05 s
+# at (9, 109, k = 2), 0.03-0.04 s at (2, 149, k = 3) and 0.17-0.20 s at
+# (2, 149, k = 2^20 - 1), where the exp-log took 0.25-0.46, 0.22-0.38
+# and 0.26-0.36 s; projective_derangement 0.06 s at (9, 109), from
+# 0.13-0.23 s; linear_derangement under 0.01 s.  At (2, 149) the k whose
+# z^k - 1 has a factor of every degree runs the exp-log, 0.29-0.33 s.
 MAX_SERIES_WORK = 4 * 10**9
 
 # min_centralizer_orders refuses a max_n whose knapsack, usable
@@ -199,6 +226,21 @@ def _closed_log(log: Callable[[int, int], Fraction]) -> Callable:
     return declare
 
 
+def _power_base(sign: int, coeff: Callable[[int, int], int]) -> Callable:
+    """Declare rule.base = (sign, coeff) on the rule it decorates: coeff(Q, m)
+    is the coefficient of v^m in f^sign, f the rule's factor, times the
+    rule's scale at m over Q, an integer with coeff(Q, 0) = 1.
+    _scaled_product raises it to explicit copy counts of that sign by the
+    power step, without a log or an exp."""
+
+    def declare(rule: Callable) -> Callable:
+        rule.base = sign, coeff
+        return rule
+
+    return declare
+
+
+@_power_base(-1, lambda Q, m: (-Q) ** m)
 @_closed_log(lambda Q, m: Fraction(1, Q**m - 1))
 def euler_rule(Q: int, m: int) -> Fraction:
     """Q^(m(m-1)) / gl_order(Q, m): every partition of m is allowed.
@@ -210,18 +252,23 @@ def euler_rule(Q: int, m: int) -> Fraction:
     The tests cross-check it against the partition sum over centralizer
     orders term by term.  Its log sums -log(1 - v / Q^r) over r, so
     m l_m = sum_r Q^(-r m) = 1 / (Q^m - 1).  Times D_m(Q) the coefficient
-    is Q^(m(m+1)/2), an integer.
+    is Q^(m(m+1)/2), an integer.  Its inverse prod_r (1 - v / Q^r) has, by
+    Euler's other identity, (-1)^m Q^(-m(m+1)/2) / ((1 - 1/Q)...(1 - 1/Q^m))
+    = (-1)^m / ((Q - 1)...(Q^m - 1)) at v^m, so (-1)^m Q^m times D_m(Q):
+    the base the derangement kinds' negative copies raise.
     """
     return Fraction(Q ** (m * (m - 1)), gl_order(Q, m))
 
 
+@_power_base(1, lambda Q, m: 1)
 def unit_rule(Q: int, m: int) -> Fraction:
     """1 / gl_order(Q, m): the partition 1^m (all parts equal to 1).
 
     The centralizer of m repeated blocks at one polynomial of degree d is
     the invertible group over the degree-d extension field, of order
     gl_order(Q, m) with Q = q^d.  It declares no closed log: times
-    gl_order(Q, m) every coefficient is 1, which is all _unit_log reads.
+    gl_order(Q, m) every coefficient is 1, which is all _unit_log and the
+    power step read.
     """
     return Fraction(1, gl_order(Q, m))
 
@@ -329,16 +376,31 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     The rule declares S_n: D_n = q^n prod_(i<=n) (q^i - 1) for a closed
     log, whose rule's docstring shows its coefficients integers at D_m(Q),
     and |GL_n| (gl) for unit_rule; any other rule raises ValueError.  No
-    coefficient is read.  A series a is carried as A_n = a_n S_n and its
-    log l as L_n = n l_n S_n, to which the copies of the degree-d factor
-    add copies[d] d lambda_m S_(md)(q), lambda_m = m l_m being the
+    coefficient is read.  The path is chosen from the copies alone.
+
+    Finite path (_finite_degrees): when the rule declares a base of the
+    copies' sign and at most MAX_FINITE_JOINS + 1 degrees have copies,
+    each degree's factor f is raised to |copies[d]| from its base's scaled
+    coefficients F_m at S_m(Q) by Miller's recurrence n P_n =
+    sum_k ((c + 1) k - n) W_Q(n, k) F_k P_(n-k) (qcount._scaled_power),
+    from f p' = c f' p for p = f^c; one copy reads F as it is.  The base
+    of the inverse Euler factor prod_r (1 - v / Q^r) is (-1)^m Q^m at
+    D_m(Q), by Euler's identity prod_r (1 - v x^r) =
+    sum_m (-1)^m x^(m(m+1)/2) v^m / ((1 - x)...(1 - x^m)) at x = 1 / Q.
+    The power's v^m term moves to u^(md) times the index S_md(q) / S_m(Q),
+    an integer, and the degrees are joined one at a time (_scaled_join).
+
+    Exp-log path, for the rest: a series a is carried as A_n = a_n S_n
+    and its log l as L_n = n l_n S_n, to which the copies of the degree-d
+    factor add copies[d] d lambda_m S_(md)(q), lambda_m = m l_m being the
     factor's log coefficient in v = u^d: a closed log's by one exact
     division, and the unit log G_m = lambda_m |GL_m(Q)| of _unit_log times
     the index |GL_md(q)| / |GL_m(Q)|, an integer as GL_m(F_Q) is a
     subgroup of GL_md(F_q).  With x = 1 / Q the unit factor is
     sum_m x^(m^2) v^m / ((1 - x)...(1 - x^m)), a Rogers-Ramanujan-type sum
     with no product form and so no closed log.  One exp gives A_n with
-    exact division by n; an inexact division raises NonIntegralCount.
+    exact division by n.  On either path an inexact division raises
+    NonIntegralCount.
     """
     if copies is None:
         copies = {d: irreducible_poly_count(q, d) for d in range(1, order + 1)}
@@ -350,6 +412,9 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     gl = closed is None
     scales = _scales(q, order, gl)
     pw = [q**i for i in range(order + 1)]
+    degrees = _finite_degrees(rule, copies, order)
+    if degrees is not None:
+        return _finite_product(q, rule.base[1], copies, degrees, scales, pw, gl), gl
     log = [0] * (order + 1)
     for d, nu in copies.items():
         if d > order or not nu:
@@ -369,6 +434,75 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
                 )
             log[m * d] += nu * d * term
     return (_scaled_exp(q, log, gl) if any(log) else [1] + [0] * order), gl
+
+
+# The most degrees the finite path joins to its first; a product with more
+# goes to the exp-log.  A join costs about the same at every degree: its
+# carries and Horner steps run over every k, zeros included.  Measured at
+# (q, order) = (2, 149), process time, best of 3 on a 2-core Xeon, for
+# power_identity (finite -> exp-log): 5 joins won, k = 65535 137 -> 254 ms,
+# k = 4095 335 -> 417 ms and k = 2^20 - 1 289 -> 409 ms; 7 joins lost,
+# k = 2^30 - 1 345 -> 268 ms and k = 2^24 - 1 447 -> 416 ms, as did 11,
+# k = 2^60 - 1 572 -> 389 ms.  Unit copies at degrees 1 .. 7, 6 joins, tied
+# at (2, 149), (3, 128) and (9, 109): 415 / 420, 294 / 291 and 363 / 359 ms.
+MAX_FINITE_JOINS = 5
+
+
+def _finite_degrees(rule, copies: dict[int, int], order: int) -> list[int] | None:
+    """The degrees d <= order with nonzero copies, ascending, when the
+    product is built by powers and joins: rule declares a base whose sign
+    every copy count shares, and at most MAX_FINITE_JOINS degrees follow
+    the first.  Otherwise None, and the exp-log builds it."""
+    base = getattr(rule, "base", None)
+    degrees = sorted(d for d, c in copies.items() if d <= order and c)
+    if base is None or len(degrees) > MAX_FINITE_JOINS + 1:
+        return None
+    if any(copies[d] * base[0] < 0 for d in degrees):
+        return None
+    return degrees
+
+
+def _scaled_join(a: list[int], x: list[int], pw: list[int], gl: bool) -> list[int]:
+    """C_n = c_n S_n of c = a x from A and X, both at the scale S_n with
+    A_0 = X_0 = 1: C_n = A_n + sum_(k=1..n) W(n, k) X_k A_(n-k).
+    [n, k]_q X_k is carried by _carry, zeros included, and _weighted_sum
+    adds |GL_n|'s q^(k(n-k)), as in the exp."""
+    terms, joined = [0], [1]
+    for n in range(1, len(a)):
+        _carry(terms, pw, n)
+        terms.append(x[n])
+        joined.append(a[n] + _weighted_sum(terms, a, n, pw, gl))
+    return joined
+
+
+def _finite_product(
+    q: int, coeff: Callable[[int, int], int], copies: dict[int, int], degrees: list[int],
+    scales: list[int], pw: list[int], gl: bool,
+) -> list[int]:
+    """A_n = a_n S_n of prod_d f_d ** copies[d] over degrees, S_n the
+    scales: each f_d ** copies[d] is the power step (qcount._scaled_power)
+    of the base coeff(Q, m) at Q = q^d, read as it is for one copy, its
+    v^m term moved to u^(md) by the index S_md(q) / S_m(Q); the first
+    degree's series is the start and each later one is joined to it."""
+    order = len(scales) - 1
+    product = None
+    for d in degrees:
+        Q, top = q**d, order // d
+        base = [coeff(Q, m) for m in range(top + 1)]
+        c = abs(copies[d])
+        power = base if c == 1 else _scaled_power(c, base, pw[::d], gl)
+        series = power
+        if d > 1:
+            series = [0] * (order + 1)
+            for m, (p, s) in enumerate(zip(power, _scales(Q, top, gl))):
+                index, rem = divmod(scales[m * d], s)
+                if rem:
+                    raise NonIntegralCount(
+                        f"the degree-{d} factors' power is not an integer at u^{m * d}"
+                    )
+                series[m * d] = p * index
+        product = series if product is None else _scaled_join(product, series, pw, gl)
+    return [1] + [0] * order if product is None else product
 
 
 def _divide_by_one_minus_u(values: list[int], q: int, gl: bool) -> None:

@@ -15,14 +15,15 @@ their q-difference recurrence (projection_counts).  The rank triangle
 neighbouring terms, one product and one exact division a term.  The
 splitting counts come from e(u) = sum_m u^m / |GL_m|: the diagonalizable
 counts, the ordered splittings into q eigenspaces, by the power
-recurrence of e^q (diagonalizable_counts), and the q-Stirling triangle,
+recurrence of e^q (diagonalizable_counts, the power step _scaled_power
+that gfengine raises its finite products by), and the q-Stirling triangle,
 the unordered splittings, a column at a time from the one before over
 the complement counts (q_stirling_rows), whose row sums are the q-Bell
 numbers (q_bell, the check of gfengine's bell series, which the qbell
-route reads).  The recurrences of series over |GL_n| share one kernel,
+route reads).  The recurrences of scaled series share one kernel,
 which carries each Gaussian binomial [n, k]_q by an exact ratio (_carry)
 and weighs a sum by q^(k(n-k)) through Horner runs (_weighted_sum):
-diagonalizable_counts reads it, and so do gfengine's exp and unit log.
+the power step reads it, and so do gfengine's exp, unit log and join.
 The scalar runs are running products: |GL_n| (GLOrderTable;
 gl_order_factored is the check), the q-factorials (q_factorials),
 q^(n^2 + shift n) (square_powers), the separable class counts and the
@@ -461,9 +462,43 @@ def projection_counts(q: int, N: int, one=1) -> list:
     return counts
 
 
+def _scaled_power(c: int, coeffs: Sequence[int], pw: list[int], gl: bool) -> list[int]:
+    """P_n = p_n S_n, n < len(coeffs), of p = f^c for c >= 1, from the
+    scaled coefficients F_k = f_k S_k of a series f with f_0 = 1; S_n is
+    |GL_n(q)| when gl, else D_n = q^n (q - 1)...(q^n - 1), pw[i] being q^i.
+
+    J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, sec. 4.7):
+    f p' = c f' p, whose u^(n-1) coefficients are
+    sum_(k=0..n-1) (n - k) f_k p_(n-k) = c sum_(k=1..n) k f_k p_(n-k);
+    moving the terms k >= 1 of the left to the right leaves
+    n p_n = sum_(k=1..n) ((c + 1) k - n) f_k p_(n-k).  Times S_n, with
+    S_n / (S_k S_(n-k)) = W(n, k) = q^(k(n-k)) [n, k]_q for |GL_n| and
+    [n, k]_q for D_n,
+
+        n P_n = sum_(k=1..n) ((c + 1) k - n) W(n, k) F_k P_(n-k).
+
+    Each step carries T_j = [n, j]_q P_j from n - 1 to n, the new term
+    j = n - 1 entering as P_(n-1), and weighs the sum with the series
+    kernel (_carry, _weighted_sum), so a big number only meets small
+    factors when the F_k are small.  The division by n must be exact, or
+    NonIntegralCount is raised, as it is by an inexact carried ratio.
+    """
+    values, carried = [1], []
+    for n in range(1, len(coeffs)):
+        carried.append(values[-1])
+        _carry(carried, pw, n)
+        weights = [((c + 1) * k - n) * coeffs[k] for k in range(n + 1)]  # meets T_(n-k)
+        p, rem = divmod(_weighted_sum(weights, carried, n, pw, gl), n)
+        if rem:
+            raise NonIntegralCount(f"the power is not an integer at u^{n}")
+        values.append(p)
+    return values
+
+
 def diagonalizable_counts(q: int, N: int) -> list[int]:
     """[D_0, ..., D_N], D_n the number of diagonalizable n x n matrices over
-    F_q, by D_0 = 1 and, for n >= 1,
+    F_q: the power step (_scaled_power) of e(u)^q, e(u) = sum_m u^m / |GL_m|,
+    whose coefficients are all 1 at |GL_m|.  The step reads
 
         n D_n = sum_(j=0..n-1) (q (n-j) - j) q^(j(n-j)) [n, j]_q D_j,
 
@@ -472,30 +507,13 @@ def diagonalizable_counts(q: int, N: int) -> list[int]:
     Proof.  A diagonalizable matrix is an ordered splitting of F_q^n into
     its eigenspaces, one per field element, zero spaces allowed, and a
     splitting with dimensions (n_1, ..., n_q) is counted |GL_n| / prod
-    |GL_(n_i)| times.  So with e(u) = sum_m u^m / |GL_m|, the series
-    F(u) = sum_n f_n u^n, f_n = D_n / |GL_n|, is e^q.  Then
-    F' = q e^(q-1) e', so e F' = q e' F.  The u^(n-1) coefficients of the
-    two sides are sum_(k=0..n-1) (n - k) f_(n-k) / |GL_k| and
-    q sum_(k=1..n) k f_(n-k) / |GL_k|.  Moving the terms k >= 1 of the
-    left to the right leaves
-    n f_n = sum_(k=1..n) ((q + 1) k - n) f_(n-k) / |GL_k|.  Times |GL_n|,
-    with |GL_n| / (|GL_k| |GL_(n-k)|) = q^(k(n-k)) [n, k]_q and j = n - k,
-    it is the recurrence.
-
-    Each step carries T_j = [n, j]_q D_j from n - 1 to n, the new term
-    j = n - 1 entering as [n-1, n-1]_q D_(n-1) = D_(n-1), and weighs the sum
-    by q^(j(n-j)) with the series kernel (_carry, _weighted_sum), so a big
-    number only meets small factors and every carried division is checked.
-    diagonalizable_count is the check, by the splitting joins.
+    |GL_(n_i)| times.  So the series F(u) = sum_n f_n u^n, f_n = D_n /
+    |GL_n|, is e^q, and Miller's recurrence for it, times |GL_n| with
+    j = n - k, is the step above.  gfengine's diagonalizable series runs
+    the same step; diagonalizable_count is the independent check, by the
+    splitting joins, and so are the class types and the oracle.
     """
-    pw = _powers(q, N)
-    counts, carried = [1], []
-    for n in range(1, N + 1):
-        carried.append(counts[-1])
-        _carry(carried, pw, n)
-        coeffs = [(q + 1) * k - n for k in range(n + 1)]  # meets T_(n-k)
-        counts.append(exact_div(_weighted_sum(coeffs, carried, n, pw, True), n))
-    return counts
+    return _scaled_power(q, [1] * (N + 1), _powers(q, N), True)
 
 
 def diagonalizable_count(q: int, n: int) -> int:

@@ -7,12 +7,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 
 import qmcount
-from qmcount import classtypes, cli, gfengine, oracle, verify
+from qmcount import classtypes, cli, gfengine, oracle, qcount, verify
 from qmcount.classtypes import class_type_counts
 from qmcount.exact_series import TruncSeries
 from qmcount.gfengine import (
@@ -52,6 +52,7 @@ from qmcount.gfengine import (
 from qmcount.ffpoly import cyclotomic_factor_degrees, irreducible_poly_count
 from qmcount.qcount import (
     PrimePower,
+    _scaled_power,
     diagonalizable_count,
     gaussian_rows,
     gl_order,
@@ -388,10 +389,11 @@ def test_each_closed_log_is_the_log_the_recurrence_computes(q):
     assert not hasattr(unit_rule, "log")
 
 
-# (rule, kinds it serves, its log with one sign flipped)
+# (rule, kinds it serves, its log with one sign flipped); no kind reads
+# euler_rule's log, as the derangement kinds raise its inverse's base, so
+# "all" stands for its product over every degree, the q^(n^2) matrices
 FLIPPED_LOGS = {
-    "euler": (euler_rule, ("linear_derangement", "projective_derangement"),
-              lambda Q, m: Fraction(-1, Q**m - 1)),
+    "euler": (euler_rule, ("all",), lambda Q, m: Fraction(-1, Q**m - 1)),
     "cyclic_first": (cyclic_rule, ("cyclic",),
                      lambda Q, m: Fraction((-1) ** m, (Q * (Q - 1)) ** m) + Fraction(1, Q**m)),
     "cyclic_second": (cyclic_rule, ("cyclic",),
@@ -414,10 +416,15 @@ def test_a_closed_log_with_one_sign_flipped_is_caught(monkeypatch, mutant):
     for kind in kinds:
         for q in (2, 3, 4):
             try:
-                counts = gf_counts(kind, q, 12)
+                if kind == "all":
+                    counts = _scaled_product(q, rule, 12, None)[0]
+                    # q^(n^2) / |GL_n| times D_n
+                    want = [q ** (n * (n + 3) // 2) for n in range(13)]
+                else:
+                    counts, want = gf_counts(kind, q, 12), class_type_counts(kind, q, 12)
             except NonIntegralCount:
                 continue
-            assert counts != class_type_counts(kind, q, 12), (kind, q)
+            assert counts != want, (kind, q)
 
 
 def test_a_closed_log_that_is_not_a_scaled_integer_is_refused():
@@ -449,19 +456,118 @@ def test_only_a_rule_without_a_closed_log_runs_the_per_degree_recurrence(monkeyp
         carried.append(n)
         _carry(terms, pw, n)
 
+    # the power step carries through qcount's name, the exp and joins gfengine's
     monkeypatch.setattr(gfengine, "_carry", counted)
+    monkeypatch.setattr(qcount, "_carry", counted)
     order = 24
     # the exp carries its terms once per order, and the closed logs none;
-    # invertible_check is the empty product, which runs no exp
-    for kind in ("cyclic", "separable", "cyclic_alt", "separable_alt",
-                 "invertible_check", "linear_derangement", "projective_derangement"):
+    # the finite path carries once per order for each power step of more
+    # than one copy, at its degree's orders, and each join: at q = 3 the
+    # derangement kinds raise the inverse Euler factor to 1 and 2 copies,
+    # e(u) is raised to 3 and 2 copies, and z^8 - 1 has 2 linear and 3
+    # quadratic factors; invertible_check is the empty product
+    finite = {"invertible_check": 0, "linear_derangement": 0, "projective_derangement": order,
+              "diagonalizable": order, "projection": order}
+    for kind in ("cyclic", "separable", "cyclic_alt", "separable_alt", *finite):
         carried.clear()
         gf_counts(kind, 3, order)
-        assert len(carried) == (0 if kind == "invertible_check" else order), kind
+        assert len(carried) == finite.get(kind, order), kind
+    carried.clear()
+    gf_counts("power_identity", 3, order, 8)
+    assert len(carried) == order + order // 2 + order
     # the unit factor's log recurs at every degree d, order // d carries each
     carried.clear()
     gf_counts("semisimple", 3, order)
     assert len(carried) == order + sum(order // d for d in range(1, order + 1))
+
+
+def exp_log(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
+    """_scaled_product with the finite path turned off: the exp of the
+    summed logs, whatever the copies."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gfengine, "_finite_degrees", lambda *args: None)
+        return _scaled_product(q, rule, order, copies)
+
+
+def explicit_copy_cases(q: int, order: int):
+    """(kind, k, copies) for every kind with explicit copies at q, and
+    power_identity at every k <= 12 prime to p and at 255 and 2^20 - 1."""
+    pp = PrimePower.of(q)
+    for kind, entry in gfengine._KINDS.items():
+        if entry.copies is None:
+            continue
+        ks = [k for k in (*range(1, 13), 255, 2**20 - 1) if k % pp.p] if entry.takes_k else [None]
+        for k in ks:
+            yield kind, k, entry.copies(pp, k, order)
+
+
+@pytest.mark.parametrize("q, order", [(2, 30), (3, 30), (4, 30), (5, 30), (7, 30), (8, 30),
+                                      (9, 30), (1000003, 8)])
+def test_finite_products_match_the_exp_log(q, order):
+    for kind, k, copies in explicit_copy_cases(q, order):
+        rule = gfengine._KINDS[kind].rule
+        assert _scaled_product(q, rule, order, copies) == exp_log(q, rule, order, copies), (kind, k)
+
+
+def test_the_path_choice_counts_the_degrees_joined(monkeypatch):
+    # z^3 - 1 over F_2 has a linear and a quadratic factor: one join, no
+    # exp; at k = lcm(2^d - 1 : d <= 30) every monic irreducible but z
+    # divides z^k - 1, so A^k = I holds for every invertible semisimple A,
+    # and the exp-log runs
+    exps = []
+
+    def counted(q, log, gl):
+        exps.append(len(log) - 1)
+        return _scaled_exp(q, log, gl)
+
+    monkeypatch.setattr(gfengine, "_scaled_exp", counted)
+    order = 30
+    every = lcm(*(2**d - 1 for d in range(1, order + 1)))
+    copies = _root_of_one_copies(PrimePower.of(2), every, order)
+    assert all(copies[d] == irreducible_poly_count(2, d) - (d == 1) for d in copies)
+    assert gf_counts("power_identity", 2, order, 3) == class_type_counts("power_identity", 2, order, 3)
+    assert exps == []
+    assert gf_counts("power_identity", 2, order, every) == exp_log(2, unit_rule, order, copies)[0]
+    assert exps == [order, order]  # the reference's too
+    # the edge: MAX_FINITE_JOINS joins after the first degree stay finite
+    edge = {d: 1 for d in range(1, gfengine.MAX_FINITE_JOINS + 2)}
+    exps.clear()
+    assert _scaled_product(2, unit_rule, order, edge) == exp_log(2, unit_rule, order, edge)
+    assert exps == [order]  # the reference's exp alone
+    exps.clear()
+    past = {**edge, gfengine.MAX_FINITE_JOINS + 2: 1}
+    _scaled_product(2, unit_rule, order, past)
+    assert exps == [order]
+
+
+@pytest.mark.parametrize("Q", [2, 3, 4, 9, 27])
+def test_the_euler_inverse_base_is_the_series_inverse_of_euler_rule(Q):
+    # prod_r (1 - v / Q^r) times prod_r (1 - v / Q^r)^(-1) is 1: the
+    # declared base over D_m(Q) is the inverse of euler_rule's series
+    sign, base = euler_rule.base
+    assert sign == -1
+    top = 15
+    f = [euler_rule(Q, m) for m in range(top + 1)]
+    inverse = [Fraction(1)]
+    for m in range(1, top + 1):
+        inverse.append(-sum(f[j] * inverse[m - j] for j in range(1, m + 1)))
+    assert [Fraction(base(Q, m), d_scale(Q, m)) for m in range(top + 1)] == inverse
+    assert unit_rule.base[0] == 1
+    assert all(unit_rule.base[1](Q, m) == unit_rule(Q, m) * gl_order(Q, m) for m in range(top + 1))
+
+
+def test_the_power_step_and_the_join_check_their_carried_divisions():
+    # a table that is not the powers of 2 leaves the first carried ratio,
+    # [2, 1] = (pw[2] - 1) / (pw[1] - 1) = 11 / 5, inexact at n = 2
+    pw = [1, 6, 12, 24, 48]
+    with pytest.raises(NonIntegralCount, match="^a carried weight is not an integer at u\\^2$"):
+        _scaled_power(2, [1] * 5, pw, True)
+    with pytest.raises(NonIntegralCount, match="^a carried weight is not an integer at u\\^2$"):
+        gfengine._scaled_join([1] * 5, [1] * 5, pw, False)
+    # a table whose carried ratios happen to divide can still leave the
+    # division by n inexact
+    with pytest.raises(NonIntegralCount, match="^the power is not an integer at u\\^4$"):
+        _scaled_power(2, [1, 1, 3, 0, -2], [1, 2, 3, 4, 10], False)
 
 
 # SHA-256 of repr((kind, q, gf_counts(kind, q, order))) for the five

@@ -69,7 +69,7 @@ def test_verify_runs_in_a_fresh_interpreter():
         "    code = cli.main(['verify', '--oracle-budget', '16', '--quiet'])\n"
         "print(json.dumps([code, out.getvalue(), 'qmcount.classtypes' in sys.modules]))"
     )
-    assert fresh(code) == [0, "333/333 checks passed\n", True]
+    assert fresh(code) == [0, "331/331 checks passed\n", True]
 
 
 def test_every_export_is_its_home_modules_object():
