@@ -8,7 +8,7 @@ blocks at phi, with sum deg(phi) |lam_phi| = n; the class has
 series kind of gfengine is a restriction on the classes: which
 polynomials may carry a nonempty partition, and which partitions.
 DECLARATIONS writes that once per kind, as a number of usable polynomials
-per degree and a shape of partition, and reads none of gfengine's product
+per degree and a shape of partition, and never loads gfengine or its
 rules, so a wrong rule and a wrong scaling both show against it.
 
 class_type_counts sums the allowed classes' sizes, or counts the classes
@@ -35,8 +35,8 @@ from math import comb
 from typing import NamedTuple
 
 from .ffpoly import cyclotomic_factor_counts, irreducible_poly_count
-from .gfengine import CostExceeded, NonIntegralCount, centralizer_order, partitions_of
-from .qcount import complement_rows, gl_order, join
+from .qcount import CostExceeded, centralizer_order, complement_rows, gl_order, join, partitions_of
+from .scaled import NonIntegralCount
 
 # the partitions of m each shape allows at one polynomial
 SHAPES: dict[str, Callable[[int], tuple[tuple[int, ...], ...]]] = {

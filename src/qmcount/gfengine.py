@@ -23,29 +23,20 @@ inverses (every rule but unit_rule) declares its log in closed form,
 rule.log(Q, m), which enters the product's log by one exact division, at
 D_n = q^n (q - 1)...(q^n - 1).  unit_rule's factor has no product form;
 at |GL_n(q)| its coefficients are all 1, and its log is recurred from
-that alone (_unit_log).  Multiplying two scaled series weighs each pair
-of terms by W(n, k) = S_n / (S_k S_(n-k)), a Gaussian binomial (times
-q^(k(n-k)) for |GL_n|), which no recurrence here forms in whole.  Each
-carries a term's Gaussian binomial from n - 1 to n by an exact ratio of
-small integers, at both scales, and for |GL_n| puts the q^(k(n-k)) into
-each sum by two Horner runs whose steps multiply by small powers of q:
-the kernel _carry and _weighted_sum of qcount.
+that alone.  The scales and every recurrence the paths run are the
+kernel of the scaled module, whose docstring gives their one step.
 
 The first path, for the kinds with nu_d factors at every degree, sums
 the factors' logs and takes one exp, whose N^2 / 2 products of two big
 numbers set the cost of every series.  The second, for a product with
 explicit copies at a few degrees (A^k = I, the derangements, the
-diagonalizable matrices and the projections), forms no log: a rule that
-declares a base, the scaled coefficients of its factor or of the
-factor's inverse (rule.base), has each degree's factor raised to its
-copy count by J. C. P. Miller's power recurrence (qcount._scaled_power,
-the step diagonalizable_counts runs), whose big numbers only meet small
-ones, and the degrees joined by one product of scaled series each
-(_scaled_join).  unit_rule's base is its coefficients, all 1; euler_rule's
-is its inverse prod_r (1 - v / Q^r), whose coefficients Euler's identity
-gives, for the derangements' negative copies.  A join costs about as
-much at every degree, so a product of more than MAX_FINITE_JOINS + 1
-degrees takes the exp-log, where it was measured to be cheaper.
+diagonalizable matrices and the projections), forms no log: it raises
+each degree's factor to its copy count from the scaled coefficients the
+rule declares (rule.base) by Miller's power recurrence, the step
+diagonalizable_counts runs, whose big numbers only meet small ones, and
+joins the degrees by one product each.  A join costs about as much at
+every degree, so a product of more than MAX_FINITE_JOINS + 1 degrees
+takes the exp-log, where it was measured to be cheaper.
 
 gf_counts reads the counts off those integers; gf_build divides them by
 S_n once and hands the series back as an exact_series.TruncSeries.
@@ -65,24 +56,21 @@ plain ordinary generating functions.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from math import factorial, gcd, isqrt, log2
 from typing import NamedTuple
 
+from . import scaled
 from .ffpoly import divisors, irreducible_poly_count, moebius
-from .qcount import NonIntegralCount, PrimePower, _carry, _scaled_power, _weighted_sum, gl_order
+from .qcount import CostExceeded, PrimePower, gl_order
+from .scaled import NonIntegralCount
 from .exact_series import TruncSeries
 
 
 class BadKindParams(ValueError):
     """Unknown generating function tag, or parameters that do not fit it."""
-
-
-class CostExceeded(ValueError):
-    """A request whose work model is above the fixed bound of its route."""
 
 
 # gf_build refuses orders N whose work model, N^2 log2(N) products of
@@ -117,57 +105,6 @@ MAX_KNAPSACK_WORK = 2 * 10**6
 # 0.35-0.42 s of process time on a 2-core Xeon (projective_frac at q = 9091
 # to 32 digits), 0.15 s at q = 4096 and 0.02 s at q = 1009 to 50 digits.
 MAX_LIMIT_BITS = 7 * 10**6
-
-
-def partitions_of(n: int) -> list[tuple[int, ...]]:
-    """All partitions of n with parts descending, in reverse lexicographic order."""
-    if n < 0:
-        raise ValueError("cannot partition a negative integer")
-    result: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def walk(remaining: int, maxpart: int) -> None:
-        if remaining == 0:
-            result.append(tuple(prefix))
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            prefix.append(part)
-            walk(remaining - part, part)
-            prefix.pop()
-
-    walk(n, n)
-    return result
-
-
-def centralizer_order(qd: int, partition) -> int:
-    """Order of the automorphism group of the module with the given partition.
-
-    For the primary piece of a matrix at one irreducible polynomial of
-    degree d (so qd = q^d), with block-size partition lam, the conjugation
-    centralizer of that piece has order
-
-        prod over distinct part sizes i (multiplicity b_i) of
-        prod_{k=1..b_i} (qd^(d_i) - qd^(d_i - k)),
-
-    where d_i = sum_j min(i, lam_j): the parts below i, plus i for each
-    part from i up.  Each factor is qd^(d_i - k) (qd^k - 1), so the order
-    is qd^E prod_i prod_{k=1..b_i} (qd^k - 1) with
-    E = sum_i (b_i d_i - b_i (b_i + 1) / 2), one power taken at the end.
-    """
-    mult = Counter(partition)
-    if any(p < 1 for p in mult):
-        raise ValueError("partition parts must be >= 1")
-    result = 1
-    exponent = below = 0
-    from_i = sum(mult.values())
-    for i in sorted(mult):
-        b = mult[i]
-        exponent += b * (below + i * from_i) - b * (b + 1) // 2
-        for k in range(1, b + 1):
-            result *= qd**k - 1
-        below += i * b
-        from_i -= b
-    return result * qd**exponent
 
 
 def min_centralizer_orders(q: int, max_n: int) -> list[int]:
@@ -267,8 +204,8 @@ def unit_rule(Q: int, m: int) -> Fraction:
     The centralizer of m repeated blocks at one polynomial of degree d is
     the invertible group over the degree-d extension field, of order
     gl_order(Q, m) with Q = q^d.  It declares no closed log: times
-    gl_order(Q, m) every coefficient is 1, which is all _unit_log and the
-    power step read.
+    gl_order(Q, m) every coefficient is 1, which is all scaled.unit_log
+    and the power step read.
     """
     return Fraction(1, gl_order(Q, m))
 
@@ -319,55 +256,6 @@ def separable_alt_rule(Q: int, m: int) -> Fraction:
     return (Fraction(1), c, -c)[m] if m < 3 else Fraction(0)
 
 
-def _step(q: int, n: int, gl: bool) -> int:
-    """S_n / S_(n-1): q^(n-1) (q^n - 1) for |GL_n(q)|, q (q^n - 1) for D_n."""
-    return q ** (n - 1 if gl else 1) * (q**n - 1)
-
-
-def _scales(q: int, order: int, gl: bool) -> list[int]:
-    """S_n for n = 0 .. order: |GL_n(q)| = q^(n(n-1)/2) prod_(i<=n) (q^i - 1)
-    when gl, else D_n = q^n prod_(i<=n) (q^i - 1)."""
-    scales = [1]
-    for n in range(1, order + 1):
-        scales.append(scales[-1] * _step(q, n, gl))
-    return scales
-
-
-def _scaled_exp(q: int, log: list[int], gl: bool) -> list[int]:
-    """A_n = a_n S_n of a = exp(l), from L_n = n l_n S_n with L_0 = 0.
-
-    b' = l' b reads n B_n = sum_k W(n, k) L_k B_(n-k): T_k = [n, k]_q L_k
-    is carried from n - 1 to n by _carry, and _weighted_sum adds
-    |GL_n|'s q^(k(n-k)) by Horner runs, or sums plainly for D_n.  The
-    division by n must be exact, or NonIntegralCount is raised.
-    """
-    pw = [q**i for i in range(len(log))]
-    terms, product = [0], [1]
-    for n in range(1, len(log)):
-        _carry(terms, pw, n)
-        terms.append(log[n])
-        b, rem = divmod(_weighted_sum(terms, product, n, pw, gl), n)
-        if rem:
-            raise NonIntegralCount(f"the product is not an integer at u^{n}")
-        product.append(b)
-    return product
-
-
-def _unit_log(pw: list[int]) -> list[int]:
-    """G_m = m l_m |GL_m(Q)|, m < len(pw), of unit_rule's factor, pw[i]
-    being Q^i.  Scaled by |GL_m(Q)| every coefficient is 1, so
-    G_m = m - sum_(0<j<m) W_Q(m, j) G_j: each [m, j]_Q G_j is carried by
-    _carry, and _weighted_sum adds Q^(j(m-j)), G_m's slot held at 0."""
-    ones = [1] * len(pw)
-    terms, logs = [0], [0]
-    for m in range(1, len(pw)):
-        _carry(terms, pw, m)
-        terms.append(0)
-        terms[m] = m - _weighted_sum(terms, ones, m, pw, True)
-        logs.append(terms[m])
-    return logs
-
-
 def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     """(A, gl): the scaled coefficients A_n = a_n S_n of prod_d factor_d **
     copies[d], factor_d being rule's factor for one polynomial of degree d;
@@ -378,29 +266,21 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     and |GL_n| (gl) for unit_rule; any other rule raises ValueError.  No
     coefficient is read.  The path is chosen from the copies alone.
 
-    Finite path (_finite_degrees): when the rule declares a base of the
-    copies' sign and at most MAX_FINITE_JOINS + 1 degrees have copies,
-    each degree's factor f is raised to |copies[d]| from its base's scaled
-    coefficients F_m at S_m(Q) by Miller's recurrence n P_n =
-    sum_k ((c + 1) k - n) W_Q(n, k) F_k P_(n-k) (qcount._scaled_power),
-    from f p' = c f' p for p = f^c; one copy reads F as it is.  The base
-    of the inverse Euler factor prod_r (1 - v / Q^r) is (-1)^m Q^m at
-    D_m(Q), by Euler's identity prod_r (1 - v x^r) =
-    sum_m (-1)^m x^(m(m+1)/2) v^m / ((1 - x)...(1 - x^m)) at x = 1 / Q.
-    The power's v^m term moves to u^(md) times the index S_md(q) / S_m(Q),
-    an integer, and the degrees are joined one at a time (_scaled_join).
+    Finite path, where _finite_degrees takes it: each degree's factor f is
+    raised to |copies[d]| from its base's scaled coefficients F_m at
+    S_m(Q) by Miller's recurrence (scaled.power), one copy read as it is,
+    moved to u^(md) (scaled.lift) and joined to the degrees before it
+    (scaled.join).
 
-    Exp-log path, for the rest: a series a is carried as A_n = a_n S_n
-    and its log l as L_n = n l_n S_n, to which the copies of the degree-d
-    factor add copies[d] d lambda_m S_(md)(q), lambda_m = m l_m being the
-    factor's log coefficient in v = u^d: a closed log's by one exact
-    division, and the unit log G_m = lambda_m |GL_m(Q)| of _unit_log times
-    the index |GL_md(q)| / |GL_m(Q)|, an integer as GL_m(F_Q) is a
-    subgroup of GL_md(F_q).  With x = 1 / Q the unit factor is
-    sum_m x^(m^2) v^m / ((1 - x)...(1 - x^m)), a Rogers-Ramanujan-type sum
-    with no product form and so no closed log.  One exp gives A_n with
-    exact division by n.  On either path an inexact division raises
-    NonIntegralCount.
+    Exp-log path, for the rest: the copies of the degree-d factor add
+    copies[d] d lambda_m S_(md)(q) to L_n = n l_n S_n, l the product's
+    log and lambda_m = m l_m the factor's log coefficient in v = u^d: a
+    closed log's by one exact division, and the unit log G_m =
+    lambda_m |GL_m(Q)| of scaled.unit_log moved to u^(md) (scaled.lift).
+    With x = 1 / Q the unit factor is sum_m x^(m^2) v^m / ((1 - x)...(1 - x^m)),
+    a Rogers-Ramanujan-type sum with no product form and so no closed
+    log.  One exp (scaled.exp) gives A_n.  On either path an inexact
+    division raises NonIntegralCount.
     """
     if copies is None:
         copies = {d: irreducible_poly_count(q, d) for d in range(1, order + 1)}
@@ -410,8 +290,8 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     if closed is None and rule is not unit_rule:
         raise ValueError("a product rule must declare a closed log or be unit_rule")
     gl = closed is None
-    scales = _scales(q, order, gl)
-    pw = [q**i for i in range(order + 1)]
+    scales = scaled.scales(q, order, gl)
+    pw = scaled.powers(q, order)
     degrees = _finite_degrees(rule, copies, order)
     if degrees is not None:
         return _finite_product(q, rule.base[1], copies, degrees, scales, pw, gl), gl
@@ -420,20 +300,19 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
         if d > order or not nu:
             continue
         if gl:
-            logs, scales_Q = _unit_log(pw[::d]), _scales(q**d, order // d, True)
-        for m in range(1, order // d + 1):
-            if gl:
-                index, rem = divmod(scales[m * d], scales_Q[m])
-                term = logs[m] * index
-            else:
+            terms = scaled.lift(scaled.unit_log(pw[::d]), d, q, scales, True, "log")
+        else:
+            terms = [0] * (order + 1)
+            for m in range(1, order // d + 1):
                 lam = closed(q**d, m)
-                term, rem = divmod(lam.numerator * scales[m * d], lam.denominator)
-            if rem:
-                raise NonIntegralCount(
-                    f"the degree-{d} factors' log is not an integer at u^{m * d}"
-                )
-            log[m * d] += nu * d * term
-    return (_scaled_exp(q, log, gl) if any(log) else [1] + [0] * order), gl
+                terms[m * d], rem = divmod(lam.numerator * scales[m * d], lam.denominator)
+                if rem:
+                    raise NonIntegralCount(
+                        f"the degree-{d} factors' log is not an integer at u^{m * d}"
+                    )
+        for n in range(d, order + 1, d):
+            log[n] += nu * d * terms[n]
+    return (scaled.exp(log, pw, gl) if any(log) else [1] + [0] * order), gl
 
 
 # The most degrees the finite path joins to its first; a product with more
@@ -462,54 +341,32 @@ def _finite_degrees(rule, copies: dict[int, int], order: int) -> list[int] | Non
     return degrees
 
 
-def _scaled_join(a: list[int], x: list[int], pw: list[int], gl: bool) -> list[int]:
-    """C_n = c_n S_n of c = a x from A and X, both at the scale S_n with
-    A_0 = X_0 = 1: C_n = A_n + sum_(k=1..n) W(n, k) X_k A_(n-k).
-    [n, k]_q X_k is carried by _carry, zeros included, and _weighted_sum
-    adds |GL_n|'s q^(k(n-k)), as in the exp."""
-    terms, joined = [0], [1]
-    for n in range(1, len(a)):
-        _carry(terms, pw, n)
-        terms.append(x[n])
-        joined.append(a[n] + _weighted_sum(terms, a, n, pw, gl))
-    return joined
-
-
 def _finite_product(
     q: int, coeff: Callable[[int, int], int], copies: dict[int, int], degrees: list[int],
     scales: list[int], pw: list[int], gl: bool,
 ) -> list[int]:
     """A_n = a_n S_n of prod_d f_d ** copies[d] over degrees, S_n the
-    scales: each f_d ** copies[d] is the power step (qcount._scaled_power)
-    of the base coeff(Q, m) at Q = q^d, read as it is for one copy, its
-    v^m term moved to u^(md) by the index S_md(q) / S_m(Q); the first
-    degree's series is the start and each later one is joined to it."""
+    scales: each f_d ** copies[d] is the power step (scaled.power) of the
+    base coeff(Q, m) at Q = q^d, read as it is for one copy, and moved to
+    u^(md) (scaled.lift); the first degree's series is the start and each
+    later one is joined to it (scaled.join)."""
     order = len(scales) - 1
     product = None
     for d in degrees:
-        Q, top = q**d, order // d
-        base = [coeff(Q, m) for m in range(top + 1)]
+        Q = q**d
+        base = [coeff(Q, m) for m in range(order // d + 1)]
         c = abs(copies[d])
-        power = base if c == 1 else _scaled_power(c, base, pw[::d], gl)
-        series = power
-        if d > 1:
-            series = [0] * (order + 1)
-            for m, (p, s) in enumerate(zip(power, _scales(Q, top, gl))):
-                index, rem = divmod(scales[m * d], s)
-                if rem:
-                    raise NonIntegralCount(
-                        f"the degree-{d} factors' power is not an integer at u^{m * d}"
-                    )
-                series[m * d] = p * index
-        product = series if product is None else _scaled_join(product, series, pw, gl)
+        power = base if c == 1 else scaled.power(c, base, pw[::d], gl)
+        series = scaled.lift(power, d, q, scales, gl, "power")
+        product = series if product is None else scaled.join(product, series, pw, gl)
     return [1] + [0] * order if product is None else product
 
 
 def _divide_by_one_minus_u(values: list[int], q: int, gl: bool) -> None:
     """Divide a scaled series by 1 - u in place: b_n = a_n + b_(n-1), so
     B_n = A_n + (S_n / S_(n-1)) B_(n-1)."""
-    for n in range(1, len(values)):
-        values[n] += _step(q, n, gl) * values[n - 1]
+    for n, step in zip(range(1, len(values)), scaled.scale_steps(q, gl)):
+        values[n] += step * values[n - 1]
 
 
 def _class_counts(q: int, order: int, invertible: bool) -> list[int]:
@@ -590,7 +447,9 @@ _KINDS: dict[str, _Kind] = {
     "conjclasses_all": _Kind(build=partial(_class_counts, invertible=False), normalized=False),
     "conjclasses_gl": _Kind(build=partial(_class_counts, invertible=True), normalized=False),
     # the exp of the unit sum sum_(r>=1) u^r / |GL_r|, whose L_r is r
-    "bell": _Kind(build=lambda q, order: _scaled_exp(q, list(range(order + 1)), True)),
+    "bell": _Kind(
+        build=lambda q, order: scaled.exp(list(range(order + 1)), scaled.powers(q, order), True)
+    ),
 }
 
 # tag -> True when the u^n coefficient must be scaled by gl_order(q, n)
@@ -637,7 +496,7 @@ def gf_build(kind: str, q: int, order: int, k: int | None = None) -> TruncSeries
     """
     values, gl = _scaled_build(kind, q, order, k)
     if gl is not None:
-        values = [Fraction(a, s) for a, s in zip(values, _scales(q, order, gl))]
+        values = [Fraction(a, s) for a, s in zip(values, scaled.scales(q, order, gl))]
     return TruncSeries(values, order)
 
 

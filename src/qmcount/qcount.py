@@ -15,23 +15,22 @@ their q-difference recurrence (projection_counts).  The rank triangle
 neighbouring terms, one product and one exact division a term.  The
 splitting counts come from e(u) = sum_m u^m / |GL_m|: the diagonalizable
 counts, the ordered splittings into q eigenspaces, by the power
-recurrence of e^q (diagonalizable_counts, the power step _scaled_power
-that gfengine raises its finite products by), and the q-Stirling triangle,
-the unordered splittings, a column at a time from the one before over
-the complement counts (q_stirling_rows), whose row sums are the q-Bell
-numbers (q_bell, the check of gfengine's bell series, which the qbell
-route reads).  The recurrences of scaled series share one kernel,
-which carries each Gaussian binomial [n, k]_q by an exact ratio (_carry)
-and weighs a sum by q^(k(n-k)) through Horner runs (_weighted_sum):
-the power step reads it, and so do gfengine's exp, unit log and join.
-The scalar runs are running products: |GL_n| (GLOrderTable;
-gl_order_factored is the check), the q-factorials (q_factorials),
-q^(n^2 + shift n) (square_powers), the separable class counts and the
-linear derangements.  gaussian_binomial, rank_count, q_factorial,
-nilpotent_count, separable_class_count, projection_count (the
-complement-row sum), involution_count_char2, and diagonalizable_count
-and q_stirling (by the splitting joins) are the per-value checks.  join,
-shared with classtypes, joins counts across splittings.
+recurrence of e^q (diagonalizable_counts, the power step of the
+scaled-series kernel, scaled.power, that gfengine raises its finite
+products by), and the q-Stirling triangle, the unordered splittings, a
+column at a time from the one before over the complement counts
+(q_stirling_rows), whose row sums are the q-Bell numbers (q_bell, the
+check of gfengine's bell series, which the qbell route reads).  The
+scalar runs are running products: |GL_n| (GLOrderTable, by the kernel's
+scale step; gl_order_factored is the check), the q-factorials
+(q_factorials), q^(n^2 + shift n) (square_powers), the separable class
+counts and the linear derangements.  gaussian_binomial, rank_count,
+q_factorial, nilpotent_count, separable_class_count, projection_count
+(the complement-row sum), involution_count_char2, and
+diagonalizable_count and q_stirling (by the splitting joins) are the
+per-value checks.  join, shared with classtypes, joins counts across
+splittings, and partitions_of and centralizer_order give the conjugacy
+classes whose sizes classtypes sums.
 
 The tables and runs that a printed sequence reads are generic over the
 number type: they build every value from a given `one` (the int 1 by
@@ -42,18 +41,21 @@ time where an int's takes quadratic.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import mul
+
+from . import scaled
 
 
 class CharNotTwo(ValueError):
     """The involution sum formula only holds in characteristic two."""
 
 
-class NonIntegralCount(ArithmeticError):
-    """A coefficient that must be a count failed to be a non-negative integer."""
+class CostExceeded(ValueError):
+    """A request whose work model is above the fixed bound of its route."""
 
 
 def exact_div(a, b):
@@ -132,21 +134,19 @@ class PrimePower:
 
 class GLOrderTable:
     """Memoized orders of the groups of invertible n x n matrices over F_q,
-    of the type of `one`, extended one order at a time by
-    |GL_m| = |GL_(m-1)| q^(m-1) (q^m - 1) with q^(m-1) carried."""
+    of the type of `one`, extended one order at a time by the scale step
+    |GL_m| = |GL_(m-1)| q^(m-1) (q^m - 1) (scaled.scale_steps)."""
 
     def __init__(self, q: int, one=1):
         self.q = q
         self._values = [one]
-        self._power = one  # q^(m-1) for the next order m
+        self._steps = scaled.scale_steps(q, True, one)
 
     def value(self, n: int):
         if n < 0:
             raise ValueError("matrix size must be >= 0")
         while len(self._values) <= n:
-            below = self._power
-            self._power = below * self.q
-            self._values.append(self._values[-1] * (below * (self._power - 1)))
+            self._values.append(self._values[-1] * next(self._steps))
         return self._values[n]
 
 
@@ -212,62 +212,6 @@ def q_multinomial(q: int, parts: tuple[int, ...] | list[int]) -> int:
     return exact_div(num, den)
 
 
-def _powers(q: int, N: int, one=1) -> list:
-    """[q^0, q^1, ..., q^(2N)], every power a table to dimension N >= 0
-    reads, each the one before times q, so of the type of `one`."""
-    if N < 0:
-        raise ValueError("dimension must be >= 0")
-    pw = [one]
-    for _ in range(2 * N):
-        pw.append(pw[-1] * q)
-    return pw
-
-
-def _carry(terms: list[int], pw: list[int], n: int) -> None:
-    """Move terms[k] = [n-1, k]_q X_k on to [n, k]_q X_k in place, for
-    k = 1 .. n-1; pw[i] is q^i.
-
-    From n - 1 to n the Gaussian binomial grows by the exact ratio
-    (q^n - 1) / (q^(n-k) - 1), so each term costs one product and one
-    division by small integers; an inexact division, which only a pw that
-    is not the powers of q can make, raises NonIntegralCount.  [n, 0]_q = 1
-    is never carried, and a new term X_m enters as [m, m]_q X_m = X_m.
-    """
-    up = pw[n] - 1
-    for k in range(1, n):
-        t, rem = divmod(terms[k] * up, pw[n - k] - 1)
-        if rem:
-            raise NonIntegralCount(f"a carried weight is not an integer at u^{n}")
-        terms[k] = t
-
-
-def _weighted_sum(a: list[int], b: list[int], n: int, pw: list[int], gl: bool) -> int:
-    """sum_(k=1..n) q^(k(n-k)) a[k] b[n-k] when gl, else the plain sum,
-    pw[i] being q^i.
-
-    The exponent e(k) = k(n-k) rises to k = n // 2 and falls after it, so
-    two Horner runs apply it with small powers only: from k = n // 2 down
-    to 1, acc q^(e(k+1) - e(k)) + x_k with e(k+1) - e(k) = n - 2k - 1,
-    the result times q^(e(1)) = q^(n-1); and from n // 2 + 1 up to n,
-    acc q^(e(k-1) - e(k)) + x_k with e(k-1) - e(k) = 2k - n - 1, which
-    ends at e(n) = 0.  Each step multiplies by at most q^(n-1), in time
-    linear in acc; each product x_k = a[k] b[n-k] is formed in the loop.
-    """
-    if not gl:
-        return sum(a[k] * b[n - k] for k in range(1, n + 1))
-    half = n // 2
-    low = 0
-    if half:
-        low = a[half] * b[n - half]
-        for k in range(half - 1, 0, -1):
-            low = low * pw[n - 2 * k - 1] + a[k] * b[n - k]
-        low *= pw[n - 1]
-    high = 0
-    for k in range(half + 1, n + 1):
-        high = high * pw[2 * k - n - 1] + a[k] * b[n - k]
-    return low + high
-
-
 def gaussian_rows(q: int, N: int, one=1) -> list[list]:
     """Rows n = 0 .. N of the Gaussian binomials, row n = [[n, 0]_q, ..., [n, n]_q],
     of the type of `one`.
@@ -275,7 +219,7 @@ def gaussian_rows(q: int, N: int, one=1) -> list[list]:
     Built by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]
     (G. E. Andrews, The Theory of Partitions, ch. 3): n additions a row.
     """
-    pw = _powers(q, N, one)
+    pw = scaled.powers(q, N, one)
     rows = [[one]]
     for n in range(1, N + 1):
         prev = rows[-1]
@@ -290,7 +234,7 @@ def complement_rows(q: int, N: int) -> list[list[int]]:
     q^(a(m-a)) times the q-Pascal rule gives
     C(m, a) = q^(m-a) C(m-1, a-1) + q^(2a) C(m-1, a).
     """
-    pw = _powers(q, N)
+    pw = scaled.powers(q, 2 * N)
     rows = [[1]]
     for m in range(1, N + 1):
         prev = rows[-1]
@@ -304,7 +248,7 @@ def subspace_totals(q: int, N: int, one=1) -> list:
     """[G_0, ..., G_N] of the type of `one`, G_n the number of subspaces of
     F_q^n (the Galois numbers), by G_(n+1) = 2 G_n + (q^n - 1) G_(n-1)
     (Goldman and Rota, Studies in Appl. Math. 49, 1970)."""
-    pw = _powers(q, N, one)
+    pw = scaled.powers(q, N, one)
     totals = [one, 2 * one][: N + 1]
     for n in range(1, N):
         totals.append(2 * totals[n] + (pw[n] - 1) * totals[n - 1])
@@ -327,7 +271,7 @@ def rank_rows(q: int, N: int, one=1) -> list[list]:
     R(n, k) = R(n, k-1) (q^n - q^(k-1)) (q^(n-k+1) - 1) / (q^k - 1),
     one product and one exact division a cell.
     """
-    pw = _powers(q, N, one)
+    pw = scaled.powers(q, N, one)
     less = [p - 1 for p in pw]  # q^i - 1
     rows = [[one]]
     for n in range(1, N + 1):
@@ -344,6 +288,57 @@ def rank_count(q: int, m: int, n: int, k: int) -> int:
     if k < 0 or k > min(m, n):
         return 0
     return gaussian_binomial(q, m, k) * gaussian_binomial(q, n, k) * gl_order(q, k)
+
+
+def partitions_of(n: int) -> list[tuple[int, ...]]:
+    """All partitions of n with parts descending, in reverse lexicographic order."""
+    if n < 0:
+        raise ValueError("cannot partition a negative integer")
+    result: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def walk(remaining: int, maxpart: int) -> None:
+        if remaining == 0:
+            result.append(tuple(prefix))
+            return
+        for part in range(min(remaining, maxpart), 0, -1):
+            prefix.append(part)
+            walk(remaining - part, part)
+            prefix.pop()
+
+    walk(n, n)
+    return result
+
+
+def centralizer_order(qd: int, partition) -> int:
+    """Order of the automorphism group of the module with the given partition.
+
+    For the primary piece of a matrix at one irreducible polynomial of
+    degree d (so qd = q^d), with block-size partition lam, the conjugation
+    centralizer of that piece has order
+
+        prod over distinct part sizes i (multiplicity b_i) of
+        prod_{k=1..b_i} (qd^(d_i) - qd^(d_i - k)),
+
+    where d_i = sum_j min(i, lam_j): the parts below i, plus i for each
+    part from i up.  Each factor is qd^(d_i - k) (qd^k - 1), so the order
+    is qd^E prod_i prod_{k=1..b_i} (qd^k - 1) with
+    E = sum_i (b_i d_i - b_i (b_i + 1) / 2), one power taken at the end.
+    """
+    mult = Counter(partition)
+    if any(p < 1 for p in mult):
+        raise ValueError("partition parts must be >= 1")
+    result = 1
+    exponent = below = 0
+    from_i = sum(mult.values())
+    for i in sorted(mult):
+        b = mult[i]
+        exponent += b * (below + i * from_i) - b * (b + 1) // 2
+        for k in range(1, b + 1):
+            result *= qd**k - 1
+        below += i * b
+        from_i -= b
+    return result * qd**exponent
 
 
 def join(a: list[int], b: Sequence[int], rows: Sequence[Sequence[int]], step: int = 1) -> list[int]:
@@ -451,7 +446,7 @@ def projection_counts(q: int, N: int, one=1) -> list:
 
     Its u^(n+1) coefficient, times |GL_n| / q^(n+2), is the recurrence.
     """
-    pw = _powers(q, N, one)
+    pw = scaled.powers(q, N, one)
     counts = [one, 2 * one][: N + 1]
     for n in range(1, N):
         drop = pw[n] - 1
@@ -462,42 +457,9 @@ def projection_counts(q: int, N: int, one=1) -> list:
     return counts
 
 
-def _scaled_power(c: int, coeffs: Sequence[int], pw: list[int], gl: bool) -> list[int]:
-    """P_n = p_n S_n, n < len(coeffs), of p = f^c for c >= 1, from the
-    scaled coefficients F_k = f_k S_k of a series f with f_0 = 1; S_n is
-    |GL_n(q)| when gl, else D_n = q^n (q - 1)...(q^n - 1), pw[i] being q^i.
-
-    J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, sec. 4.7):
-    f p' = c f' p, whose u^(n-1) coefficients are
-    sum_(k=0..n-1) (n - k) f_k p_(n-k) = c sum_(k=1..n) k f_k p_(n-k);
-    moving the terms k >= 1 of the left to the right leaves
-    n p_n = sum_(k=1..n) ((c + 1) k - n) f_k p_(n-k).  Times S_n, with
-    S_n / (S_k S_(n-k)) = W(n, k) = q^(k(n-k)) [n, k]_q for |GL_n| and
-    [n, k]_q for D_n,
-
-        n P_n = sum_(k=1..n) ((c + 1) k - n) W(n, k) F_k P_(n-k).
-
-    Each step carries T_j = [n, j]_q P_j from n - 1 to n, the new term
-    j = n - 1 entering as P_(n-1), and weighs the sum with the series
-    kernel (_carry, _weighted_sum), so a big number only meets small
-    factors when the F_k are small.  The division by n must be exact, or
-    NonIntegralCount is raised, as it is by an inexact carried ratio.
-    """
-    values, carried = [1], []
-    for n in range(1, len(coeffs)):
-        carried.append(values[-1])
-        _carry(carried, pw, n)
-        weights = [((c + 1) * k - n) * coeffs[k] for k in range(n + 1)]  # meets T_(n-k)
-        p, rem = divmod(_weighted_sum(weights, carried, n, pw, gl), n)
-        if rem:
-            raise NonIntegralCount(f"the power is not an integer at u^{n}")
-        values.append(p)
-    return values
-
-
 def diagonalizable_counts(q: int, N: int) -> list[int]:
     """[D_0, ..., D_N], D_n the number of diagonalizable n x n matrices over
-    F_q: the power step (_scaled_power) of e(u)^q, e(u) = sum_m u^m / |GL_m|,
+    F_q: the power step (scaled.power) of e(u)^q, e(u) = sum_m u^m / |GL_m|,
     whose coefficients are all 1 at |GL_m|.  The step reads
 
         n D_n = sum_(j=0..n-1) (q (n-j) - j) q^(j(n-j)) [n, j]_q D_j,
@@ -513,7 +475,7 @@ def diagonalizable_counts(q: int, N: int) -> list[int]:
     the same step; diagonalizable_count is the independent check, by the
     splitting joins, and so are the class types and the oracle.
     """
-    return _scaled_power(q, [1] * (N + 1), _powers(q, N), True)
+    return scaled.power(q, [1] * (N + 1), scaled.powers(q, N), True)
 
 
 def diagonalizable_count(q: int, n: int) -> int:
@@ -555,7 +517,7 @@ def involution_counts_char2(q: int, N: int, one=1) -> list:
     """
     if PrimePower.of(q).p != 2:
         raise CharNotTwo(f"field size {q} has odd characteristic")
-    pw = _powers(q, N, one)
+    pw = scaled.powers(q, N, one)
     less = [p - 1 for p in pw]  # q^i - 1
     counts = []
     for n in range(N + 1):

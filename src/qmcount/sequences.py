@@ -53,7 +53,7 @@ class UnsupportedSequence(ValueError):
 # 1048576), and all, invertible, nilpotent, qfactorial, lin_derangement,
 # qbinom_row, subspaces_total and projection 0.004-0.05 s; the splitting
 # routes, on ints, diagonalizable 0.004-0.008 s and qstirling_row
-# 0.008-0.01 s; and qbell, which reads the bell series, 0.007-0.009 s, its
+# 0.008-0.01 s; and qbell, which reads the bell series, 0.004-0.008 s, its
 # series guard at most 2% of MAX_SERIES_WORK wherever this bound admits
 # it.  The exponents and the bound are kept only so that the admitted
 # requests stay the same.

@@ -36,7 +36,6 @@ from . import oracle, regression
 from .classtypes import DECLARATIONS, class_sizes, class_type_counts
 from .ffpoly import cyclotomic_factor_degrees, divisors, irreducible_poly_count
 from .gfengine import (
-    centralizer_order,
     cyclic_limit_bracket,
     decimal_truncate,
     euler_partial_product,
@@ -44,11 +43,11 @@ from .gfengine import (
     gf_counts,
     limit_eval,
     min_centralizer_orders,
-    partitions_of,
     q_stirling_via_gf,
 )
 from .qcount import (
     PrimePower,
+    centralizer_order,
     complement_rows,
     diagonalizable_count,
     gaussian_binomial,
@@ -58,6 +57,7 @@ from .qcount import (
     linear_derangement_count,
     linear_derangement_reduced,
     nilpotent_count,
+    partitions_of,
     projection_count,
     q_bell,
     q_multinomial,

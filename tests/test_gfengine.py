@@ -12,7 +12,7 @@ from math import comb, lcm, prod
 import pytest
 
 import qmcount
-from qmcount import classtypes, cli, gfengine, oracle, qcount, verify
+from qmcount import classtypes, cli, gfengine, oracle, scaled, verify
 from qmcount.classtypes import class_type_counts
 from qmcount.exact_series import TruncSeries
 from qmcount.gfengine import (
@@ -23,16 +23,11 @@ from qmcount.gfengine import (
     LIMIT_KINDS,
     NonIntegralCount,
     UnresolvedDigits,
-    _carry,
     _closed_log,
     _pentagonal_ends,
     _resolve_digits,
     _root_of_one_copies,
-    _scaled_exp,
     _scaled_product,
-    _scales,
-    _weighted_sum,
-    centralizer_order,
     cyclic_alt_rule,
     cyclic_limit_bracket,
     cyclic_rule,
@@ -43,7 +38,6 @@ from qmcount.gfengine import (
     gf_counts,
     limit_eval,
     min_centralizer_orders,
-    partitions_of,
     q_stirling_via_gf,
     separable_alt_rule,
     separable_rule,
@@ -52,11 +46,12 @@ from qmcount.gfengine import (
 from qmcount.ffpoly import cyclotomic_factor_degrees, irreducible_poly_count
 from qmcount.qcount import (
     PrimePower,
-    _scaled_power,
+    centralizer_order,
     diagonalizable_count,
     gaussian_rows,
     gl_order,
     linear_derangement_count,
+    partitions_of,
     projection_count,
     q_bell,
     q_stirling,
@@ -126,7 +121,7 @@ def product_series(q: int, rule, order: int, copies=None) -> list[Fraction]:
     """a_n of prod_d factor_d ** copies[d] (nu_d copies by default), read
     off _scaled_product's integers."""
     values, gl = _scaled_product(q, rule, order, copies)
-    return [Fraction(a, s) for a, s in zip(values, _scales(q, order, gl))]
+    return [Fraction(a, s) for a, s in zip(values, scaled.scales(q, order, gl))]
 
 
 def test_euler_factor_series_matches_partition_sums():
@@ -292,7 +287,7 @@ def test_scaled_product_rejects_factors_that_are_not_counts():
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_carry_reproduces_the_q_pascal_table(q):
     # X_k = 1 seeded at n = k and carried on is [n, k]_q (k = 0 is never
-    # carried, and [n, 0]_q = 1); read through _weighted_sum against a unit
+    # carried, and [n, 0]_q = 1); read through weighted_sum against a unit
     # vector at n - k it is W(n, k): the Gaussian binomial for D_n, times
     # q^(k(n-k)) for |GL_n|
     N = 30
@@ -300,19 +295,19 @@ def test_carry_reproduces_the_q_pascal_table(q):
     pw = [q**i for i in range(N + 1)]
     terms: list[int] = []
     for n in range(N + 1):
-        _carry(terms, pw, n)
+        scaled.carry(terms, pw, n)
         terms.append(1)
         assert terms == rows[n], n
         for gl in (False, True):
             got = []
             for k in range(1, n + 1):
                 unit = [int(j == n - k) for j in range(n + 1)]
-                got.append(_weighted_sum(terms, unit, n, pw, gl))
+                got.append(scaled.weighted_sum(terms, unit, n, pw, gl))
             want = [rows[n][k] * q ** (k * (n - k) * gl) for k in range(1, n + 1)]
             assert got == want, (gl, n)
     # a table that is not the powers of q leaves the division inexact
     with pytest.raises(NonIntegralCount, match="not an integer at u\\^2"):
-        _carry([0, 1], [1, 4, 6], 2)
+        scaled.carry([0, 1], [1, 4, 6], 2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 9])
@@ -327,14 +322,14 @@ def test_horner_runs_equal_the_direct_weighted_sum(q):
             other = [rng.choice((0, rng.randrange(10**9))) for _ in range(n + 1)]
             x = [terms[k] * other[n - k] for k in range(n + 1)]
             direct = sum(q ** (k * (n - k)) * x[k] for k in range(1, n + 1))
-            assert _weighted_sum(terms, other, n, pw, True) == direct, n
-            assert _weighted_sum(terms, other, n, pw, False) == sum(x[1:])
+            assert scaled.weighted_sum(terms, other, n, pw, True) == direct, n
+            assert scaled.weighted_sum(terms, other, n, pw, False) == sum(x[1:])
 
 
 def test_scaled_exp_refuses_an_inexact_division():
     # L_1 = 1 gives B_1 = 1, and 2 B_2 = W(2, 1) L_1 B_1 = [2, 1]_2 = 3
     with pytest.raises(NonIntegralCount, match="not an integer at u\\^2"):
-        _scaled_exp(2, [0, 1, 0], False)
+        scaled.exp([0, 1, 0], scaled.powers(2, 2), False)
 
 
 def fraction_product(q: int, rule, order: int) -> list[Fraction]:
@@ -451,14 +446,14 @@ def test_scaled_product_reads_no_rule_coefficient(monkeypatch):
 
 def test_only_a_rule_without_a_closed_log_runs_the_per_degree_recurrence(monkeypatch):
     carried = []
+    carry = scaled.carry
 
     def counted(terms, pw, n):
         carried.append(n)
-        _carry(terms, pw, n)
+        carry(terms, pw, n)
 
-    # the power step carries through qcount's name, the exp and joins gfengine's
-    monkeypatch.setattr(gfengine, "_carry", counted)
-    monkeypatch.setattr(qcount, "_carry", counted)
+    # the exp, the unit log, the power step and the join all carry through one kernel name
+    monkeypatch.setattr(scaled, "carry", counted)
     order = 24
     # the exp carries its terms once per order, and the closed logs none;
     # the finite path carries once per order for each power step of more
@@ -515,12 +510,13 @@ def test_the_path_choice_counts_the_degrees_joined(monkeypatch):
     # divides z^k - 1, so A^k = I holds for every invertible semisimple A,
     # and the exp-log runs
     exps = []
+    exp = scaled.exp
 
-    def counted(q, log, gl):
+    def counted(log, pw, gl):
         exps.append(len(log) - 1)
-        return _scaled_exp(q, log, gl)
+        return exp(log, pw, gl)
 
-    monkeypatch.setattr(gfengine, "_scaled_exp", counted)
+    monkeypatch.setattr(scaled, "exp", counted)
     order = 30
     every = lcm(*(2**d - 1 for d in range(1, order + 1)))
     copies = _root_of_one_copies(PrimePower.of(2), every, order)
@@ -561,13 +557,13 @@ def test_the_power_step_and_the_join_check_their_carried_divisions():
     # [2, 1] = (pw[2] - 1) / (pw[1] - 1) = 11 / 5, inexact at n = 2
     pw = [1, 6, 12, 24, 48]
     with pytest.raises(NonIntegralCount, match="^a carried weight is not an integer at u\\^2$"):
-        _scaled_power(2, [1] * 5, pw, True)
+        scaled.power(2, [1] * 5, pw, True)
     with pytest.raises(NonIntegralCount, match="^a carried weight is not an integer at u\\^2$"):
-        gfengine._scaled_join([1] * 5, [1] * 5, pw, False)
+        scaled.join([1] * 5, [1] * 5, pw, False)
     # a table whose carried ratios happen to divide can still leave the
     # division by n inexact
     with pytest.raises(NonIntegralCount, match="^the power is not an integer at u\\^4$"):
-        _scaled_power(2, [1, 1, 3, 0, -2], [1, 2, 3, 4, 10], False)
+        scaled.power(2, [1, 1, 3, 0, -2], [1, 2, 3, 4, 10], False)
 
 
 # SHA-256 of repr((kind, q, gf_counts(kind, q, order))) for the five

@@ -30,8 +30,18 @@ LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qmcoun
 
 
 def test_import_loads_only_ffpoly_and_qcount():
+    # and the scaled-series kernel that qcount reads
     code = f"import json, qmcount\nqmcount.field_for(3)\n{LOADED}"
-    assert fresh(code) == ["qmcount", "qmcount.ffpoly", "qmcount.qcount"]
+    assert fresh(code) == ["qmcount", "qmcount.ffpoly", "qmcount.qcount", "qmcount.scaled"]
+
+
+def test_the_class_type_reference_never_loads_the_engine_it_checks():
+    code = (
+        "import json\nfrom qmcount import classtypes\n"
+        "assert classtypes.class_type_counts('semisimple', 2, 8)[8] > 0\n"
+        f"{LOADED}"
+    )
+    assert "qmcount.gfengine" not in fresh(code)
 
 
 def test_import_loads_no_decimal():

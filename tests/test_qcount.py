@@ -8,12 +8,11 @@ from math import isqrt, prod
 
 import pytest
 
-from qmcount import qcount
+from qmcount import scaled
 from qmcount.gfengine import q_stirling_via_gf
 from qmcount.qcount import (
     CharNotTwo,
     GLOrderTable,
-    NonIntegralCount,
     PrimePower,
     complement_rows,
     diagonalizable_count,
@@ -46,6 +45,7 @@ from qmcount.qcount import (
     subspace_total,
     subspace_totals,
 )
+from qmcount.scaled import NonIntegralCount
 
 
 def test_prime_power_accepts_prime_powers():
@@ -382,8 +382,8 @@ def test_splitting_recurrences_match_the_splitting_joins(q):
 def test_diagonalizable_counts_check_their_carried_divisions(monkeypatch):
     # a table that is not the powers of q leaves the first carried ratio,
     # [2, 1] = (pw[2] - 1) / (pw[1] - 1), inexact at n = 2
-    real = qcount._powers(2, 8)
-    monkeypatch.setattr(qcount, "_powers", lambda q, N: [1] + [3 * p for p in real[1:]])
+    real = scaled.powers(2, 8)
+    monkeypatch.setattr(scaled, "powers", lambda q, top: [1] + [3 * p for p in real[1:]])
     with pytest.raises(NonIntegralCount, match="a carried weight is not an integer at u\\^2"):
         diagonalizable_counts(2, 8)
 
