@@ -4,10 +4,12 @@ Every count is available through at least two independent routes (closed
 formulas and truncated generating functions), cross-validated against an
 exhaustive small-field enumeration oracle; see the verify module.
 
-Importing the package loads ffpoly, qcount and scaled, which all routes need.
-Every other export, and every other submodule (``qmcount.verify`` and the
-rest), is imported on first access, so a process that prints one sequence
-never loads the oracle or the verify suites.
+Importing the package loads ffpoly, qcount and scaled, which all routes
+need, and nothing else: no dataclasses, typing or fractions.  Every other
+export, and every other submodule (``qmcount.verify`` and the rest), is
+imported on first access, so a process that prints one sequence never
+loads the oracle or the verify suites, and one that prints a closed form
+or a limit never loads the series engine (gfengine and exact_series).
 """
 
 from importlib import import_module
@@ -23,20 +25,20 @@ _EXPORTS = {
         "irreducible_poly_count", "moebius", "multiplicative_order", "squarefree_test",
     ),
     "gfengine": (
-        "BadKindParams", "GF_KINDS", "LIMIT_KINDS", "euler_rule", "extract_count", "gf_build",
-        "gf_counts", "limit_eval", "q_stirling_via_gf",
+        "GF_KINDS", "euler_rule", "extract_count", "gf_build", "gf_counts", "q_stirling_via_gf",
     ),
+    "limits": ("LIMIT_KINDS", "limit_eval"),
     "oracle": (
         "BudgetExceeded", "FqMatrix", "char_poly", "classify", "count_matching",
         "enumerate_matrices", "max_class_size", "min_centralizer_order", "min_poly",
         "sweep_counts",
     ),
     "qcount": (
-        "CharNotTwo", "CostExceeded", "PrimePower", "centralizer_order", "diagonalizable_count",
-        "gaussian_binomial", "gl_order", "involution_count_char2", "linear_derangement_count",
-        "linear_derangement_reduced", "nilpotent_count", "partitions_of", "projection_count",
-        "q_bell", "q_factorial", "q_int", "q_multinomial", "q_stirling", "rank_count",
-        "separable_class_count", "subspace_total",
+        "BadKindParams", "CharNotTwo", "CostExceeded", "PrimePower", "centralizer_order",
+        "diagonalizable_count", "gaussian_binomial", "gl_order", "involution_count_char2",
+        "linear_derangement_count", "linear_derangement_reduced", "nilpotent_count",
+        "partitions_of", "projection_count", "q_bell", "q_factorial", "q_int", "q_multinomial",
+        "q_stirling", "rank_count", "separable_class_count", "subspace_total",
     ),
     "scaled": ("NonIntegralCount",),
     "sequences": (
@@ -58,7 +60,8 @@ globals().update(
 )
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (
-    "classtypes", "cli", "exact_series", "gfengine", "oracle", "regression", "sequences", "verify",
+    "classtypes", "cli", "exact_series", "gfengine", "limits", "oracle", "regression", "sequences",
+    "verify",
 )
 
 __all__ = sorted(_HOME)

@@ -10,6 +10,10 @@ Subcommands:
 - verify: run the full validation suites and exit nonzero on mismatch.
   Only this command imports the verify suites and the brute-force oracle.
 
+The limits module is bound at import, and the series engine is loaded by
+sequences on the first request that needs it, so a closed-form seq or
+table request, or a limit, never loads gfengine.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -20,7 +24,8 @@ import functools
 import sys
 from decimal import Decimal
 
-from .gfengine import LIMIT_KINDS, NonIntegralCount, UnresolvedDigits, limit_eval
+from .limits import LIMIT_KINDS, UnresolvedDigits, limit_eval
+from .scaled import NonIntegralCount
 from .sequences import (
     SEQUENCE_NAMES,
     TRIANGLE_NAMES,

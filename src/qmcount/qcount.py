@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import mul
 
@@ -56,6 +55,10 @@ class CharNotTwo(ValueError):
 
 class CostExceeded(ValueError):
     """A request whose work model is above the fixed bound of its route."""
+
+
+class BadKindParams(ValueError):
+    """Unknown generating function or limit kind, or parameters that do not fit it."""
 
 
 def exact_div(a, b):
@@ -109,13 +112,40 @@ def _int_root(n: int, e: int) -> int:
         r = s
 
 
-@dataclass(frozen=True)
 class PrimePower:
-    """A field size q = p**e with p prime and e >= 1."""
+    """A field size q = p**e with p prime and e >= 1.
 
-    p: int
-    e: int
-    q: int
+    An immutable value with plain slot attributes, compared with its own
+    class and hashed by its (p, e, q), as a frozen dataclass would be; it
+    is written out so that importing the package does not load dataclasses.
+    """
+
+    __slots__ = ("p", "e", "q")
+
+    def __init__(self, p: int, e: int, q: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.e, self.q) == (other.p, other.e, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.e, self.q))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(p={self.p!r}, e={self.e!r}, q={self.q!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.p, self.e, self.q)
 
     @classmethod
     def of(cls, q: int) -> PrimePower:

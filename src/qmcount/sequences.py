@@ -8,14 +8,14 @@ render a computed run of values as plain text, JSON, or an OEIS b-file.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
-from typing import Callable, NamedTuple
+from importlib import import_module
 
-from .gfengine import CostExceeded, gf_counts, min_centralizer_orders
 from .qcount import (
+    CostExceeded,
     GLOrderTable,
     PrimePower,
     diagonalizable_counts,
@@ -35,6 +35,24 @@ from .qcount import (
 
 class UnsupportedSequence(ValueError):
     """A sequence/parameter combination with no computing route."""
+
+
+# Names bound here on first use by __getattr__, each from its home module:
+# the series engine's two entry points, which only the series and knapsack
+# routes call, and json's dumps, which only emit_json calls.  So a
+# closed-form request in plain text or a b-file loads neither gfengine nor
+# json.  A caller looks each up on this module (_module), so a wrapper
+# installed on the attribute is the one called.
+_ON_FIRST_USE = {"gf_counts": ".gfengine", "min_centralizer_orders": ".gfengine", "dumps": "json"}
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_ON_FIRST_USE[name], __package__), name)
+    globals()[name] = value
+    return value
 
 
 # A closed-form request to max n = N over F_q scores N^e ceil(log2 q)^2.
@@ -100,15 +118,12 @@ _POWER_IDENTITY_OEIS = {
 }
 
 
-class _Run(NamedTuple):
+class _Run(namedtuple("_Run", "q k max_n one")):
     """What a value route may read: one request, with max_n at least 0,
     and the `one` that sets the number type of the routes that build their
     values from it."""
 
-    q: int
-    k: int | None
-    max_n: int
-    one: int | Decimal
+    __slots__ = ()
 
 
 def _oeis(ids: dict[int, str], offset: int = 0):
@@ -132,13 +147,13 @@ def _gf(kind: str):
     Coefficient n of a truncated product never reads a factor beyond
     degree n, so the series is built to the largest n requested.
     """
-    return lambda r: gf_counts(kind, r.q, r.max_n).__getitem__
+    return lambda r: _module.gf_counts(kind, r.q, r.max_n).__getitem__
 
 
 def _power_identity(r: _Run):
     pp = PrimePower.of(r.q)
     if r.k % pp.p:
-        return gf_counts("power_identity", r.q, r.max_n, r.k).__getitem__
+        return _module.gf_counts("power_identity", r.q, r.max_n, r.k).__getitem__
     if r.k == 2 and pp.p == 2:
         _check_formula_work(r.q, r.max_n, 6)
         return involution_counts_char2(r.q, r.max_n, r.one).__getitem__
@@ -159,7 +174,7 @@ def _separable_classes(r: _Run):
 
 
 def _min_centralizer(r: _Run):
-    orders = min_centralizer_orders(r.q, r.max_n)
+    orders = _module.min_centralizer_orders(r.q, r.max_n)
 
     def value(n: int) -> int:
         if n < 1:
@@ -179,8 +194,13 @@ def _cells(rows: list[list[int]]):
     return lambda n, k: rows[n][k] if k <= n else 0
 
 
-@dataclass(frozen=True)
-class _Seq:
+class _Seq(
+    namedtuple(
+        "_Seq",
+        "start route oeis first_col needs_k work",
+        defaults=(lambda q, k: None, None, False, None),
+    )
+):
     """One catalogued sequence.
 
     Every route maps a request (_Run) to its value function: a function
@@ -193,18 +213,15 @@ class _Seq:
     recurrences run slower on Decimals than on ints, and the series
     routes, qbell's the bell series exp(e(u) - 1) among them, give ints.
     A triangle is read by rows, or by one column k; a scalar takes k only
-    when it needs one.  Routes call module functions by name at call
-    time, so a wrapper installed on a module attribute is the one called.
-    A closed-form route names its work exponent for _check_formula_work;
-    the series and knapsack routes (None) guard themselves, qbell both.
+    when it needs one.  Routes look their functions up in this module at
+    call time, the series engine's on _module, so a wrapper installed on
+    a module attribute is the one called.  oeis(q, k) gives the catalogued
+    (id, offset), or None.  A closed-form route names its work exponent
+    for _check_formula_work; the series and knapsack routes (None) guard
+    themselves, qbell both.
     """
 
-    start: int
-    route: Callable
-    oeis: Callable[[int, int | None], tuple[str, int] | None] = lambda q, k: None
-    first_col: int | None = None
-    needs_k: bool = False
-    work: int | None = None
+    __slots__ = ()
 
 
 _REGISTRY = {
@@ -291,17 +308,10 @@ def oeis_info(name: str, q: int, k: int | None) -> tuple[str | None, int | None]
     return _REGISTRY[name].oeis(q, k) or (None, None)
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(namedtuple("SequenceSpec", "name q k min_n max_n oeis_id oeis_offset")):
     """One fully resolved sequence request."""
 
-    name: str
-    q: int
-    k: int | None
-    min_n: int
-    max_n: int
-    oeis_id: str | None
-    oeis_offset: int
+    __slots__ = ()
 
 
 def make_spec(
@@ -457,7 +467,7 @@ def emit_json(spec: SequenceSpec, values, offset: int | None = None) -> str:
         "oeis": spec.oeis_id,
         "values": [_decimal(v) for v in values],
     }
-    return json.dumps(obj)
+    return _module.dumps(obj)
 
 
 def emit_bfile(start: int, values) -> str:

@@ -37,14 +37,13 @@ from .classtypes import DECLARATIONS, class_sizes, class_type_counts
 from .ffpoly import cyclotomic_factor_degrees, divisors, irreducible_poly_count
 from .gfengine import (
     cyclic_limit_bracket,
-    decimal_truncate,
     euler_partial_product,
     euler_rule,
     gf_counts,
-    limit_eval,
     min_centralizer_orders,
     q_stirling_via_gf,
 )
+from .limits import decimal_truncate, limit_eval
 from .qcount import (
     PrimePower,
     centralizer_order,

@@ -12,39 +12,41 @@ from math import comb, lcm, prod
 import pytest
 
 import qmcount
-from qmcount import classtypes, cli, gfengine, oracle, scaled, verify
+from qmcount import classtypes, cli, gfengine, limits, oracle, scaled, verify
 from qmcount.classtypes import class_type_counts
 from qmcount.exact_series import TruncSeries
 from qmcount.gfengine import (
     MAX_SERIES_WORK,
-    BadKindParams,
     CostExceeded,
     GF_KINDS,
-    LIMIT_KINDS,
     NonIntegralCount,
-    UnresolvedDigits,
     _closed_log,
-    _pentagonal_ends,
-    _resolve_digits,
     _root_of_one_copies,
     _scaled_product,
     cyclic_alt_rule,
     cyclic_limit_bracket,
     cyclic_rule,
-    decimal_truncate,
     euler_rule,
     extract_count,
     gf_build,
     gf_counts,
-    limit_eval,
     min_centralizer_orders,
     q_stirling_via_gf,
     separable_alt_rule,
     separable_rule,
     unit_rule,
 )
+from qmcount.limits import (
+    LIMIT_KINDS,
+    UnresolvedDigits,
+    _pentagonal_ends,
+    _resolve_digits,
+    decimal_truncate,
+    limit_eval,
+)
 from qmcount.ffpoly import cyclotomic_factor_degrees, irreducible_poly_count
 from qmcount.qcount import (
+    BadKindParams,
     PrimePower,
     centralizer_order,
     diagonalizable_count,
@@ -1010,7 +1012,7 @@ def test_limit_guard_refuses_one_past_its_edge_before_any_work(monkeypatch):
     def bracket_work(q, depth):
         raise AssertionError("admitted")
 
-    monkeypatch.setattr(gfengine, "_pentagonal_ends", bracket_work)
+    monkeypatch.setattr(limits, "_pentagonal_ends", bracket_work)
     # 4096 = 2^12 is the largest q admitted at 50 digits, 4099 the next prime power
     with pytest.raises(AssertionError, match="admitted"):
         limit_eval("projective_frac", 4096, 50)
@@ -1033,7 +1035,7 @@ def test_limit_eval_starts_at_the_least_sufficient_depth(monkeypatch):
         starts.append(depth)
         return (1, 2), (1, 2)
 
-    monkeypatch.setattr(gfengine, "_resolve_digits", record)
+    monkeypatch.setattr(limits, "_resolve_digits", record)
     for kind in LIMIT_KINDS:
         for q in (2, 3, 4, 5, 7, 9, 16, 1009, 4096):
             mult = q - 1 if kind == "projective_frac" else 1

@@ -29,10 +29,54 @@ def fresh(code: str):
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qmcount'))))"
 
 
+def newly_loaded(code: str) -> set[str]:
+    """The modules that `code`, run in a fresh interpreter, loads beyond
+    those the interpreter had loaded before it; json is imported to print
+    them only after they are listed."""
+    return set(fresh(
+        f"before = set(sys.modules)\n{code}\nloaded = sorted(set(sys.modules) - before)\n"
+        "import json\nprint(json.dumps(loaded))"
+    ))
+
+
+def cli_requests(*lines: str) -> str:
+    """Code that runs each line through cli.main, output discarded, and checks it succeeded."""
+    return (
+        "import contextlib, io\n"
+        "from qmcount import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(a.split()) for a in {lines!r}]\n"
+        "assert not any(codes), codes"
+    )
+
+
+# what a dataclass, a typing.NamedTuple or an eager import would load
+HEAVY = {"dataclasses", "inspect", "typing"}
+
+
 def test_import_loads_only_ffpoly_and_qcount():
-    # and the scaled-series kernel that qcount reads
-    code = f"import json, qmcount\nqmcount.field_for(3)\n{LOADED}"
-    assert fresh(code) == ["qmcount", "qmcount.ffpoly", "qmcount.qcount", "qmcount.scaled"]
+    # and the scaled-series kernel that qcount reads, and no dataclasses or typing
+    loaded = newly_loaded("import qmcount\nqmcount.field_for(3)")
+    assert sorted(m for m in loaded if m.startswith("qmcount")) == [
+        "qmcount", "qmcount.ffpoly", "qmcount.qcount", "qmcount.scaled",
+    ]
+    assert not HEAVY & loaded
+
+
+def test_closed_forms_and_limits_never_load_the_series_engine():
+    loaded = newly_loaded(cli_requests(
+        "seq invertible --q 2 --max-n 5",
+        "table rank_row --q 3 --max-n 4",
+        "limit invertible --q 2 --digits 20",
+    ))
+    assert "qmcount.limits" in loaded
+    assert not {"qmcount.gfengine", "qmcount.exact_series", "fractions", "json", *HEAVY} & loaded
+
+
+def test_a_series_request_loads_the_engine_and_nothing_heavy():
+    loaded = newly_loaded(cli_requests("seq cyclic --q 2 --max-n 10"))
+    assert "qmcount.gfengine" in loaded
+    assert not HEAVY & loaded
 
 
 def test_the_class_type_reference_never_loads_the_engine_it_checks():

@@ -56,6 +56,18 @@ def test_prime_power_accepts_prime_powers():
     assert PrimePower.of(16).q == 16
 
 
+def test_prime_power_is_an_immutable_value():
+    # compared, hashed and shown by its (p, e, q), with slot attributes that never change
+    pp = PrimePower.of(9)
+    assert repr(pp) == "PrimePower(p=3, e=2, q=9)"
+    assert hash(pp) == hash((3, 2, 9)) and {pp: 1}[PrimePower(3, 2, 9)] == 1
+    assert pp != (3, 2, 9) and pp != PrimePower(3, 1, 3)
+    for change in (lambda: setattr(pp, "p", 5), lambda: setattr(pp, "x", 1), lambda: delattr(pp, "q")):
+        with pytest.raises(AttributeError):
+            change()
+    assert (pp.p, pp.e, pp.q) == (3, 2, 9) and not hasattr(pp, "__dict__")
+
+
 def test_prime_power_rejects_other_integers():
     for bad in (0, 1, 6, 12, -4, 10, 100):
         with pytest.raises(ValueError):
