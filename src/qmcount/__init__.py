@@ -8,8 +8,8 @@ Importing the package loads ffpoly, qcount and scaled, which all routes
 need, and nothing else: no dataclasses, typing or fractions.  Every other
 export, and every other submodule (``qmcount.verify`` and the rest), is
 imported on first access, so a process that prints one sequence never
-loads the oracle or the verify suites, and one that prints a closed form
-or a limit never loads the series engine (gfengine and exact_series).
+loads the oracle or the verify suites, and one that prints a closed form,
+qbell, a knapsack sequence or a limit never loads gfengine.
 """
 
 from importlib import import_module

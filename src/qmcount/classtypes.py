@@ -24,15 +24,16 @@ one counted on the other in each of the |GL_n| / (|GL_k| |GL_(n-k)|)
 ordered splittings F_q^n = U + U' with dim U = k (qcount.complement_rows);
 for class counts the classes just pair up.  All of it is integer
 arithmetic.  class_sizes lists the classes of one size one by one
-instead, for the oracle's orbit sizes.
+instead, for the oracle's orbit sizes, and min_centralizer_orders finds
+the smallest centralizer of each size by a knapsack over polynomials.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
 from functools import cache
 from math import comb
-from typing import NamedTuple
 
 from .ffpoly import cyclotomic_factor_counts, irreducible_poly_count
 from .qcount import CostExceeded, centralizer_order, complement_rows, gl_order, join, partitions_of
@@ -47,14 +48,12 @@ SHAPES: dict[str, Callable[[int], tuple[tuple[int, ...], ...]]] = {
 }
 
 
-class Declaration(NamedTuple):
+class Declaration(namedtuple("Declaration", "copies shape weighted", defaults=(True,))):
     """The classes a kind allows: copies(q, d, k) usable polynomials of
     degree d, each with a partition of the given shape.  A weighted kind
     counts the matrices in those classes, the others the classes."""
 
-    copies: Callable[[int, int, int | None], int]
-    shape: str
-    weighted: bool = True
+    __slots__ = ()
 
 
 def _irreducibles(linear: Callable[[int], int]):
@@ -110,6 +109,12 @@ MAX_CLASS_TYPE_WORK = 36**4
 # them, so it refuses n with q^n above this: n <= 12 at q = 2 (13386
 # classes in 0.55 s on a 2-core Xeon), n <= 6 at q = 4, n <= 3 at q = 16.
 MAX_LISTED_CLASSES = 2**12
+
+# min_centralizer_orders refuses a max_n whose knapsack, usable
+# polynomials x max_n x max_n // d summed over the degrees d, scores above
+# this: max_n <= 107 at q = 1009 (about a second) and max_n <= 237 at
+# q = 2 (about half a second).
+MAX_KNAPSACK_WORK = 2 * 10**6
 
 
 def _check_cost(q: int, order: int) -> None:
@@ -229,3 +234,47 @@ def class_sizes(kind: str, q: int, n: int, k: int | None = None) -> list[int]:
 
     walk(0, n, 1, 1)
     return sizes
+
+
+def min_centralizer_orders(q: int, max_n: int) -> list[int]:
+    """Smallest centralizer order in GL_n(F_q) for n = 0 .. max_n.
+
+    An invertible class picks a partition lam_phi for each monic
+    irreducible phi != z, and its centralizer order is the product of
+    centralizer_order(q^deg phi, lam_phi).  At one phi with Q = q^d and
+    |lam| = m, the single part (m) is the unique smallest choice, at
+    Q^(m-1) (Q-1): with ell parts and conjugate partition lam',
+
+        |Aut| = Q^(sum lam'^2) prod_i prod_(k=1..b_i) (1 - Q^-k)
+             >= Q^(sum lam'^2 - ell) (Q-1)^ell
+             >= Q^(m-1+(ell-1)^2) (Q-1)^ell,
+
+    since sum_i b_i = ell and sum lam'^2 >= ell^2 + (m - ell), lam'_1 being
+    ell.  The last bound exceeds Q^(m-1) (Q-1) unless ell = 1.  So the
+    minimum is a 0/1 knapsack over polynomials: each of the
+    min(nu_d - [d = 1], max_n // d) usable polynomials of degree d is left
+    out or takes some multiplicity m >= 1, at weight d m and that cost.
+    """
+    usable = [0]
+    work = 0
+    for d in range(1, max_n + 1):
+        usable.append(min(irreducible_poly_count(q, d) - (d == 1), max_n // d))
+        work += usable[d] * max_n * (max_n // d)
+        if work > MAX_KNAPSACK_WORK:
+            raise CostExceeded(
+                f"the centralizer knapsack to n = {max_n} is beyond the cost "
+                f"bound of {MAX_KNAPSACK_WORK} steps"
+            )
+    best: list[int | None] = [1] + [None] * max_n
+    for d in range(1, max_n + 1):
+        Q = q**d
+        for _ in range(usable[d]):
+            # descending weights read only entries this polynomial has not set
+            for w in range(max_n, d - 1, -1):
+                for m in range(1, w // d + 1):
+                    prev = best[w - d * m]
+                    if prev is not None:
+                        c = prev * Q ** (m - 1) * (Q - 1)
+                        if best[w] is None or c < best[w]:
+                            best[w] = c
+    return best

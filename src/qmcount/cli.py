@@ -10,9 +10,9 @@ Subcommands:
 - verify: run the full validation suites and exit nonzero on mismatch.
   Only this command imports the verify suites and the brute-force oracle.
 
-The limits module is bound at import, and the series engine is loaded by
-sequences on the first request that needs it, so a closed-form seq or
-table request, or a limit, never loads gfengine.
+The limits module is bound at import, and sequences imports the series
+engine in a series route when it runs, so a closed-form seq or table
+request, qbell, a knapsack request or a limit never loads gfengine.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """

@@ -13,17 +13,17 @@ reads only that declaration.
 
 Each kind gf_build serves is one entry of _KINDS: a rule with a number
 of factors per degree, nu_d unless declared, and whether the product is
-divided by 1 - u; or, for the q-Bell and conjugacy class series, a
-builder of its own.  Every kind is built on integers, with exact division
-throughout: a normalized series (below) is carried as a_n S_n, a product
-of factors by one of two paths (_scaled_product), and the conjugacy
-class series by integer loops over one list.  The rule declares the
-scale S_n.  A factor that is a product of binomials 1 + c v and their
-inverses (every rule but unit_rule) declares its log in closed form,
-rule.log(Q, m), which enters the product's log by one exact division, at
-D_n = q^n (q - 1)...(q^n - 1).  unit_rule's factor has no product form;
-at |GL_n(q)| its coefficients are all 1, and its log is recurred from
-that alone.  The scales and every recurrence the paths run are the
+divided by 1 - u; or a builder of its own, qcount.bell_counts for the
+q-Bell series and integer loops over one list for the conjugacy class
+series.  Every kind is built on integers, with exact division
+throughout: a normalized series (below) is carried as a_n S_n, and a
+product of factors by one of two paths (_scaled_product), whose rule
+declares the scale S_n.  A factor that is a product of binomials 1 + c v
+and their inverses (every rule but unit_rule) declares its log in closed
+form, rule.log(Q, m), which enters the product's log by one exact
+division, at D_n = q^n (q - 1)...(q^n - 1).  unit_rule's factor has no
+product form; at |GL_n(q)| its coefficients are all 1, and its log is
+recurred from that alone.  The paths' scales and recurrences are the
 kernel of the scaled module, whose docstring gives their one step.
 
 The first path, for the kinds with nu_d factors at every degree, sums
@@ -51,7 +51,8 @@ oracle.
 
 cyclic_limit_bracket proves the cyclic limit from the cycle index, on
 Fractions, as the second route to the closed form of limits.limit_eval,
-whose digit resolution it shares.
+whose digit resolution it shares.  The module builds and reads series
+and nothing else, so no closed-form, qbell or knapsack request loads it.
 
 A "normalized" series is one whose u^n coefficient must be multiplied by
 gl_order(q, n) to give the matrix count; the conjugacy class series are
@@ -69,7 +70,7 @@ from math import factorial, gcd
 from . import scaled
 from .ffpoly import divisors, irreducible_poly_count, moebius
 from .limits import _check_limit_args, _Ends, _resolve_digits
-from .qcount import BadKindParams, CostExceeded, PrimePower, gl_order
+from .qcount import BadKindParams, CostExceeded, PrimePower, bell_counts, gl_order
 from .scaled import NonIntegralCount
 from .exact_series import TruncSeries
 
@@ -89,57 +90,6 @@ from .exact_series import TruncSeries
 # 0.13-0.23 s; linear_derangement under 0.01 s.  At (2, 149) the k whose
 # z^k - 1 has a factor of every degree runs the exp-log, 0.29-0.33 s.
 MAX_SERIES_WORK = 4 * 10**9
-
-# min_centralizer_orders refuses a max_n whose knapsack, usable
-# polynomials x max_n x max_n // d summed over the degrees d, scores above
-# this: max_n <= 107 at q = 1009 (about a second) and max_n <= 237 at
-# q = 2 (about half a second).
-MAX_KNAPSACK_WORK = 2 * 10**6
-
-
-def min_centralizer_orders(q: int, max_n: int) -> list[int]:
-    """Smallest centralizer order in GL_n(F_q) for n = 0 .. max_n.
-
-    An invertible class picks a partition lam_phi for each monic
-    irreducible phi != z, and its centralizer order is the product of
-    centralizer_order(q^deg phi, lam_phi).  At one phi with Q = q^d and
-    |lam| = m, the single part (m) is the unique smallest choice, at
-    Q^(m-1) (Q-1): with ell parts and conjugate partition lam',
-
-        |Aut| = Q^(sum lam'^2) prod_i prod_(k=1..b_i) (1 - Q^-k)
-             >= Q^(sum lam'^2 - ell) (Q-1)^ell
-             >= Q^(m-1+(ell-1)^2) (Q-1)^ell,
-
-    since sum_i b_i = ell and sum lam'^2 >= ell^2 + (m - ell), lam'_1 being
-    ell.  The last bound exceeds Q^(m-1) (Q-1) unless ell = 1.  So the
-    minimum is a 0/1 knapsack over polynomials: each of the
-    min(nu_d - [d = 1], max_n // d) usable polynomials of degree d is left
-    out or takes some multiplicity m >= 1, at weight d m and that cost.
-    """
-    usable = [0]
-    work = 0
-    for d in range(1, max_n + 1):
-        usable.append(min(irreducible_poly_count(q, d) - (d == 1), max_n // d))
-        work += usable[d] * max_n * (max_n // d)
-        if work > MAX_KNAPSACK_WORK:
-            raise CostExceeded(
-                f"the centralizer knapsack to n = {max_n} is beyond the cost "
-                f"bound of {MAX_KNAPSACK_WORK} steps"
-            )
-    best: list[int | None] = [1] + [None] * max_n
-    for d in range(1, max_n + 1):
-        Q = q**d
-        for _ in range(usable[d]):
-            # descending weights read only entries this polynomial has not set
-            for w in range(max_n, d - 1, -1):
-                for m in range(1, w // d + 1):
-                    prev = best[w - d * m]
-                    if prev is not None:
-                        c = prev * Q ** (m - 1) * (Q - 1)
-                        if best[w] is None or c < best[w]:
-                            best[w] = c
-    return best
-
 
 def _closed_log(log: Callable[[int, int], Fraction]) -> Callable:
     """Declare rule.log = log on the rule it decorates: log(Q, m) = m l_m,
@@ -437,10 +387,7 @@ _KINDS: dict[str, _Kind] = {
     "separable_alt": _Kind(separable_alt_rule, over_one_minus_u=True),
     "conjclasses_all": _Kind(build=partial(_class_counts, invertible=False), normalized=False),
     "conjclasses_gl": _Kind(build=partial(_class_counts, invertible=True), normalized=False),
-    # the exp of the unit sum sum_(r>=1) u^r / |GL_r|, whose L_r is r
-    "bell": _Kind(
-        build=lambda q, order: scaled.exp(list(range(order + 1)), scaled.powers(q, order), True)
-    ),
+    "bell": _Kind(build=bell_counts),
 }
 
 # tag -> True when the u^n coefficient must be scaled by gl_order(q, n)

@@ -20,7 +20,7 @@ scaled-series kernel, scaled.power, that gfengine raises its finite
 products by), and the q-Stirling triangle, the unordered splittings, a
 column at a time from the one before over the complement counts
 (q_stirling_rows), whose row sums are the q-Bell numbers (q_bell, the
-check of gfengine's bell series, which the qbell route reads).  The
+check of bell_counts, one exp of e(u) - 1 that qbell reads).  The
 scalar runs are running products: |GL_n| (GLOrderTable, by the kernel's
 scale step; gl_order_factored is the check), the q-factorials
 (q_factorials), q^(n^2 + shift n) (square_powers), the separable class
@@ -443,6 +443,13 @@ def q_stirling_rows(q: int, N: int) -> list[list[int]]:
 def q_bell(q: int, n: int) -> int:
     """Total number of direct sum decompositions of F_q^n into nonzero parts."""
     return sum(q_stirling_rows(q, n)[n])
+
+
+def bell_counts(q: int, N: int) -> list[int]:
+    """[B_0, ..., B_N], B_n = q_bell(q, n), by one exp (scaled.exp) at
+    |GL_n|: a splitting into j nonzero parts is one of j! ordered ones, so
+    sum_n B_n u^n / |GL_n| = exp(e(u) - 1), whose L_n is n."""
+    return scaled.exp(list(range(N + 1)), scaled.powers(q, N), True)
 
 
 def projection_count(q: int, n: int) -> int:

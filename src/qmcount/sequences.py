@@ -9,15 +9,15 @@ render a computed run of values as plain text, JSON, or an OEIS b-file.
 from __future__ import annotations
 
 import re
-import sys
 from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
-from importlib import import_module
+from functools import partial
 
 from .qcount import (
     CostExceeded,
     GLOrderTable,
     PrimePower,
+    bell_counts,
     diagonalizable_counts,
     gaussian_rows,
     gl_order,
@@ -37,24 +37,6 @@ class UnsupportedSequence(ValueError):
     """A sequence/parameter combination with no computing route."""
 
 
-# Names bound here on first use by __getattr__, each from its home module:
-# the series engine's two entry points, which only the series and knapsack
-# routes call, and json's dumps, which only emit_json calls.  So a
-# closed-form request in plain text or a b-file loads neither gfengine nor
-# json.  A caller looks each up on this module (_module), so a wrapper
-# installed on the attribute is the one called.
-_ON_FIRST_USE = {"gf_counts": ".gfengine", "min_centralizer_orders": ".gfengine", "dumps": "json"}
-_module = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    if name not in _ON_FIRST_USE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(_ON_FIRST_USE[name], __package__), name)
-    globals()[name] = value
-    return value
-
-
 # A closed-form request to max n = N over F_q scores N^e ceil(log2 q)^2.
 # The exponents e were fitted to timings when every value printed as an
 # int, whose text takes quadratic time, so that printing N values of about
@@ -71,10 +53,10 @@ def __getattr__(name: str):
 # 1048576), and all, invertible, nilpotent, qfactorial, lin_derangement,
 # qbinom_row, subspaces_total and projection 0.004-0.05 s; the splitting
 # routes, on ints, diagonalizable 0.004-0.008 s and qstirling_row
-# 0.008-0.01 s; and qbell, which reads the bell series, 0.004-0.008 s, its
-# series guard at most 2% of MAX_SERIES_WORK wherever this bound admits
-# it.  The exponents and the bound are kept only so that the admitted
-# requests stay the same.
+# 0.008-0.01 s; and qbell, one exp on ints, 0.004-0.008 s, whose series
+# would score at most 2% of gfengine's MAX_SERIES_WORK wherever this bound
+# admits it.  The exponents and the bound are kept only so that the
+# admitted requests stay the same.
 MAX_FORMULA_WORK = 2 * 10**12
 
 
@@ -141,19 +123,21 @@ def _power_identity_oeis(q: int, k: int | None):
     return ident, 0 if ident == "A053846" else 1
 
 
-def _gf(kind: str):
+def _gf(kind: str, r: _Run, k: int | None = None):
     """Route through one cycle-index series, built once per request.
 
     Coefficient n of a truncated product never reads a factor beyond
     degree n, so the series is built to the largest n requested.
     """
-    return lambda r: _module.gf_counts(kind, r.q, r.max_n).__getitem__
+    from .gfengine import gf_counts
+
+    return gf_counts(kind, r.q, r.max_n, k).__getitem__
 
 
 def _power_identity(r: _Run):
     pp = PrimePower.of(r.q)
     if r.k % pp.p:
-        return _module.gf_counts("power_identity", r.q, r.max_n, r.k).__getitem__
+        return _gf("power_identity", r, r.k)
     if r.k == 2 and pp.p == 2:
         _check_formula_work(r.q, r.max_n, 6)
         return involution_counts_char2(r.q, r.max_n, r.one).__getitem__
@@ -174,7 +158,9 @@ def _separable_classes(r: _Run):
 
 
 def _min_centralizer(r: _Run):
-    orders = _module.min_centralizer_orders(r.q, r.max_n)
+    from .classtypes import min_centralizer_orders
+
+    orders = min_centralizer_orders(r.q, r.max_n)
 
     def value(n: int) -> int:
         if n < 1:
@@ -209,16 +195,16 @@ class _Seq(
     value their table, recurrence or running product computes build it
     from r.one, projection and the characteristic-two involutions among
     them; the splitting routes (diagonalizable by the power recurrence
-    of e(u)^q, qstirling_row by the unordered splitting step), whose
-    recurrences run slower on Decimals than on ints, and the series
-    routes, qbell's the bell series exp(e(u) - 1) among them, give ints.
-    A triangle is read by rows, or by one column k; a scalar takes k only
-    when it needs one.  Routes look their functions up in this module at
-    call time, the series engine's on _module, so a wrapper installed on
-    a module attribute is the one called.  oeis(q, k) gives the catalogued
-    (id, offset), or None.  A closed-form route names its work exponent
-    for _check_formula_work; the series and knapsack routes (None) guard
-    themselves, qbell both.
+    of e(u)^q, qstirling_row by the unordered splitting step, qbell by
+    the exp of e(u) - 1), whose recurrences run slower on Decimals than
+    on ints, and the series and knapsack routes give ints.  A triangle is
+    read by rows, or by one column k; a scalar takes k only when it needs
+    one.  Routes look their functions up at call time, gfengine's and
+    classtypes' by an import when they run, so a wrapper installed on a
+    module attribute is the one called and only those routes load those
+    modules.  oeis(q, k) gives the catalogued (id, offset), or None.  A
+    closed-form route names its work exponent for _check_formula_work;
+    the series and knapsack routes (None) guard themselves.
     """
 
     __slots__ = ()
@@ -240,7 +226,7 @@ _REGISTRY = {
         _oeis({q: f"A{6116 + q - 2:06d}" for q in range(2, 9)}),
         work=6,
     ),
-    "qbell": _Seq(1, _gf("bell"), work=7),
+    "qbell": _Seq(1, lambda r: bell_counts(r.q, r.max_n).__getitem__, work=7),
     "qfactorial": _Seq(
         0,
         lambda r: q_factorials(r.q, r.max_n, r.one).__getitem__,
@@ -253,7 +239,7 @@ _REGISTRY = {
         _oeis({2: "A002820"}, 2),
         work=5,
     ),
-    "proj_derangement": _Seq(0, _gf("projective_derangement")),
+    "proj_derangement": _Seq(0, partial(_gf, "projective_derangement")),
     "diagonalizable": _Seq(0, lambda r: diagonalizable_counts(r.q, r.max_n).__getitem__, work=7),
     "projection": _Seq(
         0,
@@ -269,14 +255,14 @@ _REGISTRY = {
         _oeis({2: "A053763"}),
         work=5,
     ),
-    "cyclic": _Seq(0, _gf("cyclic")),
-    "semisimple": _Seq(0, _gf("semisimple")),
-    "separable": _Seq(0, _gf("separable")),
+    "cyclic": _Seq(0, partial(_gf, "cyclic")),
+    "semisimple": _Seq(0, partial(_gf, "semisimple")),
+    "separable": _Seq(0, partial(_gf, "separable")),
     "separable_classes": _Seq(1, _separable_classes, work=3),
-    "conjclasses_all": _Seq(0, _gf("conjclasses_all"), _oeis({2: "A070933"})),
+    "conjclasses_all": _Seq(0, partial(_gf, "conjclasses_all"), _oeis({2: "A070933"})),
     "conjclasses_gl": _Seq(
         0,
-        _gf("conjclasses_gl"),
+        partial(_gf, "conjclasses_gl"),
         _oeis({2: "A006951", 3: "A006952", 4: "A049314", 5: "A049315", 7: "A049316"}),
     ),
     "min_centralizer": _Seq(1, _min_centralizer, _oeis({2: "A082877"}, 1)),
@@ -459,6 +445,8 @@ def emit_plain(values) -> str:
 
 
 def emit_json(spec: SequenceSpec, values, offset: int | None = None) -> str:
+    from json import dumps
+
     obj = {
         "sequence": spec.name,
         "q": spec.q,
@@ -467,7 +455,7 @@ def emit_json(spec: SequenceSpec, values, offset: int | None = None) -> str:
         "oeis": spec.oeis_id,
         "values": [_decimal(v) for v in values],
     }
-    return _module.dumps(obj)
+    return dumps(obj)
 
 
 def emit_bfile(start: int, values) -> str:

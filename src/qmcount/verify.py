@@ -33,14 +33,13 @@ from math import comb, gcd
 from typing import Any
 
 from . import oracle, regression
-from .classtypes import DECLARATIONS, class_sizes, class_type_counts
+from .classtypes import DECLARATIONS, class_sizes, class_type_counts, min_centralizer_orders
 from .ffpoly import cyclotomic_factor_degrees, divisors, irreducible_poly_count
 from .gfengine import (
     cyclic_limit_bracket,
     euler_partial_product,
     euler_rule,
     gf_counts,
-    min_centralizer_orders,
     q_stirling_via_gf,
 )
 from .limits import decimal_truncate, limit_eval
@@ -385,6 +384,16 @@ def cross_route_checks() -> Comparisons:
             sequence_values(make_spec("qbell", q, min_n=1, max_n=12)),
             [sum(row) for row in joins],
         )
+
+    # the separable class counts against the square-free polynomials, sets
+    # of distinct monic irreducibles, whose companion classes are separable
+    for q in (2, 3, 4, 5):
+        sets = [1] + [0] * 16
+        for d in range(1, 17):
+            nu = irreducible_poly_count(q, d)
+            sets = [sum(comb(nu, j) * sets[n - j * d] for j in range(n // d + 1)) for n in range(17)]
+        got = sequence_values(make_spec("separable_classes", q, min_n=1, max_n=16))
+        yield f"separable classes: running powers vs square-free products q={q}", got, sets[1:]
 
     for q in (2, 3, 4, 5):
         yield (

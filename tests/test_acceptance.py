@@ -152,10 +152,10 @@ def test_criterion_6_convergence_trends_within_tolerance():
 
 
 # SHA-256 of every "suite: name" line run_suites gives on the standard
-# sweeps, in order, recorded when the bell series' check to n = 6 (a prefix
-# of its check to n = 24) was dropped and the qbell route's check was named
-# for the bell series it reads.  A check dropped, renamed or moved changes it.
-CHECK_LIST_SHA256 = "6f67c3463e7483a068943261ac2afe9e095e3da8b759161963020c6ed0884960"
+# sweeps, in order, recorded when the four separable_classes checks against
+# the square-free products were added.  A check dropped, renamed or moved
+# changes it.
+CHECK_LIST_SHA256 = "8453124f18084182178336732004de92d1c40d935dd0ba1a48a23c2d47790220"
 
 
 def test_full_suite_summary(sweeps):
@@ -168,7 +168,7 @@ def test_full_suite_summary(sweeps):
     print(f"full verification: {len(results) - len(bad)}/{len(results)} checks passed")
     assert not bad
     assert hasattr(verify, "run_all")
-    assert len(results) == 670
+    assert len(results) == 674
     listing = "\n".join(f"{r.suite}: {r.name}" for r in results)
     assert hashlib.sha256(listing.encode()).hexdigest() == CHECK_LIST_SHA256
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

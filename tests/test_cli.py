@@ -431,14 +431,14 @@ def test_values_beyond_4300_digits_print_in_full(capsys, monkeypatch):
     # one series build serves the CLI and the library call: the test is
     # about printing the values, not about computing them twice
     built = {}
-    real_counts = sequences.gf_counts
+    real_counts = gfengine.gf_counts
 
     def count_once(*args):
         if args not in built:
             built[args] = real_counts(*args)
         return built[args]
 
-    monkeypatch.setattr(sequences, "gf_counts", count_once)
+    monkeypatch.setattr(gfengine, "gf_counts", count_once)
     spec = make_spec("semisimple", 2, max_n=120, align_to_oeis=True)
     expected = sequence_values(spec)
     assert len(str(Decimal(expected[-1]))) > 4300

@@ -13,7 +13,7 @@ import pytest
 
 import qmcount
 from qmcount import classtypes, cli, gfengine, limits, oracle, scaled, verify
-from qmcount.classtypes import class_type_counts
+from qmcount.classtypes import class_type_counts, min_centralizer_orders
 from qmcount.exact_series import TruncSeries
 from qmcount.gfengine import (
     MAX_SERIES_WORK,
@@ -30,7 +30,6 @@ from qmcount.gfengine import (
     extract_count,
     gf_build,
     gf_counts,
-    min_centralizer_orders,
     q_stirling_via_gf,
     separable_alt_rule,
     separable_rule,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import qmcount
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def fresh(code: str):
@@ -53,6 +55,9 @@ def cli_requests(*lines: str) -> str:
 # what a dataclass, a typing.NamedTuple or an eager import would load
 HEAVY = {"dataclasses", "inspect", "typing"}
 
+# the modules of the series engine and the Fractions its series carry
+ENGINE = {"qmcount.gfengine", "qmcount.exact_series", "fractions"}
+
 
 def test_import_loads_only_ffpoly_and_qcount():
     # and the scaled-series kernel that qcount reads, and no dataclasses or typing
@@ -70,7 +75,37 @@ def test_closed_forms_and_limits_never_load_the_series_engine():
         "limit invertible --q 2 --digits 20",
     ))
     assert "qmcount.limits" in loaded
-    assert not {"qmcount.gfengine", "qmcount.exact_series", "fractions", "json", *HEAVY} & loaded
+    assert not {"qmcount.classtypes", "json", *ENGINE, *HEAVY} & loaded
+
+
+def formulas_requests(monkeypatch) -> tuple[str, ...]:
+    """The benchmark's formulas workload: closed forms, qbell, the two
+    knapsack sequences and the limits, each one CLI line.  Its module is
+    listed in sys.modules while it runs, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.FORMULAS_CLI
+
+
+def test_no_formulas_request_loads_the_series_engine(monkeypatch):
+    lines = formulas_requests(monkeypatch)
+    assert any(line.startswith("seq qbell") for line in lines)
+    assert any(line.startswith("seq min_centralizer") for line in lines)
+    assert not ENGINE & newly_loaded(cli_requests(*lines))
+
+
+def test_qbell_loads_no_more_than_a_closed_form_and_the_knapsack_only_classtypes():
+    closed_form = newly_loaded(cli_requests("seq invertible --q 2 --max-n 5"))
+    assert newly_loaded(cli_requests("seq qbell --q 2 --max-n 18")) == closed_form
+    for line in ("seq min_centralizer --q 5 --max-n 4", "seq max_class --q 2 --max-n 6"):
+        assert newly_loaded(cli_requests(line)) == closed_form | {"qmcount.classtypes"}
+
+
+def test_only_json_output_loads_json():
+    assert "json" not in newly_loaded(cli_requests("seq cyclic --q 2 --max-n 5"))
+    assert "json" in newly_loaded(cli_requests("seq invertible --q 2 --max-n 5 --format json"))
 
 
 def test_a_series_request_loads_the_engine_and_nothing_heavy():
@@ -123,7 +158,7 @@ def test_verify_runs_in_a_fresh_interpreter():
         "    code = cli.main(['verify', '--oracle-budget', '16', '--quiet'])\n"
         "print(json.dumps([code, out.getvalue(), 'qmcount.classtypes' in sys.modules]))"
     )
-    assert fresh(code) == [0, "331/331 checks passed\n", True]
+    assert fresh(code) == [0, "335/335 checks passed\n", True]
 
 
 def test_every_export_is_its_home_modules_object():

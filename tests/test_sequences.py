@@ -279,7 +279,7 @@ def test_qbell_reads_the_bell_series_once(monkeypatch):
     """The qbell route is one bell series to the largest n, built once per
     request, and builds no q-Stirling table."""
     want = sequence_values(make_spec("qbell", 3, max_n=9))
-    series = sequences.gf_counts
+    series = sequences.bell_counts
     calls = []
 
     def counted(*args):
@@ -289,10 +289,10 @@ def test_qbell_reads_the_bell_series_once(monkeypatch):
     def refuse(*args):
         raise AssertionError("the q-Stirling table was built")
 
-    monkeypatch.setattr(sequences, "gf_counts", counted)
+    monkeypatch.setattr(sequences, "bell_counts", counted)
     monkeypatch.setattr(sequences, "q_stirling_rows", refuse)
     assert sequence_values(make_spec("qbell", 3, max_n=9)) == want
-    assert calls == [("bell", 3, 9)]
+    assert calls == [(3, 9)]
 
 
 def test_triangle_errors_come_in_order(monkeypatch):
