@@ -3,31 +3,27 @@
 limit_eval evaluates the limiting probability of each kind of LIMIT_KINDS
 between two consecutive partial sums of Euler's pentagonal series that
 lie on either side of it, deepened until both ends truncate to the same
-digits (_resolve_digits).  Every end is a pair of
-integers, so this module needs only qcount, for PrimePower and the
-guard's errors, and never loads the series engine or fractions.
-gfengine's cyclic_limit_bracket, the cycle-index route that verify
-compares with the cyclic limit, shares _check_limit_args and
-_resolve_digits.
+digits (_resolve_digits).  Each end is a pair of integers, exact or, where
+projective_frac raises it to the power q - 1, on fixed point (_power), so
+this module needs only qcount, for PrimePower and the guard's errors, and
+never loads the series engine or fractions.  gfengine's
+cyclic_limit_bracket, the cycle-index route that verify compares with the
+cyclic limit, shares _check_limit_args and _resolve_digits.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from math import isqrt, log2
 
 from .qcount import BadKindParams, CostExceeded, PrimePower
 
-# limit_eval refuses a request whose partial product P_R, of R(R+1)/2
-# log2(q) bits, raised to the power m (q - 1 for projective_frac, else 1)
-# would have more than this many bits.  The bracket never forms P_R: the
-# ends of the pentagonal series have about (digits + 2) log2(10) bits
-# before the power, so the bound is kept only so that the same requests are
-# admitted.  At 50 digits it admits q <= 4096 and refuses q >= 4099; every
-# other limit kind stays far below it.  The largest admitted limits take
-# 0.35-0.42 s of process time on a 2-core Xeon (projective_frac at q = 9091
-# to 32 digits), 0.15 s at q = 4096 and 0.02 s at q = 1009 to 50 digits.
-MAX_LIMIT_BITS = 7 * 10**6
+# limit_eval refuses a request whose fixed-point power, about 2 bitlen(m)
+# products of P-bit integers (see limit_eval), scores bitlen(m) P^2 above
+# this bound: it admits projective_frac at q <= 2^2098 to 1 digit and
+# q <= 2^1971 to 50, which take at most 0.24 s of process time in a fresh
+# process on a 2-core Xeon, 0.1 s start-up and up to 0.1 s PrimePower.of
+# included.  The other kinds take no power and score P^2 < 10^5.
+MAX_LIMIT_WORK = 10**10
 
 LIMIT_KINDS = (
     "invertible",
@@ -104,6 +100,18 @@ def _pentagonal_ends(q: int, depth: int) -> tuple[int, int]:
     return (num - gap, num) if depth % 2 == 0 else (num, num + gap)
 
 
+def _power(x: int, m: int, precision: int, up: bool) -> int:
+    """(x / 2^P)^m for m >= 1 on P-bit fixed point, P = precision, rounding every
+    product of square-and-multiply down, or up when `up`: a lower or an upper bound."""
+    sign = -1 if up else 1
+    result = x
+    for bit in bin(m)[3:]:
+        result = sign * (sign * result * result >> precision)
+        if bit == "1":
+            result = sign * (sign * result * x >> precision)
+    return result
+
+
 def limit_eval(kind: str, q: int, digits: int = 5) -> str:
     """Evaluate a limiting probability to `digits` proven truncated decimals.
 
@@ -124,60 +132,51 @@ def limit_eval(kind: str, q: int, digits: int = 5) -> str:
     S_(K-1) and S_K lie on either side of E, S_K above when K is even.
     Their gap is t_K = x^(K(3K-1)/2) (1 + x^K).  Both ends are positive,
     S_1 = 1 - x - x^2 >= 1/4 at x <= 1/2, so raising them to the power m
-    keeps their order, and the cyclic factor is exact and positive.
+    keeps their order, and the cyclic factor is exact and positive.  K
+    starts at the least K >= 1, K >= 2 for cyclic, with q^(K(3K-1)/2) >
+    M = m q 10^(digits+2) // (q - 1), where m t_K <= m q x^(K(3K-1)/2) /
+    (q - 1) is below 10^-(digits+2), and grows until both ends truncate
+    to the same string.
 
-    R, the first depth whose product-form tail m q^-R / (q - 1) is below
-    10^-(digits+2), sets the cost guard: MAX_LIMIT_BITS bounds
-    m R(R+1)/2 log2(q), whatever the series costs.  The series starts at
-    the first K with K(3K-1)/2 >= R, where its gap t_K <= x^R q / (q - 1)
-    is within that tail, and K grows until both ends truncate to the
-    same string.
+    Where m = 1 the ends stay exact pairs (num, den), never reduced:
+    _pentagonal_ends(q, K) over q^(K(3K+1)/2), times the cyclic factor
+    (q^5 - 1) over (q - 1)(q^2 - 1) q^2.  Scaling a pair leaves its digits
+    num * 10^digits // den, and no Fraction or float arithmetic is done.
 
-    Both ends are integer pairs (num, den), never reduced: S_(K-1) and
-    S_K are _pentagonal_ends(q, K) over q^(K(3K+1)/2), and the cyclic
-    factor is (q^5 - 1) over (q - 1)(q^2 - 1) q^2.  Their integers have
-    about m (digits + 2) log2(10) bits, where the partial product to R
-    would have m R(R+1)/2 log2(q).  The decimals are num * 10^digits // den,
-    and scaling num and den by one positive integer leaves that floor
-    unchanged, so the string is the one decimal_truncate gives for the
-    reduced fraction.  No Fraction or float arithmetic is done.
+    For projective_frac the ends go to P-bit fixed point, lo rounded down
+    and hi up, P = bitlen(m) + 4 (digits + 4) + 64, and _power raises them
+    to m.  It rounds powers of the ends, all in [1/4, 1], at most 2 bitlen(m)
+    times with the conversion, each by at most 2^(2-P) of the value, and
+    the first is amplified m times, the most of any: the proven bracket
+    widens by at most 2 bitlen(m) m 2^(2-P) <= bitlen(m) 2^(-4 digits - 77),
+    far below 10^-(digits+2).  The cyclic limit stays exact: it lies within
+    about q^-3 of 1, closer than 2^-P at a large q, and would not resolve.
     """
     if kind not in LIMIT_KINDS:
         raise BadKindParams(f"unknown limit kind {kind!r}")
     _check_limit_args(q, digits)
     mult = q - 1 if kind == "projective_frac" else 1
-    # the first R whose tail m q / ((q - 1) q^R) is below 10^-(digits+2),
-    # i.e. with q^R > M: R - 1 = floor(log_q M).  M's bit length over
-    # log2(q) lies in (log_q M, log_q M + 1], so its floor is R or R - 1;
-    # the loops correct that and any rounding of the float.
-    M = mult * q * 10 ** (digits + 2) // (q - 1)
-    R = max(int(M.bit_length() / log2(q)), 1)
-    while q**R <= M:
-        R += 1
-    while R > 1 and q ** (R - 1) > M:
-        R -= 1
-    if kind == "cyclic":
-        R = max(R, 5)
-    bits = mult * R * (R + 1) // 2 * (q - 1).bit_length()
-    if bits > MAX_LIMIT_BITS:
+    precision = mult.bit_length() + 4 * (digits + 4) + 64
+    if mult.bit_length() * precision**2 > MAX_LIMIT_WORK:
         raise CostExceeded(
             f"the {kind} limit over F_{q} to {digits} digits is beyond the cost bound "
-            f"of {MAX_LIMIT_BITS} bits"
+            f"of {MAX_LIMIT_WORK} for its power"
         )
-    # the least K with K(3K - 1)/2 >= R is the ceiling of
-    # (1 + sqrt(24R + 1)) / 6, which the floor below is or is one short of
-    K = (1 + isqrt(24 * R + 1)) // 6
-    if K * (3 * K - 1) // 2 < R:
+    M = mult * q * 10 ** (digits + 2) // (q - 1)
+    K = 2 if kind == "cyclic" else 1
+    while q ** (K * (3 * K - 1) // 2) <= M:
         K += 1
 
     def bracket(K: int) -> _Ends:
         lo, hi = _pentagonal_ends(q, K)
-        lo, hi = lo**mult, hi**mult
-        den = q ** (K * (3 * K + 1) // 2 * mult)
+        den = q ** (K * (3 * K + 1) // 2)
+        if mult > 1:
+            lo = _power((lo << precision) // den, mult, precision, False)
+            hi = _power(-((-hi << precision) // den), mult, precision, True)
+            return (lo, 1 << precision), (hi, 1 << precision)
         if kind == "cyclic":
-            lo *= q**5 - 1
-            hi *= q**5 - 1
-            den *= (q - 1) * (q**2 - 1) * q**2
+            factor = q**5 - 1
+            lo, hi, den = lo * factor, hi * factor, den * (q - 1) * (q**2 - 1) * q**2
         return (lo, den), (hi, den)
 
     return _truncated(*_resolve_digits(bracket, K, digits)[1], digits)

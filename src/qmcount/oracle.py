@@ -44,7 +44,7 @@ from .ffpoly import (
     poly_trim,
     squarefree_test,
 )
-from .qcount import gl_order
+from .qcount import CostExceeded, gl_order
 
 DEFAULT_ENUM_BUDGET = 1 << 24
 
@@ -52,7 +52,7 @@ DEFAULT_ENUM_BUDGET = 1 << 24
 DEFAULT_POWERS = (2, 3, 4, 5, 6)
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(CostExceeded):
     """An exhaustive sweep would need more work than the budget allows."""
 
     def __init__(self, required: int, budget: int):

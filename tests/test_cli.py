@@ -140,6 +140,14 @@ def test_limit(capsys):
     assert out == "0.7460\n"
 
 
+@pytest.mark.parametrize("q", [131071, 65537, 32003])
+def test_projective_frac_limit_at_a_large_q_answers_at_once(capsys, q):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "limit", "projective_frac", "--q", str(q), "--digits", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "0.3\n", "")
+
+
 def test_table_rows(capsys):
     code, out, _ = run_cli(capsys, "table", "qbinom_row", "--q", "2", "--max-n", "2")
     assert code == 0
@@ -261,8 +269,8 @@ def test_centralizer_sequences_answer_at_once(capsys, name, q, max_n, out):
         ("seq", "invertible", "--q", "2", "--max-n", "3000"),
         ("seq", "nilpotent", "--q", "3", "--max-n", "20000"),
         ("table", "rank_row", "--q", "2", "--max-n", "3000"),
-        ("limit", "projective_frac", "--q", "32003", "--digits", "50"),
-        ("limit", "projective_frac", "--q", "2305843009213693951"),
+        ("limit", "projective_frac", "--q", str(2**1972), "--digits", "50"),
+        ("limit", "projective_frac", "--q", str(2**2089)),
     ],
 )
 def test_cost_guards_refuse_at_once(capsys, argv):

@@ -39,6 +39,7 @@ from qmcount.limits import (
     LIMIT_KINDS,
     UnresolvedDigits,
     _pentagonal_ends,
+    _power,
     _resolve_digits,
     decimal_truncate,
     limit_eval,
@@ -1012,16 +1013,50 @@ def test_limit_guard_refuses_one_past_its_edge_before_any_work(monkeypatch):
         raise AssertionError("admitted")
 
     monkeypatch.setattr(limits, "_pentagonal_ends", bracket_work)
-    # 4096 = 2^12 is the largest q admitted at 50 digits, 4099 the next prime power
-    with pytest.raises(AssertionError, match="admitted"):
-        limit_eval("projective_frac", 4096, 50)
+    # the power to m = q - 1 is scored from bitlen(m) alone, so q = 2^b is the
+    # largest q admitted with a b-bit m: b = 1971 at 50 digits, 2098 at 1
+    for bits, digits in ((1971, 50), (2098, 1)):
+        with pytest.raises(AssertionError, match="admitted"):
+            limit_eval("projective_frac", 2**bits, digits)
+        with pytest.raises(CostExceeded):
+            limit_eval("projective_frac", 2 ** (bits + 1), digits)
+    # the largest q the CLI parses, about 4,300 decimal digits
     with pytest.raises(CostExceeded):
-        limit_eval("projective_frac", 4099, 50)
-    with pytest.raises(CostExceeded):
-        limit_eval("projective_frac", 2**61 - 1, 1)
-    # the other kinds raise P_R to the power 1 only
-    with pytest.raises(AssertionError, match="admitted"):
-        limit_eval("invertible", 2**61 - 1, 50)
+        limit_eval("projective_frac", 2**14000, 1)
+    # the other kinds take no power
+    for q in (2**61 - 1, 2**14000):
+        with pytest.raises(AssertionError, match="admitted"):
+            limit_eval("invertible", q, 50)
+
+
+def test_limit_eval_past_the_partial_product_guard_reproduces_its_pinned_digest():
+    # recorded from the exact powers of the ends, on the requests the
+    # partial-product guard admitted: all but these six
+    refused = {(9091, 50), (32003, 20), (32003, 50), (131071, 5), (131071, 20), (131071, 50)}
+    grid = [
+        limit_eval(kind, q, digits)
+        for kind in LIMIT_KINDS
+        for q in (4096, 9091, 32003, 131071)
+        for digits in (1, 5, 20, 50)
+        if kind != "projective_frac" or (q, digits) not in refused
+    ]
+    assert len(grid) == 74
+    assert hashlib.sha256("\n".join(grid).encode()).hexdigest() == (
+        "2198f573d5aee1dbbf0c91f2dcabc5c83626ab9a66439a2adee4d69126476d5b"
+    )
+
+
+def test_fixed_point_power_brackets_the_exact_power():
+    # within 2m units in the last place of each other
+    rng = random.Random(40)
+    for _ in range(300):
+        precision = rng.randrange(8, 200)
+        x = rng.randrange(1 << (precision - 2), (1 << precision) + 1)
+        m = rng.randrange(1, 301)
+        exact = Fraction(x**m, 1 << (precision * (m - 1)))
+        down, up = _power(x, m, precision, False), _power(x, m, precision, True)
+        assert down <= exact <= up, (x, m, precision)
+        assert up - down <= 2 * m, (x, m, precision)
 
 
 def test_limit_eval_starts_at_the_least_sufficient_depth(monkeypatch):
