@@ -37,7 +37,10 @@ from math import comb
 
 from .ffpoly import cyclotomic_factor_counts, irreducible_poly_count
 from .qcount import CostExceeded, centralizer_order, complement_rows, gl_order, join, partitions_of
-from .scaled import NonIntegralCount
+from .scaled import exact_div
+
+# a class size |GL_n(q)| / c(lam) that is not exact, named by n and q
+_SIZE = "a centralizer order does not divide |GL_{}({})|"
 
 # the partitions of m each shape allows at one polynomial
 SHAPES: dict[str, Callable[[int], tuple[tuple[int, ...], ...]]] = {
@@ -128,17 +131,6 @@ def _check_cost(q: int, order: int) -> None:
         )
 
 
-def _class_size(group: int, centralizer: int, n: int, q: int) -> int:
-    """group / centralizer, group being |GL_n(q)|.  The error names the
-    group by n and q and prints neither order: both may be past the
-    interpreter's limit on int-to-text digits, and the text is built only
-    when raising."""
-    size, rem = divmod(group, centralizer)
-    if rem:
-        raise NonIntegralCount(f"a centralizer order does not divide |GL_{n}({q})|")
-    return size
-
-
 @cache
 def _splittings(q: int, order: int, weighted: bool) -> tuple:
     """W(n, k) for k <= n <= order: the ordered splittings F_q^n = U + U'
@@ -158,7 +150,7 @@ def _degree_sum(q: int, d: int, m: int, shape: str, weighted: bool) -> int:
         return len(allowed)
     Q = q**d
     group = gl_order(Q, m)
-    sizes = sum(_class_size(group, centralizer_order(Q, lam), m, Q) for lam in allowed)
+    sizes = sum(exact_div(group, centralizer_order(Q, lam), _SIZE, m, Q) for lam in allowed)
     # times the index of GL_m(Q), a subgroup of GL_md(q)
     return sizes * (gl_order(q, m * d) // group)
 
@@ -221,7 +213,7 @@ def class_sizes(kind: str, q: int, n: int, k: int | None = None) -> list[int]:
 
     def walk(i: int, left: int, centralizer: int, classes: int) -> None:
         if not left:
-            sizes.extend([_class_size(group, centralizer, n, q)] * classes)
+            sizes.extend([exact_div(group, centralizer, _SIZE, n, q)] * classes)
             return
         if i == len(options):
             return

@@ -14,7 +14,9 @@ The limits module is bound at import, and sequences imports the series
 engine in a series route when it runs, so a closed-form seq or table
 request, qbell, a knapsack request or a limit never loads gfengine.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 a usage error, a
+refused request or a failed integrity check: every ArithmeticError or
+ValueError a route raises prints one error line.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import functools
 import sys
 from decimal import Decimal
 
-from .limits import LIMIT_KINDS, UnresolvedDigits, limit_eval
-from .scaled import NonIntegralCount
+from .limits import LIMIT_KINDS, limit_eval
 from .sequences import (
     SEQUENCE_NAMES,
     TRIANGLE_NAMES,
@@ -145,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
             print(limit_eval(args.kind, args.q, args.digits))
             return 0
         return _run_verify(args)
-    except (NonIntegralCount, UnresolvedDigits, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         return _error(exc)
 
 

@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .qcount import PrimePower, is_prime
+from .scaled import exact_div
 
 
 class NotCoprime(ValueError):
@@ -73,9 +74,7 @@ def irreducible_poly_count(q: int, d: int) -> int:
     total = 0
     for e in divisors(d):
         total += moebius(d // e) * q**e
-    if total % d:
-        raise ArithmeticError(f"irreducible count sum not divisible by {d}")
-    return total // d
+    return exact_div(total, d, "irreducible count sum not divisible by {}", d)
 
 
 def multiplicative_order(q: int, m: int) -> int:

@@ -71,7 +71,7 @@ from . import scaled
 from .ffpoly import divisors, irreducible_poly_count, moebius
 from .limits import _check_limit_args, _Ends, _resolve_digits
 from .qcount import BadKindParams, CostExceeded, PrimePower, bell_counts, gl_order
-from .scaled import NonIntegralCount
+from .scaled import NonIntegralCount, exact_div
 from .exact_series import TruncSeries
 
 
@@ -243,13 +243,11 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
             terms = scaled.lift(scaled.unit_log(pw[::d]), d, q, scales, True, "log")
         else:
             terms = [0] * (order + 1)
+            text = "the degree-{} factors' log is not an integer at u^{}"
             for m in range(1, order // d + 1):
                 lam = closed(q**d, m)
-                terms[m * d], rem = divmod(lam.numerator * scales[m * d], lam.denominator)
-                if rem:
-                    raise NonIntegralCount(
-                        f"the degree-{d} factors' log is not an integer at u^{m * d}"
-                    )
+                top = lam.numerator * scales[m * d]
+                terms[m * d] = exact_div(top, lam.denominator, text, d, m * d)
         for n in range(d, order + 1, d):
             log[n] += nu * d * terms[n]
     return (scaled.exp(log, pw, gl) if any(log) else [1] + [0] * order), gl
@@ -345,12 +343,11 @@ def _root_of_one_copies(pp: PrimePower, k: int | None, order: int) -> dict[int, 
     if k % pp.p == 0:
         raise BadKindParams(f"z^{k} - 1 is not square-free in characteristic {pp.p}")
     roots = [gcd(k, pp.q**e - 1) for e in range(order + 1)]
-    copies = {}
-    for d in range(1, order + 1):
-        copies[d], rem = divmod(sum(moebius(d // e) * roots[e] for e in divisors(d)), d)
-        if rem:
-            raise NonIntegralCount(f"the roots of z^{k} - 1 of degree {d} are not whole factors")
-    return copies
+    text = "the roots of z^{} - 1 of degree {} are not whole factors"
+    return {
+        d: exact_div(sum(moebius(d // e) * roots[e] for e in divisors(d)), d, text, k, d)
+        for d in range(1, order + 1)
+    }
 
 
 class _Kind(
@@ -441,9 +438,9 @@ def gf_build(kind: str, q: int, order: int, k: int | None = None) -> TruncSeries
 def _count(n: int, value) -> int:
     """value, the count of size n, which must be a non-negative integer."""
     if value.denominator != 1:
-        raise NonIntegralCount(f"coefficient of u^{n} scales to non-integer {value}")
+        raise NonIntegralCount(f"coefficient of u^{n} does not scale to an integer")
     if value.numerator < 0:
-        raise NonIntegralCount(f"coefficient of u^{n} scales to negative {value.numerator}")
+        raise NonIntegralCount(f"coefficient of u^{n} scales to a negative count")
     return value.numerator
 
 
@@ -470,12 +467,10 @@ def gf_counts(kind: str, q: int, order: int, k: int | None = None) -> list[int]:
     Each count must come out a non-negative integer, as in extract_count."""
     counts, gl = _scaled_build(kind, q, order, k)
     if gl is False:
+        text = "coefficient of u^{} does not scale to an integer"
         for n, c in enumerate(counts):
             e = n * (n - 3) // 2  # -1 at n = 1, 2
-            counts[n], rem = divmod(c * q ** max(e, 0), q ** max(-e, 0))
-            if rem:
-                g = gcd(c, q)
-                raise NonIntegralCount(f"coefficient of u^{n} scales to non-integer {c // g}/{q // g}")
+            counts[n] = exact_div(c * q ** max(e, 0), q ** max(-e, 0), text, n)
     return [_count(n, c) for n, c in enumerate(counts)]
 
 
@@ -492,10 +487,9 @@ def q_stirling_via_gf(q: int, n: int, k: int) -> int:
     power = [Fraction(1)] + [Fraction(0)] * n
     for _ in range(k):
         power = [sum(unit_sum[i] * power[m - i] for i in range(1, m + 1)) for m in range(n + 1)]
-    value = power[n] * gl_order(q, n) / factorial(k)
-    if value.denominator != 1:
-        raise NonIntegralCount(f"splitting count came out as {value}")
-    return value.numerator
+    value = power[n] * gl_order(q, n)
+    text = "the splitting count of {} into {} parts is not an integer"
+    return exact_div(value.numerator, value.denominator * factorial(k), text, n, k)
 
 
 def _euler_numerator(q: int, terms: int) -> int:

@@ -36,7 +36,8 @@ The tables and runs that a printed sequence reads are generic over the
 number type: they build every value from a given `one` (the int 1 by
 default) by sums, differences, products and exact divisions with ints, so
 an exact decimal one gives exact decimal values, whose text takes linear
-time where an int's takes quadratic.
+time where an int's takes quadratic.  Each exact division is the checked
+scaled.exact_div, which raises NonIntegralCount on a remainder.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from math import comb, factorial, prod
 from operator import mul
 
 from . import scaled
+from .scaled import exact_div
 
 
 class CharNotTwo(ValueError):
@@ -59,15 +61,6 @@ class CostExceeded(ValueError):
 
 class BadKindParams(ValueError):
     """Unknown generating function or limit kind, or parameters that do not fit it."""
-
-
-def exact_div(a, b):
-    """Quotient of two ints, or two integral Decimals, that insists the
-    division is exact."""
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError(f"{a} is not divisible by {b}")
-    return q
 
 
 # Miller-Rabin with the first 13 prime bases is a proof of primality below

@@ -7,7 +7,7 @@ weighs the pair of terms (k, n - k) by W(n, k) = S_n / (S_k S_(n-k)),
 which is W(n, n - k) too: q^(k(n-k)) [n, k]_q for |GL_n|, [n, k]_q for
 D_n.  No recurrence here forms it in whole: carry moves a term's
 Gaussian binomial from n - 1 to n by an exact ratio of small integers,
-and weighted_sum puts in the q^(k(n-k)) by Horner runs.
+and weighted_sum puts in the q^(k(n-k)) by one Horner run.
 
 The exp, the unit log and Miller's power are one step (recur):
 
@@ -30,20 +30,36 @@ weights, so a big Y_j meets small factors wherever the weights are small.
   e' = l' e reads m e_m = sum_(j=1..m) j l_j e_(m-j), and times
   |GL_m(Q)|, at which every e_j is 1, m = sum_(j=1..m) W(m, j) G_j.
 
-An inexact division or carried ratio raises NonIntegralCount.  join
-multiplies two scaled series, and lift moves a series in v = u^d to u.
+The finishes s / n, the carried ratios and lift's index are exact, and
+each is checked.  exact_div is the one checked quotient of the integer
+layers, which qcount, gfengine, classtypes and ffpoly call too: it raises
+NonIntegralCount with a text that names where the division failed and
+never an operand, which may be past the interpreter's limit on
+int-to-text digits.  carry, the kernel's innermost loop at N^2 / 2 terms
+a recurrence, checks its ratio inline, where a call would slow the power
+step and every small series measurably.  join multiplies two scaled
+series, and lift moves a series in v = u^d to u.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from functools import partial
 from itertools import accumulate, islice
 from operator import mul
 
 
 class NonIntegralCount(ArithmeticError):
     """A coefficient that must be a count failed to be a non-negative integer."""
+
+
+def exact_div(a, b, what: str = "an exact division left a remainder", *at):
+    """a // b for two ints or two integral Decimals, which must divide
+    exactly; otherwise NonIntegralCount(what.format(*at)), the text built
+    only when raising."""
+    quotient, rem = divmod(a, b)
+    if rem:
+        raise NonIntegralCount(what.format(*at))
+    return quotient
 
 
 def scale_steps(q: int, gl: bool, one=1) -> Iterator:
@@ -80,6 +96,7 @@ def carry(terms: list[int], pw: list[int], n: int) -> None:
     carried, and a new term X_m enters as [m, m]_q X_m = X_m."""
     up = pw[n] - 1
     for k in range(1, n):
+        # exact_div inline: a call here, N^2 / 2 times a recurrence, is measurable
         t, rem = divmod(terms[k] * up, pw[n - k] - 1)
         if rem:
             raise NonIntegralCount(f"a carried weight is not an integer at u^{n}")
@@ -89,25 +106,19 @@ def carry(terms: list[int], pw: list[int], n: int) -> None:
 def weighted_sum(a: Sequence[int], b: Sequence[int], n: int, pw: list[int], gl: bool) -> int:
     """sum_(k=1..n) q^(k(n-k)) a[k] b[n-k] when gl, else the plain sum.
 
-    The exponent e(k) = k(n-k) rises to k = n // 2 and falls after it, so
-    two Horner runs apply it with small powers only: from k = n // 2 down
-    to 1, acc q^(n - 2k - 1) + x_k, the result times q^(e(1)) = q^(n-1);
-    and from n // 2 + 1 up to n, acc q^(2k - n - 1) + x_k, which ends at
-    e(n) = 0.  Each step multiplies by at most q^(n-1).
+    The exponent e(k) = k(n-k) is e(n-k) too, so the terms k and n - k
+    share a power of q, and it rises to k = n // 2.  So one Horner run
+    applies it with small powers only: from k = (n - 1) // 2 down to 1,
+    acc q^(n - 2k - 1) + a[k] b[n-k] + a[n-k] b[k], started from the term
+    k = n / 2 when n is even; the result times q^(e(1)) = q^(n-1), plus
+    a[n] b[0] at e(n) = 0.  Each step multiplies by at most q^(n-1).
     """
     if not gl:
         return sum(a[k] * b[n - k] for k in range(1, n + 1))
-    half = n // 2
-    low = 0
-    if half:
-        low = a[half] * b[n - half]
-        for k in range(half - 1, 0, -1):
-            low = low * pw[n - 2 * k - 1] + a[k] * b[n - k]
-        low *= pw[n - 1]
-    high = 0
-    for k in range(half + 1, n + 1):
-        high = high * pw[2 * k - n - 1] + a[k] * b[n - k]
-    return low + high
+    acc = 0 if n % 2 else a[n // 2] * b[n // 2]
+    for k in range((n - 1) // 2, 0, -1):
+        acc = acc * pw[n - 2 * k - 1] + a[k] * b[n - k] + a[n - k] * b[k]
+    return acc * pw[n - 1] + a[n] * b[0]
 
 
 def recur(
@@ -122,17 +133,10 @@ def recur(
     return values
 
 
-def _divided(what: str, n: int, s: int) -> int:
-    """s / n, the exp's and the power's finish, which must be exact."""
-    y, rem = divmod(s, n)
-    if rem:
-        raise NonIntegralCount(f"the {what} is not an integer at u^{n}")
-    return y
-
-
 def exp(log: Sequence[int], pw: list[int], gl: bool) -> list[int]:
     """B_n, n < len(log), of exp(l) from L_n = n l_n S_n, L_0 = 0."""
-    return recur(1, lambda n: log, partial(_divided, "product"), len(log) - 1, pw, gl)
+    finish = lambda n, s: exact_div(s, n, "the product is not an integer at u^{}", n)
+    return recur(1, lambda n: log, finish, len(log) - 1, pw, gl)
 
 
 def power(c: int, coeffs: Sequence[int], pw: list[int], gl: bool) -> list[int]:
@@ -141,7 +145,8 @@ def power(c: int, coeffs: Sequence[int], pw: list[int], gl: bool) -> list[int]:
     def weights(n: int) -> list[int]:
         return [((c + 1) * k - n) * coeffs[k] for k in range(n + 1)]
 
-    return recur(1, weights, partial(_divided, "power"), len(coeffs) - 1, pw, gl)
+    finish = lambda n, s: exact_div(s, n, "the power is not an integer at u^{}", n)
+    return recur(1, weights, finish, len(coeffs) - 1, pw, gl)
 
 
 def unit_log(pw: list[int]) -> list[int]:
@@ -170,9 +175,7 @@ def lift(series: list[int], d: int, q: int, outer: list[int], gl: bool, what: st
     if d == 1:
         return series
     lifted = [0] * len(outer)
+    text = "the degree-{} factors' {} is not an integer at u^{}"
     for m, (x, s) in enumerate(zip(series, scales(q**d, (len(outer) - 1) // d, gl))):
-        index, rem = divmod(outer[m * d], s)
-        if rem:
-            raise NonIntegralCount(f"the degree-{d} factors' {what} is not an integer at u^{m * d}")
-        lifted[m * d] = x * index
+        lifted[m * d] = x * exact_div(outer[m * d], s, text, d, what, m * d)
     return lifted

@@ -536,3 +536,13 @@ def test_large_prime_field(capsys):
     code, _, err = run_cli(capsys, "seq", "invertible", "--q", str(2**89 - 1))
     assert code == 2
     assert "proven range" in err
+
+
+def test_a_failed_exact_division_in_a_closed_form_exits_two(capsys, monkeypatch):
+    from qmcount import qcount
+
+    # 2a + 1 is odd and 2b even: every division of the rank triangle fails
+    divide = qcount.exact_div
+    monkeypatch.setattr(qcount, "exact_div", lambda a, b, *text: divide(2 * a + 1, 2 * b))
+    code, out, err = run_cli(capsys, "table", "rank_row", "--q", "3", "--max-n", "5")
+    assert (code, out, err) == (2, "", "error: an exact division left a remainder\n")

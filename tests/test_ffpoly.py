@@ -364,3 +364,13 @@ def test_squarefree_monic_count_matches_class_count():
         for n in range(1, 5):
             found = sum(1 for p in all_monic(q, n) if squarefree_test(p, f))
             assert found == separable_class_count(q, n)
+
+
+def test_an_inexact_irreducible_count_sum_is_refused(monkeypatch):
+    # with every Moebius value 1 the sum over d = 3 is 2 + 8, which 3 does not divide
+    from qmcount import ffpoly
+    from qmcount.scaled import NonIntegralCount
+
+    monkeypatch.setattr(ffpoly, "moebius", lambda n: 1)
+    with pytest.raises(NonIntegralCount, match="^irreducible count sum not divisible by 3$"):
+        irreducible_poly_count(2, 3)

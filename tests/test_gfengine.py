@@ -1113,3 +1113,48 @@ def test_every_export_resolves():
     assert len(set(qmcount.__all__)) == len(qmcount.__all__)
     for name in qmcount.__all__:
         assert hasattr(qmcount, name), name
+
+
+def test_a_mixed_sign_product_takes_the_exp_log():
+    # euler_rule's base raises negative copies; one positive copy is a
+    # product the finite path does not build, and the exp-log does
+    N = 12
+    for q in (2, 3, 4):
+        assert gfengine._finite_degrees(euler_rule, {1: 1}, N) is None
+        values, gl = _scaled_product(q, euler_rule, N, {1: 1})
+        assert gl is False
+        scales = scaled.scales(q, N, False)
+        assert [Fraction(a, s) for a, s in zip(values, scales)] == [
+            euler_rule(q, n) for n in range(N + 1)
+        ]
+
+
+def test_an_inexact_root_of_one_count_is_refused(monkeypatch):
+    # with every Moebius value 1, degree 3 of z^7 - 1 over F_2 sums
+    # gcd(7, 1) + gcd(7, 7) = 8 roots, which 3 does not divide
+    monkeypatch.setattr(gfengine, "moebius", lambda n: 1)
+    pp = qmcount.PrimePower.of(2)
+    with pytest.raises(NonIntegralCount, match="^the roots of z\\^7 - 1 of degree 3 are not whole factors$"):
+        _root_of_one_copies(pp, 7, 3)
+
+
+def test_a_count_past_the_text_limit_is_refused_without_its_value(monkeypatch):
+    # a D_n-scaled coefficient at u^1 is divided by q; 10^5000 + 1 is odd
+    big = 10**5000 + 1
+    monkeypatch.setattr(gfengine, "_scaled_build", lambda kind, q, order, k: ([1, big], False))
+    with pytest.raises(NonIntegralCount) as raised:
+        gf_counts("cyclic", 2, 1)
+    assert str(raised.value) == "coefficient of u^1 does not scale to an integer"
+    with pytest.raises(NonIntegralCount) as raised:
+        gfengine._count(4, Fraction(big, 2))
+    assert str(raised.value) == "coefficient of u^4 does not scale to an integer"
+    with pytest.raises(NonIntegralCount) as raised:
+        gfengine._count(4, -big)
+    assert str(raised.value) == "coefficient of u^4 scales to a negative count"
+
+
+def test_an_inexact_splitting_count_is_refused(monkeypatch):
+    # 2! times the count of F_2^3 into two parts, 2 x 28, is no multiple of 5
+    monkeypatch.setattr(gfengine, "factorial", lambda k: 5)
+    with pytest.raises(NonIntegralCount, match="^the splitting count of 3 into 2 parts is not an integer$"):
+        q_stirling_via_gf(2, 3, 2)

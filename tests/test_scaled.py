@@ -96,3 +96,23 @@ def test_lift_moves_a_series_in_u_to_the_d_by_the_index(gl):
     # a table whose index is no integer names the degree and what it lifts
     with pytest.raises(scaled.NonIntegralCount, match="^the degree-3 factors' log is not"):
         scaled.lift(series, d, q, [1] * (N + 1), gl, "log")
+
+
+def test_exact_div_is_the_one_checked_quotient():
+    from decimal import Decimal
+
+    from qmcount import qcount
+
+    assert qcount.exact_div is scaled.exact_div
+    assert scaled.exact_div(Decimal(10) ** 40, Decimal(10) ** 39) == 10
+    with pytest.raises(scaled.NonIntegralCount, match="^an exact division left a remainder$"):
+        scaled.exact_div(7, 2)
+    with pytest.raises(scaled.NonIntegralCount, match="^the power is not an integer at u\\^9$"):
+        scaled.exact_div(7, 2, "the power is not an integer at u^{}", 9)
+
+
+def test_exact_div_names_no_operand_past_the_text_limit():
+    # 5,000 digits are past the interpreter's default limit on int-to-text digits
+    with pytest.raises(scaled.NonIntegralCount) as raised:
+        scaled.exact_div(10**5000 + 1, 10**5000)
+    assert str(raised.value) == "an exact division left a remainder"
