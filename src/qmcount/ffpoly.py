@@ -30,12 +30,15 @@ class ZeroPolynomial(ValueError):
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e exactly dividing n, p ascending."""
+    """(p, e) for each prime power p^e exactly dividing n, p ascending, by trial
+    division, which stops at 2^10 if what is left passes is_prime (or raises)."""
     if n < 1:
         raise ValueError(f"expected an integer n >= 1, got {n}")
     factors = []
     p = 2
     while p * p <= n:
+        if p == 1 << 10 and is_prime(n):
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:

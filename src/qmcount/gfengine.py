@@ -49,14 +49,11 @@ qcount.linear_derangement_counts runs: their independent checks are the
 splitting joins (qcount.diagonalizable_count), the class types and the
 oracle.
 
-cyclic_limit_bracket proves the cyclic limit from the cycle index, on
-Fractions, as the second route to the closed form of limits.limit_eval,
-whose digit resolution it shares.  The module builds and reads series
-and nothing else, so no closed-form, qbell or knapsack request loads it.
-
-A "normalized" series is one whose u^n coefficient must be multiplied by
-gl_order(q, n) to give the matrix count; the conjugacy class series are
-plain ordinary generating functions.
+The module builds and reads series and nothing else, so no closed-form,
+qbell, knapsack or limit request loads it.  A "normalized" series is one
+whose u^n coefficient must be multiplied by gl_order(q, n) to give the
+matrix count; the conjugacy class series are plain ordinary generating
+functions.
 """
 
 from __future__ import annotations
@@ -65,11 +62,10 @@ from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from . import scaled
 from .ffpoly import divisors, irreducible_poly_count, moebius
-from .limits import _check_limit_args, _Ends, _resolve_digits
 from .qcount import BadKindParams, CostExceeded, PrimePower, bell_counts, gl_order
 from .scaled import NonIntegralCount, exact_div
 from .exact_series import TruncSeries
@@ -477,80 +473,16 @@ def gf_counts(kind: str, q: int, order: int, k: int | None = None) -> list[int]:
 def q_stirling_via_gf(q: int, n: int, k: int) -> int:
     """Direct sum splitting counts read off the k-th power of the unit sum.
 
-    The exponential-style identity: the series (sum_{r>=1} u^r/gl_order(r))^k
-    carries k! * {n into k parts} / gl_order(n) as its u^n coefficient.
-    The power is multiplied out on a plain list of Fractions.
+    The exponential-style identity: (e(u) - 1)^k, e(u) = sum_m u^m / gl_order(m),
+    carries k! * {n into k parts} / gl_order(n) at u^n.  It is expanded as
+    sum_j (-1)^(k-j) C(k, j) e^j, each e^j raised on integers at |GL_n|
+    (scaled.power), where every coefficient of e is 1.
     """
     if n < 1 or k < 1 or k > n:
         return 0
-    unit_sum = [Fraction(0)] + [unit_rule(q, r) for r in range(1, n + 1)]
-    power = [Fraction(1)] + [Fraction(0)] * n
-    for _ in range(k):
-        power = [sum(unit_sum[i] * power[m - i] for i in range(1, m + 1)) for m in range(n + 1)]
-    value = power[n] * gl_order(q, n)
+    pw, ones = scaled.powers(q, n), [1] * (n + 1)
+    value = sum(
+        (-1) ** (k - j) * comb(k, j) * scaled.power(j, ones, pw, True)[n] for j in range(1, k + 1)
+    )
     text = "the splitting count of {} into {} parts is not an integer"
-    return exact_div(value.numerator, value.denominator * factorial(k), text, n, k)
-
-
-def _euler_numerator(q: int, terms: int) -> int:
-    """prod_{r=1..terms} (q^r - 1), which is prod (1 - q^-r) times q^(terms(terms+1)/2)."""
-    prod = 1
-    for r in range(1, terms + 1):
-        prod *= q**r - 1
-    return prod
-
-
-def euler_partial_product(q: int, terms: int) -> Fraction:
-    """prod_{r=1..terms} (1 - q^-r), an upper bound on the infinite product."""
-    return Fraction(_euler_numerator(q, terms), q ** (terms * (terms + 1) // 2))
-
-
-def cyclic_limit_bracket(q: int, digits: int) -> tuple[Fraction, Fraction]:
-    """Proven [lo, hi] around the cyclic limit, from the cycle index alone.
-
-    The cyclic generating function is 1/(1-u) times the product over all
-    monic irreducibles phi (z included) of 1 + x_d u^d, d = deg phi, with
-    x_d = cyclic_alt_rule(q^d, 1) (the `cyclic_alt` kind).  Letting n
-    grow, the fraction of cyclic matrices tends to
-
-        prod_{r>=1}(1 - q^-r) * prod_{d>=1} (1 + x_d)^nu_d,
-        nu_d = irreducible_poly_count(q, d).
-
-    This does not use the closed form behind limit_eval, nor its
-    pentagonal series.  At depth D: the Euler product keeps r <= D;
-    each (1 + x_d)^nu_d with d <= D keeps the binomial terms
-    j <= J = ceil(D/d), which is exact once J >= nu_d and otherwise a
-    lower bound whose dropped terms sum to at most y^(J+1) / ((J+1)! (1-y)), y = nu_d x_d, because
-    C(nu, j) x^j <= y^j / j!; degrees above D contribute a factor between
-    1 and 1 / (1 - S), S = 2 q^-D / ((D+1)(q-1)), since nu_d <= q^d / d
-    gives nu_d x_d <= 2 / (d q^d).  The depth grows until both ends
-    truncate to the same `digits` decimals.
-    """
-    _check_limit_args(q, digits)
-
-    def bracket(depth: int) -> _Ends:
-        hi = euler_partial_product(q, depth)
-        lo = hi * (1 - Fraction(1, (q - 1) * q**depth))
-        for d in range(1, depth + 1):
-            nu = irreducible_poly_count(q, d)
-            x = cyclic_alt_rule(q**d, 1)
-            y = nu * x
-            top = min(nu, -(-depth // d))
-            if y >= 1:
-                top = nu
-            term = part = Fraction(1)
-            for j in range(1, top + 1):
-                term = term * (nu - j + 1) * x / j
-                part += term
-            lo *= part
-            if top < nu:
-                part += y ** (top + 1) / (factorial(top + 1) * (1 - y))
-            hi *= part
-        hi /= 1 - Fraction(2, (depth + 1) * (q - 1) * q**depth)
-        return lo.as_integer_ratio(), hi.as_integer_ratio()
-
-    depth = 1
-    while q**depth < 10**digits:
-        depth += 1
-    lo, hi = _resolve_digits(bracket, depth, digits)
-    return Fraction(*lo), Fraction(*hi)
+    return exact_div(value, factorial(k), text, n, k)

@@ -4,17 +4,19 @@ limit_eval evaluates the limiting probability of each kind of LIMIT_KINDS
 between two consecutive partial sums of Euler's pentagonal series that
 lie on either side of it, deepened until both ends truncate to the same
 digits (_resolve_digits).  Each end is a pair of integers, exact or, where
-projective_frac raises it to the power q - 1, on fixed point (_power), so
-this module needs only qcount, for PrimePower and the guard's errors, and
-never loads the series engine or fractions.  gfengine's
-cyclic_limit_bracket, the cycle-index route that verify compares with the
-cyclic limit, shares _check_limit_args and _resolve_digits.
+projective_frac raises it to the power q - 1, on fixed point (_power), and
+cyclic_limit_bracket, the cycle-index route verify compares with the
+cyclic limit, brackets on integer pairs too.  So this module needs only
+qcount, for PrimePower and the guard's errors, and ffpoly's irreducible
+counts, and limit_eval loads neither the series engine nor Fraction.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from math import comb, factorial, prod
 
+from .ffpoly import irreducible_poly_count
 from .qcount import BadKindParams, CostExceeded, PrimePower
 
 # limit_eval refuses a request whose fixed-point power, about 2 bitlen(m)
@@ -180,3 +182,58 @@ def limit_eval(kind: str, q: int, digits: int = 5) -> str:
         return (lo, den), (hi, den)
 
     return _truncated(*_resolve_digits(bracket, K, digits)[1], digits)
+
+
+def cyclic_limit_bracket(q: int, digits: int):
+    """Proven Fractions (lo, hi) around the cyclic limit, from the cycle index alone.
+
+    The cyclic generating function is 1/(1-u) times the product over all
+    monic irreducibles phi (z included) of 1 + x_d u^d, d = deg phi, with
+    x_d = 1 / R_d, R_d = q^d (q^d - 1) (gfengine's cyclic_alt kind).
+    Letting n grow, the fraction of cyclic matrices tends to
+
+        prod_{r>=1}(1 - q^-r) * prod_{d>=1} (1 + x_d)^nu_d,
+        nu_d = irreducible_poly_count(q, d).
+
+    This does not use the closed form behind limit_eval, nor its
+    pentagonal series.  At depth D: the Euler product keeps r <= D;
+    each (1 + x_d)^nu_d with d <= D keeps the binomial terms
+    j <= J = ceil(D/d), which is exact once J >= nu_d and otherwise a
+    lower bound whose dropped terms sum to at most y^(J+1) / ((J+1)! (1-y)), y = nu_d x_d, because
+    C(nu, j) x^j <= y^j / j!; degrees above D contribute a factor between
+    1 and 1 / (1 - S), S = 2 q^-D / ((D+1)(q-1)), since nu_d <= q^d / d
+    gives nu_d x_d <= 2 / (d q^d).  The depth grows until both ends
+    truncate to the same `digits` decimals.
+
+    The ends are unreduced integer pairs: prod_(r<=D)(q^r - 1) over
+    q^(D(D+1)/2), and at degree d sum_(j<=J) C(nu, j) R^(J-j) over R^J,
+    R = R_d; only the settled ends become Fractions.
+    """
+    _check_limit_args(q, digits)
+
+    def bracket(depth: int) -> _Ends:
+        num = prod(q**r - 1 for r in range(1, depth + 1))
+        den = q ** (depth * (depth + 1) // 2)
+        cut = (q - 1) * q**depth
+        lo_num, lo_den, hi_num, hi_den = num * (cut - 1), den * cut, num, den
+        for d in range(1, depth + 1):
+            nu = irreducible_poly_count(q, d)
+            R = q**d * (q**d - 1)
+            top = nu if nu >= R else min(nu, -(-depth // d))
+            part = sum(comb(nu, j) * R ** (top - j) for j in range(top + 1))
+            scale = R**top
+            lo_num, lo_den = lo_num * part, lo_den * scale
+            if top < nu:
+                rest = factorial(top + 1) * (R - nu)
+                part, scale = part * rest + nu ** (top + 1), scale * rest
+            hi_num, hi_den = hi_num * part, hi_den * scale
+        s = (depth + 1) * cut
+        return (lo_num, lo_den), (hi_num * s, hi_den * (s - 2))
+
+    depth = 1
+    while q**depth < 10**digits:
+        depth += 1
+    lo, hi = _resolve_digits(bracket, depth, digits)
+    from fractions import Fraction
+
+    return Fraction(*lo), Fraction(*hi)

@@ -29,20 +29,14 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Any
 
 from . import oracle, regression
 from .classtypes import DECLARATIONS, class_sizes, class_type_counts, min_centralizer_orders
 from .ffpoly import cyclotomic_factor_degrees, divisors, irreducible_poly_count
-from .gfengine import (
-    cyclic_limit_bracket,
-    euler_partial_product,
-    euler_rule,
-    gf_counts,
-    q_stirling_via_gf,
-)
-from .limits import decimal_truncate, limit_eval
+from .gfengine import euler_rule, gf_counts, q_stirling_via_gf
+from .limits import cyclic_limit_bracket, decimal_truncate, limit_eval
 from .qcount import (
     PrimePower,
     centralizer_order,
@@ -411,6 +405,11 @@ def cross_route_checks() -> Comparisons:
 # --------------------------------------------------------------------- trend
 
 
+def euler_partial_product(q: int, terms: int) -> Fraction:
+    """prod_{r=1..terms} (1 - q^-r), an upper bound on the infinite product."""
+    return Fraction(prod(q**r - 1 for r in range(1, terms + 1)), q ** (terms * (terms + 1) // 2))
+
+
 @_suite("trend")
 def trend_checks() -> Comparisons:
     """Distances to the limiting ratios shrink and end within 10% at n = 10.
@@ -454,9 +453,9 @@ LIMIT_TARGETS = (
 def limit_checks() -> Comparisons:
     """The catalogued limit digits, and the cyclic limit by two routes.
 
-    The second cyclic route is the cycle-index product of
-    cyclic_limit_bracket, which does not use the closed form
-    (1 - q^-5) prod_{r>=3}(1 - q^-r) behind limit_eval, nor the
+    The second cyclic route, limits.cyclic_limit_bracket, brackets the
+    cycle-index product on integer pairs, without the closed form
+    (1 - q^-5) prod_{r>=3}(1 - q^-r) behind limit_eval or the
     pentagonal series limit_eval evaluates it by.
     """
     for kind, q, digits, want in LIMIT_TARGETS:

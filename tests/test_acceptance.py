@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 from qmcount import verify
-from qmcount.gfengine import cyclic_limit_bracket
-from qmcount.limits import decimal_truncate
+from qmcount.limits import cyclic_limit_bracket, decimal_truncate
 from qmcount.qcount import involution_count_char2
 from qmcount.verify import (
     cross_route_checks,

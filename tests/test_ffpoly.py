@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from qmcount.ffpoly import (
     FieldSpec,
     NotCoprime,
     ZeroPolynomial,
+    _prime_factors,
     build_field,
     cyclotomic_factor_counts,
     cyclotomic_factor_degrees,
@@ -36,6 +41,8 @@ from qmcount.ffpoly import (
     squarefree_test,
 )
 from qmcount.qcount import separable_class_count
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def all_monic(q: int, d: int):
@@ -142,6 +149,64 @@ def test_multiplicative_order_matches_the_stepping_definition():
         for m in range(1, 301):
             if gcd(q, m) == 1:
                 assert multiplicative_order(q, m) == stepped_order(q, m), (q, m)
+
+
+def plain_prime_factors(n: int) -> list[tuple[int, int]]:
+    """(p, e) by trial division up to the root of what is left."""
+    factors, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            factors.append((p, e))
+        p += 1
+    return factors + [(n, 1)] * (n > 1)
+
+
+def test_prime_factors_match_plain_trial_division():
+    # past 2^20 the cofactor left at the divisor 2^10 is tested for primality
+    rng = random.Random(20261020)
+    edge = [1021 * 1031, 1031**2, 1031 * 1033 * 4, 2**20, 2**20 + 7, 1048573, 999999937]
+    samples = [*range(1, 5000), *edge, *(rng.randrange(2**20, 10**8) for _ in range(200))]
+    for n in samples:
+        assert _prime_factors(n) == plain_prime_factors(n), n
+
+
+LARGE_PRIME_CALLS = """
+import sys, time
+from qmcount import classtypes, ffpoly
+m = 2**61 - 1
+for call in (
+    lambda: ffpoly.multiplicative_order(2, m),
+    lambda: ffpoly.cyclotomic_factor_counts(2, m),
+    lambda: classtypes.class_type_counts("power_identity", 2, 10, m),
+):
+    start = time.process_time()
+    print(repr(call()), time.process_time() - start, sep="\\t")
+try:
+    ffpoly._prime_factors(2**89 - 1)
+except ValueError as refused:
+    print(refused, 0, sep="\\t")
+"""
+
+
+def test_a_large_prime_modulus_is_quick():
+    # 2^61 - 1 is prime: trial division to its root did not end within 20 s.
+    # 2^89 - 1 is prime past the range is_prime proves, so it is refused.
+    # A fresh process, so that a slow factoring fails on its timeout.
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{LARGE_PRIME_CALLS}"],
+        capture_output=True, text=True, check=True, timeout=20,
+    )
+    lines = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert [value for value, _ in lines] == [
+        "61",
+        "{1: 1, 61: 37800705069076950}",
+        repr([1] * 11),
+        f"{2**89 - 1} is a probable prime beyond the proven range of the test",
+    ]
+    assert all(float(seconds) < 1 for _, seconds in lines), lines
 
 
 def test_multiplicative_order_at_a_large_modulus_is_quick():

@@ -24,7 +24,6 @@ from qmcount.gfengine import (
     _root_of_one_copies,
     _scaled_product,
     cyclic_alt_rule,
-    cyclic_limit_bracket,
     cyclic_rule,
     euler_rule,
     extract_count,
@@ -41,6 +40,7 @@ from qmcount.limits import (
     _pentagonal_ends,
     _power,
     _resolve_digits,
+    cyclic_limit_bracket,
     decimal_truncate,
     limit_eval,
 )
@@ -874,8 +874,8 @@ def test_q_stirling_via_gf():
     assert q_stirling_via_gf(2, 2, 2) == 3
     assert q_stirling_via_gf(2, 3, 5) == 0
     assert q_stirling_via_gf(2, 0, 1) == 0
-    for q in (2, 3):
-        for n in range(1, 7):
+    for q in (2, 3, 4, 5, 7, 9):
+        for n in range(1, 13):
             for k in range(1, n + 1):
                 assert q_stirling_via_gf(q, n, k) == q_stirling(q, n, k)
 
@@ -940,6 +940,22 @@ def test_cyclic_limit_bracket_contains_closed_form_value():
         )
         lo, hi = cyclic_limit_bracket(q, 12)
         assert lo <= closed * (1 - Fraction(1, q**200)) and closed <= hi
+
+
+# SHA-256 of the cycle-index bracket's ends over a grid of q and digits,
+# each line "q digits lo_num/lo_den hi_num/hi_den" of the reduced ends in hex,
+# as the bracket gave them when it was computed on Fractions
+CYCLIC_BRACKET_SHA256 = "305eb684b52325fb7f3ba28aaec207638a864552e4a6211505a3ea30ee45928c"
+
+
+def test_cyclic_limit_bracket_ends_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 49, 1000003):
+        for digits in (1, 2, 4, 5, 12, 20, 30, 50):
+            lo, hi = cyclic_limit_bracket(q, digits)
+            line = f"{q} {digits} {lo.numerator:x}/{lo.denominator:x} {hi.numerator:x}/{hi.denominator:x}\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == CYCLIC_BRACKET_SHA256
 
 
 def test_resolve_digits_deepens_until_the_ends_agree():

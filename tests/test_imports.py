@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -76,6 +77,10 @@ def test_closed_forms_and_limits_never_load_the_series_engine():
     ))
     assert "qmcount.limits" in loaded
     assert not {"qmcount.classtypes", "json", *ENGINE, *HEAVY} & loaded
+
+
+def test_the_series_engine_never_loads_the_limits():
+    assert "qmcount.limits" not in newly_loaded("import qmcount.gfengine")
 
 
 def formulas_requests(monkeypatch) -> tuple[str, ...]:
@@ -223,3 +228,25 @@ def test_the_benchmark_tracer_installs_and_uninstalls_cleanly():
         "print(json.dumps([missing, qmcount.field_for is original, ffpoly.field_for is original]))"
     )
     assert fresh(code) == [TRACER_MISSING, True, True]
+
+
+# the benchmark's modules and the qmcount modules they read by name
+BENCHMARK_FILES = ("workloads.py", "make_refs.py", "run.py", "selftest.py")
+BENCHMARK_READS = {"cli", "gfengine", "oracle", "qcount", "qmcount", "sequences"}
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # each `module.name` the benchmark reads and each `from qmcount... import
+    # name`, so that a change which removes one fails here and not in a run
+    read = set()
+    for name in BENCHMARK_FILES:
+        for node in ast.walk(ast.parse((ROOT / "perfbench" / name).read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in BENCHMARK_READS:
+                    module = "qmcount" if node.value.id == "qmcount" else f"qmcount.{node.value.id}"
+                    read.add((module, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qmcount":
+                read.update((node.module, alias.name) for alias in node.names)
+    assert ("qmcount.gfengine", "q_stirling_via_gf") in read and len(read) > 20
+    for module, name in sorted(read):
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
