@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exact_series": ("TruncSeries",),
     "ffpoly": (
-        "FieldSpec", "NotCoprime", "build_field", "cyclotomic_factor_degrees", "field_for",
-        "irreducible_poly_count", "moebius", "multiplicative_order", "squarefree_test",
+        "FieldSpec", "NotCoprime", "PrimePower", "build_field", "field_for", "irreducible_poly_count",
+        "moebius", "multiplicative_order", "squarefree_test",
     ),
     "gfengine": (
         "GF_KINDS", "euler_rule", "extract_count", "gf_build", "gf_counts", "q_stirling_via_gf",
@@ -34,7 +34,7 @@ _EXPORTS = {
         "sweep_counts",
     ),
     "qcount": (
-        "BadKindParams", "CharNotTwo", "CostExceeded", "PrimePower", "centralizer_order",
+        "BadKindParams", "CharNotTwo", "CostExceeded", "centralizer_order",
         "diagonalizable_count", "gaussian_binomial", "gl_order", "involution_count_char2",
         "linear_derangement_count", "linear_derangement_reduced", "nilpotent_count",
         "partitions_of", "projection_count", "q_bell", "q_factorial", "q_int", "q_multinomial",

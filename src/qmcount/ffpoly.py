@@ -1,4 +1,5 @@
-"""Finite fields F_{p^e} with dense arithmetic tables, and polynomials over them.
+"""Finite fields F_{p^e} with dense arithmetic tables, polynomials over them,
+and the integer number theory they rest on.
 
 Field elements are plain ints 0 .. q-1: the base-p digits of an element are
 the coefficients of its polynomial representative modulo the field modulus,
@@ -6,14 +7,22 @@ least significant digit first.  Polynomials over a field are tuples of
 element codes, constant term first, with no trailing zeros (the zero
 polynomial is the empty tuple).  One polynomial arithmetic, the poly_*
 functions, serves every field: over F_p it builds the tables of F_{p^e}.
+
+The number theory: a primality test that proves what it accepts, field
+sizes as prime powers (PrimePower.of), factoring by trial division, and
+one necklace (Moebius) sum, _necklace, behind both tallies of
+irreducible factors by degree: nu_d (irreducible_poly_count) and the
+factors of z^k - 1 (root_of_one_factor_counts), which
+cyclotomic_factor_counts tallies again by the orders of q mod m | k.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
 from math import gcd, prod
 
-from .qcount import PrimePower, is_prime
 from .scaled import exact_div
 
 
@@ -27,6 +36,77 @@ class ZeroPolynomial(ValueError):
 
 # ---------------------------------------------------------------------------
 # integer number theory
+
+
+# Miller-Rabin with the first 13 prime bases is a proof of primality below
+# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test; ValueError where it would only be likely."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_PROVEN_BOUND:
+        raise ValueError(f"{n} is a probable prime beyond the proven range of the test")
+    return True
+
+
+def _int_root(n: int, e: int) -> int:
+    """The largest r with r**e <= n, for n >= 1 (Newton's method from above)."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+class PrimePower(namedtuple("PrimePower", "p e q")):
+    """A field size q = p**e with p prime and e >= 1, equal only to a
+    PrimePower of the same (p, e, q)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def of(cls, q: int) -> PrimePower:
+        if q < 2:
+            raise ValueError(f"field size must be at least 2, got {q}")
+        # q is a prime power for at most one e: the one whose root is prime.
+        # A prime q, the common case, takes one test and no roots.
+        if is_prime(q):
+            return cls(q, 1, q)
+        for e in range(q.bit_length(), 1, -1):
+            p = _int_root(q, e)
+            if p > 1 and p**e == q and is_prime(p):
+                return cls(p, e, q)
+        raise ValueError(f"field size must be a prime power, got {q}")
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
@@ -67,17 +147,19 @@ def euler_phi(n: int) -> int:
     return prod(p ** (e - 1) * (p - 1) for p, e in _prime_factors(n))
 
 
-def irreducible_poly_count(q: int, d: int) -> int:
-    """Number of monic irreducible polynomials of degree d over F_q.
+def _necklace(d: int, roots: Callable[[int], int], what: str, *at) -> int:
+    """(1/d) sum over e | d of mu(d/e) roots(e), roots(e) counting the roots in
+    F_(q^e) of a polynomial over F_q: its distinct irreducible factors of
+    degree d.  NonIntegralCount(what.format(*at)) if d does not divide it."""
+    return exact_div(sum(moebius(d // e) * roots(e) for e in divisors(d)), d, what, *at)
 
-    The necklace-style Moebius sum (1/d) * sum over e | d of mu(d/e) q^e.
-    """
+
+def irreducible_poly_count(q: int, d: int) -> int:
+    """Number of monic irreducible polynomials of degree d over F_q: the
+    necklace sum over the q^e roots of z^(q^e) - z in F_(q^e)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    total = 0
-    for e in divisors(d):
-        total += moebius(d // e) * q**e
-    return exact_div(total, d, "irreducible count sum not divisible by {}", d)
+    return _necklace(d, lambda e: q**e, "irreducible count sum not divisible by {}", d)
 
 
 def multiplicative_order(q: int, m: int) -> int:
@@ -117,10 +199,17 @@ def cyclotomic_factor_counts(q: int, k: int) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def cyclotomic_factor_degrees(q: int, k: int) -> tuple[int, ...]:
-    """Degrees of the irreducible factors of z^k - 1 over F_q (gcd(k, q) = 1),
-    sorted ascending, with multiplicity: cyclotomic_factor_counts listed out."""
-    return tuple(d for d, count in cyclotomic_factor_counts(q, k).items() for _ in range(count))
+def root_of_one_factor_counts(q: int, k: int, order: int) -> dict[int, int]:
+    """degree d -> the number of distinct irreducible factors of z^k - 1
+    over F_q of degree d, for d = 1 .. order (k >= 1).
+
+    The roots of z^k - 1 in the cyclic group F_(q^e)^* number
+    gcd(k, q^e - 1), so this is the necklace sum over those: its cost
+    grows with order, not with k, which it never factors.
+    """
+    roots = [gcd(k, q**e - 1) for e in range(order + 1)]
+    text = "the roots of z^{} - 1 of degree {} are not whole factors"
+    return {d: _necklace(d, roots.__getitem__, text, k, d) for d in range(1, order + 1)}
 
 
 # ---------------------------------------------------------------------------

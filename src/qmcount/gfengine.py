@@ -15,7 +15,8 @@ Each kind gf_build serves is one entry of _KINDS: a rule with a number
 of factors per degree, nu_d unless declared, and whether the product is
 divided by 1 - u; or a builder of its own, qcount.bell_counts for the
 q-Bell series and integer loops over one list for the conjugacy class
-series.  Every kind is built on integers, with exact division
+series.  Both numbers of factors, nu_d and those of z^k - 1, come from
+ffpoly's necklace sums.  Every kind is built on integers, with exact division
 throughout: a normalized series (below) is carried as a_n S_n, and a
 product of factors by one of two paths (_scaled_product), whose rule
 declares the scale S_n.  A factor that is a product of binomials 1 + c v
@@ -62,11 +63,11 @@ from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 from . import scaled
-from .ffpoly import divisors, irreducible_poly_count, moebius
-from .qcount import BadKindParams, CostExceeded, PrimePower, bell_counts, gl_order
+from .ffpoly import PrimePower, irreducible_poly_count, root_of_one_factor_counts
+from .qcount import BadKindParams, CostExceeded, bell_counts, gl_order
 from .scaled import NonIntegralCount, exact_div
 from .exact_series import TruncSeries
 
@@ -323,27 +324,15 @@ def _class_counts(q: int, order: int, invertible: bool) -> list[int]:
 
 
 def _root_of_one_copies(pp: PrimePower, k: int | None, order: int) -> dict[int, int]:
-    """The number of irreducible factors of z^k - 1 of each degree d <= order.
-    z^k - 1 must be square-free, so that A^k = I leaves each a partition 1^m.
-
-    The roots of z^k - 1 in the cyclic group F_(q^e)^* number
-    gcd(k, q^e - 1), so those of degree exactly d over F_q number
-    sum_(e | d) mu(d/e) gcd(k, q^e - 1), d to a factor: the Moebius sum
-    irreducible_poly_count takes over q^e.  Its cost grows with order,
-    not with k.
-    """
+    """ffpoly.root_of_one_factor_counts of z^k - 1, which must be square-free,
+    so that A^k = I leaves each of its factors a partition 1^m."""
     if k is None:
         raise BadKindParams("power_identity needs the exponent k")
     if k < 1:
         raise BadKindParams("the exponent k must be >= 1")
     if k % pp.p == 0:
         raise BadKindParams(f"z^{k} - 1 is not square-free in characteristic {pp.p}")
-    roots = [gcd(k, pp.q**e - 1) for e in range(order + 1)]
-    text = "the roots of z^{} - 1 of degree {} are not whole factors"
-    return {
-        d: exact_div(sum(moebius(d // e) * roots[e] for e in divisors(d)), d, text, k, d)
-        for d in range(1, order + 1)
-    }
+    return root_of_one_factor_counts(pp.q, k, order)
 
 
 class _Kind(

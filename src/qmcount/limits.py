@@ -7,8 +7,8 @@ digits (_resolve_digits).  Each end is a pair of integers, exact or, where
 projective_frac raises it to the power q - 1, on fixed point (_power), and
 cyclic_limit_bracket, the cycle-index route verify compares with the
 cyclic limit, brackets on integer pairs too.  So this module needs only
-qcount, for PrimePower and the guard's errors, and ffpoly's irreducible
-counts, and limit_eval loads neither the series engine nor Fraction.
+qcount's guard errors and ffpoly's PrimePower and irreducible counts,
+and limit_eval loads neither the series engine nor Fraction.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from math import comb, factorial, prod
 
-from .ffpoly import irreducible_poly_count
-from .qcount import BadKindParams, CostExceeded, PrimePower
+from .ffpoly import PrimePower, irreducible_poly_count
+from .qcount import BadKindParams, CostExceeded
 
 # limit_eval refuses a request whose fixed-point power, about 2 bitlen(m)
 # products of P-bit integers (see limit_eval), scores bitlen(m) P^2 above

@@ -1,6 +1,7 @@
 """Closed-form exact counts of matrices and subspaces over a finite field.
 
-Everything here is exact arithmetic: group orders, q-analogues of
+Closed forms only, in exact arithmetic; the number theory, PrimePower
+included, is ffpoly's.  Here are group orders, q-analogues of
 factorials and binomial coefficients, and the matrix counts that have a
 closed formula or a simple recursion (projections, diagonalizable
 matrices, involutions in characteristic two, nilpotents, eigenvalue-free
@@ -48,6 +49,7 @@ from math import comb, factorial, prod
 from operator import mul
 
 from . import scaled
+from .ffpoly import PrimePower
 from .scaled import exact_div
 
 
@@ -61,98 +63,6 @@ class CostExceeded(ValueError):
 
 class BadKindParams(ValueError):
     """Unknown generating function or limit kind, or parameters that do not fit it."""
-
-
-# Miller-Rabin with the first 13 prime bases is a proof of primality below
-# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
-# bases", Math. Comp. 86, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_BOUND = 3317044064679887385961981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality test; ValueError where it would only be likely."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _MR_PROVEN_BOUND:
-        raise ValueError(f"{n} is a probable prime beyond the proven range of the test")
-    return True
-
-
-def _int_root(n: int, e: int) -> int:
-    """The largest r with r**e <= n, for n >= 1 (Newton's method from above)."""
-    r = 1 << -(-n.bit_length() // e)
-    while True:
-        s = ((e - 1) * r + n // r ** (e - 1)) // e
-        if s >= r:
-            return r
-        r = s
-
-
-class PrimePower:
-    """A field size q = p**e with p prime and e >= 1.
-
-    An immutable value with plain slot attributes, compared with its own
-    class and hashed by its (p, e, q), as a frozen dataclass would be; it
-    is written out so that importing the package does not load dataclasses.
-    """
-
-    __slots__ = ("p", "e", "q")
-
-    def __init__(self, p: int, e: int, q: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.e, self.q) == (other.p, other.e, other.q)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.q))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(p={self.p!r}, e={self.e!r}, q={self.q!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.p, self.e, self.q)
-
-    @classmethod
-    def of(cls, q: int) -> PrimePower:
-        if q < 2:
-            raise ValueError(f"field size must be at least 2, got {q}")
-        # q is a prime power for at most one e: the one whose root is prime.
-        # A prime q, the common case, takes one test and no roots.
-        if is_prime(q):
-            return cls(q, 1, q)
-        for e in range(q.bit_length(), 1, -1):
-            p = _int_root(q, e)
-            if p > 1 and p**e == q and is_prime(p):
-                return cls(p, e, q)
-        raise ValueError(f"field size must be a prime power, got {q}")
 
 
 class GLOrderTable:

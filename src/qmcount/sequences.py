@@ -13,10 +13,10 @@ from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from functools import partial
 
+from .ffpoly import PrimePower
 from .qcount import (
     CostExceeded,
     GLOrderTable,
-    PrimePower,
     bell_counts,
     diagonalizable_counts,
     gaussian_rows,

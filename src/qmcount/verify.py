@@ -34,11 +34,10 @@ from typing import Any
 
 from . import oracle, regression
 from .classtypes import DECLARATIONS, class_sizes, class_type_counts, min_centralizer_orders
-from .ffpoly import cyclotomic_factor_degrees, divisors, irreducible_poly_count
+from .ffpoly import PrimePower, cyclotomic_factor_counts, divisors, irreducible_poly_count
 from .gfengine import euler_rule, gf_counts, q_stirling_via_gf
 from .limits import cyclic_limit_bracket, decimal_truncate, limit_eval
 from .qcount import (
-    PrimePower,
     centralizer_order,
     complement_rows,
     diagonalizable_count,
@@ -200,10 +199,10 @@ def identity_checks() -> Comparisons:
     for q, ks in (
         (2, (1, 3, 5, 7, 9, 15)), (3, (1, 2, 4, 5, 7, 8)), (4, (3, 5, 7, 9)), (5, (2, 3, 4, 6))
     ):
-        profiles = [cyclotomic_factor_degrees(q, k) for k in ks]
+        tallies = [cyclotomic_factor_counts(q, k) for k in ks]
         yield (
             f"root-of-unity factor degrees q={q}",
-            [(sum(degs), degs.count(1)) for degs in profiles],
+            [(sum(d * c for d, c in counts.items()), counts[1]) for counts in tallies],
             [(k, gcd(k, q - 1)) for k in ks],
         )
 

@@ -23,7 +23,6 @@ from qmcount.ffpoly import (
     _prime_factors,
     build_field,
     cyclotomic_factor_counts,
-    cyclotomic_factor_degrees,
     divisors,
     euler_phi,
     field_for,
@@ -212,10 +211,10 @@ def test_a_large_prime_modulus_is_quick():
 def test_multiplicative_order_at_a_large_modulus_is_quick():
     # 100000007 is prime; stepping through ord(2) of its powers took seconds
     start = time.process_time()
-    degrees = cyclotomic_factor_degrees(2, 100000007)
+    tally = cyclotomic_factor_counts(2, 100000007)
     counts = class_type_counts("power_identity", 2, 12, 100000007)
     assert time.process_time() - start < 1.0
-    assert sum(degrees) == 100000007 and degrees[0] == 1
+    assert sum(d * c for d, c in tally.items()) == 100000007 and min(tally) == 1
     assert counts == [1] * 13  # only z - 1 divides z^k - 1 below degree 13
 
 
@@ -232,7 +231,7 @@ def test_cyclotomic_factor_counts_tally_the_listed_factors():
             ]
             counts = cyclotomic_factor_counts(q, k)
             assert counts == Counter(listed) and list(counts) == sorted(counts), (q, k)
-            assert cyclotomic_factor_degrees(q, k) == tuple(sorted(listed)), (q, k)
+            assert [d for d, c in counts.items() for _ in range(c)] == sorted(listed), (q, k)
             for d in range(1, k + 1):
                 assert classtypes._roots_of_one(q, d, k) == listed.count(d), (q, k, d)
 
@@ -247,14 +246,14 @@ def test_class_types_at_a_large_exponent_are_quick():
 
 
 def test_cyclotomic_factor_degrees():
-    assert cyclotomic_factor_degrees(2, 3) == (1, 2)
-    assert cyclotomic_factor_degrees(2, 7) == (1, 3, 3)
-    assert cyclotomic_factor_degrees(3, 8) == (1, 1, 2, 2, 2)
-    assert cyclotomic_factor_degrees(4, 3) == (1, 1, 1)
+    assert cyclotomic_factor_counts(2, 3) == {1: 1, 2: 1}
+    assert cyclotomic_factor_counts(2, 7) == {1: 1, 3: 2}
+    assert cyclotomic_factor_counts(3, 8) == {1: 2, 2: 3}
+    assert cyclotomic_factor_counts(4, 3) == {1: 3}
     for q in (2, 3, 5):
-        assert cyclotomic_factor_degrees(q, 1) == (1,)
+        assert cyclotomic_factor_counts(q, 1) == {1: 1}
     with pytest.raises(NotCoprime):
-        cyclotomic_factor_degrees(2, 6)
+        cyclotomic_factor_counts(2, 6)
 
 
 def test_cyclotomic_degrees_sum_and_linear_factors():
@@ -264,10 +263,10 @@ def test_cyclotomic_degrees_sum_and_linear_factors():
         for k in range(1, 13):
             if gcd(q, k) != 1:
                 continue
-            degrees = cyclotomic_factor_degrees(q, k)
-            assert sum(degrees) == k
+            counts = cyclotomic_factor_counts(q, k)
+            assert sum(d * c for d, c in counts.items()) == k
             # linear factors <-> k-th roots of unity in F_q
-            assert degrees.count(1) == gcd(k, q - 1)
+            assert counts[1] == gcd(k, q - 1)
 
 
 def test_build_field_moduli():

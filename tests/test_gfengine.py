@@ -44,7 +44,7 @@ from qmcount.limits import (
     decimal_truncate,
     limit_eval,
 )
-from qmcount.ffpoly import cyclotomic_factor_degrees, irreducible_poly_count
+from qmcount.ffpoly import cyclotomic_factor_counts, irreducible_poly_count
 from qmcount.qcount import (
     BadKindParams,
     PrimePower,
@@ -771,13 +771,15 @@ def test_gf_power_identity():
 
 
 def test_root_of_one_copies_match_the_factor_degrees():
-    # the Moebius count of roots against phi(m) / ord_m(q) factors per m | k
+    # the Moebius count of roots against phi(m) / ord_m(q) factors per m | k,
+    # also at exponents whose z^k - 1 has up to 3.8e16 factors
+    large = (2**24 - 1, 2**30 - 1, 2**61 - 1, 10**9 + 7, 3**20 - 1, 5**12 - 1)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
         pp = PrimePower.of(q)
-        for k in range(1, 61):
+        for k in (*range(1, 61), *large):
             if k % pp.p:
                 copies = _root_of_one_copies(pp, k, 30)
-                want = Counter(d for d in cyclotomic_factor_degrees(q, k) if d <= 30)
+                want = {d: c for d, c in cyclotomic_factor_counts(q, k).items() if d <= 30}
                 assert +Counter(copies) == want, (q, k)
 
 
@@ -1148,7 +1150,7 @@ def test_a_mixed_sign_product_takes_the_exp_log():
 def test_an_inexact_root_of_one_count_is_refused(monkeypatch):
     # with every Moebius value 1, degree 3 of z^7 - 1 over F_2 sums
     # gcd(7, 1) + gcd(7, 7) = 8 roots, which 3 does not divide
-    monkeypatch.setattr(gfengine, "moebius", lambda n: 1)
+    monkeypatch.setattr(qmcount.ffpoly, "moebius", lambda n: 1)
     pp = qmcount.PrimePower.of(2)
     with pytest.raises(NonIntegralCount, match="^the roots of z\\^7 - 1 of degree 3 are not whole factors$"):
         _root_of_one_copies(pp, 7, 3)
