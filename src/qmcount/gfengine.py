@@ -25,11 +25,13 @@ form, rule.log(Q, m), which enters the product's log by one exact
 division, at D_n = q^n (q - 1)...(q^n - 1).  unit_rule's factor has no
 product form; at |GL_n(q)| its coefficients are all 1, and its log is
 recurred from that alone.  The paths' scales and recurrences are the
-kernel of the scaled module, whose docstring gives their one step.
+kernel of the scaled module, whose docstring gives their steps.
 
 The first path, for the kinds with nu_d factors at every degree, sums
 the factors' logs and takes one exp, whose N^2 / 2 products of two big
-numbers set the cost of every series.  The second, for a product with
+numbers set the cost of every series; it takes them in the symmetric
+pairs (k, n - k), each pair weighted once by a Gaussian binomial read
+off a q-Pascal half row, and carries nothing.  The second, for a product with
 explicit copies at a few degrees (A^k = I, the derangements, the
 diagonalizable matrices and the projections), forms no log: it raises
 each degree's factor to its copy count from the scaled coefficients the
@@ -74,18 +76,18 @@ from .exact_series import TruncSeries
 
 # gf_build refuses orders N whose work model, N^2 log2(N) products of
 # N^2 log2(q)-bit integers, scores above this.  Semisimple at q = 2 and
-# N = 120 scores 1.45e9; its gf_counts takes 0.11-0.15 s of process time
+# N = 120 scores 1.45e9; its gf_counts takes 0.09 s of process time
 # on a 2-core Xeon (best of 5, three processes).  The bound admits
 # N <= 149 at q = 2, N <= 128 at q = 3 and N <= 109 at q = 9.  At those
 # edges semisimple, whose unit factor's log still recurs, is the slowest
-# kind: 0.38-0.41 s at (9, 109); a closed-log kind costs about its exp
-# alone, cyclic 0.15-0.17 s at (9, 109).  A finite product costs its
+# kind: 0.36-0.45 s at (9, 109); a closed-log kind costs about its exp
+# alone, cyclic 0.12-0.13 s at (9, 109).  A finite product costs its
 # powers and joins (best of 5, three processes): power_identity 0.05 s
-# at (9, 109, k = 2), 0.03-0.04 s at (2, 149, k = 3) and 0.17-0.20 s at
-# (2, 149, k = 2^20 - 1), where the exp-log took 0.25-0.46, 0.22-0.38
-# and 0.26-0.36 s; projective_derangement 0.06 s at (9, 109), from
-# 0.13-0.23 s; linear_derangement under 0.01 s.  At (2, 149) the k whose
-# z^k - 1 has a factor of every degree runs the exp-log, 0.29-0.33 s.
+# at (9, 109, k = 2), 0.03-0.04 s at (2, 149, k = 3) and 0.16-0.22 s at
+# (2, 149, k = 2^20 - 1), where the exp-log took 0.24, 0.20-0.34 and
+# 0.23-0.40 s; projective_derangement 0.05-0.08 s at (9, 109), from
+# 0.09-0.17 s; linear_derangement under 0.01 s.  At (2, 149) the k whose
+# z^k - 1 has a factor of every degree runs the exp-log, 0.25-0.29 s.
 MAX_SERIES_WORK = 4 * 10**9
 
 def _closed_log(log: Callable[[int, int], Fraction]) -> Callable:
@@ -252,13 +254,20 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
 
 # The most degrees the finite path joins to its first; a product with more
 # goes to the exp-log.  A join costs about the same at every degree: its
-# carries and Horner steps run over every k, zeros included.  Measured at
-# (q, order) = (2, 149), process time, best of 3 on a 2-core Xeon, for
-# power_identity (finite -> exp-log): 5 joins won, k = 65535 137 -> 254 ms,
-# k = 4095 335 -> 417 ms and k = 2^20 - 1 289 -> 409 ms; 7 joins lost,
-# k = 2^30 - 1 345 -> 268 ms and k = 2^24 - 1 447 -> 416 ms, as did 11,
-# k = 2^60 - 1 572 -> 389 ms.  Unit copies at degrees 1 .. 7, 6 joins, tied
-# at (2, 149), (3, 128) and (9, 109): 415 / 420, 294 / 291 and 363 / 359 ms.
+# carries and Horner steps run over every k, zeros included.  Measured for
+# power_identity on _scaled_product, 11 interleaved rounds in one process,
+# process time on a 2-core Xeon, min/median ms, finite -> exp-log.  At the
+# edge, 5 joins, the finite path won at (2, 149), k = 4095 182/200 ->
+# 224/242 and k = 2^20 - 1 153/164 -> 224/230 (11/11 rounds each), and lost
+# at (3, 128), k = 3^12 - 1 284/313 -> 219/232 (0/11), so the bound stays.
+# Fewer joins won at (2, 149) k = 65535 (4 joins), (3, 128) k = 80 and
+# (5, 115) k = 624 (2 each) and (9, 109) k = 80 (1), and lost with 3 at
+# (9, 109) k = 9^6 - 1, 324/362 -> 297/308, and (5, 115) k = 5^6 - 1,
+# 248/269 -> 224/246.  At (2, 149), 7 joins tied or won, k = 2^30 - 1
+# 205/222 -> 225/235 and k = 2^24 - 1 218/291 -> 220/240, and 11 lost,
+# k = 2^60 - 1 302/321 -> 225/236.  Unit copies at degrees 1 .. 7, 6 joins,
+# tied at (2, 149), (3, 128) and (9, 109): 213/227 -> 221/237, 211/234 ->
+# 217/239 and 291/309 -> 297/317.  The path never changes a count.
 MAX_FINITE_JOINS = 5
 
 

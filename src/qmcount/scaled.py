@@ -5,20 +5,33 @@ A series a is carried on integers as A_n = a_n S_n, the scale S_n being
 times its scale step (scale_steps).  A product of two scaled series
 weighs the pair of terms (k, n - k) by W(n, k) = S_n / (S_k S_(n-k)),
 which is W(n, n - k) too: q^(k(n-k)) [n, k]_q for |GL_n|, [n, k]_q for
-D_n.  No recurrence here forms it in whole: carry moves a term's
-Gaussian binomial from n - 1 to n by an exact ratio of small integers,
-and weighted_sum puts in the q^(k(n-k)) by one Horner run.
+D_n.  No recurrence here forms it in whole: the Gaussian binomial is
+read off a half row or carried with a term, and weighted_sum puts in the
+q^(k(n-k)) by one Horner run over the pairs.
 
-The exp, the unit log and Miller's power are one step (recur):
+The exp, B_n = b_n S_n of b = exp(l) from L_k = k l_k S_k, weighs each
+pair once:
+
+    n B_n = L_n + sum_(k<n/2) W(n, k) (L_k B_(n-k) + L_(n-k) B_k),
+
+plus W(n, n/2) L_(n/2) B_(n/2) when n is even; b' = l' b reads
+n b_n = sum_(k=1..n) k l_k b_(n-k), which is this over S_n.  Its
+[n, k]_q, k <= n/2, come from a half row built from the one before by
+q-Pascal (half_rows), with additions and products by powers of q only,
+so the one division left is the checked finish s / n.  The exp's
+weights L_k are as big as its values, so carrying B_j up to
+[n, j]_q B_j would only make each big product bigger.
+
+The unit log and Miller's power are one carried step (recur):
 
     Y_0 = first,  Y_n = finish(n, sum_(k=1..n) W(n, k) w_n(k) Y_(n-k)),
 
-with T_j = [n, j]_q Y_j carried, j = n - k, and summed against the
-weights, so a big Y_j meets small factors wherever the weights are small.
+with T_j = [n, j]_q Y_j carried (carry), j = n - k, and summed against
+weights that are small, so a big Y_j meets small factors only; join
+carries its sparse second factor the same way.  Where one side of every
+product is small or sparse, the carried form was measured faster than
+the pairs, whose binomial then meets a big sum.
 
-- exp: B_n = b_n S_n of b = exp(l), from L_k = k l_k S_k, takes
-  w_n(k) = L_k and finish s / n.  b' = l' b reads n b_n =
-  sum_(k=1..n) k l_k b_(n-k), which is the step times S_n.
 - power: P_n = p_n S_n of p = f^c, c >= 1, from F_k = f_k S_k with
   f_0 = 1, takes w_n(k) = ((c + 1) k - n) F_k and finish s / n
   (J. C. P. Miller; Knuth, TAOCP vol. 2, sec. 4.7).  f p' = c f' p at
@@ -36,15 +49,15 @@ layers, which qcount, gfengine, classtypes and ffpoly call too: it raises
 NonIntegralCount with a text that names where the division failed and
 never an operand, which may be past the interpreter's limit on
 int-to-text digits.  carry, the kernel's innermost loop at N^2 / 2 terms
-a recurrence, checks its ratio inline, where a call would slow the power
-step and every small series measurably.  join multiplies two scaled
-series, and lift moves a series in v = u^d to u.
+a recurrence or join, checks its ratio inline, where a call would slow
+the power step and every small series measurably.  join multiplies two
+scaled series, and lift moves a series in v = u^d to u.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from operator import mul
 
 
@@ -103,21 +116,32 @@ def carry(terms: list[int], pw: list[int], n: int) -> None:
         terms[k] = t
 
 
-def weighted_sum(a: Sequence[int], b: Sequence[int], n: int, pw: list[int], gl: bool) -> int:
-    """sum_(k=1..n) q^(k(n-k)) a[k] b[n-k] when gl, else the plain sum.
+def weighted_sum(
+    a: Sequence[int], b: Sequence[int], n: int, pw: list[int], gl: bool,
+    half: list[int] | None = None,
+) -> int:
+    """sum_(k=1..n) q^(k(n-k)) a[k] b[n-k] when gl, else the plain sum;
+    with a half row, half[k] = [n, k]_q for k <= n / 2, each term is
+    weighted by [n, k]_q too.
 
-    The exponent e(k) = k(n-k) is e(n-k) too, so the terms k and n - k
-    share a power of q, and it rises to k = n // 2.  So one Horner run
-    applies it with small powers only: from k = (n - 1) // 2 down to 1,
-    acc q^(n - 2k - 1) + a[k] b[n-k] + a[n-k] b[k], started from the term
-    k = n / 2 when n is even; the result times q^(e(1)) = q^(n-1), plus
+    The weight of k is the weight of n - k, so the terms are taken in
+    pairs, a[k] b[n-k] + a[n-k] b[k] for k < n / 2 and a[k] b[k] at
+    k = n / 2, each pair weighted once.  The exponent e(k) = k(n-k) rises
+    to k = n // 2, so one Horner run applies it with small powers only:
+    from the top pair down to k = 1, acc q^(e(k+1) - e(k)) + pair k, the
+    step being q^(n - 2k - 1); the result times q^(e(1)) = q^(n-1), plus
     a[n] b[0] at e(n) = 0.  Each step multiplies by at most q^(n-1).
     """
+    pairs = [a[k] * b[n - k] + a[n - k] * b[k] for k in range(1, (n + 1) // 2)]
+    if n % 2 == 0:
+        pairs.append(a[n // 2] * b[n // 2])
+    if half is not None:
+        pairs = list(map(mul, islice(half, 1, None), pairs))
     if not gl:
-        return sum(a[k] * b[n - k] for k in range(1, n + 1))
-    acc = 0 if n % 2 else a[n // 2] * b[n // 2]
-    for k in range((n - 1) // 2, 0, -1):
-        acc = acc * pw[n - 2 * k - 1] + a[k] * b[n - k] + a[n - k] * b[k]
+        return sum(pairs) + a[n] * b[0]
+    acc = pairs.pop() if pairs else 0
+    for k in range(len(pairs), 0, -1):
+        acc = acc * pw[n - 2 * k - 1] + pairs[k - 1]
     return acc * pw[n - 1] + a[n] * b[0]
 
 
@@ -133,10 +157,26 @@ def recur(
     return values
 
 
+def half_rows(pw: list[int]) -> Iterator[list[int]]:
+    """[[n, 0]_q, ..., [n, n // 2]_q] for n = 0, 1, ..., each row from the
+    one before by q-Pascal, [n, k] = [n-1, k-1] + q^k [n-1, k], reading
+    [n-1, n/2] as [n-1, n/2 - 1] when n is even; row n reads pw[k] = q^k
+    for k <= n // 2."""
+    row = [1]
+    for n in count(1):
+        yield row
+        row = [1] + [row[k - 1] + pw[k] * row[min(k, n - 1 - k)] for k in range(1, n // 2 + 1)]
+
+
 def exp(log: Sequence[int], pw: list[int], gl: bool) -> list[int]:
-    """B_n, n < len(log), of exp(l) from L_n = n l_n S_n, L_0 = 0."""
-    finish = lambda n, s: exact_div(s, n, "the product is not an integer at u^{}", n)
-    return recur(1, lambda n: log, finish, len(log) - 1, pw, gl)
+    """B_n, n < len(log), of exp(l) from L_n = n l_n S_n, L_0 = 0:
+    B_n = sum_(k=1..n) W(n, k) L_k B_(n-k) / n, each symmetric pair of
+    terms weighted once by its half row's [n, k]_q."""
+    values = [1]
+    for n, half in zip(range(1, len(log)), islice(half_rows(pw), 1, None)):
+        s = weighted_sum(log, values, n, pw, gl, half)
+        values.append(exact_div(s, n, "the product is not an integer at u^{}", n))
+    return values
 
 
 def power(c: int, coeffs: Sequence[int], pw: list[int], gl: bool) -> list[int]:

@@ -447,35 +447,46 @@ def test_scaled_product_reads_no_rule_coefficient(monkeypatch):
 
 
 def test_only_a_rule_without_a_closed_log_runs_the_per_degree_recurrence(monkeypatch):
-    carried = []
-    carry = scaled.carry
+    carried, exps = [], []
+    carry, exp = scaled.carry, scaled.exp
 
     def counted(terms, pw, n):
         carried.append(n)
         carry(terms, pw, n)
 
-    # the exp, the unit log, the power step and the join all carry through one kernel name
+    def counted_exp(log, pw, gl):
+        exps.append(len(log) - 1)
+        return exp(log, pw, gl)
+
+    # the unit log, the power step and the join carry through one kernel
+    # name; the exp weighs its pairs by half rows and carries nothing
     monkeypatch.setattr(scaled, "carry", counted)
+    monkeypatch.setattr(scaled, "exp", counted_exp)
     order = 24
-    # the exp carries its terms once per order, and the closed logs none;
-    # the finite path carries once per order for each power step of more
-    # than one copy, at its degree's orders, and each join: at q = 3 the
-    # derangement kinds raise the inverse Euler factor to 1 and 2 copies,
-    # e(u) is raised to 3 and 2 copies, and z^8 - 1 has 2 linear and 3
-    # quadratic factors; invertible_check is the empty product
+    # the closed logs carry nothing; the finite path carries once per
+    # order for each power step of more than one copy, at its degree's
+    # orders, and each join, and runs no exp: at q = 3 the derangement
+    # kinds raise the inverse Euler factor to 1 and 2 copies, e(u) is
+    # raised to 3 and 2 copies, and z^8 - 1 has 2 linear and 3 quadratic
+    # factors; invertible_check is the empty product
     finite = {"invertible_check": 0, "linear_derangement": 0, "projective_derangement": order,
               "diagonalizable": order, "projection": order}
     for kind in ("cyclic", "separable", "cyclic_alt", "separable_alt", *finite):
         carried.clear()
+        exps.clear()
         gf_counts(kind, 3, order)
-        assert len(carried) == finite.get(kind, order), kind
+        assert len(carried) == finite.get(kind, 0), kind
+        assert exps == ([] if kind in finite else [order]), kind
     carried.clear()
+    exps.clear()
     gf_counts("power_identity", 3, order, 8)
     assert len(carried) == order + order // 2 + order
+    assert exps == []
     # the unit factor's log recurs at every degree d, order // d carries each
     carried.clear()
     gf_counts("semisimple", 3, order)
-    assert len(carried) == order + sum(order // d for d in range(1, order + 1))
+    assert len(carried) == sum(order // d for d in range(1, order + 1))
+    assert exps == [order]
 
 
 def exp_log(q: int, rule, order: int, copies) -> tuple[list[int], bool]:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import prod
 
 import pytest
 
 from qmcount import scaled
-from qmcount.qcount import gl_order
+from qmcount.qcount import gaussian_rows, gl_order
 
 
 def fraction_exp(log: list[Fraction]) -> list[Fraction]:
@@ -56,6 +57,40 @@ def test_the_exp_matches_the_fraction_exp(q, gl):
     L = [int(k * log[k] * s[k]) for k in range(N + 1)]
     got = scaled.exp(L, scaled.powers(q, N), gl)
     assert got == [b * t for b, t in zip(fraction_exp(log), s)]
+
+
+def carried_exp(log: list[int], pw: list[int], gl: bool) -> list[int]:
+    """The exp as the kernel's carried step, written out: each earlier B_j
+    carried as [n, j]_q B_j by scaled.carry and summed directly against
+    q^(k(n-k)) L_k, k = n - j, with no Horner run or pairing."""
+    values, carried = [1], []
+    for n in range(1, len(log)):
+        carried.append(values[-1])
+        scaled.carry(carried, pw, n)
+        s = sum(pw[1] ** (k * (n - k) * gl) * log[k] * carried[n - k] for k in range(1, n + 1))
+        values.append(scaled.exact_div(s, n))
+    return values
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_the_half_rows_are_the_first_halves_of_the_q_pascal_rows(q):
+    N = 30
+    rows = list(islice(scaled.half_rows(scaled.powers(q, N)), N + 1))
+    for n, (half, full) in enumerate(zip(rows, gaussian_rows(q, N))):
+        # odd n stops below the middle, even n at it
+        assert half == list(full[: n // 2 + 1]), n
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+@pytest.mark.parametrize("gl", [False, True])
+def test_the_paired_exp_equals_the_carried_exp(q, gl):
+    # integer logs l with zeros and both signs, so every B_n is an integer
+    rng = random.Random(100 * q + gl)
+    for N in (*range(14), 30, 31):
+        s = scaled.scales(q, N, gl)
+        pw = scaled.powers(q, N)
+        log = [0] + [k * rng.choice((0, 0, rng.randint(-5, 5))) * s[k] for k in range(1, N + 1)]
+        assert scaled.exp(log, pw, gl) == carried_exp(log, pw, gl), N
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
