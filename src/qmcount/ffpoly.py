@@ -9,10 +9,10 @@ polynomial is the empty tuple).  One polynomial arithmetic, the poly_*
 functions, serves every field: over F_p it builds the tables of F_{p^e}.
 
 The number theory: a primality test that proves what it accepts, field
-sizes as prime powers (PrimePower.of), factoring by trial division, and
-one necklace (Moebius) sum, _necklace, behind both tallies of
-irreducible factors by degree: nu_d (irreducible_poly_count) and the
-factors of z^k - 1 (root_of_one_factor_counts), which
+sizes as prime powers (PrimePower.of), factoring by trial division and
+Pollard's rho, and one necklace (Moebius) sum, _necklace, behind both
+tallies of irreducible factors by degree: nu_d (irreducible_poly_count)
+and the factors of z^k - 1 (root_of_one_factor_counts), which
 cyclotomic_factor_counts tallies again by the orders of q mod m | k.
 """
 
@@ -110,15 +110,15 @@ class PrimePower(namedtuple("PrimePower", "p e q")):
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e exactly dividing n, p ascending, by trial
-    division, which stops at 2^10 if what is left passes is_prime (or raises)."""
+    """(p, e) for each prime power p^e exactly dividing n, p ascending: trial
+    division below 2^10, then Pollard's rho splits what is left, if 2^20 or
+    more, until each part passes is_prime (which raises past its proven
+    range)."""
     if n < 1:
         raise ValueError(f"expected an integer n >= 1, got {n}")
     factors = []
     p = 2
-    while p * p <= n:
-        if p == 1 << 10 and is_prime(n):
-            break
+    while p < 1 << 10 and p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -126,9 +126,59 @@ def _prime_factors(n: int) -> list[tuple[int, int]]:
                 e += 1
             factors.append((p, e))
         p += 1
-    if n > 1:
-        factors.append((n, 1))
-    return factors
+    # what is left has no prime factor below 2^10: below 2^20 it is 1 or prime
+    if n < 1 << 20:
+        return factors + [(n, 1)] * (n > 1)
+    large: dict[int, int] = {}
+    parts = [n]
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            large[m] = large.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            parts += (d, m // d)
+    return factors + sorted(large.items())
+
+
+# steps of the rho walk between two gcds
+_RHO_BATCH = 128
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n, which has no prime factor below
+    2^10: Pollard's rho with Brent's cycle finding (R. P. Brent, BIT 20,
+    1980) on x -> x^2 + c from x = 2, for c = 1, 2, ... until a walk splits n.
+
+    A walk multiplies the differences x - y of a batch together mod n and
+    takes one gcd per batch; a batch whose gcd is n is stepped again one
+    difference at a time.  The walk mod a prime p | n cycles within about
+    sqrt(p) steps, so the cost follows the smallest prime of n.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, g, product = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                start = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    product = product * (x - y) % n
+                g = gcd(product, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                start = (start * start + c) % n
+                g = gcd(x - start, n)
+        if g != n:
+            return g
 
 
 def divisors(n: int) -> list[int]:

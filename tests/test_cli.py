@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
+import importlib.util
+import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +24,7 @@ import pytest
 
 from qmcount import cli, gfengine, oracle, regression, sequences, verify
 from qmcount.cli import main
+from qmcount.limits import LIMIT_KINDS
 from qmcount.regression import RegressionEntry
 from qmcount.sequences import (
     SEQUENCE_NAMES,
@@ -546,3 +552,150 @@ def test_a_failed_exact_division_in_a_closed_form_exits_two(capsys, monkeypatch)
     monkeypatch.setattr(qcount, "exact_div", lambda a, b, *text: divide(2 * a + 1, 2 * b))
     code, out, err = run_cli(capsys, "table", "rank_row", "--q", "3", "--max-n", "5")
     assert (code, out, err) == (2, "", "error: an exact division left a remainder\n")
+
+
+# argv at the edge of the one-pass reader, each left to argparse, with the
+# exit code, stdout and last stderr line the argparse-only front end gave
+READER_EDGES = [
+    (("limit", "invertible", "--q", "3", "--dig", "5"), 0, "0.56012\n", ""),
+    (("limit", "invertible", "--q=3"), 0, "0.56012\n", ""),
+    (("seq", "invertible", "--q", "2", "--max-n", "3", "--max-n", "4"), 0, "1 1 6 168 20160\n", ""),
+    (("seq", "invertible", "-h"), 0, "usage: qmcount seq [-h] --q Q [--k K]", ""),
+    (("limit", "invertible", "--q", "--", "3"), 2, "",
+     "qmcount limit: error: argument --q: expected one argument\n"),
+    (("seq", "--q", "2", "invertible", "--max-n", "3"), 0, "1 1 6 168\n", ""),
+    (("seq", "invertible", "--q", "2", "--max-n"), 2, "",
+     "qmcount seq: error: argument --max-n: expected one argument\n"),
+    (("seq", "invertible", "--q", "３", "--max-n", "3"), 0, "1 2 48 11232\n", ""),
+    (("verify", "--oracle-budget", "x"), 2, "",
+     "qmcount verify: error: argument --oracle-budget: invalid int value: 'x'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", READER_EDGES, ids=[" ".join(a) for a, *_ in READER_EDGES])
+def test_argv_the_reader_leaves_to_argparse(capsys, argv, code, out, err):
+    assert cli._read_argv(list(argv)) is None
+    got_code, got_out, got_err = run_cli(capsys, *argv)
+    assert got_code == code
+    assert got_out.startswith(out) if out.startswith("usage:") else got_out == out
+    assert got_err.splitlines(keepends=True)[-1:] == ([err] if err else [])
+
+
+def test_a_negative_value_is_read_as_argparse_reads_it(capsys):
+    # argparse takes "-3" as a value, not a flag, since no flag looks like a number
+    argv = ("seq", "invertible", "--q", "-3")
+    assert vars(cli._read_argv(list(argv)))["q"] == -3
+    assert run_cli(capsys, *argv) == (2, "", "error: field size must be at least 2, got -3\n")
+
+
+def argparse_values(argv: list[str]) -> dict | None:
+    """vars() of argparse's Namespace for argv, None where it exits; what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# the grammar, written out again for the fuzz: a flag's value kind per command
+FUZZ_FLAGS = {
+    "seq": {"--q": "int", "--k": "int", "--min-n": "int", "--max-n": "int", "--format": "format"},
+    "limit": {"--q": "int", "--digits": "int"},
+    "verify": {"--oracle-budget": "int", "--quiet": None},
+}
+FUZZ_FLAGS["table"] = FUZZ_FLAGS["seq"]
+FUZZ_NAMES = {
+    "seq": ("invertible", "cyclic", "qbinom_row", "power_identity"),
+    "table": ("qbinom_row", "rank_row"),
+    "limit": LIMIT_KINDS,
+}
+GOOD_VALUES = {"int": ("0", "2", "-1", "17", "0009", "9" * 40), "format": ("plain", "json", "bfile")}
+BAD_VALUES = {
+    "int": ("", "x", "+2", " 2", "2 ", "1_0", "３", "-３", "2.0", "0x10", "-", "--", "-x", "9" * 5000),
+    "format": ("", "xml", "JSON", "-json", "json "),
+}
+
+
+def fuzz_argv(rng: random.Random) -> tuple[list[str], bool]:
+    """A random argv near the plain form, and whether it is in that form:
+    COMMAND NAME (--flag VALUE)*, each flag in full and given once, each
+    value valid and every required flag given.  Each change the fuzz makes
+    takes the argv out of the form."""
+    command = rng.choice(tuple(FUZZ_FLAGS))
+    flags = FUZZ_FLAGS[command]
+    pairs = [[f] if flags[f] is None else [f, rng.choice(GOOD_VALUES[flags[f]])]
+             for f in flags if f == "--q" or rng.random() < 0.4]
+    rng.shuffle(pairs)
+    name = [rng.choice(FUZZ_NAMES[command])] if command in FUZZ_NAMES else []
+    before_name = []
+    plain = True
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        full = [p for p in pairs if p[0] in flags]
+        valued = [p for p in full if len(p) == 2]
+        change = rng.randrange(12)
+        if change == 0 and [p for p in full if len(p[0]) > 3]:  # an abbreviated flag
+            pair = rng.choice([p for p in full if len(p[0]) > 3])
+            pair[0] = pair[0][: rng.randrange(3, len(pair[0]))]
+        elif change == 1 and valued:  # --flag=value
+            pair = rng.choice(valued)
+            pair[:] = [f"{pair[0]}={pair[1]}"]
+        elif change == 2 and full:  # a flag given twice
+            pairs.insert(rng.randrange(len(pairs) + 1), list(rng.choice(full)))
+        elif change == 3 and any(p[0] == "--q" for p in pairs):  # no --q
+            pairs = [p for p in pairs if p[0] != "--q"]
+        elif change == 4 and valued:  # an invalid value
+            pair = rng.choice(valued)
+            pair[1] = rng.choice(BAD_VALUES[flags[pair[0]]])
+        elif change == 5:  # help or the end of options, anywhere after the command
+            pairs.insert(rng.randrange(len(pairs) + 1), [rng.choice(("-h", "--help", "--"))])
+        elif change == 6 and name and pairs:  # a flag before the name
+            before_name += pairs.pop(rng.randrange(len(pairs)))
+        elif change == 7:  # a stray token or an unknown flag
+            pairs.insert(rng.randrange(len(pairs) + 1), [rng.choice(("extra", "--x", "-q", "q", ""))])
+        elif change == 8 and valued:  # a flag with no value, last
+            pair = rng.choice(valued)
+            pairs.remove(pair)
+            pairs.append(pair[:1])
+        elif change == 9 and name:  # a name outside the choices
+            name = [rng.choice(("", "no_such", "-h", "invertible" if command == "table" else "rank"))]
+        elif change == 10:  # a command outside the choices
+            command = rng.choice(("", "sq", "--help", "-h", "limits"))
+        elif change == 11 and name:  # no name
+            name = []
+        else:
+            continue
+        plain = False
+    return [command, *before_name, *name, *(t for pair in pairs for t in pair)], plain
+
+
+def benchmark_cli_lines(monkeypatch) -> tuple[str, ...]:
+    """Every CLI line of perfbench/workloads.py, the module listed in
+    sys.modules while it runs, as its dataclasses need."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.FORMULAS_CLI + workloads.SERIES_CLI
+
+
+def test_the_one_pass_reader_agrees_with_argparse(monkeypatch):
+    corpus = Path(__file__).with_name("cli_corpus.txt").read_text().splitlines()
+    lines = [line.split()[1:] for line in corpus] + [
+        line.split() for line in benchmark_cli_lines(monkeypatch)
+    ]
+    assert len(lines) > 1747
+    for argv in lines:
+        read = cli._read_argv(argv)
+        assert read is not None and vars(read) == argparse_values(argv), argv
+    rng = random.Random(45)
+    kinds = Counter()
+    for _ in range(2400):
+        argv, plain = fuzz_argv(rng)
+        read = cli._read_argv(argv)
+        assert (read is not None) == plain, argv
+        expected = argparse_values(argv)
+        assert read is None or vars(read) == expected, argv
+        kinds[plain, expected is None] += 1
+    # plain argv, and argv argparse reads and refuses outside the form
+    assert min(kinds[True, False], kinds[False, False], kinds[False, True]) > 300, kinds

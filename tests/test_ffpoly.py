@@ -27,6 +27,7 @@ from qmcount.ffpoly import (
     euler_phi,
     field_for,
     irreducible_poly_count,
+    is_prime,
     moebius,
     multiplicative_order,
     poly_add,
@@ -172,6 +173,23 @@ def test_prime_factors_match_plain_trial_division():
         assert _prime_factors(n) == plain_prime_factors(n), n
 
 
+def random_prime(rng: random.Random, bits: int) -> int:
+    while True:
+        p = rng.randrange(2 ** (bits - 1), 2**bits) | 1
+        if is_prime(p):
+            return p
+
+
+def test_prime_factors_split_a_product_of_two_large_primes():
+    # no trial divisor below 2^10 divides these, so the rho walk splits them
+    rng = random.Random(45)
+    for _ in range(8):
+        p, q = sorted(random_prime(rng, rng.randrange(20, 41)) for _ in range(2))
+        expected = [(p, 2)] if p == q else [(p, 1), (q, 1)]
+        assert _prime_factors(p * q) == expected, (p, q)
+        assert _prime_factors(p * q * 1031**2 * 12) == [(2, 2), (3, 1), (1031, 2), *expected]
+
+
 LARGE_PRIME_CALLS = """
 import sys, time
 from qmcount import classtypes, ffpoly
@@ -205,6 +223,31 @@ def test_a_large_prime_modulus_is_quick():
         repr([1] * 11),
         f"{2**89 - 1} is a probable prime beyond the proven range of the test",
     ]
+    assert all(float(seconds) < 1 for _, seconds in lines), lines
+
+
+SEMIPRIME_CALLS = """
+import sys, time
+from qmcount import ffpoly
+m = (2**31 - 1) * (2**61 - 1)
+for call in (lambda: ffpoly.multiplicative_order(3, m), lambda: ffpoly.cyclotomic_factor_counts(3, m)):
+    start = time.process_time()
+    print(repr(call()), time.process_time() - start, sep="\\t")
+"""
+
+
+def test_a_modulus_with_two_large_prime_factors_is_quick():
+    # the cofactor left at the divisor 2^10 is composite: trial division
+    # on to its smaller prime, 2^31 - 1, did not end within 8 s
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{SEMIPRIME_CALLS}"],
+        capture_output=True, text=True, check=True, timeout=20,
+    )
+    lines = [line.split("\t") for line in proc.stdout.splitlines()]
+    order = 768614336404564650
+    counts = {1: 1, 715827882: 3, 256204778801521550: 9, order: 6442450938}
+    assert [value for value, _ in lines] == [repr(order), repr(counts)]
+    assert sum(d * c for d, c in counts.items()) == (2**31 - 1) * (2**61 - 1)
     assert all(float(seconds) < 1 for _, seconds in lines), lines
 
 

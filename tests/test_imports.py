@@ -79,6 +79,12 @@ def test_closed_forms_and_limits_never_load_the_series_engine():
     assert not {"qmcount.classtypes", "json", *ENGINE, *HEAVY} & loaded
 
 
+def test_a_limit_loads_neither_sequences_decimal_nor_argparse():
+    loaded = newly_loaded(cli_requests("limit invertible --q 2 --digits 20"))
+    assert "qmcount.limits" in loaded
+    assert not {"qmcount.sequences", "decimal", "argparse"} & loaded
+
+
 def test_the_series_engine_never_loads_the_limits():
     assert "qmcount.limits" not in newly_loaded("import qmcount.gfengine")
 
