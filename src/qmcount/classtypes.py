@@ -25,7 +25,8 @@ ordered splittings F_q^n = U + U' with dim U = k (qcount.complement_rows);
 for class counts the classes just pair up.  All of it is integer
 arithmetic.  class_sizes lists the classes of one size one by one
 instead, for the oracle's orbit sizes, and min_centralizer_orders finds
-the smallest centralizer of each size by a knapsack over polynomials.
+the smallest centralizer of each size by a knapsack over sets of
+polynomials.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import comb
 
 from .ffpoly import cyclotomic_factor_counts, irreducible_poly_count
 from .qcount import CostExceeded, centralizer_order, complement_rows, gl_order, join, partitions_of
-from .scaled import exact_div
+from .scaled import exact_div, powers
 
 # a class size |GL_n(q)| / c(lam) that is not exact, named by n and q
 _SIZE = "a centralizer order does not divide |GL_{}({})|"
@@ -115,8 +116,10 @@ MAX_LISTED_CLASSES = 2**12
 
 # min_centralizer_orders refuses a max_n whose knapsack, usable
 # polynomials x max_n x max_n // d summed over the degrees d, scores above
-# this: max_n <= 107 at q = 1009 (about a second) and max_n <= 237 at
-# q = 2 (about half a second).
+# this: max_n <= 237 at q = 2 (0.03 s on a 2-core Xeon), max_n <= 107 at
+# q = 1009 (0.012 s) and at q = 2^61 - 1 (0.08 s).  The set knapsack takes
+# at most max_n steps per polynomial, so the score overcounts it by
+# max_n // d; it stays so that the admitted set stays the same.
 MAX_KNAPSACK_WORK = 2 * 10**6
 
 
@@ -242,10 +245,19 @@ def min_centralizer_orders(q: int, max_n: int) -> list[int]:
              >= Q^(m-1+(ell-1)^2) (Q-1)^ell,
 
     since sum_i b_i = ell and sum lam'^2 >= ell^2 + (m - ell), lam'_1 being
-    ell.  The last bound exceeds Q^(m-1) (Q-1) unless ell = 1.  So the
-    minimum is a 0/1 knapsack over polynomials: each of the
-    min(nu_d - [d = 1], max_n // d) usable polynomials of degree d is left
-    out or takes some multiplicity m >= 1, at weight d m and that cost.
+    ell.  The last bound exceeds Q^(m-1) (Q-1) unless ell = 1.
+
+    The single part (m) costs q^(dm) (1 - q^-d), so a class whose set S of
+    polynomials has degree sum s has centralizer q^(n-s) prod_S (q^d - 1):
+    the multiplicities only pad the weight from s to n.  The minimum is
+    then a 0/1 knapsack over sets of polynomials, each of the
+    min(nu_d - [d = 1], max_n // d) usable ones of degree d left out or
+    taken once at weight d and factor q^d - 1, started from the padding
+    alone, q^w.  Every class is a path through it.  Conversely a value
+    q^p prod_S (q^d - 1) with p > 0 is a class when S holds a linear
+    polynomial, whose multiplicity takes the p; when S holds none, adding
+    one of the q - 1 >= 1 usable linear polynomials multiplies the value by
+    (q - 1) / q < 1, so it is never the minimum.
     """
     usable = [0]
     work = 0
@@ -257,16 +269,11 @@ def min_centralizer_orders(q: int, max_n: int) -> list[int]:
                 f"the centralizer knapsack to n = {max_n} is beyond the cost "
                 f"bound of {MAX_KNAPSACK_WORK} steps"
             )
-    best: list[int | None] = [1] + [None] * max_n
+    best = powers(q, max_n)
     for d in range(1, max_n + 1):
-        Q = q**d
+        step = q**d - 1
         for _ in range(usable[d]):
             # descending weights read only entries this polynomial has not set
             for w in range(max_n, d - 1, -1):
-                for m in range(1, w // d + 1):
-                    prev = best[w - d * m]
-                    if prev is not None:
-                        c = prev * Q ** (m - 1) * (Q - 1)
-                        if best[w] is None or c < best[w]:
-                            best[w] = c
+                best[w] = min(best[w], best[w - d] * step)
     return best

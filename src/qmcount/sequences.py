@@ -31,6 +31,7 @@ from .qcount import (
     square_powers,
     subspace_totals,
 )
+from .scaled import exact_div
 
 
 class UnsupportedSequence(ValueError):
@@ -157,6 +158,10 @@ def _separable_classes(r: _Run):
     return value
 
 
+# the largest class |GL_n(q)| / c that is not exact, named by n and q
+_LARGEST = "the smallest centralizer order does not divide |GL_{}({})|"
+
+
 def _min_centralizer(r: _Run):
     from .classtypes import min_centralizer_orders
 
@@ -172,7 +177,7 @@ def _min_centralizer(r: _Run):
 
 def _max_class(r: _Run):
     smallest = _min_centralizer(r)
-    return lambda n: gl_order(r.q, n) // smallest(n)
+    return lambda n: exact_div(gl_order(r.q, n), smallest(n), _LARGEST, n, r.q)
 
 
 def _cells(rows: list[list[int]]):

@@ -13,7 +13,9 @@ from qmcount.classtypes import (
     MAX_LISTED_CLASSES,
     class_sizes,
     class_type_counts,
+    min_centralizer_orders,
 )
+from qmcount.ffpoly import irreducible_poly_count
 from qmcount.gfengine import CostExceeded, NonIntegralCount, gf_counts
 from qmcount.qcount import PrimePower, gl_order
 
@@ -158,3 +160,30 @@ def test_verify_compares_every_series_kind_with_its_class_types():
         for kind in DECLARATIONS:
             assert f"{kind}: gf_counts vs class types q={q}" in names
         assert f"bell: gf_counts vs q-Bell sums q={q}" in names
+
+
+def _knapsack_with_multiplicities(q: int, max_n: int) -> list[int]:
+    """The knapsack over polynomials each taken with a multiplicity m, at
+    weight d m and cost Q^(m-1) (Q - 1), with no padding by powers of q:
+    the reference for min_centralizer_orders' set knapsack."""
+    usable = [0]
+    for d in range(1, max_n + 1):
+        usable.append(min(irreducible_poly_count(q, d) - (d == 1), max_n // d))
+    best: list[int | None] = [1] + [None] * max_n
+    for d in range(1, max_n + 1):
+        Q = q**d
+        for _ in range(usable[d]):
+            # descending weights read only entries this polynomial has not set
+            for w in range(max_n, d - 1, -1):
+                for m in range(1, w // d + 1):
+                    prev = best[w - d * m]
+                    if prev is not None:
+                        c = prev * Q ** (m - 1) * (Q - 1)
+                        if best[w] is None or c < best[w]:
+                            best[w] = c
+    return best
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27])
+def test_the_set_knapsack_matches_the_multiplicity_knapsack(q):
+    assert min_centralizer_orders(q, 40) == _knapsack_with_multiplicities(q, 40)

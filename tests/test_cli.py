@@ -520,6 +520,12 @@ EDGE_DIGESTS = [
     ("seq qbell --q 1000003 --max-n 24", "e91815c329b555f19e2e8a1f040157c7abeac995e2e20f00ac30dbf7f0d96a9f"),
     ("table qstirling_row --q 2 --max-n 34", "438d397241f559e788741f4e797e9bc1a3b1d6e8ea334d3a2a2243c3d7d531d9"),
     ("table qstirling_row --q 1000003 --max-n 16", "14ce75cb8ec8d3eb7a313364903f3a86e52b538c9630c2715a76d63e7d487071"),
+    ("seq min_centralizer --q 2 --max-n 237", "2b8a6389574be6841dfe21e9789d0a380428b39461cdf91dc8419a7df42aafe5"),
+    ("seq min_centralizer --q 1009 --max-n 107", "f2811b8bd97326941e6f7edd6e0a45688418de2ce90166fbdc7ec89b8a3de5df"),
+    ("seq min_centralizer --q 2305843009213693951 --max-n 107", "6abd79de38d707f93f7107849921f9c79038aae947e2df18bcd0dfa3eb3e055c"),
+    ("seq min_centralizer --q 717897987691852588770249 --max-n 107", "883f7420f2be19a7663c26d1c7f89553f349693712ab3f76c6365b957cc53668"),
+    ("seq max_class --q 2 --max-n 237", "76fda62d5b03d5b54b8d7a3fd494cb796e75c586715a3790ce0eed05d9a4dbc8"),
+    ("seq max_class --q 1009 --max-n 107", "56b51cde08e4e9510c6872abeb5058710f1438d6ec811ca5e241212d7d371224"),
 ]
 
 
@@ -552,6 +558,18 @@ def test_a_failed_exact_division_in_a_closed_form_exits_two(capsys, monkeypatch)
     monkeypatch.setattr(qcount, "exact_div", lambda a, b, *text: divide(2 * a + 1, 2 * b))
     code, out, err = run_cli(capsys, "table", "rank_row", "--q", "3", "--max-n", "5")
     assert (code, out, err) == (2, "", "error: an exact division left a remainder\n")
+
+
+def test_a_centralizer_that_does_not_divide_the_group_order_exits_two(capsys, monkeypatch):
+    from qmcount import classtypes
+    from qmcount.qcount import gl_order
+
+    # |GL_n(q)| + 1 divides no |GL_n(q)|
+    monkeypatch.setattr(
+        classtypes, "min_centralizer_orders", lambda q, top: [gl_order(q, n) + 1 for n in range(top + 1)]
+    )
+    code, out, err = run_cli(capsys, "seq", "max_class", "--q", "3", "--max-n", "4")
+    assert (code, out, err) == (2, "", "error: the smallest centralizer order does not divide |GL_1(3)|\n")
 
 
 # argv at the edge of the one-pass reader, each left to argparse, with the
