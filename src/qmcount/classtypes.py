@@ -36,7 +36,7 @@ from collections.abc import Callable
 from functools import cache
 from math import comb
 
-from .ffpoly import cyclotomic_factor_counts, irreducible_poly_count
+from .ffpoly import cyclotomic_factor_counts, irreducible_poly_count, irreducible_poly_counts
 from .qcount import CostExceeded, centralizer_order, complement_rows, gl_order, join, partitions_of
 from .scaled import exact_div, powers
 
@@ -259,10 +259,15 @@ def min_centralizer_orders(q: int, max_n: int) -> list[int]:
     one of the q - 1 >= 1 usable linear polynomials multiplies the value by
     (q - 1) / q < 1, so it is never the minimum.
     """
+    # nu_1 = q, and the linear polynomials alone score min(q - 1, max_n)
+    # max_n^2: a max_n they put past the bound is refused at d = 1, before
+    # the nu_d are counted
+    over = min(q - 1, max_n) * max_n**2 > MAX_KNAPSACK_WORK
+    nu = {1: q} if over else irreducible_poly_counts(q, max_n)
     usable = [0]
     work = 0
     for d in range(1, max_n + 1):
-        usable.append(min(irreducible_poly_count(q, d) - (d == 1), max_n // d))
+        usable.append(min(nu[d] - (d == 1), max_n // d))
         work += usable[d] * max_n * (max_n // d)
         if work > MAX_KNAPSACK_WORK:
             raise CostExceeded(

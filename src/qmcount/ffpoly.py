@@ -10,20 +10,20 @@ functions, serves every field: over F_p it builds the tables of F_{p^e}.
 
 The number theory: a primality test that proves what it accepts, field
 sizes as prime powers (PrimePower.of), factoring by trial division and
-Pollard's rho, and one necklace (Moebius) sum, _necklace, behind both
-tallies of irreducible factors by degree: nu_d (irreducible_poly_count)
-and the factors of z^k - 1 (root_of_one_factor_counts), which
-cyclotomic_factor_counts tallies again by the orders of q mod m | k.
+Pollard's rho, and one table of necklace (Moebius) sums, _necklaces, from
+one Moebius sieve, behind both tallies of irreducible factors by degree:
+nu_d (irreducible_poly_counts) and the factors of z^k - 1
+(root_of_one_factor_counts), which cyclotomic_factor_counts tallies again
+by the orders of q mod m | k.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 from functools import lru_cache
 from math import gcd, prod
 
-from .scaled import exact_div
+from .scaled import exact_div, powers
 
 
 class NotCoprime(ValueError):
@@ -197,19 +197,44 @@ def euler_phi(n: int) -> int:
     return prod(p ** (e - 1) * (p - 1) for p, e in _prime_factors(n))
 
 
-def _necklace(d: int, roots: Callable[[int], int], what: str, *at) -> int:
-    """(1/d) sum over e | d of mu(d/e) roots(e), roots(e) counting the roots in
-    F_(q^e) of a polynomial over F_q: its distinct irreducible factors of
-    degree d.  NonIntegralCount(what.format(*at)) if d does not divide it."""
-    return exact_div(sum(moebius(d // e) * roots(e) for e in divisors(d)), d, what, *at)
+def _moebius_sieve(top: int) -> list[int]:
+    """[mu(0), mu(1), ..., mu(top)], mu(0) = 0 unused: mu(1) = 1, and each
+    n, final once the n below it have passed, is taken from its multiples,
+    since the mu(e) over e | m sum to 0 for every m > 1."""
+    mu = [0, 1] + [0] * (top - 1)
+    for n in range(1, top + 1):
+        for m in range(2 * n, top + 1, n):
+            mu[m] -= mu[n]
+    return mu[: top + 1]
+
+
+def _necklaces(roots: list[int], what: str, *at) -> dict[int, int]:
+    """d -> (1/d) sum over e | d of mu(d/e) roots[e], for d = 1 .. N =
+    len(roots) - 1, roots[e] counting the roots in F_(q^e) of a polynomial
+    over F_q: its distinct irreducible factors of degree d.  mu comes from
+    one sieve, and each e adds to the sums at its multiples; the sum at d
+    must be a multiple of d, else NonIntegralCount(what.format(*at, d))."""
+    top = len(roots) - 1
+    mu = _moebius_sieve(top)
+    sums = [0] * (top + 1)
+    for e in range(1, top + 1):
+        for t in range(1, top // e + 1):
+            sums[e * t] += mu[t] * roots[e]
+    return {d: exact_div(sums[d], d, what, *at, d) for d in range(1, top + 1)}
+
+
+def irreducible_poly_counts(q: int, order: int) -> dict[int, int]:
+    """degree d -> the number of monic irreducible polynomials of degree d
+    over F_q, for d = 1 .. order: the necklace sums over the q^e roots of
+    z^(q^e) - z in F_(q^e)."""
+    return _necklaces(powers(q, order), "irreducible count sum not divisible by {}")
 
 
 def irreducible_poly_count(q: int, d: int) -> int:
-    """Number of monic irreducible polynomials of degree d over F_q: the
-    necklace sum over the q^e roots of z^(q^e) - z in F_(q^e)."""
+    """Number of monic irreducible polynomials of degree d over F_q."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return _necklace(d, lambda e: q**e, "irreducible count sum not divisible by {}", d)
+    return irreducible_poly_counts(q, d)[d]
 
 
 def multiplicative_order(q: int, m: int) -> int:
@@ -257,9 +282,8 @@ def root_of_one_factor_counts(q: int, k: int, order: int) -> dict[int, int]:
     gcd(k, q^e - 1), so this is the necklace sum over those: its cost
     grows with order, not with k, which it never factors.
     """
-    roots = [gcd(k, q**e - 1) for e in range(order + 1)]
-    text = "the roots of z^{} - 1 of degree {} are not whole factors"
-    return {d: _necklace(d, roots.__getitem__, text, k, d) for d in range(1, order + 1)}
+    roots = [gcd(k, power - 1) for power in powers(q, order)]
+    return _necklaces(roots, "the roots of z^{} - 1 of degree {} are not whole factors", k)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,16 @@ pairs (k, n - k), each pair weighted once by a Gaussian binomial read
 off a q-Pascal half row, and carries nothing.  The second, for a product with
 explicit copies at a few degrees (A^k = I, the derangements, the
 diagonalizable matrices and the projections), forms no log: it raises
-each degree's factor to its copy count from the scaled coefficients the
-rule declares (rule.base) by Miller's power recurrence, the step
-diagonalizable_counts runs, whose big numbers only meet small ones, and
-joins the degrees by one product each.  A join costs about as much at
-every degree, so a product of more than MAX_FINITE_JOINS + 1 degrees
-takes the exp-log, where it was measured to be cheaper.
+each degree's factor to its copy count and joins the degrees by one
+product each.  The inverse Euler factor of the derangements is raised by
+its q-shift f(Qv) = (1 - v) f(v) (rule.shift, scaled.shift_power), in
+min(c, m) steps a coefficient for c copies and with no division; the unit
+factor, which satisfies no such equation, by Miller's power recurrence
+on the scaled coefficients the rule declares (rule.base), the step
+diagonalizable_counts runs, whose big numbers only meet small ones.  A
+join costs about as much at every degree, so a product of more than
+MAX_FINITE_JOINS + 1 degrees takes the exp-log, where it was measured to
+be cheaper.
 
 gf_counts reads the counts off those integers; gf_build divides them by
 S_n once and hands the series back as an exact_series.TruncSeries.
@@ -68,7 +72,7 @@ from functools import partial
 from math import comb, factorial
 
 from . import scaled
-from .ffpoly import PrimePower, irreducible_poly_count, root_of_one_factor_counts
+from .ffpoly import PrimePower, irreducible_poly_counts, root_of_one_factor_counts
 from .qcount import BadKindParams, CostExceeded, bell_counts, gl_order
 from .scaled import NonIntegralCount, exact_div
 from .exact_series import TruncSeries
@@ -85,9 +89,11 @@ from .exact_series import TruncSeries
 # powers and joins (best of 5, three processes): power_identity 0.05 s
 # at (9, 109, k = 2), 0.03-0.04 s at (2, 149, k = 3) and 0.16-0.22 s at
 # (2, 149, k = 2^20 - 1), where the exp-log took 0.24, 0.20-0.34 and
-# 0.23-0.40 s; projective_derangement 0.05-0.08 s at (9, 109), from
-# 0.09-0.17 s; linear_derangement under 0.01 s.  At (2, 149) the k whose
-# z^k - 1 has a factor of every degree runs the exp-log, 0.25-0.29 s.
+# 0.23-0.40 s; projective_derangement, by the q-shift power, 0.007 s at
+# (9, 109) and 0.17-0.19 s at (3^50, 53), its slowest edge, where
+# Miller's power step took 0.05-0.06 and 0.44-0.49 s; linear_derangement
+# under 0.01 s.  At (2, 149) the k whose z^k - 1 has a factor of every
+# degree runs the exp-log, 0.25-0.29 s.
 MAX_SERIES_WORK = 4 * 10**9
 
 def _closed_log(log: Callable[[int, int], Fraction]) -> Callable:
@@ -102,21 +108,24 @@ def _closed_log(log: Callable[[int, int], Fraction]) -> Callable:
     return declare
 
 
-def _power_base(sign: int, coeff: Callable[[int, int], int]) -> Callable:
-    """Declare rule.base = (sign, coeff) on the rule it decorates: coeff(Q, m)
-    is the coefficient of v^m in f^sign, f the rule's factor, times the
-    rule's scale at m over Q, an integer with coeff(Q, 0) = 1.
-    _scaled_product raises it to explicit copy counts of that sign by the
-    power step, without a log or an exp."""
+def _power_base(
+    sign: int, coeff: Callable[[int, int], int], shift: Callable | None = None
+) -> Callable:
+    """Declare rule.base = (sign, coeff) and rule.shift = shift on the rule
+    it decorates: coeff(Q, m) is the coefficient of v^m in f^sign, f the
+    rule's factor, times the rule's scale at m over Q, an integer with
+    coeff(Q, 0) = 1.  _scaled_product raises it to explicit copy counts of
+    that sign without a log or an exp: by shift(c, pw), pw = [Q^0, ...,
+    Q^M], where the rule declares a q-shift power, else by the power step."""
 
     def declare(rule: Callable) -> Callable:
-        rule.base = sign, coeff
+        rule.base, rule.shift = (sign, coeff), shift
         return rule
 
     return declare
 
 
-@_power_base(-1, lambda Q, m: (-Q) ** m)
+@_power_base(-1, lambda Q, m: (-Q) ** m, scaled.shift_power)
 @_closed_log(lambda Q, m: Fraction(1, Q**m - 1))
 def euler_rule(Q: int, m: int) -> Fraction:
     """Q^(m(m-1)) / gl_order(Q, m): every partition of m is allowed.
@@ -131,7 +140,8 @@ def euler_rule(Q: int, m: int) -> Fraction:
     is Q^(m(m+1)/2), an integer.  Its inverse prod_r (1 - v / Q^r) has, by
     Euler's other identity, (-1)^m Q^(-m(m+1)/2) / ((1 - 1/Q)...(1 - 1/Q^m))
     = (-1)^m / ((Q - 1)...(Q^m - 1)) at v^m, so (-1)^m Q^m times D_m(Q):
-    the base the derangement kinds' negative copies raise.
+    the base the derangement kinds' negative copies raise.  It satisfies
+    f(Qv) = (1 - v) f(v), so its powers come from scaled.shift_power.
     """
     return Fraction(Q ** (m * (m - 1)), gl_order(Q, m))
 
@@ -206,10 +216,8 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     coefficient is read.  The path is chosen from the copies alone.
 
     Finite path, where _finite_degrees takes it: each degree's factor f is
-    raised to |copies[d]| from its base's scaled coefficients F_m at
-    S_m(Q) by Miller's recurrence (scaled.power), one copy read as it is,
-    moved to u^(md) (scaled.lift) and joined to the degrees before it
-    (scaled.join).
+    raised to |copies[d]| (_finite_product), moved to u^(md) (scaled.lift)
+    and joined to the degrees before it (scaled.join).
 
     Exp-log path, for the rest: the copies of the degree-d factor add
     copies[d] d lambda_m S_(md)(q) to L_n = n l_n S_n, l the product's
@@ -222,7 +230,7 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     division raises NonIntegralCount.
     """
     if copies is None:
-        copies = {d: irreducible_poly_count(q, d) for d in range(1, order + 1)}
+        copies = irreducible_poly_counts(q, order)
     if any(d < 1 for d in copies):
         raise ValueError("polynomial degree must be >= 1")
     closed = getattr(rule, "log", None)
@@ -233,7 +241,7 @@ def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
     pw = scaled.powers(q, order)
     degrees = _finite_degrees(rule, copies, order)
     if degrees is not None:
-        return _finite_product(q, rule.base[1], copies, degrees, scales, pw, gl), gl
+        return _finite_product(q, rule, copies, degrees, scales, pw, gl), gl
     log = [0] * (order + 1)
     for d, nu in copies.items():
         if d > order or not nu:
@@ -286,21 +294,24 @@ def _finite_degrees(rule, copies: dict[int, int], order: int) -> list[int] | Non
 
 
 def _finite_product(
-    q: int, coeff: Callable[[int, int], int], copies: dict[int, int], degrees: list[int],
+    q: int, rule, copies: dict[int, int], degrees: list[int],
     scales: list[int], pw: list[int], gl: bool,
 ) -> list[int]:
     """A_n = a_n S_n of prod_d f_d ** copies[d] over degrees, S_n the
-    scales: each f_d ** copies[d] is the power step (scaled.power) of the
-    base coeff(Q, m) at Q = q^d, read as it is for one copy, and moved to
-    u^(md) (scaled.lift); the first degree's series is the start and each
-    later one is joined to it (scaled.join)."""
+    scales: each f_d ** copies[d], at Q = q^d, is the rule's q-shift power
+    (rule.shift, for euler_rule's inverse) or else the power step
+    (scaled.power, for unit_rule) of its base rule.base, read as it is for
+    one copy, and is moved to u^(md) (scaled.lift); the first degree's
+    series is the start and each later one is joined to it (scaled.join)."""
     order = len(scales) - 1
     product = None
     for d in degrees:
-        Q = q**d
-        base = [coeff(Q, m) for m in range(order // d + 1)]
-        c = abs(copies[d])
-        power = base if c == 1 else scaled.power(c, base, pw[::d], gl)
+        c, qpw = abs(copies[d]), pw[::d]
+        if rule.shift is not None:
+            power = rule.shift(c, qpw)
+        else:
+            base = [rule.base[1](qpw[1], m) for m in range(len(qpw))]
+            power = base if c == 1 else scaled.power(c, base, qpw, gl)
         series = scaled.lift(power, d, q, scales, gl, "power")
         product = series if product is None else scaled.join(product, series, pw, gl)
     return [1] + [0] * order if product is None else product
@@ -461,10 +472,15 @@ def gf_counts(kind: str, q: int, order: int, k: int | None = None) -> list[int]:
     Each count must come out a non-negative integer, as in extract_count."""
     counts, gl = _scaled_build(kind, q, order, k)
     if gl is False:
+        # q^(n(n-3)/2) is q^-1 at n = 1, 2 and 1 at n = 3; from n = 4 on,
+        # it is the one before times q^(n-2)
         text = "coefficient of u^{} does not scale to an integer"
-        for n, c in enumerate(counts):
-            e = n * (n - 3) // 2  # -1 at n = 1, 2
-            counts[n] = exact_div(c * q ** max(e, 0), q ** max(-e, 0), text, n)
+        counts[1:3] = [exact_div(c, q, text, n) for n, c in enumerate(counts[1:3], 1)]
+        scale, step = 1, q
+        for n in range(4, len(counts)):
+            step *= q
+            scale *= step
+            counts[n] *= scale
     return [_count(n, c) for n, c in enumerate(counts)]
 
 

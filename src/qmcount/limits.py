@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from math import comb, factorial, prod
 
-from .ffpoly import PrimePower, irreducible_poly_count
+from .ffpoly import PrimePower, irreducible_poly_counts
 from .qcount import BadKindParams, CostExceeded
 
 # limit_eval refuses a request whose fixed-point power, about 2 bitlen(m)
@@ -216,8 +216,7 @@ def cyclic_limit_bracket(q: int, digits: int):
         den = q ** (depth * (depth + 1) // 2)
         cut = (q - 1) * q**depth
         lo_num, lo_den, hi_num, hi_den = num * (cut - 1), den * cut, num, den
-        for d in range(1, depth + 1):
-            nu = irreducible_poly_count(q, d)
+        for d, nu in irreducible_poly_counts(q, depth).items():
             R = q**d * (q**d - 1)
             top = nu if nu >= R else min(nu, -(-depth // d))
             part = sum(comb(nu, j) * R ** (top - j) for j in range(top + 1))

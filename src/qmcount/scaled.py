@@ -43,6 +43,23 @@ the pairs, whose binomial then meets a big sum.
   e' = l' e reads m e_m = sum_(j=1..m) j l_j e_(m-j), and times
   |GL_m(Q)|, at which every e_j is 1, m = sum_(j=1..m) W(m, j) G_j.
 
+Miller's power reads every coefficient of its base; Euler's inverse
+factor f(v) = prod_(r>=1) (1 - v / Q^r), the base the derangement
+kinds raise, has a power that reads none, carries nothing and divides
+nowhere (shift_power).  Its q-shift f(Qv) = (1 - v) f(v) (Andrews, The
+Theory of Partitions, ch. 2) gives g(Qv) = (1 - v)^c g(v) for g = f^c,
+c >= 1, so at v^m Q^m g_m = sum_(j=0..min(c, m)) (-1)^j C(c, j) g_(m-j).
+Moving the term j = 0 to the left and multiplying by D_m(Q) / (Q^m - 1),
+with D_m(Q) / D_(m-j)(Q) = Q^j prod_(i=m-j+1..m) (Q^i - 1), gives
+G_m = g_m D_m(Q) as
+
+    G_m = sum_(j=1..min(c, m)) a_j prod_(i=m-j+1..m-1) (Q^i - 1) G_(m-j),
+    a_j = (-1)^j C(c, j) Q^j,
+
+one Horner run from j = min(c, m) down, acc (Q^(m-j) - 1) + a_j G_(m-j):
+min(c, m) steps a coefficient, each a_j formed once.  At c = 1 it is
+G_m = (-Q)^m, the base itself.
+
 The finishes s / n, the carried ratios and lift's index are exact, and
 each is checked.  exact_div is the one checked quotient of the integer
 layers, which qcount, gfengine, classtypes and ffpoly call too: it raises
@@ -58,6 +75,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from itertools import accumulate, count, islice
+from math import comb
 from operator import mul
 
 
@@ -187,6 +205,19 @@ def power(c: int, coeffs: Sequence[int], pw: list[int], gl: bool) -> list[int]:
 
     finish = lambda n, s: exact_div(s, n, "the power is not an integer at u^{}", n)
     return recur(1, weights, finish, len(coeffs) - 1, pw, gl)
+
+
+def shift_power(c: int, pw: list[int]) -> list[int]:
+    """G_m, m < len(pw), of prod_(r>=1) (1 - v / Q^r) ** c, c >= 1, at
+    D_m(Q), pw[i] = Q^i: the q-shift recurrence, with no division."""
+    a = [(-1) ** j * comb(c, j) * pw[j] for j in range(min(c, len(pw) - 1) + 1)]
+    values = [1]
+    for m in range(1, len(pw)):
+        acc = 0
+        for j in range(min(c, m), 0, -1):
+            acc = acc * (pw[m - j] - 1) + a[j] * values[m - j]
+        values.append(acc)
+    return values
 
 
 def unit_log(pw: list[int]) -> list[int]:

@@ -27,6 +27,7 @@ from qmcount.ffpoly import (
     euler_phi,
     field_for,
     irreducible_poly_count,
+    irreducible_poly_counts,
     is_prime,
     moebius,
     multiplicative_order,
@@ -38,6 +39,7 @@ from qmcount.ffpoly import (
     poly_monic,
     poly_mul,
     poly_trim,
+    root_of_one_factor_counts,
     squarefree_test,
 )
 from qmcount.qcount import separable_class_count
@@ -121,6 +123,32 @@ def test_irreducible_count_matches_trial_division():
                 1 for p in all_monic(q, d) if is_irreducible_by_trial_division(p, field)
             )
             assert found == irreducible_poly_count(q, d)
+
+
+def per_degree_necklace(q: int, d: int) -> int:
+    """nu_d by its own necklace sum, mu from factoring each divisor."""
+    total = sum(moebius(d // e) * q**e for e in divisors(d))
+    assert total % d == 0
+    return total // d
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 1000003, 2**61 - 1])
+def test_the_sieved_irreducible_counts_match_the_per_degree_sums(q):
+    counts = irreducible_poly_counts(q, 150)
+    assert counts == {d: per_degree_necklace(q, d) for d in range(1, 151)}
+    assert [irreducible_poly_count(q, d) for d in (1, 2, 60, 149)] == [counts[d] for d in (1, 2, 60, 149)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_the_sieved_root_of_one_counts_match_the_cyclotomic_tally(q):
+    order = 60
+    for k in (*range(1, 61), 255, 2**20 - 1):
+        if gcd(q, k) != 1:
+            continue
+        tally = cyclotomic_factor_counts(q, k)
+        assert max(tally) <= order
+        counts = root_of_one_factor_counts(q, k, order)
+        assert counts == {d: tally.get(d, 0) for d in range(1, order + 1)}, (q, k)
 
 
 def test_multiplicative_order():
@@ -478,6 +506,6 @@ def test_an_inexact_irreducible_count_sum_is_refused(monkeypatch):
     from qmcount import ffpoly
     from qmcount.scaled import NonIntegralCount
 
-    monkeypatch.setattr(ffpoly, "moebius", lambda n: 1)
+    monkeypatch.setattr(ffpoly, "_moebius_sieve", lambda top: [0] + [1] * top)
     with pytest.raises(NonIntegralCount, match="^irreducible count sum not divisible by 3$"):
         irreducible_poly_count(2, 3)

@@ -465,11 +465,12 @@ def test_only_a_rule_without_a_closed_log_runs_the_per_degree_recurrence(monkeyp
     order = 24
     # the closed logs carry nothing; the finite path carries once per
     # order for each power step of more than one copy, at its degree's
-    # orders, and each join, and runs no exp: at q = 3 the derangement
-    # kinds raise the inverse Euler factor to 1 and 2 copies, e(u) is
-    # raised to 3 and 2 copies, and z^8 - 1 has 2 linear and 3 quadratic
-    # factors; invertible_check is the empty product
-    finite = {"invertible_check": 0, "linear_derangement": 0, "projective_derangement": order,
+    # orders, and each join, and runs no exp: at q = 3 e(u) is raised to
+    # 3 and 2 copies, and z^8 - 1 has 2 linear and 3 quadratic factors;
+    # the derangement kinds raise the inverse Euler factor to 1 and 2
+    # copies by its q-shift, which carries nothing; invertible_check is
+    # the empty product
+    finite = {"invertible_check": 0, "linear_derangement": 0, "projective_derangement": 0,
               "diagonalizable": order, "projection": order}
     for kind in ("cyclic", "separable", "cyclic_alt", "separable_alt", *finite):
         carried.clear()
@@ -563,6 +564,28 @@ def test_the_euler_inverse_base_is_the_series_inverse_of_euler_rule(Q):
     assert [Fraction(base(Q, m), d_scale(Q, m)) for m in range(top + 1)] == inverse
     assert unit_rule.base[0] == 1
     assert all(unit_rule.base[1](Q, m) == unit_rule(Q, m) * gl_order(Q, m) for m in range(top + 1))
+
+
+@pytest.mark.parametrize("Q", [2, 3, 4, 9, 27])
+@pytest.mark.parametrize("c", [1, 2, 3, 8, 26])
+def test_the_q_shift_power_is_the_power_step_on_the_euler_inverse_base(Q, c):
+    # f(Qv) = (1 - v) f(v) for f = prod_r (1 - v / Q^r): the q-shift
+    # recurrence, with no division, against Miller's power of the declared
+    # base; at c = 26 the Horner run stops at j = c for every m > 26
+    order = 40
+    base = [euler_rule.base[1](Q, m) for m in range(order + 1)]
+    pw = scaled.powers(Q, order)
+    assert euler_rule.shift is scaled.shift_power and unit_rule.shift is None
+    assert scaled.shift_power(c, pw) == scaled.power(c, base, pw, False)
+
+
+def test_the_q_shift_power_at_a_large_field_takes_q_minus_1_copies():
+    # projective_derangement's copy count at q = 1000003, where every
+    # binomial C(c, j), j <= m, enters
+    Q, order = 1000003, 12
+    base = [euler_rule.base[1](Q, m) for m in range(order + 1)]
+    pw = scaled.powers(Q, order)
+    assert scaled.shift_power(Q - 1, pw) == scaled.power(Q - 1, base, pw, False)
 
 
 def test_the_power_step_and_the_join_check_their_carried_divisions():
@@ -1161,7 +1184,7 @@ def test_a_mixed_sign_product_takes_the_exp_log():
 def test_an_inexact_root_of_one_count_is_refused(monkeypatch):
     # with every Moebius value 1, degree 3 of z^7 - 1 over F_2 sums
     # gcd(7, 1) + gcd(7, 7) = 8 roots, which 3 does not divide
-    monkeypatch.setattr(qmcount.ffpoly, "moebius", lambda n: 1)
+    monkeypatch.setattr(qmcount.ffpoly, "_moebius_sieve", lambda top: [0] + [1] * top)
     pp = qmcount.PrimePower.of(2)
     with pytest.raises(NonIntegralCount, match="^the roots of z\\^7 - 1 of degree 3 are not whole factors$"):
         _root_of_one_copies(pp, 7, 3)
