@@ -96,17 +96,25 @@ class PrimePower(namedtuple("PrimePower", "p e q")):
 
     @classmethod
     def of(cls, q: int) -> PrimePower:
-        if q < 2:
-            raise ValueError(f"field size must be at least 2, got {q}")
-        # q is a prime power for at most one e: the one whose root is prime.
-        # A prime q, the common case, takes one test and no roots.
-        if is_prime(q):
-            return cls(q, 1, q)
-        for e in range(q.bit_length(), 1, -1):
-            p = _int_root(q, e)
-            if p > 1 and p**e == q and is_prime(p):
-                return cls(p, e, q)
-        raise ValueError(f"field size must be a prime power, got {q}")
+        return cls(*_prime_power(q), q)
+
+
+# A request reads its field size in several layers, and one resolution of
+# a q of thousands of bits takes seconds; a refusal raises, so is not kept.
+@lru_cache(maxsize=32)
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p**e, p prime, e >= 1; ValueError for any other q."""
+    if q < 2:
+        raise ValueError(f"field size must be at least 2, got {q}")
+    # q is a prime power for at most one e: the one whose root is prime.
+    # A prime q, the common case, takes one test and no roots.
+    if is_prime(q):
+        return q, 1
+    for e in range(q.bit_length(), 1, -1):
+        p = _int_root(q, e)
+        if p > 1 and p**e == q and is_prime(p):
+            return p, e
+    raise ValueError(f"field size must be a prime power, got {q}")
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:

@@ -35,11 +35,12 @@ off a q-Pascal half row, and carries nothing.  The second, for a product with
 explicit copies at a few degrees (A^k = I, the derangements, the
 diagonalizable matrices and the projections), forms no log: it raises
 each degree's factor to its copy count and joins the degrees by one
-product each.  The inverse Euler factor of the derangements is raised by
-its q-shift f(Qv) = (1 - v) f(v) (rule.shift, scaled.shift_power), in
-min(c, m) steps a coefficient for c copies and with no division; the unit
-factor, which satisfies no such equation, by Miller's power recurrence
-on the scaled coefficients the rule declares (rule.base), the step
+product each.  Two factors are raised, each declared once in _POWERS
+with the sign of its copies and its power: the inverse Euler factor of
+the derangements by its q-shift f(Qv) = (1 - v) f(v)
+(scaled.shift_power), in min(c, m) steps a coefficient for c copies and
+with no division, and the unit factor, which satisfies no such equation,
+by Miller's power recurrence on the unit series (scaled.power), the step
 diagonalizable_counts runs, whose big numbers only meet small ones.  A
 join costs about as much at every degree, so a product of more than
 MAX_FINITE_JOINS + 1 degrees takes the exp-log, where it was measured to
@@ -108,24 +109,6 @@ def _closed_log(log: Callable[[int, int], Fraction]) -> Callable:
     return declare
 
 
-def _power_base(
-    sign: int, coeff: Callable[[int, int], int], shift: Callable | None = None
-) -> Callable:
-    """Declare rule.base = (sign, coeff) and rule.shift = shift on the rule
-    it decorates: coeff(Q, m) is the coefficient of v^m in f^sign, f the
-    rule's factor, times the rule's scale at m over Q, an integer with
-    coeff(Q, 0) = 1.  _scaled_product raises it to explicit copy counts of
-    that sign without a log or an exp: by shift(c, pw), pw = [Q^0, ...,
-    Q^M], where the rule declares a q-shift power, else by the power step."""
-
-    def declare(rule: Callable) -> Callable:
-        rule.base, rule.shift = (sign, coeff), shift
-        return rule
-
-    return declare
-
-
-@_power_base(-1, lambda Q, m: (-Q) ** m, scaled.shift_power)
 @_closed_log(lambda Q, m: Fraction(1, Q**m - 1))
 def euler_rule(Q: int, m: int) -> Fraction:
     """Q^(m(m-1)) / gl_order(Q, m): every partition of m is allowed.
@@ -137,16 +120,15 @@ def euler_rule(Q: int, m: int) -> Fraction:
     The tests cross-check it against the partition sum over centralizer
     orders term by term.  Its log sums -log(1 - v / Q^r) over r, so
     m l_m = sum_r Q^(-r m) = 1 / (Q^m - 1).  Times D_m(Q) the coefficient
-    is Q^(m(m+1)/2), an integer.  Its inverse prod_r (1 - v / Q^r) has, by
+    is Q^(m(m+1)/2), an integer.  Its inverse prod_r (1 - v / Q^r), the
+    factor the derangement kinds' negative copies raise (_POWERS), has, by
     Euler's other identity, (-1)^m Q^(-m(m+1)/2) / ((1 - 1/Q)...(1 - 1/Q^m))
-    = (-1)^m / ((Q - 1)...(Q^m - 1)) at v^m, so (-1)^m Q^m times D_m(Q):
-    the base the derangement kinds' negative copies raise.  It satisfies
-    f(Qv) = (1 - v) f(v), so its powers come from scaled.shift_power.
+    = (-1)^m / ((Q - 1)...(Q^m - 1)) at v^m, so (-1)^m Q^m times D_m(Q),
+    the c = 1 case of its q-shift power, scaled.shift_power.
     """
     return Fraction(Q ** (m * (m - 1)), gl_order(Q, m))
 
 
-@_power_base(1, lambda Q, m: 1)
 def unit_rule(Q: int, m: int) -> Fraction:
     """1 / gl_order(Q, m): the partition 1^m (all parts equal to 1).
 
@@ -154,7 +136,7 @@ def unit_rule(Q: int, m: int) -> Fraction:
     the invertible group over the degree-d extension field, of order
     gl_order(Q, m) with Q = q^d.  It declares no closed log: times
     gl_order(Q, m) every coefficient is 1, which is all scaled.unit_log
-    and the power step read.
+    and its power, scaled.power (_POWERS), read.
     """
     return Fraction(1, gl_order(Q, m))
 
@@ -203,6 +185,13 @@ def separable_alt_rule(Q: int, m: int) -> Fraction:
     """
     c = cyclic_alt_rule(Q, 1)
     return (Fraction(1), c, -c)[m] if m < 3 else Fraction(0)
+
+
+# The two factors the finite path raises: rule -> (the sign of the copies
+# it takes, its power(c, [Q^0, ..., Q^M]) for c >= 1 of those copies at
+# the rule's scale).  Euler's inverse is raised by its q-shift at D_m(Q),
+# the unit factor by Miller's step at |GL_m(Q)|.
+_POWERS = {euler_rule: (-1, scaled.shift_power), unit_rule: (1, scaled.power)}
 
 
 def _scaled_product(q: int, rule, order: int, copies) -> tuple[list[int], bool]:
@@ -281,14 +270,14 @@ MAX_FINITE_JOINS = 5
 
 def _finite_degrees(rule, copies: dict[int, int], order: int) -> list[int] | None:
     """The degrees d <= order with nonzero copies, ascending, when the
-    product is built by powers and joins: rule declares a base whose sign
-    every copy count shares, and at most MAX_FINITE_JOINS degrees follow
-    the first.  Otherwise None, and the exp-log builds it."""
-    base = getattr(rule, "base", None)
+    product is built by powers and joins: rule is in _POWERS, every copy
+    count has its sign, and at most MAX_FINITE_JOINS degrees follow the
+    first.  Otherwise None, and the exp-log builds it."""
     degrees = sorted(d for d, c in copies.items() if d <= order and c)
-    if base is None or len(degrees) > MAX_FINITE_JOINS + 1:
+    if rule not in _POWERS or len(degrees) > MAX_FINITE_JOINS + 1:
         return None
-    if any(copies[d] * base[0] < 0 for d in degrees):
+    sign = _POWERS[rule][0]
+    if any(copies[d] * sign < 0 for d in degrees):
         return None
     return degrees
 
@@ -298,23 +287,16 @@ def _finite_product(
     scales: list[int], pw: list[int], gl: bool,
 ) -> list[int]:
     """A_n = a_n S_n of prod_d f_d ** copies[d] over degrees, S_n the
-    scales: each f_d ** copies[d], at Q = q^d, is the rule's q-shift power
-    (rule.shift, for euler_rule's inverse) or else the power step
-    (scaled.power, for unit_rule) of its base rule.base, read as it is for
-    one copy, and is moved to u^(md) (scaled.lift); the first degree's
-    series is the start and each later one is joined to it (scaled.join)."""
-    order = len(scales) - 1
-    product = None
-    for d in degrees:
-        c, qpw = abs(copies[d]), pw[::d]
-        if rule.shift is not None:
-            power = rule.shift(c, qpw)
-        else:
-            base = [rule.base[1](qpw[1], m) for m in range(len(qpw))]
-            power = base if c == 1 else scaled.power(c, base, qpw, gl)
-        series = scaled.lift(power, d, q, scales, gl, "power")
-        product = series if product is None else scaled.join(product, series, pw, gl)
-    return [1] + [0] * order if product is None else product
+    scales: each f_d ** copies[d], at Q = q^d, is the rule's declared
+    power (_POWERS) at |copies[d]|, moved to u^(md) (scaled.lift); the
+    first degree's series is the start and each later one is joined to it
+    (scaled.join)."""
+    raise_to = _POWERS[rule][1]
+    product = [1] + [0] * (len(scales) - 1)
+    for i, d in enumerate(degrees):
+        series = scaled.lift(raise_to(abs(copies[d]), pw[::d]), d, q, scales, gl, "power")
+        product = series if i == 0 else scaled.join(product, series, pw, gl)
+    return product
 
 
 def _divide_by_one_minus_u(values: list[int], q: int, gl: bool) -> None:
@@ -490,13 +472,11 @@ def q_stirling_via_gf(q: int, n: int, k: int) -> int:
     The exponential-style identity: (e(u) - 1)^k, e(u) = sum_m u^m / gl_order(m),
     carries k! * {n into k parts} / gl_order(n) at u^n.  It is expanded as
     sum_j (-1)^(k-j) C(k, j) e^j, each e^j raised on integers at |GL_n|
-    (scaled.power), where every coefficient of e is 1.
+    (scaled.power).
     """
     if n < 1 or k < 1 or k > n:
         return 0
-    pw, ones = scaled.powers(q, n), [1] * (n + 1)
-    value = sum(
-        (-1) ** (k - j) * comb(k, j) * scaled.power(j, ones, pw, True)[n] for j in range(1, k + 1)
-    )
+    pw = scaled.powers(q, n)
+    value = sum((-1) ** (k - j) * comb(k, j) * scaled.power(j, pw)[n] for j in range(1, k + 1))
     text = "the splitting count of {} into {} parts is not an integer"
     return exact_div(value, factorial(k), text, n, k)

@@ -16,12 +16,12 @@ their q-difference recurrence (projection_counts).  The rank triangle
 neighbouring terms, one product and one exact division a term.  The
 splitting counts come from e(u) = sum_m u^m / |GL_m|: the diagonalizable
 counts, the ordered splittings into q eigenspaces, by the power
-recurrence of e^q (diagonalizable_counts, the power step of the
-scaled-series kernel, scaled.power, that gfengine raises its finite
-products by), and the q-Stirling triangle, the unordered splittings, a
-column at a time from the one before over the complement counts
-(q_stirling_rows), whose row sums are the q-Bell numbers (q_bell, the
-check of bell_counts, one exp of e(u) - 1 that qbell reads).  The
+recurrence of e^q (diagonalizable_counts, by scaled.power, the power of
+the unit series e that gfengine's finite products raise too), and the
+q-Stirling triangle, the unordered splittings, a column at a time from
+the one before over the complement counts (q_stirling_rows), whose row
+sums are the q-Bell numbers (q_bell, the check of bell_counts, one exp
+of e(u) - 1 that qbell reads).  The
 scalar runs are running products: |GL_n| (GLOrderTable, by the kernel's
 scale step; gl_order_factored is the check), the q-factorials
 (q_factorials), q^(n^2 + shift n) (square_powers), the separable class
@@ -415,7 +415,7 @@ def diagonalizable_counts(q: int, N: int) -> list[int]:
     the same step; diagonalizable_count is the independent check, by the
     splitting joins, and so are the class types and the oracle.
     """
-    return scaled.power(q, [1] * (N + 1), scaled.powers(q, N), True)
+    return scaled.power(q, scaled.powers(q, N))
 
 
 def diagonalizable_count(q: int, n: int) -> int:

@@ -22,7 +22,9 @@ so the one division left is the checked finish s / n.  The exp's
 weights L_k are as big as its values, so carrying B_j up to
 [n, j]_q B_j would only make each big product bigger.
 
-The unit log and Miller's power are one carried step (recur):
+The unit log and Miller's power, the two readings of the unit series
+e(v) = sum_m v^m / |GL_m(Q)|, are one carried step (recur) at |GL_n(Q)|,
+where every coefficient of e is 1:
 
     Y_0 = first,  Y_n = finish(n, sum_(k=1..n) W(n, k) w_n(k) Y_(n-k)),
 
@@ -32,20 +34,19 @@ carries its sparse second factor the same way.  Where one side of every
 product is small or sparse, the carried form was measured faster than
 the pairs, whose binomial then meets a big sum.
 
-- power: P_n = p_n S_n of p = f^c, c >= 1, from F_k = f_k S_k with
-  f_0 = 1, takes w_n(k) = ((c + 1) k - n) F_k and finish s / n
-  (J. C. P. Miller; Knuth, TAOCP vol. 2, sec. 4.7).  f p' = c f' p at
-  u^(n-1) reads sum_(k=0..n-1) (n - k) f_k p_(n-k) =
-  c sum_(k=1..n) k f_k p_(n-k); moving the terms k >= 1 of the left to
-  the right leaves n p_n = sum_(k=1..n) ((c + 1) k - n) f_k p_(n-k).
-- unit_log: G_m = m l_m |GL_m(Q)| of the log of e(v) =
-  sum_m v^m / |GL_m(Q)| takes w = 1, first = 0 and finish m - s.
-  e' = l' e reads m e_m = sum_(j=1..m) j l_j e_(m-j), and times
-  |GL_m(Q)|, at which every e_j is 1, m = sum_(j=1..m) W(m, j) G_j.
+- power: P_n = p_n |GL_n(Q)| of p = e^c, c >= 1, takes
+  w_n(k) = (c + 1) k - n and finish s / n (J. C. P. Miller; Knuth, TAOCP
+  vol. 2, sec. 4.7).  e p' = c e' p at u^(n-1) reads
+  sum_(k=0..n-1) (n - k) e_k p_(n-k) = c sum_(k=1..n) k e_k p_(n-k);
+  moving the terms k >= 1 of the left to the right leaves
+  n p_n = sum_(k=1..n) ((c + 1) k - n) e_k p_(n-k).  At c = 1, P_n = 1.
+- unit_log: G_m = m l_m |GL_m(Q)| of the log of e takes w = 1, first = 0
+  and finish m - s.  e' = l' e reads m e_m = sum_(j=1..m) j l_j e_(m-j),
+  and times |GL_m(Q)|, at which every e_j is 1,
+  m = sum_(j=1..m) W(m, j) G_j.
 
-Miller's power reads every coefficient of its base; Euler's inverse
-factor f(v) = prod_(r>=1) (1 - v / Q^r), the base the derangement
-kinds raise, has a power that reads none, carries nothing and divides
+Euler's inverse factor f(v) = prod_(r>=1) (1 - v / Q^r), the factor the
+derangement kinds raise, has a power that carries nothing and divides
 nowhere (shift_power).  Its q-shift f(Qv) = (1 - v) f(v) (Andrews, The
 Theory of Partitions, ch. 2) gives g(Qv) = (1 - v)^c g(v) for g = f^c,
 c >= 1, so at v^m Q^m g_m = sum_(j=0..min(c, m)) (-1)^j C(c, j) g_(m-j).
@@ -58,7 +59,7 @@ G_m = g_m D_m(Q) as
 
 one Horner run from j = min(c, m) down, acc (Q^(m-j) - 1) + a_j G_(m-j):
 min(c, m) steps a coefficient, each a_j formed once.  At c = 1 it is
-G_m = (-Q)^m, the base itself.
+G_m = (-1)^m Q^m, f's own coefficient times D_m(Q) (Euler's identity).
 
 The finishes s / n, the carried ratios and lift's index are exact, and
 each is checked.  exact_div is the one checked quotient of the integer
@@ -163,15 +164,14 @@ def weighted_sum(
     return acc * pw[n - 1] + a[n] * b[0]
 
 
-def recur(
-    first: int, weights: Callable, finish: Callable, order: int, pw: list[int], gl: bool
-) -> list[int]:
-    """[Y_0, ..., Y_order] of the kernel's step, w_n = weights(n)."""
+def recur(first: int, weights: Callable, finish: Callable, pw: list[int]) -> list[int]:
+    """[Y_0, ..., Y_M], M = len(pw) - 1, of the kernel's step at |GL_m(Q)|,
+    pw[i] = Q^i, with w_n = weights(n)."""
     values, carried = [first], []
-    for n in range(1, order + 1):
+    for n in range(1, len(pw)):
         carried.append(values[-1])
         carry(carried, pw, n)
-        values.append(finish(n, weighted_sum(weights(n), carried, n, pw, gl)))
+        values.append(finish(n, weighted_sum(weights(n), carried, n, pw, True)))
     return values
 
 
@@ -197,14 +197,13 @@ def exp(log: Sequence[int], pw: list[int], gl: bool) -> list[int]:
     return values
 
 
-def power(c: int, coeffs: Sequence[int], pw: list[int], gl: bool) -> list[int]:
-    """P_n, n < len(coeffs), of f^c, c >= 1, from F_k = f_k S_k, F_0 = 1."""
-
-    def weights(n: int) -> list[int]:
-        return [((c + 1) * k - n) * coeffs[k] for k in range(n + 1)]
-
+def power(c: int, pw: list[int]) -> list[int]:
+    """P_m, m < len(pw), of e(v) ** c, c >= 1, at |GL_m(Q)|, pw[i] = Q^i,
+    e(v) = sum_m v^m / |GL_m(Q)|; at c = 1, e's own coefficients, all 1."""
+    if c == 1:
+        return [1] * len(pw)
     finish = lambda n, s: exact_div(s, n, "the power is not an integer at u^{}", n)
-    return recur(1, weights, finish, len(coeffs) - 1, pw, gl)
+    return recur(1, lambda n: [(c + 1) * k - n for k in range(n + 1)], finish, pw)
 
 
 def shift_power(c: int, pw: list[int]) -> list[int]:
@@ -223,7 +222,7 @@ def shift_power(c: int, pw: list[int]) -> list[int]:
 def unit_log(pw: list[int]) -> list[int]:
     """G_m, m < len(pw), of the log of sum_m v^m / |GL_m(Q)|, pw[i] = Q^i."""
     ones = [1] * len(pw)
-    return recur(0, lambda m: ones, lambda m, s: m - s, len(pw) - 1, pw, True)
+    return recur(0, lambda m: ones, lambda m, s: m - s, pw)
 
 
 def join(a: list[int], x: list[int], pw: list[int], gl: bool) -> list[int]:

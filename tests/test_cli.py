@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from qmcount import cli, gfengine, oracle, regression, sequences, verify
+from qmcount import cli, ffpoly, gfengine, oracle, regression, sequences, verify
 from qmcount.cli import main
 from qmcount.limits import LIMIT_KINDS
 from qmcount.regression import RegressionEntry
@@ -134,6 +134,25 @@ def test_seq_power_identity(capsys):
     )
     assert time.perf_counter() - start < 1
     assert (code, out) == (0, "1 1 1 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "cyclic", "--q", "1000003", "--max-n", "3"),
+        ("seq", "power_identity", "--q", "1000003", "--k", "2", "--max-n", "3"),
+    ],
+)
+def test_a_request_tests_its_field_size_once(capsys, monkeypatch, argv):
+    # make_spec, the route and the series engine each read q as a prime
+    # power; on a q of thousands of bits one reading takes seconds
+    ffpoly._prime_power.cache_clear()
+    tested = []
+    is_prime = ffpoly.is_prime
+    monkeypatch.setattr(ffpoly, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert tested.count(1000003) == 1
 
 
 def test_limit(capsys):

@@ -550,42 +550,84 @@ def test_the_path_choice_counts_the_degrees_joined(monkeypatch):
     assert exps == [order]
 
 
-@pytest.mark.parametrize("Q", [2, 3, 4, 9, 27])
-def test_the_euler_inverse_base_is_the_series_inverse_of_euler_rule(Q):
-    # prod_r (1 - v / Q^r) times prod_r (1 - v / Q^r)^(-1) is 1: the
-    # declared base over D_m(Q) is the inverse of euler_rule's series
-    sign, base = euler_rule.base
-    assert sign == -1
-    top = 15
+def euler_inverse(Q: int, top: int) -> list[Fraction]:
+    """prod_r (1 - v / Q^r) to v^top: the series inverse of euler_rule's."""
     f = [euler_rule(Q, m) for m in range(top + 1)]
     inverse = [Fraction(1)]
     for m in range(1, top + 1):
         inverse.append(-sum(f[j] * inverse[m - j] for j in range(1, m + 1)))
-    assert [Fraction(base(Q, m), d_scale(Q, m)) for m in range(top + 1)] == inverse
-    assert unit_rule.base[0] == 1
-    assert all(unit_rule.base[1](Q, m) == unit_rule(Q, m) * gl_order(Q, m) for m in range(top + 1))
+    return inverse
+
+
+def fraction_power(a: list[Fraction], c: int) -> list[Fraction]:
+    """a ** c, c >= 1, to the length of a, by repeated squaring."""
+
+    def mul(x, y):
+        return [sum(x[k] * y[n - k] for k in range(n + 1)) for n in range(len(a))]
+
+    result = None
+    while True:
+        if c & 1:
+            result = a if result is None else mul(result, a)
+        c >>= 1
+        if not c:
+            return result
+        a = mul(a, a)
+
+
+@pytest.mark.parametrize("Q", [2, 3, 4, 9, 27])
+def test_the_euler_inverse_base_is_the_series_inverse_of_euler_rule(Q):
+    # prod_r (1 - v / Q^r) times prod_r (1 - v / Q^r)^(-1) is 1: one copy
+    # of the q-shift power over D_m(Q) is the inverse of euler_rule's
+    # series, and one copy of the unit power is the unit factor at |GL_m(Q)|
+    top = 15
+    pw = scaled.powers(Q, top)
+    shifted = scaled.shift_power(1, pw)
+    assert [Fraction(g, d_scale(Q, m)) for m, g in enumerate(shifted)] == euler_inverse(Q, top)
+    assert scaled.power(1, pw) == [unit_rule(Q, m) * gl_order(Q, m) for m in range(top + 1)]
 
 
 @pytest.mark.parametrize("Q", [2, 3, 4, 9, 27])
 @pytest.mark.parametrize("c", [1, 2, 3, 8, 26])
 def test_the_q_shift_power_is_the_power_step_on_the_euler_inverse_base(Q, c):
     # f(Qv) = (1 - v) f(v) for f = prod_r (1 - v / Q^r): the q-shift
-    # recurrence, with no division, against Miller's power of the declared
-    # base; at c = 26 the Horner run stops at j = c for every m > 26
+    # recurrence, with no division, against the Fraction power of f; at
+    # c = 26 the Horner run stops at j = c for every m > 26
     order = 40
-    base = [euler_rule.base[1](Q, m) for m in range(order + 1)]
-    pw = scaled.powers(Q, order)
-    assert euler_rule.shift is scaled.shift_power and unit_rule.shift is None
-    assert scaled.shift_power(c, pw) == scaled.power(c, base, pw, False)
+    want = fraction_power(euler_inverse(Q, order), c)
+    got = scaled.shift_power(c, scaled.powers(Q, order))
+    assert [Fraction(g, d_scale(Q, m)) for m, g in enumerate(got)] == want
 
 
 def test_the_q_shift_power_at_a_large_field_takes_q_minus_1_copies():
     # projective_derangement's copy count at q = 1000003, where every
     # binomial C(c, j), j <= m, enters
     Q, order = 1000003, 12
-    base = [euler_rule.base[1](Q, m) for m in range(order + 1)]
-    pw = scaled.powers(Q, order)
-    assert scaled.shift_power(Q - 1, pw) == scaled.power(Q - 1, base, pw, False)
+    want = fraction_power(euler_inverse(Q, order), Q - 1)
+    got = scaled.shift_power(Q - 1, scaled.powers(Q, order))
+    assert [Fraction(g, d_scale(Q, m)) for m, g in enumerate(got)] == want
+
+
+def test_every_kind_with_explicit_copies_raises_a_declared_power():
+    # each such kind's rule is in _POWERS and its copies have the declared
+    # sign, so the finite path builds it; each declared power at c = 1 is
+    # its factor (the rule's, or its inverse for the sign -1) at the
+    # rule's scale, D_m(Q) for a closed log and |GL_m(Q)| otherwise
+    pp, order = PrimePower.of(4), 20
+    for kind, entry in gfengine._KINDS.items():
+        if entry.copies is None:
+            continue
+        sign = gfengine._POWERS[entry.rule][0]
+        copies = entry.copies(pp, 3, order)
+        assert all(c * sign >= 0 for c in copies.values()), kind
+        degrees = sorted(d for d, c in copies.items() if c)
+        assert gfengine._finite_degrees(entry.rule, copies, order) == degrees, kind
+    Q, top = 3, 12
+    for rule, (sign, power) in gfengine._POWERS.items():
+        series = euler_inverse(Q, top) if sign < 0 else [rule(Q, m) for m in range(top + 1)]
+        scale = d_scale if hasattr(rule, "log") else gl_order
+        assert power(1, scaled.powers(Q, top)) == [a * scale(Q, m) for m, a in enumerate(series)]
+    assert set(gfengine._POWERS) == {euler_rule, unit_rule}
 
 
 def test_the_power_step_and_the_join_check_their_carried_divisions():
@@ -593,13 +635,13 @@ def test_the_power_step_and_the_join_check_their_carried_divisions():
     # [2, 1] = (pw[2] - 1) / (pw[1] - 1) = 11 / 5, inexact at n = 2
     pw = [1, 6, 12, 24, 48]
     with pytest.raises(NonIntegralCount, match="^a carried weight is not an integer at u\\^2$"):
-        scaled.power(2, [1] * 5, pw, True)
+        scaled.power(2, pw)
     with pytest.raises(NonIntegralCount, match="^a carried weight is not an integer at u\\^2$"):
         scaled.join([1] * 5, [1] * 5, pw, False)
     # a table whose carried ratios happen to divide can still leave the
-    # division by n inexact
-    with pytest.raises(NonIntegralCount, match="^the power is not an integer at u\\^4$"):
-        scaled.power(2, [1, 1, 3, 0, -2], [1, 2, 3, 4, 10], False)
+    # division by n inexact: at n = 2 the sum is 7
+    with pytest.raises(NonIntegralCount, match="^the power is not an integer at u\\^2$"):
+        scaled.power(2, [1, 3, 2, 2, 10])
 
 
 # SHA-256 of repr((kind, q, gf_counts(kind, q, order))) for the five
